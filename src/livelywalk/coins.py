@@ -21,6 +21,7 @@ with (x, y) on the ellipse x^2+y^2-x-y+xy = 0 (X, Z) or x^2+y^2+x+y+xy = 0
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,6 @@ from .errors import (
 from .exactnum import (
     DEFAULT_TOL,
     exact_det3,
-    exact_identity,
     exact_matrix,
     is_exact,
     orthogonality_defect,
@@ -60,6 +60,11 @@ PERM_IMAGES = {
     4: (0, 2, 1),
     5: (1, 0, 2),
     6: (2, 1, 0),
+}
+#: the six permutation matrices as 0/1 integer arrays
+_PERM_01 = {
+    p: np.array([[int(images[i] == j) for j in range(3)] for i in range(3)])
+    for p, images in PERM_IMAGES.items()
 }
 
 _FAMILY_BASIS = {"X": CYCLIC, "Y": CYCLIC, "Z": TRANSPOSITION, "W": TRANSPOSITION}
@@ -86,7 +91,8 @@ class Coin3:
 
     ``params`` holds the linear-sum coefficients (x, y, z) when known, and
     ``theta_frac`` the exact angle fraction theta/(2*pi) when the coin was
-    built from one.
+    built from one.  ``classification`` is ``classify(matrix)`` at the
+    default tolerance, computed on first use and cached.
     """
 
     matrix: np.ndarray
@@ -100,6 +106,10 @@ class Coin3:
 
     def as_float(self) -> np.ndarray:
         return to_float(self.matrix)
+
+    @functools.cached_property
+    def classification(self) -> Classification:
+        return classify(self.matrix)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coin3):
@@ -137,11 +147,7 @@ def perm_matrix(p: int) -> Coin3:
     """The permutation matrix P_p, p in 1..6, in exact representation."""
     if p not in PERM_IMAGES:
         raise OutOfRange(f"permutation index must be 1..6, got {p}")
-    images = PERM_IMAGES[p]
-    m = np.array(
-        [[Fraction(1 if images[i] == j else 0) for j in range(3)] for i in range(3)],
-        dtype=object,
-    )
+    m = exact_matrix(_PERM_01[p].tolist())
     family = "X" if p <= 3 else "Z"
     coeffs = [Fraction(0)] * 3
     coeffs[(p - 1) % 3] = Fraction(1)
@@ -247,6 +253,18 @@ def _theta_params(family: str, cos_t, sin_t, sqrt3):
     return x, y, z
 
 
+def _reconstruct_angle(family: str, x, y) -> tuple[float, float]:
+    """(cos theta, sin theta) recovered from the first two coefficients;
+    the inverse of :func:`_theta_params`."""
+    if family in ("X", "Z"):
+        cos_t = (3.0 * complex(x).real - 1.0) / 2.0
+        sin_t = math.sqrt(3.0) * (complex(y).real - (1.0 - cos_t) / 3.0)
+    else:
+        cos_t = (3.0 * complex(x).real + 1.0) / 2.0
+        sin_t = math.sqrt(3.0) * (complex(y).real + (1.0 + cos_t) / 3.0)
+    return cos_t, sin_t
+
+
 def coin_from_theta(family: str, theta: float) -> Coin3:
     """One-parameter coin of the given family at angle theta (radians).
 
@@ -310,13 +328,9 @@ def grover_type(p: int, negate: bool = False) -> Coin3:
     """(2/3)J - P_p, negated when asked, in exact representation."""
     if p not in PERM_IMAGES:
         raise OutOfRange(f"permutation index must be 1..6, got {p}")
-    images = PERM_IMAGES[p]
     sign = -1 if negate else 1
     m = np.array(
-        [
-            [sign * (Fraction(2, 3) - (1 if images[i] == j else 0)) for j in range(3)]
-            for i in range(3)
-        ],
+        [[sign * (Fraction(2, 3) - e) for e in row] for row in _PERM_01[p].tolist()],
         dtype=object,
     )
     coeffs = decompose_linear_sum(m)
@@ -352,22 +366,13 @@ def _near(a, b, tol=DEFAULT_TOL) -> bool:
     return abs(complex(a) - complex(b)) <= tol
 
 
-def _nearest_permutation(mf: np.ndarray, tol=DEFAULT_TOL) -> Optional[int]:
-    for p, images in PERM_IMAGES.items():
-        target = np.array([[1.0 if images[i] == j else 0.0 for j in range(3)] for i in range(3)])
-        if np.max(np.abs(mf - target)) <= tol:
-            return p
-    return None
-
-
-def _nearest_grover_type(mf: np.ndarray, tol=DEFAULT_TOL) -> Optional[int]:
-    for p, images in PERM_IMAGES.items():
-        target = 2.0 / 3.0 - np.array(
-            [[1.0 if images[i] == j else 0.0 for j in range(3)] for i in range(3)]
-        )
-        if np.max(np.abs(mf - target)) <= tol:
-            return p
-    return None
+def _special_kind(mf: np.ndarray, tol=DEFAULT_TOL) -> tuple[bool, bool]:
+    """(is a permutation matrix, is a Grover-type matrix), for a real matrix."""
+    perm = grover = False
+    for target in _PERM_01.values():
+        perm = perm or np.max(np.abs(mf - target)) <= tol
+        grover = grover or np.max(np.abs(mf - (2.0 / 3.0 - target))) <= tol
+    return bool(perm), bool(grover)
 
 
 def _is_rational_matrix(m: np.ndarray, tol=1e-9, max_den=1000) -> bool:
@@ -411,14 +416,15 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
 
     mf = to_float(m)
     real = np.max(np.abs(mf.imag)) <= DEFAULT_TOL
+    is_permutation, is_grover_type = _special_kind(mf.real) if real else (False, False)
     return Classification(
         family=family,
         basis=coeffs.basis,
         x=coeffs.x,
         y=coeffs.y,
         z=coeffs.z,
-        is_permutation=real and _nearest_permutation(mf.real) is not None,
-        is_grover_type=real and _nearest_grover_type(mf.real) is not None,
+        is_permutation=is_permutation,
+        is_grover_type=is_grover_type,
         is_rational=_is_rational_matrix(m),
     )
 
@@ -438,7 +444,7 @@ def multiply(a: Coin3, b: Coin3) -> Coin3:
     signs multiply; the product's classification must land on the expected
     family or the bookkeeping has failed.
     """
-    ca, cb = classify(a.matrix), classify(b.matrix)
+    ca, cb = a.classification, b.classification
     expected_basis = _BASIS_PRODUCT[(ca.basis, cb.basis)]
     expected_sign = _FAMILY_SUM[ca.family] * _FAMILY_SUM[cb.family]
     expected_family = _FAMILY_OF[(expected_basis, expected_sign)]

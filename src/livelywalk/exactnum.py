@@ -235,9 +235,9 @@ def eig3_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[complex]:
     q = 2.0 * c2**3 / 27.0 - c2 * c1 / 3.0 + c0
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     sq = cmath.sqrt(disc)
-    u3 = -q / 2.0 + sq
-    if abs(u3) < 1e-30:
-        u3 = -q / 2.0 - sq
+    # the root of larger modulus avoids cancellation (stable Cardano; Kahan
+    # 1986, Blinn 2006): with p = 0 the other one is rounding noise
+    u3 = max(-q / 2.0 + sq, -q / 2.0 - sq, key=abs)
     if abs(u3) < 1e-30:
         roots = [-c2 / 3.0] * 3  # triple root
     else:
@@ -287,6 +287,21 @@ def eig3_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[complex]:
 
     polished.sort(key=principal_arg)
     return polished
+
+
+def multiset_distance(a, b) -> float:
+    """Greedy nearest matching of two equal-size complex multisets; max matched gap."""
+    a = np.asarray(a, dtype=complex)
+    b = list(np.asarray(b, dtype=complex))
+    if a.size != len(b):
+        raise DimensionMismatch(f"multisets differ in size: {a.size} != {len(b)}")
+    worst = 0.0
+    for x in a:
+        gaps = [abs(x - y) for y in b]
+        j = int(np.argmin(gaps))
+        worst = max(worst, gaps[j])
+        b.pop(j)
+    return worst
 
 
 def mat_power_norm_defect(m: np.ndarray, t: int) -> float:

@@ -2,9 +2,11 @@
 
 Three independent routes to the period T = min{t > 0 : U^t = I}:
 
-* analytic  -- closed-form dispatch on the coin family and its angle,
-               applicable when n divides a*l for every block (a = 0 at
-               desk scale); may prove the period infinite.
+* analytic  -- a per-family table of closed forms, applicable when n
+               divides a*l for every block (a = 0 at desk scale): the
+               special angles theta/2pi = k/6 have their own period rule,
+               every other rational angle at n = 3 an lcm rule, and all
+               remaining coins are proven aperiodic or left undecided.
 * spectral  -- every eigenvalue angle is classified as a rational multiple
                of 2*pi by continued fractions; the period is the lcm of the
                multiplicative orders.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
@@ -26,14 +28,12 @@ import numpy as np
 from . import coins as _coins
 from . import walk as _walk
 from .errors import GuardExceeded, NotUnitModulus
-from .exactnum import DEFAULT_TOL
+from .exactnum import _TWO_PI, DEFAULT_TOL
 
 TMAX_DEFAULT = 10_000
 QMAX_DEFAULT = 1_000_000
 #: identity detection threshold for brute force
 IDENTITY_TOL = 1e-8
-#: ||U^t - I|| must exceed this for all 0 < t < T when a period is verified
-SEPARATION_TOL = 1e-6
 #: |angle/(2*pi) - p/q| acceptance threshold for rational classification
 ANGLE_TOL = 1e-11
 #: additionally require err * q^2 below this, so large-q convergents that
@@ -44,8 +44,6 @@ ANGLE_ACCURACY = 1e-12
 #: largest order whose detection the decisiveness guard still guarantees
 #: at that accuracy: err * q^2 < DECISIVE holds for all q up to this bound
 GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -188,145 +186,87 @@ def _half_step_period(n: int, doubled: bool) -> int:
     return _lcm(vals)
 
 
-def _reconstruct_angle(family: str, x, y) -> tuple[float, float]:
-    """(cos theta, sin theta) recovered from the first two coefficients."""
-    if family in ("X", "Z"):
-        cos_t = (3.0 * complex(x).real - 1.0) / 2.0
-        sin_t = math.sqrt(3.0) * (complex(y).real - (1.0 - cos_t) / 3.0)
-    else:
-        cos_t = (3.0 * complex(x).real + 1.0) / 2.0
-        sin_t = math.sqrt(3.0) * (complex(y).real + (1.0 + cos_t) / 3.0)
-    return cos_t, sin_t
+_HALF_STEP = partial(_half_step_period, doubled=False)
+_HALF_STEP_DOUBLED = partial(_half_step_period, doubled=True)
+
+#: per family: {special theta/2pi: (period rule, theorem)} and the n = 3
+#: rational-angle rule (base, mult, scale, offset), giving the period
+#: lcm(base, mult * den(scale * theta/2pi + offset)); a rule is a constant
+#: or a function of n
+_ANALYTIC_TABLE = {
+    "X": ({Fraction(0): (_identity_coin_period, "identity-lcm"),
+           Fraction(1, 3): (3, "cyclic-permutation"),
+           Fraction(2, 3): (3, "cyclic-permutation")},
+          (3, 1, 1, Fraction(0))),
+    "Z": ({Fraction(0): (_HALF_STEP, "permutation-lcm"),
+           Fraction(2, 3): (_HALF_STEP, "permutation-lcm"),
+           Fraction(1, 3): (2, "swap-coin")},
+          (2, 2, 1, Fraction(-1, 3))),
+    "Y": ({Fraction(1, 2): (_HALF_STEP_DOUBLED, "negated-identity-lcm"),
+           Fraction(1, 6): (6, "negated-cyclic"),
+           Fraction(5, 6): (6, "negated-cyclic")},
+          (6, 2, 2, Fraction(0))),
+    "W": ({Fraction(1, 2): (_HALF_STEP, "permutation-lcm"),
+           Fraction(1, 6): (_HALF_STEP, "permutation-lcm"),
+           Fraction(5, 6): (2, "negated-swap")},
+          (2, 2, 1, Fraction(1, 6))),
+}
 
 
-def _theta_fraction_of(spec_coin: _coins.Coin3, family: str, x, y,
-                       qmax: int) -> Optional[Fraction]:
-    """theta/(2*pi) as an exact fraction: attached to the coin, or recovered
-    via atan2 and continued-fraction classification."""
-    if spec_coin.theta_frac is not None:
-        return spec_coin.theta_frac % 1
-    cos_t, sin_t = _reconstruct_angle(family, x, y)
-    theta = math.atan2(sin_t, cos_t) % _TWO_PI
-    return classify_fraction(theta / _TWO_PI, qmax)
+def _theta_fraction_of(coin: _coins.Coin3, qmax: int) -> Optional[Fraction]:
+    """theta/(2*pi) as an exact fraction, or None when it does not classify.
 
-
-def period_analytic(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodResult:
-    """Closed-form period dispatch on the coin family.
-
-    Requires a = 0 (mod n) so the momentum phases e^{-ika} collapse to 1 on
-    every block; other liveliness values return not_applicable and are left
-    to the spectral and brute-force routes.  Permutation and Grover-type
-    coins are matched by matrix; generic coins dispatch on the rational
-    angle class of theta.  Exact rational coins that are not (up to sign)
-    permutations or Grover-type are aperiodic for every n.
+    A special angle k/6 (where every rational coin sits) is snapped from the
+    coefficients; otherwise the fraction attached to the coin is used, or
+    the recovered angle goes through continued-fraction classification.
     """
-    def na(reason):
-        return PeriodResult(status="not_applicable", method="analytic", theorem=reason)
-
-    def finite(t, tag):
-        return PeriodResult(status="finite", method="analytic", period=int(t), theorem=tag)
-
-    def infinite(tag):
-        return PeriodResult(status="proven_infinite", method="analytic", theorem=tag)
-
-    n = spec.n
-    if spec.a % n != 0:
-        return na("phase-condition-unmet")
-
-    cls = _coins.classify(spec.coin.matrix)
-    fam = cls.family
-
-    frac = _theta_fraction_of(spec.coin, fam, cls.x, cls.y, qmax)
-    special = None
-    if cls.is_permutation or cls.is_grover_type or _is_negated_special(spec.coin):
-        # rational coins occupy angles that are multiples of pi/3; snap exactly
-        special = _snap_special_angle(fam, cls)
-        if special is not None:
-            frac = special
-
-    if fam == "X":
-        if frac == 0:
-            return finite(_identity_coin_period(n), "x-family:identity-lcm")
-        if frac in (Fraction(1, 3), Fraction(2, 3)):
-            return finite(3, "x-family:cyclic-permutation")
-        if n != 3:
-            return _rational_or_infinite(spec, cls, "x-family:aperiodic-off-3cycle", infinite, na, frac)
-        if frac is None:
-            return _rational_or_infinite(spec, cls, "x-family:aperiodic-angle", infinite, na, frac)
-        return finite(_lcm([3, frac.denominator]), "x-family:n3-rational-angle")
-
-    if fam == "Z":
-        if frac in (Fraction(0), Fraction(2, 3)):
-            return finite(_half_step_period(n, doubled=False), "z-family:permutation-lcm")
-        if frac == Fraction(1, 3):
-            return finite(2, "z-family:swap-coin")
-        if n != 3:
-            return _rational_or_infinite(spec, cls, "z-family:aperiodic-off-3cycle", infinite, na, frac)
-        if frac is None:
-            return _rational_or_infinite(spec, cls, "z-family:aperiodic-angle", infinite, na, frac)
-        q = (frac - Fraction(1, 3)).denominator
-        return finite(_lcm([2, 2 * q]), "z-family:n3-rational-angle")
-
-    if fam == "Y":
-        if frac == Fraction(1, 2):
-            return finite(_half_step_period(n, doubled=True), "y-family:negated-identity-lcm")
-        if frac in (Fraction(1, 6), Fraction(5, 6)):
-            return finite(6, "y-family:negated-cyclic")
-        if n != 3:
-            return _rational_or_infinite(spec, cls, "y-family:aperiodic-off-3cycle", infinite, na, frac)
-        if frac is None:
-            return _rational_or_infinite(spec, cls, "y-family:aperiodic-angle", infinite, na, frac)
-        q = (2 * frac).denominator  # theta/pi = m/q
-        return finite(_lcm([6, 2 * q]), "y-family:n3-rational-angle")
-
-    # fam == "W"
-    if frac in (Fraction(1, 2), Fraction(1, 6)):
-        return finite(_half_step_period(n, doubled=False), "w-family:permutation-lcm")
-    if frac == Fraction(5, 6):
-        return finite(2, "w-family:negated-swap")
-    if n != 3:
-        return _rational_or_infinite(spec, cls, "w-family:aperiodic-off-3cycle", infinite, na, frac)
-    if frac is None:
-        return _rational_or_infinite(spec, cls, "w-family:aperiodic-angle", infinite, na, frac)
-    q = (frac + Fraction(1, 6)).denominator
-    return finite(_lcm([2, 2 * q]), "w-family:n3-rational-angle")
-
-
-def _is_negated_special(coin: _coins.Coin3) -> bool:
-    mf = coin.as_float()
-    if np.max(np.abs(mf.imag)) > DEFAULT_TOL:
-        return False
-    neg = -mf.real
-    return (
-        _coins._nearest_permutation(neg) is not None
-        or _coins._nearest_grover_type(neg) is not None
-    )
-
-
-def _snap_special_angle(family: str, cls: _coins.Classification) -> Optional[Fraction]:
-    cos_t, sin_t = _reconstruct_angle(family, cls.x, cls.y)
+    cls = coin.classification
+    cos_t, sin_t = _coins._reconstruct_angle(cls.family, cls.x, cls.y)
     for frac in _SPECIAL_FRACTIONS:
         if abs(cos_t - math.cos(_TWO_PI * float(frac))) <= 1e-9 and abs(
             sin_t - math.sin(_TWO_PI * float(frac))
         ) <= 1e-9:
             return frac
-    return None
+    if coin.theta_frac is not None:
+        return coin.theta_frac % 1
+    theta = math.atan2(sin_t, cos_t) % _TWO_PI
+    return classify_fraction(theta / _TWO_PI, qmax)
 
 
-def _rational_or_infinite(spec, cls, tag, infinite, na, frac):
-    """Generic coin with no finite-period row.
+def _analytic(status: str, theorem: str, period: Optional[int] = None) -> PeriodResult:
+    return PeriodResult(status=status, method="analytic", period=period, theorem=theorem)
 
-    Any non-special coin is aperiodic when n != 3.  At n = 3, an exact
-    rational coin that is not (up to sign) a permutation or Grover-type
-    matrix has cos(theta) rational while theta/pi is not, so it is
-    aperiodic as well; a floating coin whose angle failed to classify
-    stays undecided.
+
+def period_analytic(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodResult:
+    """Closed-form period from the coin family's row of `_ANALYTIC_TABLE`.
+
+    Requires a = 0 (mod n) so the momentum phases e^{-ika} collapse to 1 on
+    every block; other liveliness values return not_applicable and are left
+    to the spectral and brute-force routes.  A special angle takes its own
+    rule for every n.  Any other coin is aperiodic when n != 3; at n = 3 a
+    rational angle takes the family's lcm rule, an exact rational coin is
+    aperiodic (cos theta is rational while theta/pi is not), and a floating
+    coin whose angle failed to classify stays undecided.
     """
-    if spec.n != 3:
-        return infinite(tag)
+    n = spec.n
+    if spec.a % n != 0:
+        return _analytic("not_applicable", "phase-condition-unmet")
+
+    fam = spec.coin.classification.family
+    special, (base, mult, scale, offset) = _ANALYTIC_TABLE[fam]
+    frac = _theta_fraction_of(spec.coin, qmax)
+    prefix = f"{fam.lower()}-family:"
+    if frac in special:
+        rule, name = special[frac]
+        return _analytic("finite", prefix + name, rule if isinstance(rule, int) else rule(n))
+    if n != 3:
+        return _analytic("proven_infinite", prefix + "aperiodic-off-3cycle")
+    if frac is not None:
+        period = _lcm([base, mult * (scale * frac + offset).denominator])
+        return _analytic("finite", prefix + "n3-rational-angle", period)
     if spec.coin.exact:
-        return infinite("rational-coin:aperiodic")
-    return na("angle-unclassified")
+        return _analytic("proven_infinite", "rational-coin:aperiodic")
+    return _analytic("not_applicable", "angle-unclassified")
 
 
 # --- cross validation ------------------------------------------------------

@@ -17,7 +17,7 @@ from . import coins as _coins
 from . import period as _period
 from . import walk as _walk
 from .errors import LivelyWalkError
-from .exactnum import eig3_unitary, orthogonality_defect
+from .exactnum import eig3_unitary, multiset_distance, orthogonality_defect
 
 SUITES = (
     "orthogonality",
@@ -27,8 +27,6 @@ SUITES = (
     "blockdiag-equivalence",
     "period-consistency",
 )
-
-_FAMILY_DET = {"X": 1, "Y": -1, "Z": -1, "W": 1}
 
 
 @dataclass
@@ -58,7 +56,7 @@ def run_orthogonality(seed: int = 0, samples: int = 1000) -> SuiteResult:
             det = np.linalg.det(coin.as_float())
             checks += 1
             worst = max(worst, defect)
-            if defect > 1e-12 or abs(det - _FAMILY_DET[family]) > 1e-10:
+            if defect > 1e-12 or abs(det - _coins._FAMILY_DET[family]) > 1e-10:
                 failures += 1
     return SuiteResult("orthogonality", checks, failures, worst)
 
@@ -66,14 +64,13 @@ def run_orthogonality(seed: int = 0, samples: int = 1000) -> SuiteResult:
 def run_closure(seed: int = 0, samples: int = 1000) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures, worst = 0, 0.0
-    sum_sign = {"X": 1, "Y": -1, "Z": 1, "W": -1}
-    basis = {"X": "cyclic", "Y": "cyclic", "Z": "transposition", "W": "transposition"}
-    parity = {"cyclic": 0, "transposition": 1}
+    sum_sign, basis = _coins._FAMILY_SUM, _coins._FAMILY_BASIS
+    parity = {_coins.CYCLIC: 0, _coins.TRANSPOSITION: 1}
     for _ in range(samples):
         a, b = _random_coin(rng), _random_coin(rng)
         try:
             prod = _coins.multiply(a, b)
-            cp = _coins.classify(prod.matrix)
+            cp = prod.classification
         except LivelyWalkError:
             failures += 1
             continue
@@ -98,19 +95,6 @@ def run_decompose_roundtrip(seed: int = 0, samples: int = 1000) -> SuiteResult:
     return SuiteResult("decompose-roundtrip", samples, failures, worst)
 
 
-def _multiset_distance(a, b) -> float:
-    """Greedy nearest matching of two equal-size complex multisets."""
-    a = np.asarray(a, dtype=complex)
-    b = list(np.asarray(b, dtype=complex))
-    worst = 0.0
-    for x in a:
-        gaps = [abs(x - y) for y in b]
-        j = int(np.argmin(gaps))
-        worst = max(worst, gaps[j])
-        b.pop(j)
-    return worst
-
-
 def run_spectrum_symmetry(seed: int = 0, samples: int = 200) -> SuiteResult:
     """For a = 0 and X-family coins the block spectra at l and n-l coincide."""
     rng = np.random.default_rng(seed)
@@ -121,7 +105,7 @@ def run_spectrum_symmetry(seed: int = 0, samples: int = 200) -> SuiteResult:
         for l in range(1, n // 2 + 1):
             lo = eig3_unitary(_walk.reduced_block(spec, l).uk)
             hi = eig3_unitary(_walk.reduced_block(spec, n - l).uk)
-            err = _multiset_distance(lo, hi)
+            err = multiset_distance(lo, hi)
             checks += 1
             worst = max(worst, err)
             if err > 1e-8:
@@ -140,7 +124,7 @@ def run_blockdiag_equivalence(seed: int = 0, samples: int = 1) -> SuiteResult:
                     spec = _walk.WalkSpec(n=n, a=a, coin=_random_coin(rng, family))
                     dense = np.linalg.eigvals(_walk.evolution_operator(spec))
                     blocks = [e.value for e in _walk.spectrum(spec)]
-                    err = _multiset_distance(dense, blocks)
+                    err = multiset_distance(dense, blocks)
                     checks += 1
                     worst = max(worst, err)
                     if err > 1e-8:

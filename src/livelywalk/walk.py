@@ -37,7 +37,7 @@ class WalkSpec:
             raise OutOfRange(f"cycle length must be >= 2, got {self.n}")
         if not (0 <= self.a <= self.n // 2):
             raise OutOfRange(f"liveliness must satisfy 0 <= a <= n//2, got a={self.a}")
-        _coins.classify(self.coin.matrix)  # raises if the coin is not a valid linear sum
+        self.coin.classification  # raises if the coin is not a valid linear sum
         if np.max(np.abs(self.coin.as_float().imag)) > DEFAULT_TOL:
             raise NotUnitary("walk coins must be real orthogonal matrices")
 

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from livelywalk.exactnum import multiset_distance
+
 
 @pytest.fixture
 def rng():
@@ -12,20 +14,6 @@ def random_unitary3(rng) -> np.ndarray:
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     q, r = np.linalg.qr(x)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def multiset_distance(a, b) -> float:
-    """Greedy nearest matching of two complex multisets; max matched gap."""
-    a = np.asarray(a, dtype=complex)
-    b = list(np.asarray(b, dtype=complex))
-    assert a.size == len(b)
-    worst = 0.0
-    for x in a:
-        gaps = [abs(x - y) for y in b]
-        j = int(np.argmin(gaps))
-        worst = max(worst, gaps[j])
-        b.pop(j)
-    return worst
 
 
 def assert_same_multiset(a, b, tol=1e-8):

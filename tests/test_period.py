@@ -228,6 +228,40 @@ class TestSoundness:
                     assert brute is None, (coin.family, coin.params, n)
 
 
+SPECIAL_COINS = [
+    coin
+    for p in range(1, 7)
+    for base in (coins.perm_matrix(p), coins.grover_type(p))
+    for coin in (base, coins.Coin3(matrix=-base.matrix))
+]
+
+
+class TestCyclicPermutationLively:
+    """+-P2 and +-P3 with a != 0 have block polynomials lam^3 + c0, so the
+    depressed cubic has p = 0 and the two Cardano roots u^3 differ in size
+    only by cancellation."""
+
+    def test_methods_agree_and_spectral_matches_bruteforce(self):
+        checked = 0
+        for p in (2, 3):
+            for coin in (coins.perm_matrix(p), coins.Coin3(matrix=-coins.perm_matrix(p).matrix)):
+                for n in range(2, 13):
+                    for a in range(1, n // 2 + 1):
+                        cv = cross_validate(spec_of(coin, n, a))
+                        _, spectral, brute = cv.results
+                        assert cv.agreement, (p, n, a)
+                        assert spectral.finite and spectral.period == brute.period, (p, n, a)
+                        checked += 1
+        assert checked == 144
+
+    @settings(max_examples=100, deadline=None)
+    @given(index=st.integers(0, len(SPECIAL_COINS) - 1), n=st.integers(2, 64), data=st.data())
+    def test_spectral_never_fails_on_special_coins(self, index, n, data):
+        a = data.draw(st.integers(0, n // 2))
+        result = period_spectral(spec_of(SPECIAL_COINS[index], n, a))
+        assert result.status in ("finite", "no_period_up_to")
+
+
 class TestCrossValidate:
     def test_grover_agreement(self):
         cv = cross_validate(spec_of(coins.grover_type(1), 3))
