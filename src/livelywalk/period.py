@@ -163,10 +163,6 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
 
 # --- analytic dispatch -----------------------------------------------------
 
-#: the only angle fractions that rational (permutation / Grover-type) coins occupy
-_SPECIAL_FRACTIONS = tuple(Fraction(k, 6) for k in range(6))
-
-
 def _identity_coin_period(n: int) -> int:
     # lcm of c_l * p_l with 2l/n = m_l/p_l in lowest terms, c_l = 2 for odd m_l
     vals = []
@@ -216,20 +212,24 @@ _ANALYTIC_TABLE = {
 def _theta_fraction_of(coin: _coins.Coin3, qmax: int) -> Optional[Fraction]:
     """theta/(2*pi) as an exact fraction, or None when it does not classify.
 
-    A special angle k/6 (where every rational coin sits) is snapped from the
-    coefficients; otherwise the fraction attached to the coin is used, or
-    the recovered angle goes through continued-fraction classification.
+    The 24 +-permutation and +-Grover-type coins, six per family, sit at the
+    special angles k/6; other exact rational coins do not.  A coin is one of
+    them when +-coin is within DEFAULT_TOL of such a matrix entry by entry;
+    its recovered angle is then within about 3e-10 rad of 2*pi*k/6, so
+    rounding to the nearest sixth of a turn gives k exactly.  Any other coin
+    uses the fraction attached to it, or the recovered angle goes through
+    continued-fraction classification.
     """
     cls = coin.classification
     cos_t, sin_t = _coins._reconstruct_angle(cls.family, cls.x, cls.y)
-    for frac in _SPECIAL_FRACTIONS:
-        if abs(cos_t - math.cos(_TWO_PI * float(frac))) <= 1e-9 and abs(
-            sin_t - math.sin(_TWO_PI * float(frac))
-        ) <= 1e-9:
-            return frac
+    theta = math.atan2(sin_t, cos_t) % _TWO_PI
+    mf = coin.as_float()
+    if cls.is_permutation or cls.is_grover_type or (
+        np.max(np.abs(mf.imag)) <= DEFAULT_TOL and any(_coins._special_kind(-mf.real))
+    ):
+        return Fraction(round(6 * theta / _TWO_PI) % 6, 6)
     if coin.theta_frac is not None:
         return coin.theta_frac % 1
-    theta = math.atan2(sin_t, cos_t) % _TWO_PI
     return classify_fraction(theta / _TWO_PI, qmax)
 
 
@@ -242,10 +242,12 @@ def period_analytic(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
 
     Requires a = 0 (mod n) so the momentum phases e^{-ika} collapse to 1 on
     every block; other liveliness values return not_applicable and are left
-    to the spectral and brute-force routes.  A special angle takes its own
-    rule for every n.  Any other coin is aperiodic when n != 3; at n = 3 a
-    rational angle takes the family's lcm rule, an exact rational coin is
-    aperiodic (cos theta is rational while theta/pi is not), and a floating
+    to the spectral and brute-force routes.  A +-permutation or
+    +-Grover-type coin is read at its exact angle k/6 (a coin merely near
+    k/6 is not); where the family's row lists that angle, its rule holds for
+    every n.  Any other coin is aperiodic when n != 3; at n = 3 a rational
+    angle takes the family's lcm rule, an exact rational coin is aperiodic
+    (cos theta is rational while theta/pi is not), and a floating
     coin whose angle failed to classify stays undecided.
     """
     n = spec.n

@@ -1,9 +1,11 @@
 """Golden corpus: analytic period rows and coin documents, pinned byte for byte.
 
-The corpus is 472 coins: the 24 special coins (+-P, +-Grover-type), every
+The corpus is 568 coins: the 24 special coins (+-P, +-Grover-type), every
 family X/Y/Z/W at each theta/2pi = m/q with q <= 12 (once with the exact
-fraction attached, once as a float angle in radians), 64 exact Pell coins
-and 16 generic float angles.  Each coin is run through `period_analytic` at
+fraction attached, once as a float angle in radians), the same two forms
+at k/6 +- 1e-10 for every special angle k/6 (just outside the tolerance
+that makes a coin +-P or +-Grover-type), 64 exact Pell coins and 16
+generic float angles.  Each coin is run through `period_analytic` at
 n = 2..9 with a = 0, and every n also gets one a != 0 row.
 
 The expected rows live in golden_analytic.txt, one coin per line: its id,
@@ -29,6 +31,7 @@ N_RANGE = range(2, 10)
 PELL_R = (Fraction(0), Fraction(1), Fraction(2), Fraction(5, 7))
 SIGNS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 GENERIC_THETAS = (0.3, 1.0, 2.0, 4.5)
+NEAR_SPECIAL = Fraction(1, 10**10)
 
 
 def corpus() -> dict:
@@ -46,6 +49,10 @@ def corpus() -> dict:
                     f = Fraction(m, q)
                     out[f"{fam} frac {f}"] = coins.coin_from_theta_frac(fam, f)
                     out[f"{fam} rad {f}"] = coins.coin_from_theta(fam, 2.0 * math.pi * m / q)
+        for k in range(6):
+            for f in (Fraction(k, 6) - NEAR_SPECIAL, Fraction(k, 6) + NEAR_SPECIAL):
+                out[f"{fam} frac {f}"] = coins.coin_from_theta_frac(fam, f)
+                out[f"{fam} rad {f}"] = coins.coin_from_theta(fam, 2.0 * math.pi * float(f))
         for r in PELL_R:
             for label, (s1, s2) in SIGNS.items():
                 out[f"{fam} pell {r} {label}"] = coins.coin_from_rational(fam, r, s1, s2)
@@ -78,7 +85,7 @@ def _expected() -> list[str]:
 
 
 def test_corpus_size():
-    assert len(corpus()) == 472
+    assert len(corpus()) == 568
 
 
 def test_golden_rows_and_documents():
