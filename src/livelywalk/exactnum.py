@@ -100,123 +100,25 @@ def principal_arg(z: complex) -> float:
     return a
 
 
-def _exact_coeff_pair(v) -> tuple[Fraction, Fraction]:
-    """(re, im) of an entry as exact Fractions (doubles are rationals)."""
-    if isinstance(v, (Fraction, int)):
-        return Fraction(v), Fraction(0)
-    c = complex(v)
-    return Fraction(c.real), Fraction(c.imag)
+def _solve_cluster(m: np.ndarray) -> list[complex]:
+    """Eigenvalues of a block whose cubic has clustered roots, from the matrix.
 
-
-def _cp_add(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _cp_sub(a, b):
-    return a[0] - b[0], a[1] - b[1]
-
-
-def _cp_mul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _exact_char_poly_pairs(m: np.ndarray):
-    """Characteristic coefficients as exact complex-rational (re, im) pairs.
-
-    Rounding the coefficients to doubles splits a double eigenvalue of the
-    exact cubic by ~sqrt(eps); polishing against the exact coefficients is
-    what recovers clustered eigenvalues to full precision.
+    The cubic is ill-conditioned at a cluster, but the matrix is not: the
+    block is unitary within tol, so its eigenvectors are orthonormal, and
+    Bauer-Fike (1960) bounds each eigenvalue's error by LAPACK's ~eps
+    backward error.
     """
-    a, b, c = (_exact_coeff_pair(v) for v in m[0])
-    d, e, f = (_exact_coeff_pair(v) for v in m[1])
-    g, h, i = (_exact_coeff_pair(v) for v in m[2])
-    c2 = tuple(-v for v in _cp_add(_cp_add(a, e), i))
-    c1 = _cp_add(
-        _cp_add(_cp_sub(_cp_mul(a, e), _cp_mul(b, d)), _cp_sub(_cp_mul(a, i), _cp_mul(c, g))),
-        _cp_sub(_cp_mul(e, i), _cp_mul(f, h)),
-    )
-    det = _cp_add(
-        _cp_sub(
-            _cp_mul(a, _cp_sub(_cp_mul(e, i), _cp_mul(f, h))),
-            _cp_mul(b, _cp_sub(_cp_mul(d, i), _cp_mul(f, g))),
-        ),
-        _cp_mul(c, _cp_sub(_cp_mul(d, h), _cp_mul(e, g))),
-    )
-    c0 = tuple(-v for v in det)
-    return [(Fraction(1), Fraction(0)), c2, c1, c0]
-
-
-def _exact_horner(coeffs, lam: complex) -> complex:
-    """Evaluate a polynomial at a double, carrying exact rational arithmetic.
-
-    The absolute error of the result is ~eps * |value| instead of ~eps, which
-    is what lets Newton keep converging inside a root cluster.
-    """
-    lr, li = Fraction(lam.real), Fraction(lam.imag)
-    ar, ai = coeffs[0]
-    for br, bi in coeffs[1:]:
-        ar, ai = ar * lr - ai * li + br, ar * li + ai * lr + bi
-    return complex(ar, ai)
-
-
-def _cluster_polish(lam: complex, exact_coeffs) -> complex:
-    for _ in range(60):
-        f = _exact_horner(exact_coeffs, lam)
-        fp = _exact_horner(
-            [(3 * exact_coeffs[0][0], 3 * exact_coeffs[0][1]),
-             (2 * exact_coeffs[1][0], 2 * exact_coeffs[1][1]),
-             exact_coeffs[2]],
-            lam,
-        )
-        if abs(fp) < 1e-30:
-            break
-        step = f / fp
-        lam = lam - step
-        if abs(step) < 1e-14:
-            break
-    return lam
-
-
-def _solve_cluster(polished, exact_coeffs):
-    """Resolve clustered roots by exact deflation.
-
-    Independent Newton seeds can fall into the same basin when two roots
-    nearly coincide, silently losing a root.  Instead: polish the root
-    farthest from the cluster, divide it out of the cubic in exact rational
-    arithmetic, and solve the remaining quadratic through its exactly
-    computed discriminant, which sidesteps the sqrt(eps) cancellation floor.
-    """
-    d01 = abs(polished[0] - polished[1])
-    d02 = abs(polished[0] - polished[2])
-    d12 = abs(polished[1] - polished[2])
-    if d01 <= d02 and d01 <= d12:
-        iso = 2
-    elif d02 <= d01 and d02 <= d12:
-        iso = 1
-    else:
-        iso = 0
-    r = _cluster_polish(polished[iso], exact_coeffs)
-
-    _, c2, c1, _ = exact_coeffs
-    rp = (Fraction(r.real), Fraction(r.imag))
-    b = _cp_add(c2, rp)  # quotient is lam^2 + b lam + c
-    c = _cp_add(c1, _cp_mul(rp, b))
-    disc = _cp_sub(_cp_mul(b, b), (4 * c[0], 4 * c[1]))
-    sq = cmath.sqrt(complex(disc[0], disc[1]))
-    bb = complex(b[0], b[1])
-    q1 = _cluster_polish((-bb + sq) / 2.0, exact_coeffs)
-    q2 = _cluster_polish((-bb - sq) / 2.0, exact_coeffs)
-    return [r, q1, q2]
+    return [complex(lam) for lam in np.linalg.eigvals(to_float(m))]
 
 
 def eig3_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[complex]:
     """Eigenvalues of a 3x3 unitary matrix, sorted by principal argument.
 
-    The characteristic polynomial is assembled exactly from the entries,
-    solved in closed form (Cardano), and each root is polished with at most
-    50 Newton steps to residual < 1e-13.  Clustered roots get a second
-    polishing pass with exactly evaluated residuals, since plain double
-    evaluation noise caps the accuracy of a near-double root at ~1e-8.
+    Separated roots: the characteristic polynomial is assembled exactly from
+    the entries, solved in closed form (Cardano), and each root is polished
+    with at most 50 Newton steps to residual < 1e-13.  Clustered roots
+    (pairwise gap < 1e-3), where double evaluation noise caps the cubic's
+    accuracy at ~1e-8, are recomputed by LAPACK on the block itself.
     Raises :class:`NotUnitary` when ``||M^dagger M - I||_F > tol`` and
     :class:`NumericalFailure` when a root fails to polish.
     """
@@ -275,7 +177,7 @@ def eig3_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[complex]:
         abs(polished[0] - polished[2]),
         abs(polished[1] - polished[2]),
     ) < 1e-3:
-        polished = _solve_cluster(polished, _exact_char_poly_pairs(m))
+        polished = _solve_cluster(m)
 
     # the input is certified unitary within tol, so any radial offset of a
     # root (true offsets reach ~sqrt(eps) at defective configurations) is

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import coins as _coins
 from . import walk as _walk
-from .errors import GuardExceeded, NotUnitModulus
+from .errors import GuardExceeded, NotUnitModulus, OutOfRange
 from .exactnum import _TWO_PI, DEFAULT_TOL
 
 TMAX_DEFAULT = 10_000
@@ -128,6 +128,11 @@ def _lcm(values) -> int:
     return reduce(math.lcm, values, 1)
 
 
+def _check_qmax(qmax: int) -> None:
+    if qmax < 1:
+        raise OutOfRange(f"denominator bound qmax must be >= 1, got {qmax}")
+
+
 def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodResult:
     """Period as the lcm of the eigenvalue orders over all momentum blocks.
 
@@ -136,6 +141,7 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     divide T, and orders are detected reliably as far as the decisiveness
     guard allows, so the bound is min(qmax, GUARANTEED_ORDER_BOUND).
     """
+    _check_qmax(qmax)
     bound = min(qmax, GUARANTEED_ORDER_BOUND)
     orders = []
     for entry in _walk.spectrum(spec):
@@ -149,6 +155,8 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
 def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
                       tol: float = IDENTITY_TOL) -> PeriodResult:
     """First t <= tmax with ||U^t - I||_F <= tol, by iterated multiplication."""
+    if tmax < 0:
+        raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
     if spec.n > _walk.DENSE_GUARD:
         raise GuardExceeded(f"brute force needs dense operators (n <= {_walk.DENSE_GUARD})")
     u = _walk.evolution_operator(spec)
@@ -250,6 +258,7 @@ def period_analytic(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     (cos theta is rational while theta/pi is not), and a floating
     coin whose angle failed to classify stays undecided.
     """
+    _check_qmax(qmax)
     n = spec.n
     if spec.a % n != 0:
         return _analytic("not_applicable", "phase-condition-unmet")

@@ -91,8 +91,8 @@ def basis_state(n: int, vertex: int, coin_state: int) -> np.ndarray:
     return psi
 
 
-def evolve(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
-    """Apply the walk operator t times to a normalized state."""
+def _checked_state(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
+    """psi0 as complex128, once its length, its norm and the time t >= 0 check out."""
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (spec.dim,):
         raise OutOfRange(f"state must have length {spec.dim}, got {psi.shape}")
@@ -101,6 +101,12 @@ def evolve(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
         raise NotNormalized(f"|psi|^2 = {norm2} is not 1 within {NORM_TOL}")
     if t < 0:
         raise OutOfRange("time must be nonnegative")
+    return psi
+
+
+def evolve(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
+    """Apply the walk operator t times to a normalized state."""
+    psi = _checked_state(spec, psi0, t)
     u = evolution_operator(spec)
     for _ in range(t):
         psi = u @ psi
@@ -176,12 +182,9 @@ def eigenvalues_closed_form(x: float, k: float, n: int | None = None, a: int | N
 
 def write_distribution_csv(spec: WalkSpec, psi0: np.ndarray, tmax: int, stream) -> None:
     """Rows t,position,probability for t = 0..tmax (17 significant digits)."""
+    psi = _checked_state(spec, psi0, tmax)
     stream.write("t,position,probability\n")
     u = evolution_operator(spec)
-    psi = np.asarray(psi0, dtype=complex)
-    norm2 = float(np.vdot(psi, psi).real)
-    if not abs(norm2 - 1.0) <= NORM_TOL:  # also catches NaN amplitudes
-        raise NotNormalized(f"|psi|^2 = {norm2} is not 1 within {NORM_TOL}")
     for t in range(tmax + 1):
         probs = distribution(psi)
         total = float(probs.sum())

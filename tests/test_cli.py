@@ -123,6 +123,23 @@ class TestPeriodCommand:
         assert doc["agreement"] is False
 
 
+class TestPeriodBounds:
+    def test_negative_tmax_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "period", "--grover", "P1", "--n", "3", "--tmax", "-5",
+                             "--methods", "bruteforce")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("method", ["spectral", "analytic"])
+    def test_qmax_below_one_is_domain_error(self, capsys, method):
+        code, out, err = run(capsys, "period", "--perm", "P2", "--n", "3", "--qmax", "0",
+                             "--methods", method)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestSimulateCommand:
     def test_initial_distribution(self, capsys):
         code, out, _ = run(
@@ -178,6 +195,15 @@ class TestSimulateCommand:
             per_t.setdefault(int(t), 0.0)
             per_t[int(t)] += float(p)
         assert all(abs(total - 1) <= 1e-9 for total in per_t.values())
+
+    def test_negative_tmax_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--grover", "P1", "--n", "4", "--start", "0",
+            "--coinstate", "0", "--tmax", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_unnormalized_state_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "state.json"

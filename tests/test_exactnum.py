@@ -1,10 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from livelywalk import coins, eig3_unitary, mat_power_norm_defect
+from livelywalk import WalkSpec, coins, eig3_unitary, exactnum, mat_power_norm_defect, reduced_block
 from livelywalk.errors import DimensionMismatch, NotUnitary
 from livelywalk.exactnum import (
     char_poly_coeffs,
@@ -12,6 +14,7 @@ from livelywalk.exactnum import (
     orthogonality_defect,
     to_float,
 )
+from livelywalk.period import ANGLE_ACCURACY
 
 from conftest import random_unitary3, assert_same_multiset
 
@@ -84,15 +87,17 @@ class TestEig3:
         lams = eig3_unitary(c)
         assert np.max(np.abs(np.array(lams) - np.array([1, -1, -1]))) < 1e-12
 
-    def test_near_degenerate_cluster_matches_numpy(self, rng):
-        # rotate a defective-direction family through angles near the split
+    def test_near_degenerate_cluster_matches_constructed_spectrum(self, rng):
+        # rotate a defective-direction family through angles near the split;
+        # the cluster path is LAPACK itself, so the oracle is the spectrum the
+        # block was built from, not np.linalg.eigvals
         for delta in (0.0, 1e-12, 1e-9, 1e-7, 1e-5):
             m = np.diag(
                 [np.exp(1j * (math.pi + delta)), np.exp(1j * math.pi), 1.0]
             )
             q = random_unitary3(rng)
             u = q @ m @ q.conj().T
-            assert_same_multiset(eig3_unitary(u), np.linalg.eigvals(u), tol=5e-10)
+            assert_same_multiset(eig3_unitary(u), np.diag(m), tol=1e-12)
 
     def test_close_pair_not_merged(self, rng):
         # both Cardano seeds can land in one Newton basin when two roots sit
@@ -111,6 +116,73 @@ class TestEig3:
             q = random_unitary3(rng)
             u = q @ m @ q.conj().T
             assert_same_multiset(eig3_unitary(u), np.diag(m), tol=1e-11)
+
+
+def _mp(v):
+    """A Fraction or a real double as an mpf (doubles are binary rationals)."""
+    if isinstance(v, Fraction):
+        return mpmath.mpf(v.numerator) / v.denominator
+    return mpmath.mpf(complex(v).real)
+
+
+class TestAngleAccuracy:
+    """Pins period.ANGLE_ACCURACY, which the spectral no_period_up_to bound
+    rests on, against 40-digit mpmath eigenvalues of every walk block."""
+
+    # the P and Grover-type coins (double and triple block eigenvalues), the
+    # exact Pell coins at r = 2 and rational-angle float coins; each one also
+    # runs negated
+    BASE = (
+        [coins.perm_matrix(p) for p in range(1, 7)]
+        + [coins.grover_type(p) for p in range(1, 7)]
+        + [coins.coin_from_rational(f, Fraction(2)) for f in coins.FAMILIES]
+        + [coins.coin_from_theta_frac(f, q) for f, q in
+           (("X", Fraction(1, 5)), ("Y", Fraction(1, 8)), ("Z", Fraction(2, 7)))]
+    )
+
+    @staticmethod
+    def reference(entries, f, g):
+        """Eigenvalues of D_k C at k = 2*pi*f, with phases e^{ik}, e^{-ik}, e^{-2*pi*i*g}."""
+        phases = [mpmath.expjpi(2 * _mp(f)), mpmath.expjpi(-2 * _mp(f)), mpmath.expjpi(-2 * _mp(g))]
+        block = mpmath.matrix([[phases[i] * entries[i][j] for j in range(3)] for i in range(3)])
+        return list(mpmath.eig(block, left=False, right=False))
+
+    def test_block_angles_match_mpmath(self, monkeypatch):
+        cluster_calls = []
+        solve_cluster = exactnum._solve_cluster
+
+        def counted(*args):
+            cluster_calls.append(args)
+            return solve_cluster(*args)
+
+        monkeypatch.setattr(exactnum, "_solve_cluster", counted)
+        worst, blocks = 0.0, 0
+        with mpmath.workdps(40):
+            for base in self.BASE:
+                entries = [[_mp(v) for v in row] for row in base.matrix]
+                # -C has blocks -U_k and eigenvalues -lambda
+                signed = [(sign, coins.Coin3(matrix=sign * base.matrix)) for sign in (1, -1)]
+                refs = {}
+                for n in range(2, 9):
+                    for a, (sign, coin) in itertools.product(range(n // 2 + 1), signed):
+                        spec = WalkSpec(n=n, a=a, coin=coin)
+                        for l in range(n):
+                            f, g = Fraction(l, n), Fraction(l * a % n, n)
+                            if (f, g) not in refs:
+                                # the coin is real, so block -k is the conjugate of block k
+                                mirror = refs.get((-f % 1, -g % 1))
+                                refs[f, g] = ([mpmath.conj(z) for z in mirror] if mirror
+                                              else self.reference(entries, f, g))
+                            ref = [sign * z for z in refs[f, g]]
+                            for lam in eig3_unitary(reduced_block(spec, l).uk):
+                                gaps = [abs(mpmath.arg(mpmath.mpc(lam) * mpmath.conj(z))) for z in ref]
+                                j = min(range(len(ref)), key=gaps.__getitem__)
+                                worst = max(worst, float(gaps[j] / (2 * mpmath.pi)))
+                                ref.pop(j)
+                            blocks += 1
+        assert blocks == 2 * len(self.BASE) * 129
+        assert cluster_calls, "no block took the cluster path"
+        assert worst < ANGLE_ACCURACY, f"worst angle error {worst:.2e} of 2*pi"
 
 
 class TestCharPoly:

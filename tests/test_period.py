@@ -261,6 +261,14 @@ class TestCyclicPermutationLively:
         result = period_spectral(spec_of(SPECIAL_COINS[index], n, a))
         assert result.status in ("finite", "no_period_up_to")
 
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(coins.FAMILIES), theta=st.floats(0.0, 2 * math.pi),
+           n=st.integers(2, 64), data=st.data())
+    def test_spectral_never_fails_on_generic_coins(self, family, theta, n, data):
+        a = data.draw(st.integers(0, n // 2))
+        result = period_spectral(spec_of(coins.coin_from_theta(family, theta), n, a))
+        assert result.status in ("finite", "no_period_up_to")
+
 
 class TestCrossValidate:
     def test_grover_agreement(self):

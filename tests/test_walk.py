@@ -282,6 +282,16 @@ class TestCsvExport:
         probs = {int(v): float(p) for _, v, p in rows}
         assert probs[2] == 1.0 and sum(probs.values()) == 1.0
 
+    def test_rejects_negative_tmax(self):
+        with pytest.raises(OutOfRange):
+            write_distribution_csv(grover_spec(3), basis_state(3, 0, 0), -1, io.StringIO())
+
+    def test_rejects_unnormalized_and_wrong_length(self):
+        with pytest.raises(NotNormalized):
+            write_distribution_csv(grover_spec(3), np.ones(9), 1, io.StringIO())
+        with pytest.raises(OutOfRange):
+            write_distribution_csv(grover_spec(4), basis_state(3, 0, 0), 1, io.StringIO())
+
     def test_rows_repeat_at_period(self):
         buf = io.StringIO()
         write_distribution_csv(grover_spec(3), basis_state(3, 1, 1), 6, buf)
