@@ -1,0 +1,84 @@
+"""Golden corpus: brute-force period rows, pinned byte for byte.
+
+The corpus is 72 coins: the 24 special coins (+-P, +-Grover-type) and every
+family X/Y/Z/W at each exact theta/2pi = m/q with q <= 6.  Each coin is run
+through `period_bruteforce` with tmax = 2000 at n = 2..8 and every valid
+liveliness a = 0..n//2, 1656 specs in all.
+
+The expected rows live in golden_bruteforce.txt, one coin per line: its id
+and its rows "n a status period bound", tab-separated, the rows joined by
+";".  The rows were generated by the dense 3n x 3n powering that brute
+force used before it moved to the momentum blocks.  Regenerate the file
+only when a change of behaviour is intended:
+
+    PYTHONPATH=src python tests/test_golden_bruteforce.py
+"""
+
+import math
+from fractions import Fraction
+from pathlib import Path
+
+from livelywalk import coins
+from livelywalk.period import period_bruteforce
+from livelywalk.walk import WalkSpec
+
+GOLDEN = Path(__file__).with_name("golden_bruteforce.txt")
+N_RANGE = range(2, 9)
+TMAX = 2000
+
+
+def corpus() -> dict:
+    """Coin id -> coin, in a fixed order."""
+    out = {}
+    for p in range(1, 7):
+        out[f"P{p}"] = coins.perm_matrix(p)
+        out[f"-P{p}"] = coins.Coin3(matrix=-coins.perm_matrix(p).matrix)
+        out[f"G{p}"] = coins.grover_type(p)
+        out[f"-G{p}"] = coins.grover_type(p, negate=True)
+    for fam in coins.FAMILIES:
+        for q in range(1, 7):
+            for m in range(q):
+                if math.gcd(m, q) == 1:
+                    out[f"{fam} {Fraction(m, q)}"] = coins.coin_from_theta_frac(fam, Fraction(m, q))
+    return out
+
+
+def _row(coin, n: int, a: int) -> str:
+    r = period_bruteforce(WalkSpec(n=n, a=a, coin=coin), tmax=TMAX)
+    cells = (n, a, r.status, r.period, r.bound)
+    return " ".join("-" if v is None else str(v) for v in cells)
+
+
+def compute() -> list[str]:
+    """One tab-separated line per coin: id, rows."""
+    return [
+        f"{cid}\t{';'.join(_row(coin, n, a) for n in N_RANGE for a in range(n // 2 + 1))}"
+        for cid, coin in corpus().items()
+    ]
+
+
+def _expected() -> list[str]:
+    return GOLDEN.read_text().splitlines()
+
+
+def test_corpus_size():
+    assert len(corpus()) == 72
+    assert sum(len(line.split("\t")[1].split(";")) for line in _expected()) == 1656
+
+
+def test_golden_bruteforce_rows():
+    expected, actual = _expected(), compute()
+    assert len(actual) == len(expected)
+    for want, got in zip(expected, actual):
+        assert got == want
+
+
+def test_golden_reaches_both_outcomes_and_the_bound():
+    rows = [row.split(" ") for line in _expected() for row in line.split("\t")[1].split(";")]
+    assert {r[2] for r in rows} == {"finite", "no_period_up_to"}
+    assert max(int(r[3]) for r in rows if r[2] == "finite") == 60
+    assert all(r[4] == str(TMAX) for r in rows if r[2] == "no_period_up_to")
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("\n".join(compute()) + "\n")
