@@ -4,8 +4,8 @@ The library builds every 3x3 orthogonal matrix that is a linear sum of
 permutation matrices (the four families X, Y, Z, W, their exact rational
 members, and the Grover-type matrices), simulates the lively walk
 U = S (C (x) I) on the n-cycle, and computes the walk period three ways:
-closed-form family dispatch, spectral lcm of eigenvalue orders, and dense
-brute force, cross-validating the answers.
+closed-form family dispatch, spectral lcm of eigenvalue orders, and brute
+force on the momentum blocks, cross-validating the answers.
 """
 
 from . import errors

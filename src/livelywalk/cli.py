@@ -26,11 +26,9 @@ PERM_LABELS = tuple(f"P{i}" for i in range(1, 7))
 
 def _add_common(parser: argparse.ArgumentParser, tmax_help: str = "brute-force step bound",
                 tmax_required: bool = False) -> None:
-    parser.add_argument("--tol", type=float, default=1e-10, help="orthogonality/unitarity tolerance")
     parser.add_argument("--tmax", type=int, required=tmax_required,
                         default=None if tmax_required else _period.TMAX_DEFAULT, help=tmax_help)
     parser.add_argument("--qmax", type=int, default=_period.QMAX_DEFAULT, help="denominator bound for rational angles")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
     parser.add_argument("--output", type=str, default=None, help="write the document to this path instead of stdout")
 
 
@@ -243,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coin = sub.add_parser("coin", help="construct and classify a coin")
     _add_coin_spec(p_coin)
+    p_coin.add_argument("--tol", type=float, default=1e-10, help="orthogonality/unitarity tolerance")
     _add_common(p_coin)
 
     p_period = sub.add_parser("period", help="compute the walk period by all methods")
@@ -275,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a sampled invariant suite")
     p_verify.add_argument("--suite", choices=_verify.SUITES + ("all",), required=True)
     p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
     _add_common(p_verify)
 
     return parser

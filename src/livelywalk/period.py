@@ -1,6 +1,6 @@
-"""Walk period by analytic dispatch, spectral lcm and dense powering.
+"""Walk period by analytic dispatch, spectral lcm and block powering.
 
-Three independent routes to the period T = min{t > 0 : U^t = I}:
+Three routes to the period T = min{t > 0 : U^t = I}:
 
 * analytic  -- a per-family table of closed forms, applicable when n
                divides a*l for every block (a = 0 at desk scale): the
@@ -10,9 +10,13 @@ Three independent routes to the period T = min{t > 0 : U^t = I}:
 * spectral  -- every eigenvalue angle is classified as a rational multiple
                of 2*pi by continued fractions; the period is the lcm of the
                multiplicative orders.
-* bruteforce -- iterate M <- M U until ||M - I||_F <= tol.  The arbiter.
+* bruteforce -- power the n momentum blocks U_l in chunks of many steps
+               per numpy call until ||U^t - I||_F <= tol.  The arbiter.
 
-`cross_validate` runs all applicable methods and flags disagreement.
+`cross_validate` runs all applicable methods and flags disagreement.  The
+spectral and brute-force routes both start from `walk.reduced_block`; the
+dense 3n x 3n `walk.evolution_operator`, powered one step at a time, is the
+independent oracle the tests hold brute force to.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ ANGLE_ACCURACY = 1e-12
 #: largest order whose detection the decisiveness guard still guarantees
 #: at that accuracy: err * q^2 < DECISIVE holds for all q up to this bound
 GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
+#: most block powers brute force computes and checks per numpy call
+CHUNK_STEPS = 128
+#: bytes a brute-force chunk of block powers and its temporaries may hold
+CHUNK_BYTES = 16 * 2**20
+#: arrays of chunk size brute force holds: the powers U^1..U^B and the current window
+_CHUNK_COPIES = 2
 
 
 @dataclass(frozen=True)
@@ -152,20 +162,47 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     return PeriodResult(status="finite", method="spectral", period=_lcm(orders))
 
 
+def _chunk_steps(n: int) -> int:
+    """Powers per chunk for n blocks: at most CHUNK_STEPS, within CHUNK_BYTES."""
+    per_power = _CHUNK_COPIES * n * 9 * np.dtype(complex).itemsize
+    if per_power > CHUNK_BYTES:
+        raise GuardExceeded(f"one power of the {n} momentum blocks needs {per_power} bytes "
+                            f"of chunk storage, over the {CHUNK_BYTES}-byte budget")
+    return min(CHUNK_STEPS, CHUNK_BYTES // per_power)
+
+
 def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
                       tol: float = IDENTITY_TOL) -> PeriodResult:
-    """First t <= tmax with ||U^t - I||_F <= tol, by iterated multiplication."""
+    """First t <= tmax with ||U^t - I||_F <= tol, by powering the momentum blocks.
+
+    The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
+    over blocks of ||U_l^t - I||_F^2.  The powers U_l^1..U_l^B of all n
+    blocks sit side by side in one (n, 3, 3B) array; each further chunk is
+    U^t0 times that array, and one einsum gives the B distances to I.
+    """
     if tmax < 0:
         raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
-    if spec.n > _walk.DENSE_GUARD:
-        raise GuardExceeded(f"brute force needs dense operators (n <= {_walk.DENSE_GUARD})")
-    u = _walk.evolution_operator(spec)
-    eye = np.eye(spec.dim)
-    m = u.copy()
-    for t in range(1, tmax + 1):
-        if np.linalg.norm(m - eye) <= tol:
-            return PeriodResult(status="finite", method="bruteforce", period=t)
-        m = m @ u
+    n = spec.n
+    chunk = _chunk_steps(n)
+    powers = np.empty((n, 3, 3 * chunk), dtype=complex)
+    powers[:, :, :3] = [_walk.reduced_block(spec, l).uk for l in range(n)]
+    done = 1
+    while done < chunk:  # U^(done+1..done+m) = U^done @ U^(1..m)
+        m = min(done, chunk - done)
+        np.matmul(powers[:, :, 3 * done - 3:3 * done], powers[:, :, :3 * m],
+                  out=powers[:, :, 3 * done:3 * (done + m)])
+        done += m
+    eye = np.tile(np.eye(3), chunk)
+    window = powers.copy()  # U^(t0+1..t0+B), then minus I in place
+    re_im = window.view(np.float64).reshape(n, 3, chunk, 6)  # per power: 3 entries as re, im
+    for t0 in range(0, tmax, chunk):
+        if t0:
+            np.matmul(last, powers, out=window)
+        last = window[:, :, -3:].copy()
+        window -= eye
+        hits = np.flatnonzero(np.sqrt(np.einsum("lrbc,lrbc->b", re_im, re_im)) <= tol)
+        if hits.size and t0 + hits[0] + 1 <= tmax:
+            return PeriodResult(status="finite", method="bruteforce", period=int(t0 + hits[0] + 1))
     return PeriodResult(status="no_period_up_to", method="bruteforce", bound=tmax)
 
 
@@ -308,7 +345,12 @@ def _pairwise_consistent(a: PeriodResult, b: PeriodResult) -> bool:
 
 def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = QMAX_DEFAULT,
                    methods=METHODS) -> CrossValidation:
-    """Run the requested methods and flag any inconsistency between them."""
+    """Run the requested methods and flag any inconsistency between them.
+
+    analytic reads the coin family's closed forms, spectral takes the lcm
+    of the eigenvalue orders of the momentum blocks, and bruteforce powers
+    those blocks up to tmax.  No method builds the dense operator.
+    """
     results = []
     for method in methods:
         if method == "analytic":

@@ -291,3 +291,31 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+class TestFlagScope:
+    """--tol is read only by coin and --seed only by verify; elsewhere they are usage errors."""
+
+    BASE = {
+        "coin": ("coin", "--grover", "P1"),
+        "period": ("period", "--family", "X", "--theta", "1.0", "--n", "5", "--methods", "spectral"),
+        "simulate": ("simulate", "--grover", "P1", "--n", "3", "--start", "0", "--coinstate", "0",
+                     "--tmax", "1"),
+        "table": ("table", "--family", "X", "--theta-list", "1.0", "--n-list", "3",
+                  "--methods", "spectral"),
+        "verify": ("verify", "--suite", "orthogonality", "--samples", "5"),
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        ("period", "--tol"), ("simulate", "--tol"), ("table", "--tol"), ("verify", "--tol"),
+        ("coin", "--seed"), ("period", "--seed"), ("simulate", "--seed"), ("table", "--seed"),
+    ])
+    def test_unread_flag_is_usage_error(self, capsys, command, flag):
+        assert run(capsys, *self.BASE[command])[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*self.BASE[command], flag, "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flag", [("coin", "--tol"), ("verify", "--seed")])
+    def test_read_flag_accepted(self, capsys, command, flag):
+        assert run(capsys, *self.BASE[command], flag, "1")[0] == 0

@@ -10,6 +10,7 @@ from livelywalk import WalkSpec, coins, eig3_unitary, exactnum, mat_power_norm_d
 from livelywalk.errors import DimensionMismatch, NotUnitary
 from livelywalk.exactnum import (
     char_poly_coeffs,
+    exact_det3,
     exact_identity,
     orthogonality_defect,
     to_float,
@@ -230,13 +231,24 @@ class TestRepresentations:
 
 
 def test_rational_arithmetic_exact_bulk():
-    # a/b + c/d must equal (ad + cb)/(bd) as verified by integer cross
-    # multiplication, over 10^6 random pairs
-    rng = np.random.default_rng(7)
-    nums = rng.integers(-999, 1000, size=(10**6, 2))
-    dens = rng.integers(1, 1000, size=(10**6, 2))
-    for (a, c), (b, d) in zip(nums, dens):
-        s = Fraction(int(a), int(b)) + Fraction(int(c), int(d))
-        assert s.numerator * (b * d) == (a * d + c * b) * s.denominator
-        assert s.denominator > 0
-        assert math.gcd(s.numerator, s.denominator) == 1
+    # every Pell-parametrized coin over a grid of rationals r, in every family
+    # and sign pair, is exactly orthogonal: with D the lcm of its entries'
+    # denominators, the integer matrix K = D M has K^T K = D^2 I in Python
+    # integers (no Fraction arithmetic in the oracle); exact_det3 is +-1 and
+    # the library's own exact product M^T M is exact_identity()
+    grid = {Fraction(p, q) for p in range(-12, 13) for q in range(1, 8)}
+    checked = 0
+    for r in sorted(grid):
+        for fam in coins.FAMILIES:
+            for s1, s2 in itertools.product((1, -1), repeat=2):
+                m = coins.coin_from_rational(fam, r, s1, s2).matrix
+                assert all(type(e) is Fraction for e in m.flat)
+                d = math.lcm(*(e.denominator for e in m.flat))
+                k = [[e.numerator * (d // e.denominator) for e in row] for row in m]
+                for i, j in itertools.product(range(3), repeat=2):
+                    gram = sum(k[row][i] * k[row][j] for row in range(3))
+                    assert gram == (d * d if i == j else 0), (fam, r, s1, s2)
+                assert exact_det3(m) in (1, -1)
+                assert np.array_equal(m.T @ m, exact_identity())
+                checked += 1
+    assert checked == 16 * len(grid) == 1840

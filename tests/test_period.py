@@ -18,8 +18,10 @@ from livelywalk import (
     period_spectral,
     report_json,
 )
-from livelywalk.errors import NotUnitModulus
-from livelywalk.period import GUARANTEED_ORDER_BOUND, QMAX_DEFAULT, classify_fraction
+from livelywalk import period as period_mod
+from livelywalk.errors import GuardExceeded, NotUnitModulus
+from livelywalk.period import CHUNK_STEPS, GUARANTEED_ORDER_BOUND, QMAX_DEFAULT, classify_fraction
+from livelywalk.walk import DENSE_GUARD
 
 
 def spec_of(coin, n, a=0):
@@ -141,6 +143,89 @@ class TestBruteForce:
     def test_bound_respected(self):
         res = period_bruteforce(spec_of(coins.grover_type(1), 5), tmax=50)
         assert res.status == "no_period_up_to" and res.bound == 50
+
+
+def _matches_oracle(spec, tmax):
+    res = period_bruteforce(spec, tmax)
+    want = brute_oracle(spec, tmax)
+    if want is None:
+        return res.status == "no_period_up_to" and res.bound == tmax and res.period is None
+    return res.status == "finite" and res.period == want and res.bound is None
+
+
+#: periods 4..15 and aperiodic walks, at sizes the dense oracle powers quickly
+CHUNK_SPECS = [
+    (coins.perm_matrix(1), 4, 1),
+    (coins.grover_type(1), 3, 0),
+    (coins.grover_type(6), 3, 0),
+    (coins.Coin3(matrix=-coins.perm_matrix(1).matrix), 7, 3),
+    (coins.coin_from_theta_frac("X", Fraction(1, 5)), 3, 0),
+    (coins.coin_from_theta_frac("W", Fraction(1, 4)), 5, 0),
+    (coins.grover_type(1), 5, 2),
+]
+
+
+class TestBlockBruteForceChunks:
+    """Block powering in chunks of B = CHUNK_STEPS against the dense oracle."""
+
+    @pytest.mark.parametrize("tmax", [0, 1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1,
+                                      2 * CHUNK_STEPS])
+    def test_tmax_at_chunk_edges_matches_oracle(self, tmax):
+        for coin, n, a in CHUNK_SPECS:
+            assert _matches_oracle(spec_of(coin, n, a), tmax), (n, a, tmax)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7])
+    def test_small_chunks_match_oracle(self, monkeypatch, chunk):
+        # the periods 4..15 span several chunks of these sizes, and a tmax
+        # just below a period often ends inside a chunk that holds the hit
+        monkeypatch.setattr(period_mod, "CHUNK_STEPS", chunk)
+        for coin, n, a in CHUNK_SPECS:
+            for tmax in (0, 1, 3, 5, 11, 13, 14, 59, 60, 61):
+                assert _matches_oracle(spec_of(coin, n, a), tmax), (n, a, tmax)
+
+    @pytest.mark.parametrize("n", [CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1])
+    def test_identity_coin_hit_around_chunk_edge(self, n):
+        # the identity coin at a = 0 has period n (golden analytic rows), so
+        # the hit lands one step before the end of the first chunk, on its
+        # last step, or on the first step of the second
+        assert period_mod._chunk_steps(n) == CHUNK_STEPS
+        spec = spec_of(coins.perm_matrix(1), n)
+        assert period_analytic(spec).period == n
+        assert period_bruteforce(spec).period == n
+        assert period_bruteforce(spec, tmax=n).period == n
+        res = period_bruteforce(spec, tmax=n - 1)
+        assert res.status == "no_period_up_to" and res.bound == n - 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(coins.FAMILIES),
+           theta=st.one_of(st.floats(0.0, 2 * math.pi),
+                           st.builds(lambda m, q: 2 * math.pi * m / q, st.integers(0, 11), st.integers(1, 12))),
+           n=st.integers(2, 12), tmax=st.integers(0, 300), data=st.data())
+    def test_matches_dense_oracle(self, family, theta, n, tmax, data):
+        a = data.draw(st.integers(0, n // 2))
+        assert _matches_oracle(spec_of(coins.coin_from_theta(family, theta), n, a), tmax)
+
+
+class TestBruteForceMemoryGuard:
+    def test_past_dense_guard_gives_report(self):
+        spec = spec_of(coins.perm_matrix(2), DENSE_GUARD + 1)
+        res = period_bruteforce(spec, tmax=3)
+        assert res.status == "finite" and res.period == 3
+
+    def test_guard_only_when_one_power_exceeds_budget(self):
+        per_block = period_mod._CHUNK_COPIES * 9 * 16
+        largest = period_mod.CHUNK_BYTES // per_block
+        assert period_mod._chunk_steps(largest) == 1
+        with pytest.raises(GuardExceeded):
+            period_mod._chunk_steps(largest + 1)
+        with pytest.raises(GuardExceeded):
+            period_bruteforce(spec_of(coins.perm_matrix(1), largest + 1), tmax=3)
+
+    def test_chunk_shrinks_with_n_within_budget(self):
+        for n in (2, 100, 1000, DENSE_GUARD + 1, 20_000):
+            chunk = period_mod._chunk_steps(n)
+            assert 1 <= chunk <= CHUNK_STEPS
+            assert period_mod._CHUNK_COPIES * n * 9 * 16 * chunk <= period_mod.CHUNK_BYTES
 
 
 class TestAnalytic:
