@@ -24,12 +24,13 @@ from .errors import LivelyWalkError
 PERM_LABELS = tuple(f"P{i}" for i in range(1, 7))
 
 
-def _add_common(parser: argparse.ArgumentParser, tmax_help: str = "brute-force step bound",
-                tmax_required: bool = False) -> None:
-    parser.add_argument("--tmax", type=int, required=tmax_required,
-                        default=None if tmax_required else _period.TMAX_DEFAULT, help=tmax_help)
-    parser.add_argument("--qmax", type=int, default=_period.QMAX_DEFAULT, help="denominator bound for rational angles")
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", type=str, default=None, help="write the document to this path instead of stdout")
+
+
+def _add_period_bounds(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tmax", type=int, default=_period.TMAX_DEFAULT, help="brute-force step bound")
+    parser.add_argument("--qmax", type=int, default=_period.QMAX_DEFAULT, help="denominator bound for rational angles")
 
 
 def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
@@ -242,14 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_coin = sub.add_parser("coin", help="construct and classify a coin")
     _add_coin_spec(p_coin)
     p_coin.add_argument("--tol", type=float, default=1e-10, help="orthogonality/unitarity tolerance")
-    _add_common(p_coin)
+    _add_output(p_coin)
 
     p_period = sub.add_parser("period", help="compute the walk period by all methods")
     _add_coin_spec(p_period)
     p_period.add_argument("--n", type=int, required=True)
     p_period.add_argument("--a", type=int, default=0)
     p_period.add_argument("--methods", type=str, default=",".join(_period.METHODS))
-    _add_common(p_period)
+    _add_period_bounds(p_period)
+    _add_output(p_period)
 
     p_sim = sub.add_parser("simulate", help="emit t,position,probability CSV")
     _add_coin_spec(p_sim)
@@ -258,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--start", type=int, help="start vertex of a localized state")
     p_sim.add_argument("--coinstate", type=int, help="coin state of a localized state")
     p_sim.add_argument("--state-file", type=str, help="JSON file with an amplitudes array")
-    _add_common(p_sim, tmax_help="largest time step to emit", tmax_required=True)
+    p_sim.add_argument("--tmax", type=int, required=True, help="largest time step to emit")
+    _add_output(p_sim)
 
     p_table = sub.add_parser("table", help="period reports over a parameter sweep")
     p_table.add_argument("--family", choices=_coins.FAMILIES, required=True)
@@ -269,13 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n-list", type=str, required=True)
     p_table.add_argument("--a-list", type=str, default="0")
     p_table.add_argument("--methods", type=str, default=",".join(_period.METHODS))
-    _add_common(p_table)
+    _add_period_bounds(p_table)
+    _add_output(p_table)
 
     p_verify = sub.add_parser("verify", help="run a sampled invariant suite")
     p_verify.add_argument("--suite", choices=_verify.SUITES + ("all",), required=True)
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-    _add_common(p_verify)
+    _add_output(p_verify)
 
     return parser
 

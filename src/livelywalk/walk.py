@@ -4,6 +4,11 @@ State vectors live in C^3 (x) C^n with flat index c*n + v (coin-major):
 coin state 0 steps the walker to v-1, coin 1 to v+1, coin 2 jumps to v+a,
 all mod n.  The momentum blocks U_k = D_k C with D_k = diag(e^{ik}, e^{-ik},
 e^{-ika}), k = 2*pi*l/n, carry the full spectrum.
+
+`evolve` and `write_distribution_csv` are matrix-free: one step mixes the
+coin at every vertex and rolls each coin row by its shift, O(n) time and
+48*n bytes of state.  The dense 3n x 3n `evolution_operator` is the oracle
+that tests and `verify` hold the matrix-free step and the blocks to.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from . import coins as _coins
 from .errors import GuardExceeded, NotNormalized, NotUnitary, OutOfRange, PhaseConditionViolated
 from .exactnum import DEFAULT_TOL, eig3_unitary
 
-#: largest cycle length for which dense 3n x 3n operators may be built
+#: largest cycle length for which the dense 3n x 3n oracle operators
+#: (`shift_operator`, `evolution_operator`) may be built; simulation does
+#: not build them and needs only 48*n bytes per state
 DENSE_GUARD = 4096
 
 NORM_TOL = 1e-9
@@ -104,12 +111,27 @@ def _checked_state(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
     return psi
 
 
+def _step(coin: np.ndarray, a: int, psi: np.ndarray) -> np.ndarray:
+    """One walk step S (C (x) I_n) psi without the dense operator.
+
+    The real 3x3 coin mixes the coin components at each vertex, then coin
+    row 0 moves by -1, row 1 by +1 and row 2 by a; the result keeps the
+    coin-major layout c*n + v.
+    """
+    mixed = coin @ psi.reshape(3, -1)
+    return np.concatenate((np.roll(mixed[0], -1), np.roll(mixed[1], 1), np.roll(mixed[2], a)))
+
+
 def evolve(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
-    """Apply the walk operator t times to a normalized state."""
+    """Apply the walk operator t times to a normalized state.
+
+    Matrix-free, O(n) per step; `evolution_operator(spec)` applied t times
+    is the dense oracle it agrees with to rounding.
+    """
     psi = _checked_state(spec, psi0, t)
-    u = evolution_operator(spec)
+    coin = spec.coin.as_float()
     for _ in range(t):
-        psi = u @ psi
+        psi = _step(coin, spec.a, psi)
     return psi
 
 
@@ -181,16 +203,19 @@ def eigenvalues_closed_form(x: float, k: float, n: int | None = None, a: int | N
 
 
 def write_distribution_csv(spec: WalkSpec, psi0: np.ndarray, tmax: int, stream) -> None:
-    """Rows t,position,probability for t = 0..tmax (17 significant digits)."""
+    """Rows t,position,probability for t = 0..tmax (17 significant digits).
+
+    Evolves with the same matrix-free step as `evolve`, so any n >= 2 runs
+    in O(n) memory; one write per time step.
+    """
     psi = _checked_state(spec, psi0, tmax)
     stream.write("t,position,probability\n")
-    u = evolution_operator(spec)
+    coin = spec.coin.as_float()
     for t in range(tmax + 1):
         probs = distribution(psi)
         total = float(probs.sum())
         if not abs(total - 1.0) <= NORM_TOL:
             raise NotNormalized(f"probabilities at t={t} sum to {total}")
-        for v, p in enumerate(probs):
-            stream.write(f"{t},{v},{p:.17g}\n")
+        stream.write("".join(f"{t},{v},{p:.17g}\n" for v, p in enumerate(probs.tolist())))
         if t < tmax:
-            psi = u @ psi
+            psi = _step(coin, spec.a, psi)

@@ -2,7 +2,16 @@
 import numpy as np
 import pytest
 
+from livelywalk import coins
 from livelywalk.exactnum import multiset_distance
+
+#: the 24 special coins: +-P1..P6 and +-Grover-type (2/3)J - P1..P6
+SPECIAL_COINS = [
+    coin
+    for p in range(1, 7)
+    for base in (coins.perm_matrix(p), coins.grover_type(p))
+    for coin in (base, coins.Coin3(matrix=-base.matrix))
+]
 
 
 @pytest.fixture

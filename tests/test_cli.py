@@ -3,6 +3,7 @@ import json
 import pytest
 
 from livelywalk import cli, verify
+from livelywalk.walk import DENSE_GUARD
 
 
 def run(capsys, *argv):
@@ -196,6 +197,22 @@ class TestSimulateCommand:
             per_t[int(t)] += float(p)
         assert all(abs(total - 1) <= 1e-9 for total in per_t.values())
 
+    def test_past_dense_guard(self, capsys):
+        n = DENSE_GUARD + 1
+        code, out, _ = run(
+            capsys, "simulate", "--grover", "P1", "--n", str(n), "--start", "0",
+            "--coinstate", "0", "--tmax", "2",
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "t,position,probability" and len(lines) == 1 + 3 * n
+        per_t = {}
+        for line in lines[1:]:
+            t, _, p = line.split(",")
+            per_t[int(t)] = per_t.get(int(t), 0.0) + float(p)
+        assert sorted(per_t) == [0, 1, 2]
+        assert all(abs(total - 1) <= 1e-12 for total in per_t.values())
+
     def test_negative_tmax_is_domain_error(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--grover", "P1", "--n", "4", "--start", "0",
@@ -294,7 +311,11 @@ class TestDeterminism:
 
 
 class TestFlagScope:
-    """--tol is read only by coin and --seed only by verify; elsewhere they are usage errors."""
+    """Each flag is registered only where it is read; elsewhere it is a usage error.
+
+    --tol is read only by coin, --seed only by verify, --tmax by period, table
+    and simulate, and --qmax by period and table.
+    """
 
     BASE = {
         "coin": ("coin", "--grover", "P1"),
@@ -309,6 +330,8 @@ class TestFlagScope:
     @pytest.mark.parametrize("command, flag", [
         ("period", "--tol"), ("simulate", "--tol"), ("table", "--tol"), ("verify", "--tol"),
         ("coin", "--seed"), ("period", "--seed"), ("simulate", "--seed"), ("table", "--seed"),
+        ("coin", "--tmax"), ("verify", "--tmax"), ("coin", "--qmax"), ("verify", "--qmax"),
+        ("simulate", "--qmax"),
     ])
     def test_unread_flag_is_usage_error(self, capsys, command, flag):
         assert run(capsys, *self.BASE[command])[0] == 0
@@ -316,6 +339,9 @@ class TestFlagScope:
             cli.main([*self.BASE[command], flag, "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command, flag", [("coin", "--tol"), ("verify", "--seed")])
+    @pytest.mark.parametrize("command, flag", [
+        ("coin", "--tol"), ("verify", "--seed"), ("period", "--tmax"), ("table", "--tmax"),
+        ("simulate", "--tmax"), ("period", "--qmax"), ("table", "--qmax"),
+    ])
     def test_read_flag_accepted(self, capsys, command, flag):
         assert run(capsys, *self.BASE[command], flag, "1")[0] == 0

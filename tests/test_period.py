@@ -23,6 +23,8 @@ from livelywalk.errors import GuardExceeded, NotUnitModulus
 from livelywalk.period import CHUNK_STEPS, GUARANTEED_ORDER_BOUND, QMAX_DEFAULT, classify_fraction
 from livelywalk.walk import DENSE_GUARD
 
+from conftest import SPECIAL_COINS
+
 
 def spec_of(coin, n, a=0):
     return WalkSpec(n=n, a=a, coin=coin)
@@ -311,14 +313,6 @@ class TestSoundness:
                     assert brute == spectral.period, (coin.family, coin.params, n)
                 if analytic.status == "proven_infinite":
                     assert brute is None, (coin.family, coin.params, n)
-
-
-SPECIAL_COINS = [
-    coin
-    for p in range(1, 7)
-    for base in (coins.perm_matrix(p), coins.grover_type(p))
-    for coin in (base, coins.Coin3(matrix=-base.matrix))
-]
 
 
 class TestCyclicPermutationLively:

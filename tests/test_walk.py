@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from livelywalk import (
     WalkSpec,
@@ -26,9 +28,20 @@ from livelywalk.errors import (
     OutOfRange,
     PhaseConditionViolated,
 )
+from livelywalk import cli, walk
 from livelywalk.walk import DENSE_GUARD
 
-from conftest import assert_same_multiset
+from conftest import SPECIAL_COINS, assert_same_multiset
+
+WALK_COINS = st.one_of(
+    st.sampled_from(SPECIAL_COINS),
+    st.builds(
+        coins.coin_from_theta,
+        st.sampled_from(coins.FAMILIES),
+        st.one_of(st.floats(0.0, 2 * math.pi),
+                  st.builds(lambda m, q: 2 * math.pi * m / q, st.integers(0, 11), st.integers(1, 12))),
+    ),
+)
 
 
 def grover_spec(n, a=0):
@@ -131,6 +144,50 @@ class TestEvolve:
         for _ in range(10_000):
             psi = u @ psi
         assert abs(np.vdot(psi, psi).real - 1.0) <= 1e-9
+
+    def test_matrix_free_norm_conserved_over_many_steps(self):
+        spec = WalkSpec(n=16, a=5, coin=coins.coin_from_theta("W", 2.1))
+        psi = evolve(spec, basis_state(16, 0, 0), 10_000)
+        assert abs(np.vdot(psi, psi).real - 1.0) <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(coin=WALK_COINS, n=st.integers(2, 12), t=st.integers(0, 40), data=st.data())
+    def test_matches_dense_operator_powers(self, coin, n, t, data):
+        a = data.draw(st.integers(0, n // 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        psi0 = rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n)
+        psi0 /= np.linalg.norm(psi0)
+        spec = WalkSpec(n=n, a=a, coin=coin)
+        u = evolution_operator(spec)
+        want = psi0
+        for _ in range(t):
+            want = u @ want
+        assert np.max(np.abs(evolve(spec, psi0, t) - want)) <= 1e-12
+
+
+class TestPastDenseGuard:
+    """Simulation is matrix-free, so DENSE_GUARD bounds only the dense oracle."""
+
+    def test_evolve_past_dense_guard(self):
+        n = DENSE_GUARD + 1
+        spec = WalkSpec(n=n, a=n // 2, coin=coins.coin_from_theta("X", 1.0))
+        psi = evolve(spec, basis_state(n, 0, 0), 3)
+        assert psi.shape == (3 * n,)
+        assert abs(np.vdot(psi, psi).real - 1.0) <= 1e-12
+
+    def test_simulation_never_builds_dense_operator(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("dense operator built")
+
+        monkeypatch.setattr(walk, "shift_operator", refuse)
+        monkeypatch.setattr(walk, "evolution_operator", refuse)
+        spec = grover_spec(5, a=2)
+        evolve(spec, basis_state(5, 0, 0), 7)
+        write_distribution_csv(spec, basis_state(5, 1, 2), 7, io.StringIO())
+        argv = ["simulate", "--grover", "P1", "--n", "5", "--a", "2", "--start", "0", "--coinstate", "1",
+                "--tmax", "7"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 1 + 8 * 5
 
 
 class TestReducedBlocks:
