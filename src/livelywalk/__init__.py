@@ -3,9 +3,10 @@
 The library builds every 3x3 orthogonal matrix that is a linear sum of
 permutation matrices (the four families X, Y, Z, W, their exact rational
 members, and the Grover-type matrices), simulates the lively walk
-U = S (C (x) I) on the n-cycle, and computes the walk period three ways:
-closed-form family dispatch, spectral lcm of eigenvalue orders, and brute
-force on the momentum blocks, cross-validating the answers.
+U = S (C (x) I) on the n-cycle matrix-free in O(n) per step, and computes
+the walk period three ways: closed-form family dispatch, spectral lcm of
+eigenvalue orders, and brute force on the momentum blocks,
+cross-validating the answers.
 """
 
 from . import errors

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from livelywalk import (
     WalkSpec,
     basis_state,
+    cli,
     coins,
     distribution,
     eig3_unitary,
@@ -19,6 +20,7 @@ from livelywalk import (
     reduced_block,
     shift_operator,
     spectrum,
+    walk,
     write_distribution_csv,
 )
 from livelywalk.errors import (
@@ -28,7 +30,6 @@ from livelywalk.errors import (
     OutOfRange,
     PhaseConditionViolated,
 )
-from livelywalk import cli, walk
 from livelywalk.walk import DENSE_GUARD
 
 from conftest import SPECIAL_COINS, assert_same_multiset
