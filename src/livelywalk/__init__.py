@@ -4,8 +4,9 @@ The library builds every 3x3 orthogonal matrix that is a linear sum of
 permutation matrices (the four families X, Y, Z, W, their exact rational
 members, and the Grover-type matrices), simulates the lively walk
 U = S (C (x) I) on the n-cycle matrix-free in O(n) per step, and computes
-the walk period three ways: closed-form family dispatch, spectral lcm of
-eigenvalue orders, and brute force on the momentum blocks,
+the walk period three ways: closed-form family dispatch, the lcm of the
+eigenvalue orders of the n momentum blocks (one batched LAPACK call over
+their (n, 3, 3) stack), and brute force on the same stack,
 cross-validating the answers.
 """
 
@@ -47,6 +48,7 @@ from .walk import (
     SpectrumEntry,
     WalkSpec,
     basis_state,
+    block_stack,
     distribution,
     eigenvalues_closed_form,
     evolution_operator,
@@ -72,6 +74,7 @@ __all__ = [
     "SpectrumEntry",
     "WalkSpec",
     "basis_state",
+    "block_stack",
     "classify",
     "classify_angle",
     "coin_from_json",

@@ -33,6 +33,14 @@ def _add_period_bounds(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qmax", type=int, default=_period.QMAX_DEFAULT, help="denominator bound for rational angles")
 
 
+def _count(text: str) -> int:
+    """argparse type: an integer count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--perm", choices=PERM_LABELS, help="permutation matrix coin")
     parser.add_argument("--grover", choices=PERM_LABELS, help="Grover-type coin (2/3)J - P")
@@ -41,8 +49,8 @@ def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float, help="family angle in radians")
     parser.add_argument("--theta-frac", type=str, help="family angle as M/Q meaning theta = 2*pi*M/Q")
     parser.add_argument("--rational", type=str, help="rational parameter r for the exact constructor")
-    parser.add_argument("--signs", choices=("++", "+-", "-+", "--"), default="++",
-                        help="sign pair for the exact rational constructor")
+    parser.add_argument("--signs", choices=("++", "+-", "-+", "--"),
+                        help="sign pair for the exact rational constructor (default ++)")
     parser.add_argument("--matrix-file", type=str, help="path to a coin JSON document")
 
 
@@ -53,6 +61,15 @@ def _parse_coin(args, parser) -> _coins.Coin3:
     ) if val is not None]
     if len(chosen) != 1:
         parser.error(f"exactly one coin source required, got {chosen or 'none'}")
+    for flag, given, source, reader in (
+        ("--negate", args.negate, "--grover", args.grover),
+        ("--theta", args.theta is not None, "--family", args.family),
+        ("--theta-frac", args.theta_frac is not None, "--family", args.family),
+        ("--rational", args.rational is not None, "--family", args.family),
+        ("--signs", args.signs is not None, "--rational", args.rational),
+    ):
+        if given and reader is None:
+            parser.error(f"{flag} is read only with {source}")
     if args.perm:
         return _coins.perm_matrix(int(args.perm[1]))
     if args.grover:
@@ -82,8 +99,9 @@ def _parse_coin(args, parser) -> _coins.Coin3:
         r = Fraction(args.rational)
     except (ValueError, ZeroDivisionError):
         parser.error(f"cannot parse --rational {args.rational!r} as a rational number")
-    s1 = 1 if args.signs[0] == "+" else -1
-    s2 = 1 if args.signs[1] == "+" else -1
+    signs = args.signs or "++"
+    s1 = 1 if signs[0] == "+" else -1
+    s2 = 1 if signs[1] == "+" else -1
     return _coins.coin_from_rational(args.family, r, s1, s2)
 
 
@@ -191,8 +209,10 @@ def cmd_table(args, parser) -> int:
             start, stop, count = float(start), float(stop), int(count)
         except ValueError:
             parser.error(f"--theta-grid wants START:STOP:COUNT, got {args.theta_grid!r}")
+        if count < 1:
+            parser.error(f"--theta-grid COUNT must be >= 1, got {count}")
         thetas = [("float", v) for v in np.linspace(start, stop, count)]
-    elif args.rational_grid:
+    elif args.rational_grid is not None:
         qbound = args.rational_grid
         for q in range(1, qbound + 1):
             for m in range(q):
@@ -267,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--family", choices=_coins.FAMILIES, required=True)
     p_table.add_argument("--theta-list", type=str, help="comma-separated angles in radians")
     p_table.add_argument("--theta-grid", type=str, help="START:STOP:COUNT grid of angles")
-    p_table.add_argument("--rational-grid", type=int,
+    p_table.add_argument("--rational-grid", type=_count,
                          help="all theta = 2*pi*m/q with q <= bound and gcd(m, q) = 1")
     p_table.add_argument("--n-list", type=str, required=True)
     p_table.add_argument("--a-list", type=str, default="0")
@@ -277,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a sampled invariant suite")
     p_verify.add_argument("--suite", choices=_verify.SUITES + ("all",), required=True)
-    p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--samples", type=_count, default=None, help="samples per suite, >= 1")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
     _add_output(p_verify)
 

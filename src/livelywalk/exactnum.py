@@ -7,11 +7,14 @@ Matrices come in two representations, distinguished by dtype:
 
 Exact matrices stay exact under +, -, @ and transpose; every routine that
 needs floating arithmetic converts explicitly via :func:`to_float`.
+
+:func:`eig3_unitary` takes one 3x3 unitary block or a (..., 3, 3) stack of
+them, such as all n momentum blocks of a walk, and gets every eigenvalue
+from a single batched LAPACK call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -21,8 +24,6 @@ from .errors import DimensionMismatch, NotUnitary, NumericalFailure, OutOfRange
 
 #: default tolerance for unitarity / orthogonality checks
 DEFAULT_TOL = 1e-10
-#: residual target for polished eigenvalues
-RESIDUAL_TOL = 1e-13
 
 _TWO_PI = 2.0 * math.pi
 
@@ -33,8 +34,6 @@ def is_exact(m: np.ndarray) -> bool:
 
 def to_float(m: np.ndarray) -> np.ndarray:
     """Convert either representation to complex128."""
-    if is_exact(m):
-        return np.array([[complex(e) for e in row] for row in m], dtype=complex)
     return np.asarray(m, dtype=complex)
 
 
@@ -64,10 +63,11 @@ def orthogonality_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm(mf.T @ mf - np.eye(mf.shape[0])))
 
 
-def unitarity_defect(m: np.ndarray) -> float:
-    """``||M^dagger M - I||_F``."""
+def unitarity_defect(m: np.ndarray) -> np.ndarray:
+    """``||M^dagger M - I||_F``, one value per block of a (..., k, k) stack."""
     mf = to_float(m)
-    return float(np.linalg.norm(mf.conj().T @ mf - np.eye(mf.shape[0])))
+    gram = np.swapaxes(mf, -1, -2).conj() @ mf
+    return np.linalg.norm(gram - np.eye(mf.shape[-1]), axis=(-2, -1))
 
 
 def exact_det3(m: np.ndarray) -> Fraction:
@@ -77,118 +77,48 @@ def exact_det3(m: np.ndarray) -> Fraction:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def char_poly_coeffs(m: np.ndarray):
-    """Coefficients (c2, c1, c0) of det(lam*I - M) = lam^3 + c2 lam^2 + c1 lam + c0.
+def _solve_cluster(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (..., 3, 3) stack of unitary blocks: one batched LAPACK call.
 
-    Computed directly from the nine entries (cofactor expansion), so the
-    result is exact when the input is exact.
-    """
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    c2 = -(a + e + i)
-    c1 = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
-    c0 = -(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    return c2, c1, c0
-
-
-def principal_arg(z: complex) -> float:
-    """Argument mapped into [0, 2*pi), with values within 1e-12 of 2*pi wrapped to 0."""
-    a = cmath.phase(z) % _TWO_PI
-    if _TWO_PI - a < 1e-12:
-        return 0.0
-    return a
-
-
-def _solve_cluster(m: np.ndarray) -> list[complex]:
-    """Eigenvalues of a block whose cubic has clustered roots, from the matrix.
-
-    The cubic is ill-conditioned at a cluster, but the matrix is not: the
-    block is unitary within tol, so its eigenvectors are orthonormal, and
+    The name is kept from when only clustered blocks came here: the
+    benchmark tracer and the angle-accuracy test count calls to it.  Each
+    block is unitary within tol, so its eigenvectors are orthonormal and
     Bauer-Fike (1960) bounds each eigenvalue's error by LAPACK's ~eps
-    backward error.
+    backward error, clustered roots included.
     """
-    return [complex(lam) for lam in np.linalg.eigvals(to_float(m))]
+    return np.linalg.eigvals(m)
 
 
-def eig3_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[complex]:
-    """Eigenvalues of a 3x3 unitary matrix, sorted by principal argument.
+def eig3_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues of a 3x3 unitary matrix, or of each block of a (..., 3, 3) stack.
 
-    Separated roots: the characteristic polynomial is assembled exactly from
-    the entries, solved in closed form (Cardano), and each root is polished
-    with at most 50 Newton steps to residual < 1e-13.  Clustered roots
-    (pairwise gap < 1e-3), where double evaluation noise caps the cubic's
-    accuracy at ~1e-8, are recomputed by LAPACK on the block itself.
-    Raises :class:`NotUnitary` when ``||M^dagger M - I||_F > tol`` and
-    :class:`NumericalFailure` when a root fails to polish.
+    Returns complex128 of shape (..., 3): per block, the LAPACK eigenvalues
+    projected onto the unit circle and sorted (stably) by principal argument
+    in [0, 2*pi), with arguments within 1e-12 of 2*pi wrapped to 0.  Raises
+    :class:`NotUnitary` when some block has ``||M^dagger M - I||_F > tol`` and
+    :class:`NumericalFailure` when some eigenvalue's modulus strays from 1
+    by more than 1e-6.
     """
-    m = np.asarray(m)
-    if m.shape != (3, 3):
-        raise DimensionMismatch(f"expected 3x3 matrix, got {m.shape}")
-    defect = unitarity_defect(m)
-    if not defect <= tol:  # also catches NaN/Inf entries
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds tol {tol:.3e}")
+    mf = to_float(m)
+    if mf.ndim < 2 or mf.shape[-2:] != (3, 3):
+        raise DimensionMismatch(f"expected 3x3 matrix or stack of them, got {mf.shape}")
+    defect = unitarity_defect(mf)
+    if not np.all(defect <= tol):  # also catches NaN/Inf entries
+        raise NotUnitary(f"unitarity defect {np.max(defect):.3e} exceeds tol {tol:.3e}")
 
-    e2, e1, e0 = char_poly_coeffs(m)
-    c2, c1, c0 = complex(e2), complex(e1), complex(e0)
-
-    # depressed cubic t^3 + p t + q, lam = t - c2/3
-    p = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2**3 / 27.0 - c2 * c1 / 3.0 + c0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    sq = cmath.sqrt(disc)
-    # the root of larger modulus avoids cancellation (stable Cardano; Kahan
-    # 1986, Blinn 2006): with p = 0 the other one is rounding noise
-    u3 = max(-q / 2.0 + sq, -q / 2.0 - sq, key=abs)
-    if abs(u3) < 1e-30:
-        roots = [-c2 / 3.0] * 3  # triple root
-    else:
-        u = u3 ** (1.0 / 3.0)
-        omega = complex(-0.5, math.sqrt(3.0) / 2.0)
-        roots = []
-        for k in range(3):
-            uk = u * omega**k
-            roots.append(uk - p / (3.0 * uk) - c2 / 3.0)
-
-    polished = []
-    for lam in roots:
-        ok = False
-        for _ in range(50):
-            f = ((lam + c2) * lam + c1) * lam + c0
-            if abs(f) < RESIDUAL_TOL:
-                ok = True
-                break
-            fp = (3.0 * lam + 2.0 * c2) * lam + c1
-            if abs(fp) < 1e-30:
-                break
-            lam = lam - f / fp
-        if not ok:
-            f = ((lam + c2) * lam + c1) * lam + c0
-            if abs(f) >= RESIDUAL_TOL:
-                raise NumericalFailure(
-                    f"root polishing stalled at residual {abs(f):.3e}"
-                )
-        polished.append(lam)
-
-    # near a triple root the residual target is met ~1e-13^(1/3) = 5e-5 away
-    # from the true root, so the cluster detector must be wider than that
-    if min(
-        abs(polished[0] - polished[1]),
-        abs(polished[0] - polished[2]),
-        abs(polished[1] - polished[2]),
-    ) < 1e-3:
-        polished = _solve_cluster(m)
-
+    lams = _solve_cluster(mf)
     # the input is certified unitary within tol, so any radial offset of a
     # root (true offsets reach ~sqrt(eps) at defective configurations) is
     # known error; project onto the circle, but refuse clearly broken roots
-    for i, lam in enumerate(polished):
-        if abs(abs(lam) - 1.0) > 1e-6:
-            raise NumericalFailure(f"eigenvalue modulus {abs(lam):.15f} is not 1")
-        polished[i] = lam / abs(lam)
+    moduli = np.abs(lams)
+    off = np.abs(moduli - 1.0)
+    if not np.all(off <= 1e-6):
+        raise NumericalFailure(f"eigenvalue modulus {moduli.flat[np.argmax(off)]:.15f} is not 1")
+    lams = lams / moduli
 
-    polished.sort(key=principal_arg)
-    return polished
+    args = np.angle(lams) % _TWO_PI
+    args[_TWO_PI - args < 1e-12] = 0.0
+    return np.take_along_axis(lams, np.argsort(args, axis=-1, kind="stable"), axis=-1)
 
 
 def multiset_distance(a, b) -> float:

@@ -7,14 +7,15 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                special angles theta/2pi = k/6 have their own period rule,
                every other rational angle at n = 3 an lcm rule, and all
                remaining coins are proven aperiodic or left undecided.
-* spectral  -- every eigenvalue angle is classified as a rational multiple
-               of 2*pi by continued fractions; the period is the lcm of the
-               multiplicative orders.
+* spectral  -- every eigenvalue of the momentum-block stack, from one
+               batched eigensolve, has its angle classified as a rational
+               multiple of 2*pi by continued fractions; the period is the
+               lcm of the multiplicative orders.
 * bruteforce -- power the n momentum blocks U_l in chunks of many steps
                per numpy call until ||U^t - I||_F <= tol.  The arbiter.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
-spectral and brute-force routes both start from `walk.reduced_block`; the
+spectral and brute-force routes both start from `walk.block_stack`; the
 dense 3n x 3n `walk.evolution_operator`, powered one step at a time, is the
 independent oracle the tests hold brute force to.
 """
@@ -185,7 +186,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
     n = spec.n
     chunk = _chunk_steps(n)
     powers = np.empty((n, 3, 3 * chunk), dtype=complex)
-    powers[:, :, :3] = [_walk.reduced_block(spec, l).uk for l in range(n)]
+    powers[:, :, :3] = _walk.block_stack(spec)
     done = 1
     while done < chunk:  # U^(done+1..done+m) = U^done @ U^(1..m)
         m = min(done, chunk - done)

@@ -102,10 +102,9 @@ def run_spectrum_symmetry(seed: int = 0, samples: int = 200) -> SuiteResult:
     for _ in range(samples):
         n = int(rng.integers(3, 13))
         spec = _walk.WalkSpec(n=n, a=0, coin=_random_coin(rng, "X"))
+        lams = eig3_unitary(_walk.block_stack(spec))
         for l in range(1, n // 2 + 1):
-            lo = eig3_unitary(_walk.reduced_block(spec, l).uk)
-            hi = eig3_unitary(_walk.reduced_block(spec, n - l).uk)
-            err = multiset_distance(lo, hi)
+            err = multiset_distance(lams[l], lams[n - l])
             checks += 1
             worst = max(worst, err)
             if err > 1e-8:

@@ -3,7 +3,9 @@
 State vectors live in C^3 (x) C^n with flat index c*n + v (coin-major):
 coin state 0 steps the walker to v-1, coin 1 to v+1, coin 2 jumps to v+a,
 all mod n.  The momentum blocks U_k = D_k C with D_k = diag(e^{ik}, e^{-ik},
-e^{-ika}), k = 2*pi*l/n, carry the full spectrum.
+e^{-ika}), k = 2*pi*l/n, carry the full spectrum; `block_stack` builds all
+n of them as one (n, 3, 3) array in a single broadcast, and `spectrum`
+solves that stack with one `eig3_unitary` call.
 
 `evolve` and `write_distribution_csv` are matrix-free: one step mixes the
 coin at every vertex and rolls each coin row by its shift, O(n) time and
@@ -144,20 +146,24 @@ def distribution(psi: np.ndarray) -> np.ndarray:
     return (np.abs(psi.reshape(3, n)) ** 2).sum(axis=0)
 
 
+def _block_phases(k, a: int) -> np.ndarray:
+    """Diagonal e^{ik}, e^{-ik}, e^{-ika} of D_k along a last axis; k may be an array."""
+    return np.exp(np.stack([1j * k, -1j * k, -1j * k * a], axis=-1))
+
+
+def block_stack(spec: WalkSpec) -> np.ndarray:
+    """All n momentum blocks as one (n, 3, 3) array: entry l is U_k = D_k C at k = 2*pi*l/n."""
+    k = 2.0 * math.pi * np.arange(spec.n) / spec.n
+    return _block_phases(k, spec.a)[:, :, None] * spec.coin.as_float()
+
+
 def reduced_block(spec: WalkSpec, l: int) -> ReducedBlock:
-    """Momentum block at k = 2*pi*l/n: D_k and U_k = D_k C."""
+    """Momentum block at k = 2*pi*l/n: D_k and U_k = D_k C, equal to `block_stack(spec)[l]`."""
     if not (0 <= l < spec.n):
         raise OutOfRange(f"block index {l} outside 0..{spec.n - 1}")
     k = 2.0 * math.pi * l / spec.n
-    dk = np.diag(
-        [
-            np.exp(1j * k),
-            np.exp(-1j * k),
-            np.exp(-1j * k * spec.a),
-        ]
-    )
-    uk = dk @ spec.coin.as_float()
-    return ReducedBlock(l=l, k=k, dk=dk, uk=uk)
+    phases = _block_phases(k, spec.a)
+    return ReducedBlock(l=l, k=k, dk=np.diag(phases), uk=phases[:, None] * spec.coin.as_float())
 
 
 def momentum_state(n: int, l: int) -> np.ndarray:
@@ -169,15 +175,12 @@ def momentum_state(n: int, l: int) -> np.ndarray:
 def spectrum(spec: WalkSpec) -> list[SpectrumEntry]:
     """All 3n eigenvalues, grouped by ascending block index.
 
-    Within a block the three eigenvalues are sorted by principal argument;
-    the multiset equals the spectrum of the dense operator.
+    One `eig3_unitary` call over `block_stack(spec)`; within a block the
+    three eigenvalues are sorted by principal argument.  The multiset equals
+    the spectrum of the dense operator.
     """
-    out = []
-    for l in range(spec.n):
-        block = reduced_block(spec, l)
-        for lam in eig3_unitary(block.uk):
-            out.append(SpectrumEntry(value=lam, block=l))
-    return out
+    rows = eig3_unitary(block_stack(spec)).tolist()
+    return [SpectrumEntry(value=lam, block=l) for l, row in enumerate(rows) for lam in row]
 
 
 def eigenvalues_closed_form(x: float, k: float, n: int | None = None, a: int | None = None, l: int | None = None):

@@ -12,6 +12,7 @@ import numpy as np
 
 from livelywalk import (
     WalkSpec,
+    block_stack,
     coins,
     cross_validate,
     eig3_unitary,
@@ -192,19 +193,23 @@ def test_criterion_6_property_suite():
                 blocks = [e.value for e in spectrum(spec)]
                 assert multiset_distance(dense, blocks) <= 1e-8
 
-    # block eigenpairs lift to eigenpairs of the full operator
+    # block eigenpairs lift to eigenpairs of the full operator, for the
+    # single block and for the same block read from the stack
     for _ in range(8):
         n = int(rng.integers(2, 11))
         a = int(rng.integers(0, n // 2 + 1))
         fam = coins.FAMILIES[rng.integers(0, 4)]
         spec = WalkSpec(n=n, a=a, coin=coin_from_theta(fam, rng.uniform(0, 2 * math.pi)))
         u = evolution_operator(spec)
+        stack = block_stack(spec)
+        assert stack.shape == (n, 3, 3)
         for l in range(n):
-            lams, vecs = np.linalg.eig(reduced_block(spec, l).uk)
             phi = momentum_state(n, l)
-            for j in range(3):
-                psi = np.kron(vecs[:, j], phi)
-                assert np.linalg.norm(u @ psi - lams[j] * psi) <= 1e-8
+            for uk in (reduced_block(spec, l).uk, stack[l]):
+                lams, vecs = np.linalg.eig(uk)
+                for j in range(3):
+                    psi = np.kron(vecs[:, j], phi)
+                    assert np.linalg.norm(u @ psi - lams[j] * psi) <= 1e-8
 
     # closed-form block eigenvalues match the numeric solver
     for _ in range(60):

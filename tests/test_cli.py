@@ -345,3 +345,69 @@ class TestFlagScope:
     ])
     def test_read_flag_accepted(self, capsys, command, flag):
         assert run(capsys, *self.BASE[command], flag, "1")[0] == 0
+
+
+class TestIgnoredCoinModifiers:
+    """A coin modifier that the chosen coin source would not read is a usage
+    error: --negate is read only with --grover, the angle flags only with
+    --family, and --signs only with --rational."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--perm", "P2", "--negate"),
+        ("--family", "X", "--theta", "1.0", "--negate"),
+        ("--perm", "P2", "--signs", "+-"),
+        ("--grover", "P1", "--signs", "++"),
+        ("--family", "X", "--theta", "1.0", "--signs=-+"),
+        ("--family", "X", "--theta-frac", "1/5", "--signs", "+-"),
+        ("--perm", "P2", "--theta", "1.0"),
+        ("--grover", "P1", "--theta-frac", "1/3"),
+        ("--perm", "P1", "--rational", "2"),
+    ])
+    def test_unread_modifier_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["period", *argv, "--n", "4"])
+        assert exc.value.code == 2
+        assert "is read only with" in capsys.readouterr().err
+
+    def test_negate_flips_the_grover_coin(self, capsys):
+        _, plain = run_json(capsys, "coin", "--grover", "P1")
+        _, negated = run_json(capsys, "coin", "--grover", "P1", "--negate")
+        assert plain["coin"]["entries"][0] == ["-1/3", "2/3", "2/3"]
+        assert negated["coin"]["entries"][0] == ["1/3", "-2/3", "-2/3"]
+
+    def test_signs_change_the_rational_coin(self, capsys):
+        _, default = run_json(capsys, "coin", "--family", "X", "--rational", "3")
+        _, plus = run_json(capsys, "coin", "--family", "X", "--rational", "3", "--signs", "++")
+        _, minus = run_json(capsys, "coin", "--family", "X", "--rational", "3", "--signs=-+")
+        assert default == plus
+        assert minus["coin"]["entries"] != plus["coin"]["entries"]
+
+
+class TestCountsBelowOne:
+    """Grid and sample counts below 1 are usage errors (exit 2), not tracebacks,
+    empty documents or vacuous passes."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("table", "--family", "X", "--theta-grid", "0:1:-1", "--n-list", "3"), "COUNT must be >= 1"),
+        (("table", "--family", "X", "--theta-grid", "0:1:0", "--n-list", "3"), "COUNT must be >= 1"),
+        (("table", "--family", "X", "--rational-grid", "-2", "--n-list", "3"), "must be >= 1"),
+        (("table", "--family", "X", "--rational-grid", "0", "--n-list", "3"), "must be >= 1"),
+        (("verify", "--suite", "closure", "--samples", "-1"), "must be >= 1"),
+        (("verify", "--suite", "closure", "--samples", "0"), "must be >= 1"),
+        (("verify", "--suite", "all", "--samples", "0"), "must be >= 1"),
+    ])
+    def test_count_below_one_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_count_of_one_runs(self, capsys):
+        code, docs = run_json(capsys, "table", "--family", "X", "--theta-grid", "0:1:1",
+                              "--n-list", "3", "--methods", "spectral")
+        assert code == 0 and len(docs) == 1
+        code, docs = run_json(capsys, "table", "--family", "X", "--rational-grid", "1",
+                              "--n-list", "3", "--methods", "spectral")
+        assert code == 0 and len(docs) == 1
+        code, out, _ = run(capsys, "verify", "--suite", "closure", "--samples", "1")
+        assert code == 0 and out == "PASS closure: 1/1 checks\n"

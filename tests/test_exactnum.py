@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from livelywalk import WalkSpec, coins, eig3_unitary, exactnum, mat_power_norm_defect, reduced_block
-from livelywalk.errors import DimensionMismatch, NotUnitary
+from livelywalk.errors import DimensionMismatch, NotUnitary, NumericalFailure
 from livelywalk.exactnum import (
-    char_poly_coeffs,
     exact_det3,
     exact_identity,
     orthogonality_defect,
@@ -76,21 +75,59 @@ class TestEig3:
         with pytest.raises(DimensionMismatch):
             eig3_unitary(np.eye(4))
 
+    def test_stack_matches_each_block(self, rng):
+        # a (2, 4, 3, 3) stack gives (2, 4, 3), each row the single-block answer
+        stack = np.array([[random_unitary3(rng) for _ in range(4)] for _ in range(2)])
+        lams = eig3_unitary(stack)
+        assert lams.shape == (2, 4, 3)
+        for i, j in itertools.product(range(2), range(4)):
+            assert np.array_equal(lams[i, j], eig3_unitary(stack[i, j]))
+
+    def test_stack_rejects_one_non_unitary_block(self, rng):
+        stack = np.array([random_unitary3(rng) for _ in range(5)])
+        stack[3] *= 1.5
+        with pytest.raises(NotUnitary):
+            eig3_unitary(stack)
+
+    def test_stack_rejects_wrong_block_shape(self):
+        with pytest.raises(DimensionMismatch):
+            eig3_unitary(np.ones((4, 3, 2)))
+
+    def test_broken_modulus_is_a_numerical_failure(self, monkeypatch):
+        # the modulus check is the one NumericalFailure left: a solver result
+        # off the unit circle is refused, not projected
+        monkeypatch.setattr(exactnum, "_solve_cluster", lambda m: np.linalg.eigvals(m) * 1.001)
+        with pytest.raises(NumericalFailure):
+            eig3_unitary(CYCLE)
+
+    def test_projects_onto_unit_circle(self, rng):
+        # a block unitary only within tol has eigenvalues off the circle by
+        # ~1e-11; they come back projected to modulus 1 at rounding level
+        u = random_unitary3(rng) * (1 + 1e-11)
+        assert np.max(np.abs(np.abs(np.linalg.eigvals(u)) - 1)) > 5e-12
+        assert np.max(np.abs(np.abs(eig3_unitary(u)) - 1)) < 1e-15
+
+    def test_argument_near_two_pi_wraps_to_zero(self):
+        # an eigenvalue 1e-13 rad below 2*pi sorts first, as argument 0
+        m = np.diag([np.exp(0.5j), np.exp(-1e-13j), -1.0])
+        lams = eig3_unitary(m)
+        assert abs(lams[0] - np.exp(-1e-13j)) < 1e-15
+        assert np.angle(lams[1:]).tolist() == pytest.approx([0.5, math.pi])
+
     def test_exact_input(self):
         g = coins.grover_type(1)
         assert eig3_unitary(g.matrix) == pytest.approx([1, -1, -1])
 
     def test_double_eigenvalue_resolved_to_full_precision(self):
-        # involutive coin: spectrum {1, -1, -1}; double roots of the float
-        # char poly split by ~sqrt(eps) unless polished against exact
-        # coefficients
+        # involutive coin: spectrum {1, -1, -1}; the roots of its float char
+        # poly would split by ~sqrt(eps), the eigenvalues of the matrix do not
         c = coins.coin_from_theta("W", 1.8481147461448004).as_float()
         lams = eig3_unitary(c)
         assert np.max(np.abs(np.array(lams) - np.array([1, -1, -1]))) < 1e-12
 
     def test_near_degenerate_cluster_matches_constructed_spectrum(self, rng):
         # rotate a defective-direction family through angles near the split;
-        # the cluster path is LAPACK itself, so the oracle is the spectrum the
+        # the solver is LAPACK itself, so the oracle is the spectrum the
         # block was built from, not np.linalg.eigvals
         for delta in (0.0, 1e-12, 1e-9, 1e-7, 1e-5):
             m = np.diag(
@@ -101,8 +138,8 @@ class TestEig3:
             assert_same_multiset(eig3_unitary(u), np.diag(m), tol=1e-12)
 
     def test_close_pair_not_merged(self, rng):
-        # both Cardano seeds can land in one Newton basin when two roots sit
-        # ~1e-8 apart; the deflation path must still return distinct roots
+        # two roots ~1e-8 apart must come back as two distinct eigenvalues,
+        # each to full precision
         for delta in (3e-9, 1e-8, 5e-8, 1e-7):
             m = np.diag([1.0, np.exp(1j * delta), np.exp(0.4j)])
             q = random_unitary3(rng)
@@ -111,7 +148,8 @@ class TestEig3:
             assert_same_multiset(lams, np.diag(m), tol=1e-12)
 
     def test_near_triple_root(self, rng):
-        # residual-based polishing alone leaves ~5e-5 scatter at triple roots
+        # a root-finder on the char poly scatters triple roots by ~eps^(1/3);
+        # the eigensolver on the matrix must not
         for delta in (0.0, 1e-10, 1e-7):
             m = np.diag([1.0, np.exp(1j * delta), np.exp(-1j * delta)])
             q = random_unitary3(rng)
@@ -184,20 +222,6 @@ class TestAngleAccuracy:
         assert blocks == 2 * len(self.BASE) * 129
         assert cluster_calls, "no block took the cluster path"
         assert worst < ANGLE_ACCURACY, f"worst angle error {worst:.2e} of 2*pi"
-
-
-class TestCharPoly:
-    def test_exact_coefficients(self):
-        g = coins.grover_type(1)
-        c2, c1, c0 = char_poly_coeffs(g.matrix)
-        # (lam - 1)(lam + 1)^2 = lam^3 + lam^2 - lam - 1
-        assert (c2, c1, c0) == (Fraction(1), Fraction(-1), Fraction(-1))
-
-    def test_float_matches_polyval(self, rng):
-        u = random_unitary3(rng)
-        c2, c1, c0 = char_poly_coeffs(u)
-        for lam in np.linalg.eigvals(u):
-            assert abs(((lam + c2) * lam + c1) * lam + c0) < 1e-12
 
 
 class TestMatPowerDefect:

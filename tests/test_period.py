@@ -20,7 +20,13 @@ from livelywalk import (
 )
 from livelywalk import period as period_mod
 from livelywalk.errors import GuardExceeded, NotUnitModulus
-from livelywalk.period import CHUNK_STEPS, GUARANTEED_ORDER_BOUND, QMAX_DEFAULT, classify_fraction
+from livelywalk.period import (
+    ANGLE_ACCURACY,
+    CHUNK_STEPS,
+    GUARANTEED_ORDER_BOUND,
+    QMAX_DEFAULT,
+    classify_fraction,
+)
 from livelywalk.walk import DENSE_GUARD
 
 from conftest import SPECIAL_COINS
@@ -316,9 +322,11 @@ class TestSoundness:
 
 
 class TestCyclicPermutationLively:
-    """+-P2 and +-P3 with a != 0 have block polynomials lam^3 + c0, so the
-    depressed cubic has p = 0 and the two Cardano roots u^3 differ in size
-    only by cancellation."""
+    """+-P2 and +-P3 with a != 0: each block's eigenvalues are the three cube
+    roots of one unit phase (block polynomial lam^3 + c0), spread evenly
+    around the circle.  A closed-form cubic solver once raised
+    NumericalFailure on 32 of these walks, so the spectral route is held
+    to brute force on every one of them."""
 
     def test_methods_agree_and_spectral_matches_bruteforce(self):
         checked = 0
@@ -375,6 +383,69 @@ class TestCrossValidate:
         for r in doc["results"]:
             assert set(r) == {"method", "status", "period", "bound", "theorem"}
             assert r["status"] in {"finite", "no_period_up_to", "proven_infinite", "not_applicable"}
+
+
+class TestGuaranteedOrderBound:
+    """The claim behind GUARANTEED_ORDER_BOUND, not just its value: an angle
+    within ANGLE_ACCURACY of 2*pi*p/q, gcd(p, q) = 1 and q <= the bound,
+    classifies back to p/q, and the unit at that angle has order q.
+
+    order_of_unit measures the angle itself (atan2, then /2*pi mod 1), and
+    the unit is built with exp; the round trip adds up to ~1.5e-16 of a
+    turn.  At q = 31622 the guard err * q^2 < DECISIVE leaves only 4.9e-17
+    of a turn above ANGLE_ACCURACY, so the unit-circle cases move the angle
+    by at most ANGLE_ACCURACY - ROUNDTRIP.
+    """
+
+    ROUNDTRIP = 2e-16
+    TOP = range(GUARANTEED_ORDER_BOUND - 300, GUARANTEED_ORDER_BOUND + 1)
+
+    @staticmethod
+    def _numerators(q):
+        """1, q - 1 and the coprime numerators nearest above q/3 and q/2."""
+        out = [1, q - 1]
+        for start in (q // 3, q // 2):
+            p = start
+            while math.gcd(p, q) != 1:
+                p += 1
+            out.append(p)
+        return out
+
+    def _check(self, p, q, delta):
+        assert classify_fraction(p / q + delta) == Fraction(p, q), (p, q, delta)
+        inner = math.copysign(max(abs(delta) - self.ROUNDTRIP, 0.0), delta)
+        lam = np.exp(2j * math.pi * ((p / q + inner) % 1.0))
+        assert order_of_unit(lam) == Fraction(p, q).denominator, (p, q, inner)
+
+    def test_bound_is_the_largest_guarded_order(self):
+        assert ANGLE_ACCURACY * GUARANTEED_ORDER_BOUND**2 < period_mod.DECISIVE
+        assert ANGLE_ACCURACY * (GUARANTEED_ORDER_BOUND + 1) ** 2 >= period_mod.DECISIVE
+
+    @given(q=st.integers(1, GUARANTEED_ORDER_BOUND), data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_moved_fraction_comes_back(self, q, data):
+        p = data.draw(st.integers(0, q - 1))
+        f = Fraction(p, q)
+        delta = data.draw(st.floats(-ANGLE_ACCURACY, ANGLE_ACCURACY))
+        self._check(f.numerator, f.denominator, delta)
+
+    def test_roundtrip_needs_the_margin(self):
+        # at the bound, a unit moved by the full ANGLE_ACCURACY can lose its
+        # order to the round trip alone; the angle itself still classifies
+        p, q = 15815, 31622
+        assert classify_fraction(p / q - ANGLE_ACCURACY) == Fraction(p, q)
+        assert order_of_unit(np.exp(2j * math.pi * (p / q - ANGLE_ACCURACY))) is None
+        self._check(p, q, -ANGLE_ACCURACY)
+
+    def test_top_of_the_bound(self):
+        # each q in the 301 below and at the bound, at 0 and +-ANGLE_ACCURACY
+        checked = 0
+        for q in self.TOP:
+            for p in self._numerators(q):
+                for delta in (-ANGLE_ACCURACY, 0.0, ANGLE_ACCURACY):
+                    self._check(p, q, delta)
+                    checked += 1
+        assert checked == 301 * 4 * 3
 
 
 class TestAngleClassifier:
