@@ -22,6 +22,7 @@ from . import walk as _walk
 from .errors import LivelyWalkError
 
 PERM_LABELS = tuple(f"P{i}" for i in range(1, 7))
+SIGN_PAIRS = ("++", "+-", "-+", "--")
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -49,7 +50,7 @@ def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float, help="family angle in radians")
     parser.add_argument("--theta-frac", type=str, help="family angle as M/Q meaning theta = 2*pi*M/Q")
     parser.add_argument("--rational", type=str, help="rational parameter r for the exact constructor")
-    parser.add_argument("--signs", choices=("++", "+-", "-+", "--"),
+    parser.add_argument("--signs", choices=SIGN_PAIRS,
                         help="sign pair for the exact rational constructor (default ++)")
     parser.add_argument("--matrix-file", type=str, help="path to a coin JSON document")
 
@@ -123,7 +124,6 @@ def _scalar_json(v):
 def cmd_coin(args, parser) -> int:
     coin = _parse_coin(args, parser)
     cls = _coins.classify(coin.matrix, tol=args.tol)
-    coeffs = _coins.decompose_linear_sum(coin.matrix, tol=args.tol)
     doc = {
         "coin": _coins.coin_to_json(coin),
         "classification": {
@@ -137,10 +137,10 @@ def cmd_coin(args, parser) -> int:
             "is_rational": cls.is_rational,
         },
         "linear_sum": {
-            "basis": coeffs.basis,
-            "x": _scalar_json(coeffs.x),
-            "y": _scalar_json(coeffs.y),
-            "z": _scalar_json(coeffs.z),
+            "basis": cls.basis,
+            "x": _scalar_json(cls.x),
+            "y": _scalar_json(cls.y),
+            "z": _scalar_json(cls.z),
         },
     }
     _emit(json.dumps(doc, indent=2) + "\n", args)
@@ -313,9 +313,21 @@ _HANDLERS = {
 }
 
 
+def _glue_signs(argv: list) -> list:
+    """Join a sign pair to the --signs before it: argparse would read a
+    separate -+ or -- as an option or as the end of the options."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--signs" and arg in SIGN_PAIRS:
+            out[-1] = f"--signs={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_signs(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _HANDLERS[args.command](args, parser)
     except LivelyWalkError as exc:

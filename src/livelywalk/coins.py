@@ -5,17 +5,21 @@ The six permutation matrices use the convention p_ij = 1 iff pi(i) = j:
     P1 = id, P2 = (123), P3 = (132), P4 = (23), P5 = (12), P6 = (13).
 
 Every orthogonal linear sum of permutations is permutative and falls into
-one of four one-parameter families, identified by the basis it expands in
-and the sign of x + y + z:
+one of four one-parameter families.  A family is the pair (basis, s): the
+basis it expands in and the sign s = x + y + z:
 
-    family   basis            x+y+z   layout                     det
+    family   basis            s       layout                     det
     X        {P1, P2, P3}     +1      [[x,y,z],[z,x,y],[y,z,x]]  +1
     Y        {P1, P2, P3}     -1      [[x,y,z],[z,x,y],[y,z,x]]  -1
     Z        {P4, P5, P6}     +1      [[x,y,z],[y,z,x],[z,x,y]]  -1
     W        {P4, P5, P6}     -1      [[x,y,z],[y,z,x],[z,x,y]]  +1
 
-with (x, y) on the ellipse x^2+y^2-x-y+xy = 0 (X, Z) or x^2+y^2+x+y+xy = 0
-(Y, W).  Z and W are X and Y with rows 2 and 3 exchanged.
+with (x, y) on the ellipse x^2+y^2-s*x-s*y+xy = 0.  Z and W are X and Y
+with rows 2 and 3 exchanged, and every other per-family formula (the
+theta-parametrization, the real x range, the determinant, the Pell offset)
+is one formula in s.  `classify` reports the family once per coin, together
+with the recovered angle ``theta`` and ``is_special``: whether +-coin is a
+permutation or Grover-type matrix.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .errors import (
     RangeViolated,
 )
 from .exactnum import (
+    _TWO_PI,
     DEFAULT_TOL,
     exact_det3,
     exact_matrix,
@@ -67,19 +72,19 @@ _PERM_01 = {
     for p, images in PERM_IMAGES.items()
 }
 
-_FAMILY_BASIS = {"X": CYCLIC, "Y": CYCLIC, "Z": TRANSPOSITION, "W": TRANSPOSITION}
-_FAMILY_SUM = {"X": 1, "Y": -1, "Z": 1, "W": -1}
-# det is +1 on X (rotations) and W = P4*Y, -1 on Y and Z = P4*X
-_FAMILY_DET = {"X": 1, "Y": -1, "Z": -1, "W": 1}
-_FAMILY_OF = {(CYCLIC, 1): "X", (CYCLIC, -1): "Y", (TRANSPOSITION, 1): "Z", (TRANSPOSITION, -1): "W"}
+_PERM_STACK = np.array(list(_PERM_01.values()))
+#: the 24 special matrices as floats, in blocks of six: P, (2/3)J - P, -P, P - (2/3)J
+_SPECIAL = np.concatenate([_PERM_STACK, 2.0 / 3.0 - _PERM_STACK, -_PERM_STACK, _PERM_STACK - 2.0 / 3.0])
 
-#: closed real parameter range for x in each family
-REAL_X_RANGE = {
-    "X": (Fraction(-1, 3), Fraction(1)),
-    "Z": (Fraction(-1, 3), Fraction(1)),
-    "Y": (Fraction(-1), Fraction(1, 3)),
-    "W": (Fraction(-1), Fraction(1, 3)),
-}
+#: family -> (basis, s = x + y + z), and back
+_FAMILY = {"X": (CYCLIC, 1), "Y": (CYCLIC, -1), "Z": (TRANSPOSITION, 1), "W": (TRANSPOSITION, -1)}
+_FAMILY_OF = {record: family for family, record in _FAMILY.items()}
+# det is s on the cyclic basis (X rotations, Y = -X) and -s on the other (Z = P4*X, W = P4*Y)
+_FAMILY_DET = {f: s if basis == CYCLIC else -s for f, (basis, s) in _FAMILY.items()}
+
+#: closed real parameter range for x in each family: between the roots x = s
+#: and x = -s/3 of the discriminant in :func:`solve_y`
+REAL_X_RANGE = {f: tuple(sorted((Fraction(s), Fraction(-s, 3)))) for f, (_, s) in _FAMILY.items()}
 
 ELLIPSE_TOL = 1e-10
 SUM_TOL = 1e-12
@@ -127,6 +132,11 @@ class LinearSumCoefficients:
 
 @dataclass(frozen=True)
 class Classification:
+    """A coin's family and coefficients, its angle theta read off the
+    coefficients (atan2 mod 2*pi, so in [0, 2*pi]), and which special
+    matrices it is: a permutation, a Grover-type matrix, or either of those
+    up to sign (``is_special``)."""
+
     family: str
     basis: str
     x: Scalar
@@ -135,6 +145,8 @@ class Classification:
     is_permutation: bool
     is_grover_type: bool
     is_rational: bool
+    theta: float
+    is_special: bool
 
 
 def _matrix_of(m) -> np.ndarray:
@@ -143,15 +155,18 @@ def _matrix_of(m) -> np.ndarray:
     return np.asarray(m)
 
 
+def _special_coin(p: int, m: np.ndarray, s: int) -> Coin3:
+    """Coin of the exact matrix m built on P_p, whose coefficients sum to s;
+    its coefficients are its first row."""
+    basis = CYCLIC if p <= 3 else TRANSPOSITION
+    return Coin3(matrix=m, family=_FAMILY_OF[(basis, s)], params=tuple(m[0]))
+
+
 def perm_matrix(p: int) -> Coin3:
     """The permutation matrix P_p, p in 1..6, in exact representation."""
     if p not in PERM_IMAGES:
         raise OutOfRange(f"permutation index must be 1..6, got {p}")
-    m = exact_matrix(_PERM_01[p].tolist())
-    family = "X" if p <= 3 else "Z"
-    coeffs = [Fraction(0)] * 3
-    coeffs[(p - 1) % 3] = Fraction(1)
-    return Coin3(matrix=m, family=family, params=tuple(coeffs))
+    return _special_coin(p, exact_matrix(_PERM_01[p].tolist()), 1)
 
 
 def _layout(basis: str, x, y, z, dtype) -> np.ndarray:
@@ -162,28 +177,27 @@ def _layout(basis: str, x, y, z, dtype) -> np.ndarray:
     return np.array(rows, dtype=dtype)
 
 
-def _ellipse_residual(family: str, x, y):
-    if family in ("X", "Z"):
-        return x * x + y * y - x - y + x * y
-    return x * x + y * y + x + y + x * y
+def _ellipse_residual(s: int, x, y):
+    return x * x + y * y - s * x - s * y + x * y
 
 
 def coin_from_xyz(family: str, x: Scalar, y: Scalar, z: Scalar, allow_complex: bool = False) -> Coin3:
     """Coin from linear-sum coefficients; validates the family constraints."""
     if family not in FAMILIES:
         raise OutOfRange(f"unknown family {family!r}")
+    basis, s = _FAMILY[family]
     exact = all(isinstance(v, (Fraction, int)) for v in (x, y, z))
     if exact:
         x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        if x + y + z != _FAMILY_SUM[family]:
-            raise ConstraintViolated(f"x+y+z must be {_FAMILY_SUM[family]} for family {family}")
-        if _ellipse_residual(family, x, y) != 0:
+        if x + y + z != s:
+            raise ConstraintViolated(f"x+y+z must be {s} for family {family}")
+        if _ellipse_residual(s, x, y) != 0:
             raise ConstraintViolated("(x, y) is not on the family ellipse")
     else:
         x, y, z = complex(x), complex(y), complex(z)
-        if abs(x + y + z - _FAMILY_SUM[family]) > SUM_TOL:
-            raise ConstraintViolated(f"x+y+z must be {_FAMILY_SUM[family]} for family {family}")
-        if abs(_ellipse_residual(family, x, y)) > ELLIPSE_TOL:
+        if abs(x + y + z - s) > SUM_TOL:
+            raise ConstraintViolated(f"x+y+z must be {s} for family {family}")
+        if abs(_ellipse_residual(s, x, y)) > ELLIPSE_TOL:
             raise ConstraintViolated("(x, y) is not on the family ellipse")
     if not allow_complex:
         lo, hi = REAL_X_RANGE[family]
@@ -195,8 +209,7 @@ def coin_from_xyz(family: str, x: Scalar, y: Scalar, z: Scalar, allow_complex: b
                 raise RangeViolated("complex coefficients need allow_complex=True")
             if not (float(lo) - ELLIPSE_TOL <= x.real <= float(hi) + ELLIPSE_TOL):
                 raise RangeViolated(f"x = {x.real} outside real range [{lo}, {hi}] of family {family}")
-    dtype = object if exact else complex
-    m = _layout(_FAMILY_BASIS[family], x, y, z, dtype)
+    m = _layout(basis, x, y, z, object if exact else complex)
     return Coin3(matrix=m, family=family, params=(x, y, z))
 
 
@@ -209,10 +222,8 @@ def solve_y(family: str, x: Scalar):
     """
     if family not in FAMILIES:
         raise OutOfRange(f"unknown family {family!r}")
-    if family in ("X", "Z"):
-        lin, disc = 1 - x, (1 - x) * (3 * x + 1)
-    else:
-        lin, disc = -(1 + x), (1 + x) * (1 - 3 * x)
+    s = _FAMILY[family][1]
+    lin, disc = s - x, (s - x) * (3 * x + s)
     if isinstance(x, (Fraction, int)):
         x = Fraction(x)
         lin, disc = Fraction(lin), Fraction(disc)
@@ -221,15 +232,15 @@ def solve_y(family: str, x: Scalar):
         root = _rational_sqrt(disc)
         if root is not None:
             return (lin + root) / 2, (lin - root) / 2
-        s = math.sqrt(float(disc))
-        return (float(lin) + s) / 2, (float(lin) - s) / 2
+        root = math.sqrt(float(disc))
+        return (float(lin) + root) / 2, (float(lin) - root) / 2
     if isinstance(x, complex):
-        s = cmath.sqrt(disc)
-        return (lin + s) / 2, (lin - s) / 2
+        root = cmath.sqrt(disc)
+        return (lin + root) / 2, (lin - root) / 2
     if disc < 0:
         raise OutOfRange(f"x = {x} outside the real interval of family {family}")
-    s = math.sqrt(disc)
-    return (lin + s) / 2, (lin - s) / 2
+    root = math.sqrt(disc)
+    return (lin + root) / 2, (lin - root) / 2
 
 
 def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
@@ -241,28 +252,18 @@ def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _theta_params(family: str, cos_t, sin_t, sqrt3):
-    if family in ("X", "Z"):
-        x = (2 * cos_t + 1) / 3
-        y = (1 - cos_t) / 3 + sin_t / sqrt3
-        z = 1 - x - y
-    else:
-        x = (2 * cos_t - 1) / 3
-        y = -(1 + cos_t) / 3 + sin_t / sqrt3
-        z = -1 - x - y
-    return x, y, z
+def _theta_params(s: int, cos_t, sin_t, sqrt3):
+    x = (2 * cos_t + s) / 3
+    y = (s - cos_t) / 3 + sin_t / sqrt3
+    return x, y, s - x - y
 
 
-def _reconstruct_angle(family: str, x, y) -> tuple[float, float]:
-    """(cos theta, sin theta) recovered from the first two coefficients;
-    the inverse of :func:`_theta_params`."""
-    if family in ("X", "Z"):
-        cos_t = (3.0 * complex(x).real - 1.0) / 2.0
-        sin_t = math.sqrt(3.0) * (complex(y).real - (1.0 - cos_t) / 3.0)
-    else:
-        cos_t = (3.0 * complex(x).real + 1.0) / 2.0
-        sin_t = math.sqrt(3.0) * (complex(y).real + (1.0 + cos_t) / 3.0)
-    return cos_t, sin_t
+def _reconstruct_angle(s: int, x, y) -> float:
+    """theta mod 2*pi recovered from the first two coefficients; the inverse
+    of :func:`_theta_params`."""
+    cos_t = (3.0 * complex(x).real - s) / 2.0
+    sin_t = math.sqrt(3.0) * (complex(y).real - (s - cos_t) / 3.0)
+    return math.atan2(sin_t, cos_t) % _TWO_PI
 
 
 def coin_from_theta(family: str, theta: float) -> Coin3:
@@ -278,8 +279,9 @@ def coin_from_theta(family: str, theta: float) -> Coin3:
     else:
         theta = float(theta) % (2.0 * math.pi)
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-    x, y, z = _theta_params(family, cos_t, sin_t, math.sqrt(3.0))
-    m = _layout(_FAMILY_BASIS[family], x, y, z, complex)
+    basis, s = _FAMILY[family]
+    x, y, z = _theta_params(s, cos_t, sin_t, math.sqrt(3.0))
+    m = _layout(basis, x, y, z, complex)
     return Coin3(matrix=m, family=family, params=(x, y, z))
 
 
@@ -297,9 +299,10 @@ def coin_from_theta_frac(family: str, frac: Fraction) -> Coin3:
 def coin_from_rational(family: str, r: Fraction, sign1: int = 1, sign2: int = 1) -> Coin3:
     """Exact rational coin from the Pell-derived parametrization.
 
-    For X, Z:  x = 1/3 + sign1 * 2(r^2-3) / (3(r^2+3)),
-               y = 1/3 - sign1 * (r^2-3 + sign2 * 6r) / (3(r^2+3)).
-    For Y, W the offsets 1/3 are replaced by -1/3.  Any rational r works
+    With s = x + y + z of the family,
+        x = s/3 + sign1 * 2(r^2-3) / (3(r^2+3)),
+        y = s/3 - sign1 * (r^2-3 + sign2 * 6r) / (3(r^2+3)).
+    Any rational r works
     (r^2 = 3 has no rational solution); the result is exactly orthogonal.
     """
     if family not in FAMILIES:
@@ -309,12 +312,10 @@ def coin_from_rational(family: str, r: Fraction, sign1: int = 1, sign2: int = 1)
     r = Fraction(r)
     num = r * r - 3
     den = 3 * (r * r + 3)
-    off = Fraction(1, 3) if family in ("X", "Z") else Fraction(-1, 3)
-    x = off + sign1 * 2 * num / den
-    y = off - sign1 * (num + sign2 * 6 * r) / den
-    s = _FAMILY_SUM[family]
-    z = s - x - y
-    return coin_from_xyz(family, x, y, z)
+    s = _FAMILY[family][1]
+    x = Fraction(s, 3) + sign1 * 2 * num / den
+    y = Fraction(s, 3) - sign1 * (num + sign2 * 6 * r) / den
+    return coin_from_xyz(family, x, y, s - x - y)
 
 
 def pell_point(r: Fraction) -> tuple[Fraction, Fraction]:
@@ -333,9 +334,7 @@ def grover_type(p: int, negate: bool = False) -> Coin3:
         [[sign * (Fraction(2, 3) - e) for e in row] for row in _PERM_01[p].tolist()],
         dtype=object,
     )
-    coeffs = decompose_linear_sum(m)
-    fam = _FAMILY_OF[(coeffs.basis, 1 if coeffs.x + coeffs.y + coeffs.z > 0 else -1)]
-    return Coin3(matrix=m, family=fam, params=(coeffs.x, coeffs.y, coeffs.z))
+    return _special_coin(p, m, sign)
 
 
 def decompose_linear_sum(m, tol: float = DEFAULT_TOL) -> LinearSumCoefficients:
@@ -366,15 +365,6 @@ def _near(a, b, tol=DEFAULT_TOL) -> bool:
     return abs(complex(a) - complex(b)) <= tol
 
 
-def _special_kind(mf: np.ndarray, tol=DEFAULT_TOL) -> tuple[bool, bool]:
-    """(is a permutation matrix, is a Grover-type matrix), for a real matrix."""
-    perm = grover = False
-    for target in _PERM_01.values():
-        perm = perm or np.max(np.abs(mf - target)) <= tol
-        grover = grover or np.max(np.abs(mf - (2.0 / 3.0 - target))) <= tol
-    return bool(perm), bool(grover)
-
-
 def _is_rational_matrix(m: np.ndarray, tol=1e-9, max_den=1000) -> bool:
     if is_exact(m):
         return True
@@ -391,8 +381,9 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     """Family report for an orthogonal linear sum of permutations.
 
     The family follows from the basis and the sign of x+y+z; the
-    determinant is recomputed as a redundant cross-check of that
-    assignment.
+    determinant is recomputed, at the same tolerance, as a redundant
+    cross-check of that assignment.  A real coin is compared entry by entry
+    with the 24 special matrices at DEFAULT_TOL.
     """
     m = _matrix_of(m)
     coeffs = decompose_linear_sum(m, tol)
@@ -409,32 +400,26 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
         det = exact_det3(m)
     else:
         det = np.linalg.det(to_float(m))
-    if not _near(det, _FAMILY_DET[family]):
+    if not _near(det, _FAMILY_DET[family], tol):
         raise InternalInconsistency(
             f"det {det} inconsistent with family {family} (expected {_FAMILY_DET[family]})"
         )
 
     mf = to_float(m)
     real = np.max(np.abs(mf.imag)) <= DEFAULT_TOL
-    is_permutation, is_grover_type = _special_kind(mf.real) if real else (False, False)
+    hits = real & (np.max(np.abs(mf.real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
     return Classification(
         family=family,
         basis=coeffs.basis,
         x=coeffs.x,
         y=coeffs.y,
         z=coeffs.z,
-        is_permutation=is_permutation,
-        is_grover_type=is_grover_type,
+        is_permutation=bool(hits[:6].any()),
+        is_grover_type=bool(hits[6:12].any()),
         is_rational=_is_rational_matrix(m),
+        theta=_reconstruct_angle(sign, coeffs.x, coeffs.y),
+        is_special=bool(hits.any()),
     )
-
-
-_BASIS_PRODUCT = {
-    (CYCLIC, CYCLIC): CYCLIC,
-    (CYCLIC, TRANSPOSITION): TRANSPOSITION,
-    (TRANSPOSITION, CYCLIC): TRANSPOSITION,
-    (TRANSPOSITION, TRANSPOSITION): CYCLIC,
-}
 
 
 def multiply(a: Coin3, b: Coin3) -> Coin3:
@@ -442,23 +427,22 @@ def multiply(a: Coin3, b: Coin3) -> Coin3:
 
     Bases compose like parities (cyclic ~ even) and the coefficient-sum
     signs multiply; the product's classification must land on the expected
-    family or the bookkeeping has failed.
+    family or the bookkeeping has failed.  The product coin carries the
+    expected family and its first row as coefficients, and is classified
+    once, through its cached classification.
     """
-    ca, cb = a.classification, b.classification
-    expected_basis = _BASIS_PRODUCT[(ca.basis, cb.basis)]
-    expected_sign = _FAMILY_SUM[ca.family] * _FAMILY_SUM[cb.family]
-    expected_family = _FAMILY_OF[(expected_basis, expected_sign)]
+    (basis_a, s_a), (basis_b, s_b) = (_FAMILY[c.classification.family] for c in (a, b))
+    expected_family = _FAMILY_OF[(CYCLIC if basis_a == basis_b else TRANSPOSITION, s_a * s_b)]
 
     if a.exact and b.exact:
         prod = a.matrix @ b.matrix
     else:
         prod = a.as_float() @ b.as_float()
-    cp = classify(prod)
-    if cp.family != expected_family:
-        raise NotPermutative(
-            f"product classified {cp.family}, closure table expected {expected_family}"
-        )
-    return Coin3(matrix=prod, family=cp.family, params=(cp.x, cp.y, cp.z))
+    coin = Coin3(matrix=prod, family=expected_family, params=tuple(prod[0].tolist()))
+    found = coin.classification.family
+    if found != expected_family:
+        raise NotPermutative(f"product classified {found}, closure table expected {expected_family}")
+    return coin
 
 
 # --- serialization (shared with the CLI) ---------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -209,47 +209,29 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
 
 # --- analytic dispatch -----------------------------------------------------
 
-def _identity_coin_period(n: int) -> int:
-    # lcm of c_l * p_l with 2l/n = m_l/p_l in lowest terms, c_l = 2 for odd m_l
-    vals = []
-    for l in range(1, n):
-        f = Fraction(2 * l, n)
-        c = 1 if f.numerator % 2 == 0 else 2
-        vals.append(c * f.denominator)
-    return _lcm(vals)
-
-
-def _half_step_period(n: int, doubled: bool) -> int:
-    # lcm{2, 2 p_l} with m_l/p_l the lowest-terms form of 2l/n (doubled) or l/n
-    vals = [2]
-    for l in range(1, n):
-        f = Fraction(2 * l, n) if doubled else Fraction(l, n)
-        vals.append(2 * f.denominator)
-    return _lcm(vals)
-
-
-_HALF_STEP = partial(_half_step_period, doubled=False)
-_HALF_STEP_DOUBLED = partial(_half_step_period, doubled=True)
-
 #: per family: {special theta/2pi: (period rule, theorem)} and the n = 3
 #: rational-angle rule (base, mult, scale, offset), giving the period
 #: lcm(base, mult * den(scale * theta/2pi + offset)); a rule is a constant
-#: or a function of n
+#: or a function of n.  The three rules in n are lcms over the blocks
+#: l = 1..n-1, with m_l/p_l in lowest terms, in closed form:
+#:   identity-lcm          lcm of c_l * p_l, 2l/n = m_l/p_l, c_l = 2 for odd m_l  = n
+#:   permutation-lcm       lcm{2, 2 p_l}, l/n = m_l/p_l                          = 2n
+#:   negated-identity-lcm  lcm{2, 2 p_l}, 2l/n = m_l/p_l                         = lcm(2, n)
 _ANALYTIC_TABLE = {
-    "X": ({Fraction(0): (_identity_coin_period, "identity-lcm"),
+    "X": ({Fraction(0): (lambda n: n, "identity-lcm"),
            Fraction(1, 3): (3, "cyclic-permutation"),
            Fraction(2, 3): (3, "cyclic-permutation")},
           (3, 1, 1, Fraction(0))),
-    "Z": ({Fraction(0): (_HALF_STEP, "permutation-lcm"),
-           Fraction(2, 3): (_HALF_STEP, "permutation-lcm"),
+    "Z": ({Fraction(0): (lambda n: 2 * n, "permutation-lcm"),
+           Fraction(2, 3): (lambda n: 2 * n, "permutation-lcm"),
            Fraction(1, 3): (2, "swap-coin")},
           (2, 2, 1, Fraction(-1, 3))),
-    "Y": ({Fraction(1, 2): (_HALF_STEP_DOUBLED, "negated-identity-lcm"),
+    "Y": ({Fraction(1, 2): (lambda n: math.lcm(2, n), "negated-identity-lcm"),
            Fraction(1, 6): (6, "negated-cyclic"),
            Fraction(5, 6): (6, "negated-cyclic")},
           (6, 2, 2, Fraction(0))),
-    "W": ({Fraction(1, 2): (_HALF_STEP, "permutation-lcm"),
-           Fraction(1, 6): (_HALF_STEP, "permutation-lcm"),
+    "W": ({Fraction(1, 2): (lambda n: 2 * n, "permutation-lcm"),
+           Fraction(1, 6): (lambda n: 2 * n, "permutation-lcm"),
            Fraction(5, 6): (2, "negated-swap")},
           (2, 2, 1, Fraction(1, 6))),
 }
@@ -260,23 +242,18 @@ def _theta_fraction_of(coin: _coins.Coin3, qmax: int) -> Optional[Fraction]:
 
     The 24 +-permutation and +-Grover-type coins, six per family, sit at the
     special angles k/6; other exact rational coins do not.  A coin is one of
-    them when +-coin is within DEFAULT_TOL of such a matrix entry by entry;
-    its recovered angle is then within about 3e-10 rad of 2*pi*k/6, so
-    rounding to the nearest sixth of a turn gives k exactly.  Any other coin
-    uses the fraction attached to it, or the recovered angle goes through
-    continued-fraction classification.
+    them (``is_special``) when +-coin is within DEFAULT_TOL of such a matrix
+    entry by entry; its recovered angle is then within about 3e-10 rad of
+    2*pi*k/6, so rounding to the nearest sixth of a turn gives k exactly.
+    Any other coin uses the fraction attached to it, or the recovered angle
+    goes through continued-fraction classification.
     """
     cls = coin.classification
-    cos_t, sin_t = _coins._reconstruct_angle(cls.family, cls.x, cls.y)
-    theta = math.atan2(sin_t, cos_t) % _TWO_PI
-    mf = coin.as_float()
-    if cls.is_permutation or cls.is_grover_type or (
-        np.max(np.abs(mf.imag)) <= DEFAULT_TOL and any(_coins._special_kind(-mf.real))
-    ):
-        return Fraction(round(6 * theta / _TWO_PI) % 6, 6)
+    if cls.is_special:
+        return Fraction(round(6 * cls.theta / _TWO_PI) % 6, 6)
     if coin.theta_frac is not None:
         return coin.theta_frac % 1
-    return classify_fraction(theta / _TWO_PI, qmax)
+    return classify_fraction(cls.theta / _TWO_PI, qmax)
 
 
 def _analytic(status: str, theorem: str, period: Optional[int] = None) -> PeriodResult:

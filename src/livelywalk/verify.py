@@ -64,7 +64,7 @@ def run_orthogonality(seed: int = 0, samples: int = 1000) -> SuiteResult:
 def run_closure(seed: int = 0, samples: int = 1000) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures, worst = 0, 0.0
-    sum_sign, basis = _coins._FAMILY_SUM, _coins._FAMILY_BASIS
+    family = _coins._FAMILY  # family -> (basis, x + y + z)
     parity = {_coins.CYCLIC: 0, _coins.TRANSPOSITION: 1}
     for _ in range(samples):
         a, b = _random_coin(rng), _random_coin(rng)
@@ -74,9 +74,9 @@ def run_closure(seed: int = 0, samples: int = 1000) -> SuiteResult:
         except LivelyWalkError:
             failures += 1
             continue
-        want_parity = (parity[basis[a.family]] + parity[basis[b.family]]) % 2
-        want_sign = sum_sign[a.family] * sum_sign[b.family]
-        if parity[cp.basis] != want_parity or sum_sign[cp.family] != want_sign:
+        (basis_a, s_a), (basis_b, s_b) = family[a.family], family[b.family]
+        want_parity = (parity[basis_a] + parity[basis_b]) % 2
+        if parity[cp.basis] != want_parity or family[cp.family][1] != s_a * s_b:
             failures += 1
     return SuiteResult("closure", samples, failures, worst)
 

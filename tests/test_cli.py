@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from livelywalk import cli, verify
+from livelywalk import cli, coins, verify
 from livelywalk.walk import DENSE_GUARD
 
 
@@ -75,6 +75,25 @@ class TestCoinCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["coin", "--matrix-file", str(bad)])
         assert exc.value.code == 2
+
+
+    def test_tol_loosens_the_det_check_too(self, capsys, tmp_path):
+        # X at theta = 1 rad with every entry scaled by 1 + 1e-8: the
+        # orthogonality defect 3.5e-8 and the det error 3e-8 both sit
+        # inside --tol 1e-6, so classify's det cross-check must agree
+        m = coins.coin_from_theta("X", 1.0).as_float().real * (1 + 1e-8)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"repr": "float", "entries": m.tolist()}))
+        code, doc = run_json(capsys, "coin", "--matrix-file", str(path), "--tol", "1e-6")
+        assert code == 0
+        assert doc["classification"]["family"] == "X"
+        code, _, err = run(capsys, "coin", "--matrix-file", str(path))
+        assert code == 1 and "orthogonality defect" in err
+
+    def test_linear_sum_is_the_classification(self, capsys):
+        _, doc = run_json(capsys, "coin", "--family", "W", "--theta", "2.5")
+        cls, lin = doc["classification"], doc["linear_sum"]
+        assert lin == {key: cls[key] for key in ("basis", "x", "y", "z")}
 
 
 class TestPeriodCommand:
@@ -381,6 +400,29 @@ class TestIgnoredCoinModifiers:
         _, minus = run_json(capsys, "coin", "--family", "X", "--rational", "3", "--signs=-+")
         assert default == plus
         assert minus["coin"]["entries"] != plus["coin"]["entries"]
+
+    @pytest.mark.parametrize("command", ["coin", "period", "simulate"])
+    @pytest.mark.parametrize("signs", ["++", "+-", "-+", "--"])
+    def test_sign_pair_as_separate_argument(self, capsys, command, signs):
+        # argparse alone reads a separate -+ or -- as an option
+        tail = {"coin": (), "period": ("--n", "3"),
+                "simulate": ("--n", "3", "--start", "0", "--coinstate", "0", "--tmax", "2")}[command]
+        head = (command, "--family", "Y", "--rational", "3")
+        glued = run(capsys, *head, f"--signs={signs}", *tail)
+        separate = run(capsys, *head, "--signs", signs, *tail)
+        assert glued[0] == 0
+        assert separate == glued
+
+    def test_minus_pairs_pick_their_coin(self, capsys):
+        _, minus_plus = run_json(capsys, "coin", "--family", "X", "--rational", "3", "--signs", "-+")
+        _, minus_minus = run_json(capsys, "coin", "--family", "X", "--rational", "3", "--signs", "--")
+        assert minus_plus["coin"]["entries"][0] == ["0/1", "1/1", "0/1"]  # P2
+        assert minus_minus["coin"]["entries"][0] == ["2/3", "-1/3", "2/3"]
+
+    def test_bad_sign_pair_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["coin", "--family", "X", "--rational", "3", "--signs", "+"])
+        assert exc.value.code == 2
 
 
 class TestCountsBelowOne:

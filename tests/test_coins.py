@@ -34,6 +34,8 @@ from livelywalk.errors import (
 )
 from livelywalk.exactnum import exact_identity, orthogonality_defect
 
+from conftest import SPECIAL_COINS
+
 SQ3 = math.sqrt(3.0)
 DELTA1 = np.array(
     [
@@ -318,6 +320,33 @@ class TestClassify:
         assert cls.family == "X"
         assert not (cls.is_permutation or cls.is_grover_type or cls.is_rational)
 
+    @settings(max_examples=300, deadline=None)
+    @given(fam=st.sampled_from(coins.FAMILIES),
+           theta=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+    def test_theta_recovers_the_angle(self, fam, theta):
+        got = classify(coin_from_theta(fam, theta)).theta
+        assert 0.0 <= got <= 2 * math.pi  # -1e-300 % 2pi rounds to 2pi
+        diff = (got - theta) % (2 * math.pi)
+        assert min(diff, 2 * math.pi - diff) <= 1e-9
+
+    @pytest.mark.parametrize("coin", SPECIAL_COINS)
+    def test_special_coins_are_special(self, coin):
+        assert classify(coin).is_special
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_both_negations_are_special(self, p):
+        for coin in (Coin3(matrix=-perm_matrix(p).matrix), grover_type(p, negate=True)):
+            cls = coin.classification
+            assert cls.is_special and not (cls.is_permutation or cls.is_grover_type)
+
+    @pytest.mark.parametrize("fam", coins.FAMILIES)
+    def test_near_special_angles_are_not_special(self, fam):
+        for k in range(6):
+            assert classify(coin_from_theta(fam, 2 * math.pi * k / 6)).is_special
+            for eps in (-1e-9, 1e-9):
+                cls = classify(coin_from_theta(fam, 2 * math.pi * k / 6 + eps))
+                assert not (cls.is_special or cls.is_permutation or cls.is_grover_type)
+
     def test_family_by_basis_and_sign(self, rng):
         for fam in coins.FAMILIES:
             for _ in range(100):
@@ -349,6 +378,30 @@ class TestMultiply:
     def test_transposition_squares_to_identity(self):
         p4 = perm_matrix(4)
         assert np.array_equal(multiply(p4, p4).matrix, exact_identity())
+
+    def test_classifies_each_product_once(self, monkeypatch):
+        calls = []
+        real = coins.classify
+
+        def counting_classify(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coins, "classify", counting_classify)
+        a, b = coin_from_theta("X", 0.4), coin_from_theta("W", 1.3)
+        assert (a.classification.family, b.classification.family) == ("X", "W")
+        calls.clear()
+        prod = multiply(a, b)
+        assert prod.classification.family == prod.family == "W"
+        assert len(calls) == 1
+        assert multiply(prod, a).classification.family == "W"
+        assert len(calls) == 2
+
+    def test_product_coefficients_are_its_first_row(self):
+        prod = multiply(grover_type(2), perm_matrix(5))
+        coeffs = decompose_linear_sum(prod.matrix)
+        assert prod.params == tuple(prod.matrix[0]) == (coeffs.x, coeffs.y, coeffs.z)
+        assert prod.family == prod.classification.family == "Z"  # X times Z
 
     def test_closure_table(self, rng):
         sum_sign = {"X": 1, "Y": -1, "Z": 1, "W": -1}

@@ -289,6 +289,42 @@ class TestAnalytic:
             assert period_analytic(spec).period == brute_oracle(spec)
 
 
+class TestClosedFormRules:
+    """The n-dependent special-angle rules are lcms over the blocks, stated
+    in closed form as n, 2n and lcm(2, n)."""
+
+    @staticmethod
+    def lcm_over_blocks(n, doubled, half_step):
+        # m_l/p_l is 2l/n (doubled) or l/n in lowest terms; identity-lcm takes
+        # c_l * p_l with c_l = 2 for odd m_l, the half-step rules lcm{2, 2 p_l}
+        vals = [2] if half_step else []
+        for l in range(1, n):
+            f = Fraction(2 * l, n) if doubled else Fraction(l, n)
+            vals.append(2 * f.denominator if half_step else (f.numerator % 2 + 1) * f.denominator)
+        return math.lcm(*vals)
+
+    def test_closed_forms_match_the_block_lcms(self):
+        for n in range(2, 400):
+            assert self.lcm_over_blocks(n, doubled=True, half_step=False) == n
+            assert self.lcm_over_blocks(n, doubled=False, half_step=True) == 2 * n
+            assert self.lcm_over_blocks(n, doubled=True, half_step=True) == math.lcm(2, n)
+
+    @pytest.mark.parametrize("fam, frac, theorem", [
+        ("X", Fraction(0), "x-family:identity-lcm"),
+        ("Z", Fraction(0), "z-family:permutation-lcm"),
+        ("Z", Fraction(2, 3), "z-family:permutation-lcm"),
+        ("Y", Fraction(1, 2), "y-family:negated-identity-lcm"),
+        ("W", Fraction(1, 2), "w-family:permutation-lcm"),
+        ("W", Fraction(1, 6), "w-family:permutation-lcm"),
+    ])
+    def test_analytic_matches_spectral(self, fam, frac, theorem):
+        coin = coins.coin_from_theta_frac(fam, frac)
+        for n in range(2, 65):
+            analytic = period_analytic(spec_of(coin, n))
+            assert analytic.theorem == theorem
+            assert analytic.period == period_spectral(spec_of(coin, n)).period, n
+
+
 class TestSoundness:
     def make_coins(self, rng):
         out = [coins.perm_matrix(p) for p in range(1, 7)]
