@@ -7,6 +7,7 @@ disagreement, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -148,10 +149,16 @@ def cmd_coin(args, parser) -> int:
 
 
 def _methods_of(args, parser):
+    """The --methods list: at least one known method, none twice."""
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    if not methods:
+        parser.error(f"--methods names no method; choose from {', '.join(_period.METHODS)}")
     for m in methods:
         if m not in _period.METHODS:
             parser.error(f"unknown method {m!r}; choose from {', '.join(_period.METHODS)}")
+    for i, m in enumerate(methods):
+        if m in methods[:i]:
+            parser.error(f"method {m!r} is named twice in --methods")
     return methods
 
 
@@ -221,17 +228,19 @@ def cmd_table(args, parser) -> int:
     else:
         parser.error("table needs one of --theta-list, --theta-grid, --rational-grid")
 
+    ns = _int_list(args.n_list, parser, "n")
+    a_values = _int_list(args.a_list, parser, "a") if ns else []
+    methods = _methods_of(args, parser)
     reports = []
-    for n in _int_list(args.n_list, parser, "n"):
-        for a in _int_list(args.a_list, parser, "a"):
+    for n in ns:
+        for a in a_values:
             for kind, value in thetas:
                 if kind == "frac":
                     coin = _coins.coin_from_theta_frac(args.family, value)
                 else:
                     coin = _coins.coin_from_theta(args.family, value)
                 spec = _walk.WalkSpec(n=n, a=a, coin=coin)
-                cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax,
-                                            methods=_methods_of(args, parser))
+                cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax, methods=methods)
                 reports.append(_period.report_json(cv))
     _emit(json.dumps(reports, indent=2) + "\n", args)
     return 0 if all(r["agreement"] for r in reports) else 3
@@ -253,7 +262,15 @@ def cmd_verify(args, parser) -> int:
     return 0 if all_ok else 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared after that.
+
+    Building it costs about as much as a whole `period` call, so in-process
+    callers of :func:`main` (tests, notebooks, the benchmark) build it once;
+    a shell command still builds one per process.  ``parse_args`` keeps no
+    state between calls, so the shared parser must not be modified.
+    """
     parser = argparse.ArgumentParser(
         prog="livelywalk",
         description="Three-state lively quantum walks on cycles with permutative orthogonal coins.",

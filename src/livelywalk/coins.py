@@ -271,9 +271,12 @@ def coin_from_theta(family: str, theta: float) -> Coin3:
 
     Complex theta is allowed and yields a complex orthogonal coin; the
     parametrization satisfies the ellipse identity for any complex angle.
+    A NaN or infinite angle, real or complex, is out of range.
     """
     if family not in FAMILIES:
         raise OutOfRange(f"unknown family {family!r}")
+    if not cmath.isfinite(theta):
+        raise OutOfRange(f"theta must be finite, got {theta}")
     if isinstance(theta, complex):
         cos_t, sin_t = cmath.cos(theta), cmath.sin(theta)
     else:

@@ -49,6 +49,24 @@ def exact_matrix(rows) -> np.ndarray:
     return np.array([[Fraction(e) for e in row] for row in rows], dtype=object)
 
 
+def _scaled_integer(m: np.ndarray) -> tuple[list, int]:
+    """(M, d) for an exact matrix: d is the lcm of its entries' denominators and
+    M = d*m, as nested lists of Python ints.  Integer arithmetic on M replaces
+    the slower Fraction arithmetic on m."""
+    d = math.lcm(*(e.denominator for e in m.flat))
+    return [[e.numerator * (d // e.denominator) for e in row] for row in m.tolist()], d
+
+
+def _is_orthogonal_exact(m: np.ndarray) -> bool:
+    """m^T m = I exactly, checked as M^T M = d^2 I on M = d*m."""
+    rows, d = _scaled_integer(m)
+    cols = list(zip(*rows))
+    return all(
+        sum(p * q for p, q in zip(cols[i], cols[j])) == (d * d if i == j else 0)
+        for i in range(len(cols)) for j in range(i, len(cols))
+    )
+
+
 def orthogonality_defect(m: np.ndarray) -> float:
     """``||M^T M - I||_F`` with the plain (unconjugated) transpose.
 
@@ -56,7 +74,7 @@ def orthogonality_defect(m: np.ndarray) -> float:
     are complex *orthogonal*, not unitary, so no conjugation here.
     """
     if is_exact(m):
-        if np.array_equal(m.T @ m, exact_identity(m.shape[0])):
+        if _is_orthogonal_exact(m):
             return 0.0
         m = to_float(m)
     mf = np.asarray(m, dtype=complex)
@@ -71,10 +89,9 @@ def unitarity_defect(m: np.ndarray) -> np.ndarray:
 
 
 def exact_det3(m: np.ndarray) -> Fraction:
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    """det of an exact 3x3 matrix, as det(M) / d^3 for M = d*m of :func:`_scaled_integer`."""
+    ((a, b, c), (d, e, f), (g, h, i)), scale = _scaled_integer(m)
+    return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g), scale ** 3)
 
 
 def _solve_cluster(m: np.ndarray) -> np.ndarray:

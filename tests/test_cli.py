@@ -1,4 +1,12 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -453,3 +461,155 @@ class TestCountsBelowOne:
         assert code == 0 and len(docs) == 1
         code, out, _ = run(capsys, "verify", "--suite", "closure", "--samples", "1")
         assert code == 0 and out == "PASS closure: 1/1 checks\n"
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start and end with no shared parser, so the test sees its first build."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+class TestParserReuse:
+    """main builds the parser on its first call and reuses it; a sequence of
+    calls prints what the same calls print each on a newly built parser."""
+
+    SEQUENCE = [
+        ("period", "--grover", "P1", "--n", "3"),
+        ("period", "--grover", "P1", "--n", "3", "--methods", "magic"),  # usage error
+        ("period", "--family", "X", "--theta-frac", "2/7", "--n", "5", "--a", "2"),
+        ("coin", "--perm", "P2", "--tmax", "3"),  # usage error: unread flag
+        ("coin", "--family", "Y", "--rational", "3", "--signs", "-+"),
+        ("period", "--perm", "P1", "--n", "1"),  # domain error
+        ("table", "--family", "W", "--theta-list", "0.5,1.5", "--n-list", "3,4", "--methods", "spectral"),
+        ("verify", "--suite", "closure", "--samples", "3"),
+        ("period", "--perm", "P3", "--n", "4", "--a", "1", "--methods", "analytic,spectral"),
+        ("table", "--family", "X", "--n-list", "3"),  # usage error: no grid
+        ("simulate", "--grover", "P1", "--n", "3", "--start", "0", "--coinstate", "1", "--tmax", "2"),
+    ]
+
+    def test_sequence_matches_separate_calls(self, fresh_parser):
+        in_sequence = [_call(argv) for argv in self.SEQUENCE]
+        separate = []
+        for argv in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            separate.append(_call(argv))
+        assert in_sequence == separate
+        assert [code for code, _, _ in in_sequence] == [0, 2, 0, 2, 0, 1, 0, 0, 0, 2, 0]
+
+    def test_sequence_matches_separate_processes(self, fresh_parser):
+        argv_pair = [self.SEQUENCE[1], self.SEQUENCE[0]]
+        in_sequence = [_call(argv) for argv in argv_pair]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        for argv, (code, out, err) in zip(argv_pair, in_sequence):
+            proc = subprocess.run([sys.executable, "-m", "livelywalk.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("command", [(), ("coin",), ("period",), ("simulate",), ("table",), ("verify",)])
+    def test_help_unchanged_by_reuse(self, fresh_parser, command):
+        first = _call((*command, "--help"))
+        for argv in self.SEQUENCE:
+            _call(argv)
+        again = _call((*command, "--help"))
+        cli.build_parser.cache_clear()
+        assert again == first == _call((*command, "--help"))
+        assert first[0] == 0 and first[1].startswith("usage: livelywalk")
+
+    def test_built_once_across_calls(self, fresh_parser, monkeypatch):
+        builds = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "livelywalk":  # the top-level parser, not a subparser
+                builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (self.SEQUENCE[0], self.SEQUENCE[1], self.SEQUENCE[4]):
+            _call(argv)
+        assert builds == [1]
+        cli.build_parser.cache_clear()
+        _call(self.SEQUENCE[0])
+        assert builds == [1, 1]
+
+
+class TestMethodsList:
+    """--methods must name at least one known method, each once."""
+
+    @pytest.mark.parametrize("methods, message", [
+        (",", "--methods names no method"),
+        ("", "--methods names no method"),
+        (" , ,", "--methods names no method"),
+        ("spectral,spectral", "method 'spectral' is named twice"),
+        ("analytic,spectral,analytic", "method 'analytic' is named twice"),
+        ("spectral,magic,spectral", "unknown method 'magic'"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ("period", "--grover", "P1", "--n", "3"),
+        ("table", "--family", "X", "--theta-list", "1.0", "--n-list", "3"),
+        ("table", "--family", "X", "--theta-list", "1.0", "--n-list", ","),  # empty sweep
+    ])
+    def test_bad_methods_is_usage_error(self, command, methods, message):
+        code, out, err = _call((*command, "--methods", methods))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_table_checks_methods_before_the_sweep(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli._period, "cross_validate", lambda *a, **k: calls.append(1))
+        code, _, err = _call(("table", "--family", "X", "--theta-list", "1.0,2.0", "--n-list", "3,4",
+                              "--methods", "spectral,spectral"))
+        assert code == 2 and calls == []
+        # checked before any spec is built, so ahead of a bad n's domain error
+        code, _, err = _call(("table", "--family", "X", "--theta-list", "1.0", "--n-list", "1",
+                              "--methods", "magic"))
+        assert code == 2 and "unknown method 'magic'" in err
+
+    def test_each_method_once_runs(self, capsys):
+        code, doc = run_json(capsys, "period", "--grover", "P1", "--n", "3",
+                             "--methods", " bruteforce , analytic,")
+        assert code == 0
+        assert [r["method"] for r in doc["results"]] == ["bruteforce", "analytic"]
+
+
+class TestNonFiniteAngle:
+    @pytest.mark.parametrize("argv", [
+        ("coin", "--family", "X", "--theta", "nan"),
+        ("coin", "--family", "W", "--theta", "inf"),
+        ("period", "--family", "Y", "--theta=-inf", "--n", "3"),
+        ("table", "--family", "Z", "--theta-list", "1.0,nan", "--n-list", "3"),
+        ("table", "--family", "X", "--theta-grid", "nan:1:2", "--n-list", "3"),
+    ])
+    def test_non_finite_theta_is_domain_error(self, argv):
+        code, out, err = _call(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: theta must be finite")
+
+
+class TestPerturbedExactCoinFile:
+    def test_coin_off_by_a_billionth_exits_1(self, capsys, tmp_path):
+        _, doc = run_json(capsys, "coin", "--family", "X", "--rational", "5/7")
+        entries = doc["coin"]["entries"]
+        entries[1][2] = str(Fraction(entries[1][2]) + Fraction(1, 10**9))
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"repr": "exact", "entries": entries, "family": None, "params": None}))
+        code, out, err = run(capsys, "coin", "--matrix-file", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: orthogonality defect")

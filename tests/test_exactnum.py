@@ -5,9 +5,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from livelywalk import WalkSpec, coins, eig3_unitary, exactnum, mat_power_norm_defect, reduced_block
-from livelywalk.errors import DimensionMismatch, NotUnitary, NumericalFailure
+from livelywalk.errors import DimensionMismatch, NotOrthogonal, NotUnitary, NumericalFailure
 from livelywalk.exactnum import (
     exact_det3,
     exact_identity,
@@ -276,3 +278,83 @@ def test_rational_arithmetic_exact_bulk():
                 assert np.array_equal(m.T @ m, exact_identity())
                 checked += 1
     assert checked == 16 * len(grid) == 1840
+
+
+def _fraction_orthogonal(m) -> bool:
+    """Reference verdict: m^T m = I in Fraction arithmetic, entry by entry."""
+    rows = m.tolist()
+    k = len(rows)
+    return all(
+        sum((rows[r][i] * rows[r][j] for r in range(k)), Fraction(0)) == (1 if i == j else 0)
+        for i in range(k) for j in range(k)
+    )
+
+
+def _fraction_det3(m) -> Fraction:
+    """Reference det: cofactor expansion in Fraction arithmetic."""
+    (a, b, c), (d, e, f), (g, h, i) = (tuple(Fraction(v) for v in row) for row in m.tolist())
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _float_defect(m) -> float:
+    mf = to_float(m)
+    return float(np.linalg.norm(mf.T @ mf - np.eye(3)))
+
+
+class TestIntegerExactPath:
+    """orthogonality_defect and exact_det3 on exact matrices scale by the lcm of
+    the denominators and work in integers; their verdicts and dets equal the
+    Fraction reference above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(coins.FAMILIES), num=st.integers(-10**6, 10**6),
+           den=st.integers(1, 10**6), s1=st.sampled_from((1, -1)), s2=st.sampled_from((1, -1)))
+    def test_rational_coins_match_fraction_reference(self, family, num, den, s1, s2):
+        m = coins.coin_from_rational(family, Fraction(num, den), s1, s2).matrix
+        assert _fraction_orthogonal(m)
+        assert orthogonality_defect(m) == 0.0
+        det = exact_det3(m)
+        assert type(det) is Fraction and det == _fraction_det3(m) == (1 if family in ("X", "W") else -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(coins.FAMILIES), num=st.integers(-10**6, 10**6),
+           den=st.integers(1, 10**6), s1=st.sampled_from((1, -1)), s2=st.sampled_from((1, -1)),
+           entry=st.integers(0, 8), sign=st.sampled_from((1, -1)))
+    def test_perturbed_rational_coins_match_fraction_reference(self, family, num, den, s1, s2,
+                                                               entry, sign):
+        m = coins.coin_from_rational(family, Fraction(num, den), s1, s2).matrix.copy()
+        m.flat[entry] += sign * Fraction(1, 10**9)
+        assert not _fraction_orthogonal(m)
+        defect = orthogonality_defect(m)
+        assert defect == _float_defect(m) > exactnum.DEFAULT_TOL
+        assert exact_det3(m) == _fraction_det3(m)
+        with pytest.raises(NotOrthogonal):
+            coins.classify(m)
+
+    def test_special_coins_match_fraction_reference(self):
+        from conftest import SPECIAL_COINS
+
+        assert len(SPECIAL_COINS) == 24
+        for coin in SPECIAL_COINS:
+            m = coin.matrix
+            assert _fraction_orthogonal(m) and orthogonality_defect(m) == 0.0
+            assert exact_det3(m) == _fraction_det3(m) in (1, -1)
+            assert type(exact_det3(m)) is Fraction
+
+    def test_products_of_rational_coins(self):
+        a = coins.coin_from_rational("X", Fraction(999983, 1000003), 1, -1)
+        b = coins.coin_from_rational("W", Fraction(-7, 123457), -1, 1)
+        m = coins.multiply(a, b).matrix
+        assert _fraction_orthogonal(m) and orthogonality_defect(m) == 0.0
+        assert exact_det3(m) == _fraction_det3(m) == 1
+
+    @pytest.mark.parametrize("rows, det", [
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 1),
+        # unit columns that are not orthogonal: only an off-diagonal entry of m^T m is off
+        ([["3/5", "4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]], Fraction(-7, 25)),
+    ])
+    def test_non_orthogonal_matrices(self, rows, det):
+        m = exactnum.exact_matrix(rows)
+        assert not _fraction_orthogonal(m)
+        assert orthogonality_defect(m) == _float_defect(m) > 0
+        assert exact_det3(m) == _fraction_det3(m) == det
