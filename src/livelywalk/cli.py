@@ -229,7 +229,7 @@ def cmd_table(args, parser) -> int:
         parser.error("table needs one of --theta-list, --theta-grid, --rational-grid")
 
     ns = _int_list(args.n_list, parser, "n")
-    a_values = _int_list(args.a_list, parser, "a") if ns else []
+    a_values = _int_list(args.a_list, parser, "a") if ns else []  # no n, so --a-list is unread
     methods = _methods_of(args, parser)
     reports = []
     for n in ns:
