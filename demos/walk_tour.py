@@ -13,11 +13,9 @@ from livelywalk import (
     basis_state,
     coin_from_theta,
     distribution,
-    eig3_unitary,
     evolution_operator,
     evolve,
     grover_type,
-    reduced_block,
     spectrum,
     write_distribution_csv,
 )
@@ -49,18 +47,17 @@ print("\n".join(buf.getvalue().splitlines()[:8]))
 
 # ---------------------------------------------------------------------------
 # Momentum blocks: the 15x15 operator splits into five 3x3 unitaries
-# U_k = D_k C, and their eigenvalues assemble the full spectrum.
+# U_k = D_k C, and their eigenvalues assemble the full spectrum: row l of
+# spectrum(spec) holds the eigenvalues of the block at k = 2*pi*l/n.
 # ---------------------------------------------------------------------------
 print("\n== momentum blocks ==")
-for l in range(spec.n):
-    block = reduced_block(spec, l)
-    lams = eig3_unitary(block.uk)
-    angles = ", ".join(f"{np.angle(lam) / (2 * math.pi):+.4f}" for lam in lams)
+lams = spectrum(spec)
+for l, row in enumerate(lams):
+    angles = ", ".join(f"{np.angle(lam) / (2 * math.pi):+.4f}" for lam in row)
     print(f"l={l}: eigenvalue angles / 2pi = {angles}")
 
 dense = np.linalg.eigvals(u)
-block_vals = [e.value for e in spectrum(spec)]
-gap = max(min(abs(lam - d) for d in dense) for lam in block_vals)
+gap = max(min(abs(lam - d) for d in dense) for lam in lams.flat)
 print("\nworst block eigenvalue distance to the dense spectrum:", gap)
 
 # ---------------------------------------------------------------------------

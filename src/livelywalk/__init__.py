@@ -32,10 +32,8 @@ from .coins import (
 )
 from .exactnum import eig3_unitary, mat_power_norm_defect
 from .period import (
-    AngleClass,
     CrossValidation,
     PeriodResult,
-    classify_angle,
     cross_validate,
     order_of_unit,
     period_analytic,
@@ -44,8 +42,6 @@ from .period import (
     report_json,
 )
 from .walk import (
-    ReducedBlock,
-    SpectrumEntry,
     WalkSpec,
     basis_state,
     block_stack,
@@ -63,20 +59,16 @@ from .walk import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleClass",
     "Classification",
     "Coin3",
     "CrossValidation",
     "FAMILIES",
     "LinearSumCoefficients",
     "PeriodResult",
-    "ReducedBlock",
-    "SpectrumEntry",
     "WalkSpec",
     "basis_state",
     "block_stack",
     "classify",
-    "classify_angle",
     "coin_from_json",
     "coin_from_rational",
     "coin_from_theta",

@@ -20,7 +20,7 @@ from . import coins as _coins
 from . import period as _period
 from . import verify as _verify
 from . import walk as _walk
-from .errors import LivelyWalkError
+from .errors import LivelyWalkError, OutOfRange
 
 PERM_LABELS = tuple(f"P{i}" for i in range(1, 7))
 SIGN_PAIRS = ("++", "+-", "-+", "--")
@@ -218,6 +218,9 @@ def cmd_table(args, parser) -> int:
             parser.error(f"--theta-grid wants START:STOP:COUNT, got {args.theta_grid!r}")
         if count < 1:
             parser.error(f"--theta-grid COUNT must be >= 1, got {count}")
+        for end in (start, stop):
+            if not math.isfinite(end):
+                raise OutOfRange(f"theta must be finite, got {end}")
         thetas = [("float", v) for v in np.linspace(start, stop, count)]
     elif args.rational_grid is not None:
         qbound = args.rational_grid
@@ -229,7 +232,7 @@ def cmd_table(args, parser) -> int:
         parser.error("table needs one of --theta-list, --theta-grid, --rational-grid")
 
     ns = _int_list(args.n_list, parser, "n")
-    a_values = _int_list(args.a_list, parser, "a") if ns else []  # no n, so --a-list is unread
+    a_values = _int_list(args.a_list, parser, "a")
     methods = _methods_of(args, parser)
     reports = []
     for n in ns:
@@ -248,10 +251,13 @@ def cmd_table(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     names = _verify.SUITES if args.suite == "all" else (args.suite,)
+    if args.samples is not None and args.suite not in _verify.SAMPLED_SUITES + ("all",):
+        parser.error(f"--samples is not read by --suite {args.suite}, which is not sampled")
     lines = []
     all_ok = True
     for name in names:
-        result = _verify.run_suite(name, seed=args.seed, samples=args.samples)
+        samples = args.samples if name in _verify.SAMPLED_SUITES else None
+        result = _verify.run_suite(name, seed=args.seed, samples=samples)
         all_ok = all_ok and result.passed
         lines.append(
             f"{'PASS' if result.passed else 'FAIL'} {result.name}: "
@@ -314,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a sampled invariant suite")
     p_verify.add_argument("--suite", choices=_verify.SUITES + ("all",), required=True)
-    p_verify.add_argument("--samples", type=_count, default=None, help="samples per suite, >= 1")
+    p_verify.add_argument("--samples", type=_count, default=None,
+                          help="samples per sampled suite, >= 1; --suite all passes it to every suite "
+                               "but period-consistency, which is exhaustive")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
     _add_output(p_verify)
 

@@ -88,6 +88,10 @@ REAL_X_RANGE = {f: tuple(sorted((Fraction(s), Fraction(-s, 3)))) for f, (_, s) i
 
 ELLIPSE_TOL = 1e-10
 SUM_TOL = 1e-12
+#: a float coin counts as rational when every entry is within RATIONAL_TOL
+#: of a fraction with denominator at most RATIONAL_MAX_DEN
+RATIONAL_TOL = 1e-9
+RATIONAL_MAX_DEN = 1000
 
 
 @dataclass(frozen=True)
@@ -368,14 +372,14 @@ def _near(a, b, tol=DEFAULT_TOL) -> bool:
     return abs(complex(a) - complex(b)) <= tol
 
 
-def _is_rational_matrix(m: np.ndarray, tol=1e-9, max_den=1000) -> bool:
+def _is_rational_matrix(m: np.ndarray) -> bool:
     if is_exact(m):
         return True
     mf = to_float(m)
-    if np.max(np.abs(mf.imag)) > tol:
+    if np.max(np.abs(mf.imag)) > RATIONAL_TOL:
         return False
     for v in mf.real.flat:
-        if abs(v - Fraction(v).limit_denominator(max_den)) > tol:
+        if abs(v - Fraction(v).limit_denominator(RATIONAL_MAX_DEN)) > RATIONAL_TOL:
             return False
     return True
 

@@ -12,7 +12,7 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                multiple of 2*pi by continued fractions; the period is the
                lcm of the multiplicative orders.
 * bruteforce -- power the n momentum blocks U_l in chunks of many steps
-               per numpy call until ||U^t - I||_F <= tol.  The arbiter.
+               per numpy call until ||U^t - I||_F <= IDENTITY_TOL.  The arbiter.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
 spectral and brute-force routes both start from `walk.block_stack`; the
@@ -58,19 +58,6 @@ _CHUNK_COPIES = 2
 
 
 @dataclass(frozen=True)
-class AngleClass:
-    """Classification of an angle as 2*pi*(p/q) or irrational up to a bound."""
-
-    value: float
-    fraction: Optional[Fraction]
-    qmax: int
-
-    @property
-    def is_rational(self) -> bool:
-        return self.fraction is not None
-
-
-@dataclass(frozen=True)
 class PeriodResult:
     status: str  # "finite" | "no_period_up_to" | "proven_infinite" | "not_applicable"
     method: str  # "analytic" | "spectral" | "bruteforce"
@@ -83,16 +70,15 @@ class PeriodResult:
         return self.status == "finite"
 
 
-def classify_fraction(x: float, qmax: int = QMAX_DEFAULT, tol: float = ANGLE_TOL,
-                      decisive: float = DECISIVE) -> Optional[Fraction]:
-    """Best convergent p/q of x mod 1 with q <= qmax, err < tol and err*q^2 < decisive.
+def classify_fraction(x: float, qmax: int = QMAX_DEFAULT) -> Optional[Fraction]:
+    """Best convergent p/q of x mod 1 with q <= qmax, err < ANGLE_TOL and err*q^2 < DECISIVE.
 
     Returns None when no convergent qualifies.  The decisiveness guard keeps
     convergents of genuinely irrational values (whose error scales like
     1/q^2) from slipping under the absolute tolerance once q is large.
     """
     x = float(x) % 1.0
-    if abs(x) < tol or abs(x - 1.0) < tol:
+    if abs(x) < ANGLE_TOL or abs(x - 1.0) < ANGLE_TOL:
         return Fraction(0)
     h0, k0 = 1, 0
     h1, k1 = 0, 1  # first convergent of a value in (0, 1) is 0/1
@@ -108,27 +94,22 @@ def classify_fraction(x: float, qmax: int = QMAX_DEFAULT, tol: float = ANGLE_TOL
         if k1 > qmax:
             break
         err = abs(x - h1 / k1)
-        if err < tol and err * k1 * k1 < decisive:
+        if err < ANGLE_TOL and err * k1 * k1 < DECISIVE:
             return Fraction(h1, k1)
     return None
 
 
-def classify_angle(value: float, qmax: int = QMAX_DEFAULT) -> AngleClass:
-    """Classify a radian angle: rational fraction of 2*pi, or not, up to qmax."""
-    return AngleClass(value=value, fraction=classify_fraction(value / _TWO_PI, qmax), qmax=qmax)
-
-
-def order_of_unit(lam: complex, qmax: int = QMAX_DEFAULT, tol: float = DEFAULT_TOL) -> Optional[int]:
+def order_of_unit(lam: complex, qmax: int = QMAX_DEFAULT) -> Optional[int]:
     """Multiplicative order of a unit-modulus complex number, or None.
 
     arg(lam)/(2*pi) is scanned for a continued-fraction convergent p/q with
     q <= qmax; when one qualifies the order is q (the fraction is already in
     lowest terms).  Raises NotUnitModulus if |lam| strays from 1 by more
-    than tol.
+    than DEFAULT_TOL.
     """
     lam = complex(lam)
-    if not abs(abs(lam) - 1.0) <= tol:  # also catches NaN
-        raise NotUnitModulus(f"|lambda| = {abs(lam)} is not 1 within {tol}")
+    if not abs(abs(lam) - 1.0) <= DEFAULT_TOL:  # also catches NaN
+        raise NotUnitModulus(f"|lambda| = {abs(lam)} is not 1 within {DEFAULT_TOL}")
     frac = classify_fraction((math.atan2(lam.imag, lam.real) / _TWO_PI) % 1.0, qmax)
     if frac is None:
         return None
@@ -155,8 +136,8 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     _check_qmax(qmax)
     bound = min(qmax, GUARANTEED_ORDER_BOUND)
     orders = []
-    for entry in _walk.spectrum(spec):
-        q = order_of_unit(entry.value, qmax)
+    for lam in _walk.spectrum(spec).flat:
+        q = order_of_unit(lam, qmax)
         if q is None:
             return PeriodResult(status="no_period_up_to", method="spectral", bound=bound)
         orders.append(q)
@@ -172,9 +153,8 @@ def _chunk_steps(n: int) -> int:
     return min(CHUNK_STEPS, CHUNK_BYTES // per_power)
 
 
-def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
-                      tol: float = IDENTITY_TOL) -> PeriodResult:
-    """First t <= tmax with ||U^t - I||_F <= tol, by powering the momentum blocks.
+def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodResult:
+    """First t <= tmax with ||U^t - I||_F <= IDENTITY_TOL, by powering the momentum blocks.
 
     The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
     over blocks of ||U_l^t - I||_F^2.  The powers U_l^1..U_l^B of all n
@@ -201,7 +181,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
             np.matmul(last, powers, out=window)
         last = window[:, :, -3:].copy()
         window -= eye
-        hits = np.flatnonzero(np.sqrt(np.einsum("lrbc,lrbc->b", re_im, re_im)) <= tol)
+        hits = np.flatnonzero(np.sqrt(np.einsum("lrbc,lrbc->b", re_im, re_im)) <= IDENTITY_TOL)
         if hits.size and t0 + hits[0] + 1 <= tmax:
             return PeriodResult(status="finite", method="bruteforce", period=int(t0 + hits[0] + 1))
     return PeriodResult(status="no_period_up_to", method="bruteforce", bound=tmax)

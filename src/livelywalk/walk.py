@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,19 +52,6 @@ class WalkSpec:
     @property
     def dim(self) -> int:
         return 3 * self.n
-
-
-@dataclass(frozen=True)
-class ReducedBlock:
-    l: int
-    k: float
-    dk: np.ndarray
-    uk: np.ndarray
-
-
-class SpectrumEntry(NamedTuple):
-    value: complex
-    block: int
 
 
 def _check_guard(n: int):
@@ -146,24 +132,21 @@ def distribution(psi: np.ndarray) -> np.ndarray:
     return (np.abs(psi.reshape(3, n)) ** 2).sum(axis=0)
 
 
-def _block_phases(k, a: int) -> np.ndarray:
-    """Diagonal e^{ik}, e^{-ik}, e^{-ika} of D_k along a last axis; k may be an array."""
-    return np.exp(np.stack([1j * k, -1j * k, -1j * k * a], axis=-1))
-
-
 def block_stack(spec: WalkSpec) -> np.ndarray:
-    """All n momentum blocks as one (n, 3, 3) array: entry l is U_k = D_k C at k = 2*pi*l/n."""
+    """All n momentum blocks as one (n, 3, 3) array: entry l is U_k = D_k C at k = 2*pi*l/n.
+
+    D_k = diag(e^{ik}, e^{-ik}, e^{-ika}) scales the rows of the coin.
+    """
     k = 2.0 * math.pi * np.arange(spec.n) / spec.n
-    return _block_phases(k, spec.a)[:, :, None] * spec.coin.as_float()
+    phases = np.exp(np.stack([1j * k, -1j * k, -1j * k * spec.a], axis=-1))
+    return phases[:, :, None] * spec.coin.as_float()
 
 
-def reduced_block(spec: WalkSpec, l: int) -> ReducedBlock:
-    """Momentum block at k = 2*pi*l/n: D_k and U_k = D_k C, equal to `block_stack(spec)[l]`."""
+def reduced_block(spec: WalkSpec, l: int) -> np.ndarray:
+    """Momentum block U_k = D_k C at k = 2*pi*l/n, the 3x3 array `block_stack(spec)[l]`."""
     if not (0 <= l < spec.n):
         raise OutOfRange(f"block index {l} outside 0..{spec.n - 1}")
-    k = 2.0 * math.pi * l / spec.n
-    phases = _block_phases(k, spec.a)
-    return ReducedBlock(l=l, k=k, dk=np.diag(phases), uk=phases[:, None] * spec.coin.as_float())
+    return block_stack(spec)[l]
 
 
 def momentum_state(n: int, l: int) -> np.ndarray:
@@ -172,15 +155,14 @@ def momentum_state(n: int, l: int) -> np.ndarray:
     return np.exp(1j * k * np.arange(n)) / math.sqrt(n)
 
 
-def spectrum(spec: WalkSpec) -> list[SpectrumEntry]:
-    """All 3n eigenvalues, grouped by ascending block index.
+def spectrum(spec: WalkSpec) -> np.ndarray:
+    """All 3n eigenvalues as an (n, 3) array: row l holds block l's eigenvalues.
 
-    One `eig3_unitary` call over `block_stack(spec)`; within a block the
-    three eigenvalues are sorted by principal argument.  The multiset equals
-    the spectrum of the dense operator.
+    One `eig3_unitary` call over `block_stack(spec)`; within a row the
+    three eigenvalues are sorted by principal argument.  The multiset of all
+    entries equals the spectrum of the dense operator.
     """
-    rows = eig3_unitary(block_stack(spec)).tolist()
-    return [SpectrumEntry(value=lam, block=l) for l, row in enumerate(rows) for lam in row]
+    return eig3_unitary(block_stack(spec))
 
 
 def eigenvalues_closed_form(x: float, k: float, n: int | None = None, a: int | None = None, l: int | None = None):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -295,6 +296,14 @@ class TestTableCommand:
         assert len(docs) == 3
         assert all(doc["agreement"] for doc in docs)
 
+    def test_bad_a_list_is_usage_error_without_n(self):
+        # --a-list is parsed even when --n-list names no n
+        code, out, err = _call(("table", "--family", "X", "--theta-list", "1", "--n-list", ",",
+                                "--a-list", "q"))
+        assert code == 2
+        assert out == ""
+        assert "cannot parse a list 'q'" in err
+
     def test_missing_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["table", "--family", "X", "--n-list", "3"])
@@ -327,6 +336,28 @@ class TestVerifyCommand:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_samples_on_period_consistency_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "period-consistency", "--samples", "3"])
+        assert exc.value.code == 2
+        assert "--samples is not read by --suite period-consistency" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="not sampled"):
+            verify.run_suite("period-consistency", samples=3)
+
+    def test_samples_under_all_go_to_sampled_suites_only(self, capsys, monkeypatch):
+        calls = []
+
+        def recorded(name, seed=0, samples=None):
+            calls.append((name, seed, samples))
+            return verify.SuiteResult(name=name, checks=1, failures=0, worst=0.0)
+
+        monkeypatch.setattr(cli._verify, "run_suite", recorded)
+        code, _, _ = run(capsys, "verify", "--suite", "all", "--samples", "3", "--seed", "5")
+        assert code == 0
+        assert verify.SAMPLED_SUITES == tuple(s for s in verify.SUITES if s != "period-consistency")
+        assert calls == [(name, 5, 3 if name in verify.SAMPLED_SUITES else None)
+                         for name in verify.SUITES]
 
 
 class TestDeterminism:
@@ -600,6 +631,16 @@ class TestNonFiniteAngle:
         assert code == 1
         assert out == ""
         assert err.startswith("error: theta must be finite")
+
+    @pytest.mark.parametrize("grid, end", [("0:inf:2", "inf"), ("-inf:1:3", "-inf"), ("inf:inf:1", "inf")])
+    def test_infinite_grid_endpoint_is_named(self, grid, end):
+        # checked before np.linspace, which would warn and turn the end into nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _call(("table", "--family", "X", f"--theta-grid={grid}", "--n-list", "3"))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: theta must be finite, got {end}\n"
 
 
 class TestPerturbedExactCoinFile:

@@ -215,7 +215,7 @@ class TestAngleAccuracy:
                                 refs[f, g] = ([mpmath.conj(z) for z in mirror] if mirror
                                               else self.reference(entries, f, g))
                             ref = [sign * z for z in refs[f, g]]
-                            for lam in eig3_unitary(reduced_block(spec, l).uk):
+                            for lam in eig3_unitary(reduced_block(spec, l)):
                                 gaps = [abs(mpmath.arg(mpmath.mpc(lam) * mpmath.conj(z))) for z in ref]
                                 j = min(range(len(ref)), key=gaps.__getitem__)
                                 worst = max(worst, float(gaps[j] / (2 * mpmath.pi)))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from livelywalk import (
     WalkSpec,
-    classify_angle,
     coins,
     cross_validate,
     evolution_operator,
@@ -92,11 +91,12 @@ class TestOrderOfUnit:
             order_of_unit(0.5 + 0.0j)
 
     def test_classification_invariant(self):
-        ang = classify_angle(2 * math.pi * 3 / 7)
-        assert ang.is_rational
-        assert ang.fraction == Fraction(3, 7)
-        assert abs(ang.value / (2 * math.pi) - 3 / 7) < 1e-11
-        assert ang.fraction.denominator <= QMAX_DEFAULT
+        angle = 2 * math.pi * 3 / 7
+        x = angle / (2 * math.pi)
+        frac = classify_fraction(x)
+        assert frac == Fraction(3, 7)
+        assert abs(x - 3 / 7) < 1e-11
+        assert frac.denominator <= QMAX_DEFAULT
 
 
 class TestSpectral:

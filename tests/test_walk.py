@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from livelywalk import (
     WalkSpec,
     basis_state,
+    block_stack,
     cli,
     coins,
     distribution,
@@ -192,25 +193,40 @@ class TestPastDenseGuard:
 
 
 class TestReducedBlocks:
+    # U_k = D_k C with C real orthogonal, so U_k C^T is the phase matrix D_k
     def test_zero_block_is_coin(self):
         spec = grover_spec(5)
+        c = spec.coin.as_float()
         block = reduced_block(spec, 0)
-        assert np.allclose(block.dk, np.eye(3))
-        assert np.allclose(block.uk, spec.coin.as_float())
+        assert np.allclose(block @ c.T, np.eye(3))
+        assert np.allclose(block, c)
 
     def test_quarter_block(self):
-        block = reduced_block(WalkSpec(n=4, a=0, coin=coins.grover_type(1)), 1)
-        assert np.allclose(np.diag(block.dk), [1j, -1j, 1.0])
+        spec = WalkSpec(n=4, a=0, coin=coins.grover_type(1))
+        block = reduced_block(spec, 1)
+        assert np.allclose(block @ spec.coin.as_float().T, np.diag([1j, -1j, 1.0]))
 
     def test_lively_phase(self):
-        block = reduced_block(WalkSpec(n=3, a=1, coin=coins.grover_type(1)), 1)
+        spec = WalkSpec(n=3, a=1, coin=coins.grover_type(1))
+        block = reduced_block(spec, 1)
         w = np.exp(2j * math.pi / 3)
-        assert np.allclose(np.diag(block.dk), [w, w.conjugate(), w.conjugate()])
+        assert np.allclose(block @ spec.coin.as_float().T, np.diag([w, w.conjugate(), w.conjugate()]))
+
+    def test_block_is_stack_row(self):
+        spec = WalkSpec(n=7, a=3, coin=coins.coin_from_theta("W", 1.3))
+        stack = block_stack(spec)
+        for l in range(7):
+            block = reduced_block(spec, l)
+            assert block.shape == (3, 3)
+            assert np.array_equal(block, stack[l])
+        for l in (-1, 7):
+            with pytest.raises(OutOfRange):
+                reduced_block(spec, l)
 
     def test_blocks_unitary(self, rng):
         spec = WalkSpec(n=9, a=4, coin=coins.coin_from_theta("Y", rng.uniform(0, 2 * math.pi)))
         for l in range(9):
-            uk = reduced_block(spec, l).uk
+            uk = reduced_block(spec, l)
             assert np.linalg.norm(uk.conj().T @ uk - np.eye(3)) <= 1e-10
 
 
@@ -221,29 +237,28 @@ class TestSpectrum:
         for l in range(3):
             k = 2 * math.pi * l / 3
             expected += [np.exp(1j * k), np.exp(-1j * k), 1.0]
-        assert_same_multiset([e.value for e in spectrum(spec)], expected)
+        assert_same_multiset(spectrum(spec).ravel(), expected)
+
+    def test_shape_is_blocks_by_three(self):
+        for n, a in ((2, 0), (5, 2), (12, 6)):
+            lams = spectrum(WalkSpec(n=n, a=a, coin=coins.coin_from_theta("Z", 0.7)))
+            assert lams.shape == (n, 3)
 
     def test_grover_n3_blocks(self):
-        entries = spectrum(grover_spec(3))
-        by_block = {}
-        for e in entries:
-            by_block.setdefault(e.block, []).append(e.value)
+        lams = spectrum(grover_spec(3))
         w = np.exp(2j * math.pi / 3)
-        assert_same_multiset(by_block[0], [1, -1, -1])
-        assert_same_multiset(by_block[1], [1, w, w.conjugate()])
-        assert_same_multiset(by_block[2], [1, w, w.conjugate()])
+        assert_same_multiset(lams[0], [1, -1, -1])
+        assert_same_multiset(lams[1], [1, w, w.conjugate()])
+        assert_same_multiset(lams[2], [1, w, w.conjugate()])
 
     def test_symmetric_under_k_reflection(self, rng):
         # lam(k) = lam(2 pi - k) for lazy X-family walks
         for _ in range(20):
             n = int(rng.integers(3, 13))
             spec = WalkSpec(n=n, a=0, coin=coins.coin_from_theta("X", rng.uniform(0, 2 * math.pi)))
-            entries = spectrum(spec)
-            by_block = {}
-            for e in entries:
-                by_block.setdefault(e.block, []).append(e.value)
+            lams = spectrum(spec)
             for l in range(1, n):
-                assert_same_multiset(by_block[l], by_block[n - l])
+                assert_same_multiset(lams[l], lams[n - l])
 
     def test_matches_dense_operator(self, rng):
         # full equivalence sweep lives in the acceptance suite; spot-check here
@@ -253,7 +268,7 @@ class TestSpectrum:
             fam = coins.FAMILIES[rng.integers(0, 4)]
             spec = WalkSpec(n=n, a=a, coin=coins.coin_from_theta(fam, rng.uniform(0, 2 * math.pi)))
             dense = np.linalg.eigvals(evolution_operator(spec))
-            assert_same_multiset([e.value for e in spectrum(spec)], dense, tol=1e-8)
+            assert_same_multiset(spectrum(spec).ravel(), dense, tol=1e-8)
 
     def test_eigenpairs_lift_to_full_operator(self, rng):
         # block eigenvector nu and Fourier vector phi_k combine to an eigenvector
@@ -264,7 +279,7 @@ class TestSpectrum:
             spec = WalkSpec(n=n, a=a, coin=coins.coin_from_theta(fam, rng.uniform(0, 2 * math.pi)))
             u = evolution_operator(spec)
             for l in range(n):
-                uk = reduced_block(spec, l).uk
+                uk = reduced_block(spec, l)
                 lams, vecs = np.linalg.eig(uk)
                 phi = momentum_state(n, l)
                 for j in range(3):
@@ -303,9 +318,9 @@ class TestClosedForm:
             spec = WalkSpec(n=n, a=0, coin=coin)
             x = coin.params[0].real
             for l in range(n):
-                block = reduced_block(spec, l)
                 assert_same_multiset(
-                    eigenvalues_closed_form(x, block.k), eig3_unitary(block.uk), tol=1e-10
+                    eigenvalues_closed_form(x, 2 * math.pi * l / n), eig3_unitary(reduced_block(spec, l)),
+                    tol=1e-10,
                 )
 
     def test_phase_condition_validation(self):
