@@ -63,13 +63,24 @@ class TestCoinCommand:
         assert code == 1
         assert "error" in err
 
+    ROUNDTRIP_SOURCES = (
+        ("--perm", "P3"),
+        ("--grover", "P5"),
+        ("--grover", "P5", "--negate"),
+        ("--family", "Y", "--theta", "1.3"),
+        ("--family", "W", "--theta-frac", "2/7"),
+        *(("--family", "Z", "--rational", "3/5", "--signs", signs) for signs in cli.SIGN_PAIRS),
+    )
+
     def test_matrix_file_roundtrip(self, capsys, tmp_path):
-        code, doc = run_json(capsys, "coin", "--grover", "P5")
-        path = tmp_path / "coin.json"
-        path.write_text(json.dumps(doc["coin"]))
-        code2, doc2 = run_json(capsys, "coin", "--matrix-file", str(path))
-        assert code2 == 0
-        assert doc2["coin"] == doc["coin"]
+        # for every coin source, the coin document `coin --output` writes
+        # reads back to the same bytes
+        first, second, path = tmp_path / "first.json", tmp_path / "second.json", tmp_path / "coin.json"
+        for source in self.ROUNDTRIP_SOURCES:
+            assert run(capsys, "coin", *source, "--output", str(first))[0] == 0
+            path.write_text(json.dumps(json.loads(first.read_text())["coin"]))
+            assert run(capsys, "coin", "--matrix-file", str(path), "--output", str(second))[0] == 0
+            assert second.read_text() == first.read_text(), source
 
     def test_output_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
