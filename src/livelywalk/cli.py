@@ -80,11 +80,11 @@ def _parse_coin(args, parser) -> _coins.Coin3:
         with open(args.matrix_file) as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8
                 parser.error(f"cannot parse coin file {args.matrix_file}: {exc}")
         try:
             return _coins.coin_from_json(doc)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             parser.error(f"coin file {args.matrix_file} does not match the schema: {exc}")
     angle_opts = [v for v in (args.theta, args.theta_frac, args.rational) if v is not None]
     if len(angle_opts) != 1:
@@ -125,24 +125,17 @@ def _scalar_json(v):
 def cmd_coin(args, parser) -> int:
     coin = _parse_coin(args, parser)
     cls = _coins.classify(coin.matrix, tol=args.tol)
+    linear_sum = {"basis": cls.basis, "x": _scalar_json(cls.x), "y": _scalar_json(cls.y), "z": _scalar_json(cls.z)}
     doc = {
         "coin": _coins.coin_to_json(coin),
         "classification": {
             "family": cls.family,
-            "basis": cls.basis,
-            "x": _scalar_json(cls.x),
-            "y": _scalar_json(cls.y),
-            "z": _scalar_json(cls.z),
+            **linear_sum,
             "is_permutation": cls.is_permutation,
             "is_grover_type": cls.is_grover_type,
             "is_rational": cls.is_rational,
         },
-        "linear_sum": {
-            "basis": cls.basis,
-            "x": _scalar_json(cls.x),
-            "y": _scalar_json(cls.y),
-            "z": _scalar_json(cls.z),
-        },
+        "linear_sum": linear_sum,
     }
     _emit(json.dumps(doc, indent=2) + "\n", args)
     return 0
@@ -179,7 +172,7 @@ def cmd_simulate(args, parser) -> int:
         with open(args.state_file) as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8
                 parser.error(f"cannot parse state file {args.state_file}: {exc}")
         try:
             amps = doc["amplitudes"] if isinstance(doc, dict) else doc
@@ -251,13 +244,16 @@ def cmd_table(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     names = _verify.SUITES if args.suite == "all" else (args.suite,)
-    if args.samples is not None and args.suite not in _verify.SAMPLED_SUITES + ("all",):
-        parser.error(f"--samples is not read by --suite {args.suite}, which is not sampled")
+    if args.suite not in _verify.SAMPLED_SUITES + ("all",):
+        for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+            if value is not None:
+                parser.error(f"{flag} is not read by --suite {args.suite}, which is not sampled")
     lines = []
     all_ok = True
     for name in names:
-        samples = args.samples if name in _verify.SAMPLED_SUITES else None
-        result = _verify.run_suite(name, seed=args.seed, samples=samples)
+        sampled = name in _verify.SAMPLED_SUITES
+        result = _verify.run_suite(name, seed=args.seed if sampled else None,
+                                   samples=args.samples if sampled else None)
         all_ok = all_ok and result.passed
         lines.append(
             f"{'PASS' if result.passed else 'FAIL'} {result.name}: "
@@ -323,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=_count, default=None,
                           help="samples per sampled suite, >= 1; --suite all passes it to every suite "
                                "but period-consistency, which is exhaustive")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed of the sampled suites (default 0); --suite all passes it to every "
+                               "suite but period-consistency")
     _add_output(p_verify)
 
     return parser
@@ -358,7 +356,7 @@ def main(argv=None) -> int:
     except LivelyWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a coin, state or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -98,15 +98,15 @@ RATIONAL_MAX_DEN = 1000
 class Coin3:
     """A 3x3 orthogonal coin, in exact-rational or floating representation.
 
-    ``params`` holds the linear-sum coefficients (x, y, z) when known, and
-    ``theta_frac`` the exact angle fraction theta/(2*pi) when the coin was
-    built from one.  ``classification`` is ``classify(matrix)`` at the
-    default tolerance, computed on first use and cached.
+    ``family`` names the coin's family when it was built as a member of one,
+    and ``theta_frac`` holds the exact angle fraction theta/(2*pi) when the
+    coin was built from one.  ``classification`` is ``classify(matrix)`` at
+    the default tolerance, computed on first use and cached; it raises
+    ConstraintViolated when a named family is not the classified one.
     """
 
     matrix: np.ndarray
     family: Optional[str] = None
-    params: Optional[tuple] = None
     theta_frac: Optional[Fraction] = None
 
     @property
@@ -116,9 +116,18 @@ class Coin3:
     def as_float(self) -> np.ndarray:
         return to_float(self.matrix)
 
+    @property
+    def params(self) -> Optional[tuple]:
+        """The linear-sum coefficients (x, y, z), read off the first row, of a
+        coin with a named family; None for a coin without one."""
+        return None if self.family is None else tuple(self.matrix[0].tolist())
+
     @functools.cached_property
     def classification(self) -> Classification:
-        return classify(self.matrix)
+        found = classify(self.matrix)
+        if self.family is not None and self.family != found.family:
+            raise ConstraintViolated(f"coin names family {self.family} but its entries are family {found.family}")
+        return found
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coin3):
@@ -160,10 +169,9 @@ def _matrix_of(m) -> np.ndarray:
 
 
 def _special_coin(p: int, m: np.ndarray, s: int) -> Coin3:
-    """Coin of the exact matrix m built on P_p, whose coefficients sum to s;
-    its coefficients are its first row."""
+    """Coin of the exact matrix m built on P_p, whose coefficients sum to s."""
     basis = CYCLIC if p <= 3 else TRANSPOSITION
-    return Coin3(matrix=m, family=_FAMILY_OF[(basis, s)], params=tuple(m[0]))
+    return Coin3(matrix=m, family=_FAMILY_OF[(basis, s)])
 
 
 def perm_matrix(p: int) -> Coin3:
@@ -203,18 +211,16 @@ def coin_from_xyz(family: str, x: Scalar, y: Scalar, z: Scalar, allow_complex: b
             raise ConstraintViolated(f"x+y+z must be {s} for family {family}")
         if abs(_ellipse_residual(s, x, y)) > ELLIPSE_TOL:
             raise ConstraintViolated("(x, y) is not on the family ellipse")
-    if not allow_complex:
-        lo, hi = REAL_X_RANGE[family]
-        if exact:
-            if not (lo <= x <= hi):
-                raise RangeViolated(f"x = {x} outside real range [{lo}, {hi}] of family {family}")
-        else:
+        # exact (x, y) on the ellipse make y a real root of solve_y's
+        # quadratic, so x is in REAL_X_RANGE; only a float x needs the check
+        if not allow_complex:
+            lo, hi = REAL_X_RANGE[family]
             if max(abs(x.imag), abs(y.imag), abs(z.imag)) > ELLIPSE_TOL:
                 raise RangeViolated("complex coefficients need allow_complex=True")
             if not (float(lo) - ELLIPSE_TOL <= x.real <= float(hi) + ELLIPSE_TOL):
                 raise RangeViolated(f"x = {x.real} outside real range [{lo}, {hi}] of family {family}")
     m = _layout(basis, x, y, z, object if exact else complex)
-    return Coin3(matrix=m, family=family, params=(x, y, z))
+    return Coin3(matrix=m, family=family)
 
 
 def solve_y(family: str, x: Scalar):
@@ -227,23 +233,17 @@ def solve_y(family: str, x: Scalar):
     if family not in FAMILIES:
         raise OutOfRange(f"unknown family {family!r}")
     s = _FAMILY[family][1]
-    lin, disc = s - x, (s - x) * (3 * x + s)
-    if isinstance(x, (Fraction, int)):
+    if isinstance(x, int):
         x = Fraction(x)
-        lin, disc = Fraction(lin), Fraction(disc)
-        if disc < 0:
-            raise OutOfRange(f"x = {x} outside the real interval of family {family}")
-        root = _rational_sqrt(disc)
-        if root is not None:
-            return (lin + root) / 2, (lin - root) / 2
-        root = math.sqrt(float(disc))
-        return (float(lin) + root) / 2, (float(lin) - root) / 2
+    lin, disc = s - x, (s - x) * (3 * x + s)
     if isinstance(x, complex):
         root = cmath.sqrt(disc)
-        return (lin + root) / 2, (lin - root) / 2
-    if disc < 0:
+    elif disc < 0:
         raise OutOfRange(f"x = {x} outside the real interval of family {family}")
-    root = math.sqrt(disc)
+    else:
+        root = _rational_sqrt(disc) if isinstance(x, Fraction) else None
+        if root is None:
+            lin, root = float(lin), math.sqrt(disc)
     return (lin + root) / 2, (lin - root) / 2
 
 
@@ -288,8 +288,7 @@ def coin_from_theta(family: str, theta: float) -> Coin3:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
     basis, s = _FAMILY[family]
     x, y, z = _theta_params(s, cos_t, sin_t, math.sqrt(3.0))
-    m = _layout(basis, x, y, z, complex)
-    return Coin3(matrix=m, family=family, params=(x, y, z))
+    return Coin3(matrix=_layout(basis, x, y, z, complex), family=family)
 
 
 def coin_from_theta_frac(family: str, frac: Fraction) -> Coin3:
@@ -300,29 +299,27 @@ def coin_from_theta_frac(family: str, frac: Fraction) -> Coin3:
     """
     frac = Fraction(frac) % 1
     coin = coin_from_theta(family, 2.0 * math.pi * float(frac))
-    return Coin3(matrix=coin.matrix, family=family, params=coin.params, theta_frac=frac)
+    return Coin3(matrix=coin.matrix, family=family, theta_frac=frac)
 
 
 def coin_from_rational(family: str, r: Fraction, sign1: int = 1, sign2: int = 1) -> Coin3:
     """Exact rational coin from the Pell-derived parametrization.
 
-    With s = x + y + z of the family,
-        x = s/3 + sign1 * 2(r^2-3) / (3(r^2+3)),
-        y = s/3 - sign1 * (r^2-3 + sign2 * 6r) / (3(r^2+3)).
-    Any rational r works
-    (r^2 = 3 has no rational solution); the result is exactly orthogonal.
+    It is the family's angle parametrization taken at the rational point
+        cos(theta) = sign1 * (r^2-3) / (r^2+3),
+        sin(theta)/sqrt(3) = -sign1 * sign2 * 2r / (r^2+3),
+    which is (1/X, Y/X) for the point (X, Y) = pell_point(r) of
+    X^2 - 3Y^2 = 1, up to the signs.  Any rational r works (r^2 = 3 has no
+    rational solution); the result is exactly orthogonal.
     """
     if family not in FAMILIES:
         raise OutOfRange(f"unknown family {family!r}")
     if sign1 not in (1, -1) or sign2 not in (1, -1):
         raise OutOfRange("sign1 and sign2 must be +1 or -1")
     r = Fraction(r)
-    num = r * r - 3
-    den = 3 * (r * r + 3)
-    s = _FAMILY[family][1]
-    x = Fraction(s, 3) + sign1 * 2 * num / den
-    y = Fraction(s, 3) - sign1 * (num + sign2 * 6 * r) / den
-    return coin_from_xyz(family, x, y, s - x - y)
+    cos_t = sign1 * (r * r - 3) / (r * r + 3)
+    sin_t_over_sqrt3 = -sign1 * sign2 * 2 * r / (r * r + 3)
+    return coin_from_xyz(family, *_theta_params(_FAMILY[family][1], cos_t, sin_t_over_sqrt3, 1))
 
 
 def pell_point(r: Fraction) -> tuple[Fraction, Fraction]:
@@ -433,10 +430,9 @@ def multiply(a: Coin3, b: Coin3) -> Coin3:
     """Product coin, validated against the closure table.
 
     Bases compose like parities (cyclic ~ even) and the coefficient-sum
-    signs multiply; the product's classification must land on the expected
-    family or the bookkeeping has failed.  The product coin carries the
-    expected family and its first row as coefficients, and is classified
-    once, through its cached classification.
+    signs multiply.  The product coin names the expected family, and its
+    classification, computed once here and cached, raises ConstraintViolated
+    if the product lands on another family.
     """
     (basis_a, s_a), (basis_b, s_b) = (_FAMILY[c.classification.family] for c in (a, b))
     expected_family = _FAMILY_OF[(CYCLIC if basis_a == basis_b else TRANSPOSITION, s_a * s_b)]
@@ -445,10 +441,8 @@ def multiply(a: Coin3, b: Coin3) -> Coin3:
         prod = a.matrix @ b.matrix
     else:
         prod = a.as_float() @ b.as_float()
-    coin = Coin3(matrix=prod, family=expected_family, params=tuple(prod[0].tolist()))
-    found = coin.classification.family
-    if found != expected_family:
-        raise NotPermutative(f"product classified {found}, closure table expected {expected_family}")
+    coin = Coin3(matrix=prod, family=expected_family)
+    coin.classification  # raises if the product is not of the expected family
     return coin
 
 
@@ -470,19 +464,16 @@ def coin_to_json(coin: Coin3) -> dict:
             raise ConstraintViolated("cannot serialize a complex-parameter coin")
         entries = [[float(v) for v in row] for row in mf.real]
         repr_tag = "float"
-    params = None
-    if coin.params is not None:
-        out = {}
-        for key, v in zip(("x", "y", "z"), coin.params):
-            if isinstance(v, Fraction):
-                out[key] = _frac_str(v)
-            else:
-                out[key] = float(complex(v).real)
-        params = out
+    params = None if coin.family is None else dict(zip(("x", "y", "z"), entries[0]))
     return {"repr": repr_tag, "entries": entries, "family": coin.family, "params": params}
 
 
 def coin_from_json(doc: dict) -> Coin3:
+    """Coin of a document per the shared coin schema; ``params`` is not read.
+    A named family is checked here (ConstraintViolated); entries that are not
+    a 3x3 array of numbers raise ValueError, TypeError or ZeroDivisionError."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"a coin document is a JSON object, got {type(doc).__name__}")
     repr_tag = doc.get("repr")
     entries = doc["entries"]
     if repr_tag == "exact":
@@ -491,12 +482,9 @@ def coin_from_json(doc: dict) -> Coin3:
         m = np.array(entries, dtype=complex)
     else:
         raise ConstraintViolated(f"unknown repr tag {repr_tag!r}")
-    params = doc.get("params")
-    tup = None
-    if params:
-        vals = []
-        for key in ("x", "y", "z"):
-            v = params[key]
-            vals.append(Fraction(v) if isinstance(v, str) else v)
-        tup = tuple(vals)
-    return Coin3(matrix=m, family=doc.get("family"), params=tup)
+    if m.shape != (3, 3):
+        raise ValueError(f"entries must be a 3x3 array, got shape {m.shape}")
+    coin = Coin3(matrix=m, family=doc.get("family"))
+    if coin.family is not None:
+        coin.classification  # raises if the entries are not of the named family
+    return coin

@@ -146,11 +146,11 @@ def _special_coins():
     return out
 
 
-def run_period_consistency(seed: int = 0) -> SuiteResult:
+def run_period_consistency() -> SuiteResult:
     """Analytic, spectral and brute-force periods agree for all special coins, a = 0.
 
     Every n up to CONSISTENCY_NMAX is checked; the suite draws no samples,
-    so it takes no sample count.
+    so it takes no seed and no sample count.
     """
     failures, checks = 0, 0
     for coin in _special_coins():
@@ -172,13 +172,12 @@ _RUNNERS = {
 }
 
 
-def run_suite(name: str, seed: int = 0, samples: int | None = None) -> SuiteResult:
-    """Run one suite; ``samples`` is read only by the SAMPLED_SUITES."""
+def run_suite(name: str, seed: int | None = None, samples: int | None = None) -> SuiteResult:
+    """Run one suite; ``seed`` and ``samples`` are read only by the
+    SAMPLED_SUITES, which default to seed 0 and their own sample count."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    runner = _RUNNERS[name]
-    if samples is None:
-        return runner(seed=seed)
-    if name not in SAMPLED_SUITES:
-        raise ValueError(f"suite {name!r} is not sampled and takes no sample count")
-    return runner(seed=seed, samples=samples)
+    given = {key: value for key, value in (("seed", seed), ("samples", samples)) if value is not None}
+    if given and name not in SAMPLED_SUITES:
+        raise ValueError(f"suite {name!r} is not sampled and takes no {' or '.join(given)}")
+    return _RUNNERS[name](**given)

@@ -367,8 +367,17 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--suite", "all", "--samples", "3", "--seed", "5")
         assert code == 0
         assert verify.SAMPLED_SUITES == tuple(s for s in verify.SUITES if s != "period-consistency")
-        assert calls == [(name, 5, 3 if name in verify.SAMPLED_SUITES else None)
+        # period-consistency reads neither the seed nor the sample count
+        assert calls == [(name, 5, 3) if name in verify.SAMPLED_SUITES else (name, None, None)
                          for name in verify.SUITES]
+
+    def test_seed_on_period_consistency_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "period-consistency", "--seed", "9"])
+        assert exc.value.code == 2
+        assert "--seed is not read by --suite period-consistency" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="not sampled"):
+            verify.run_suite("period-consistency", seed=9)
 
 
 class TestDeterminism:
@@ -665,3 +674,81 @@ class TestPerturbedExactCoinFile:
         assert code == 1
         assert out == ""
         assert err.startswith("error: orthogonality defect")
+
+
+def _x_coin_document(capsys) -> dict:
+    _, doc = run_json(capsys, "coin", "--family", "X", "--rational", "5/7")
+    return doc["coin"]
+
+
+class TestMalformedFiles:
+    """A file the CLI cannot open or read gives an error line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("coin", "--matrix-file", "{dir}"),
+        ("simulate", "--grover", "P1", "--n", "3", "--tmax", "1", "--state-file", "{dir}"),
+        ("coin", "--grover", "P1", "--output", "{dir}"),
+    ])
+    def test_directory_path_is_domain_error(self, tmp_path, argv):
+        code, out, err = _call([arg.format(dir=tmp_path) for arg in argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (("coin", "--matrix-file", "{path}"), "coin file"),
+        (("simulate", "--grover", "P1", "--n", "3", "--tmax", "1", "--state-file", "{path}"), "state file"),
+    ])
+    def test_non_utf8_file_is_usage_error(self, tmp_path, argv, what):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"repr": "exact", "entries": "é"}'.encode("latin-1"))
+        code, out, err = _call([arg.format(path=path) for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert f"cannot parse {what} {path}" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"repr": "exact", "entries": [["a", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+        {"repr": "exact", "entries": [["1", "0/0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+        {"repr": "exact", "entries": [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]},
+        {"repr": "float", "entries": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ])
+    def test_bad_document_is_usage_error(self, tmp_path, doc):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _call(("coin", "--matrix-file", str(path)))
+        assert code == 2
+        assert out == ""
+        assert f"coin file {path} does not match the schema" in err
+
+
+class TestNamedFamilyIsChecked:
+    """A coin document that names a family its entries do not have is a
+    domain error; its params are not read."""
+
+    @pytest.mark.parametrize("family", ["W", "Q"])
+    @pytest.mark.parametrize("command", [
+        ("coin",),
+        ("period", "--n", "3"),
+        ("simulate", "--n", "3", "--start", "0", "--coinstate", "0", "--tmax", "1"),
+    ])
+    def test_wrong_family_exits_1(self, capsys, tmp_path, family, command):
+        doc = _x_coin_document(capsys)
+        doc["family"] = family
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *command, "--matrix-file", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: coin names family {family} but its entries are family X\n"
+
+    def test_params_are_not_read(self, capsys, tmp_path):
+        doc = _x_coin_document(capsys)
+        written = json.dumps(doc)
+        doc["params"] = {"x": "5/7", "y": "not a number"}
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, "coin", "--matrix-file", str(path))
+        assert code == 0
+        assert json.dumps(out["coin"]) == written

@@ -449,3 +449,33 @@ class TestSerialization:
         assert set(doc) == {"repr", "entries", "family", "params"}
         assert doc["family"] == "W"
         assert set(doc["params"]) == {"x", "y", "z"}
+
+
+class TestParamsAreTheFirstRow:
+    NAMED = [
+        perm_matrix(4),
+        grover_type(2, negate=True),
+        coin_from_xyz("Y", Fraction(-1), Fraction(0), Fraction(0)),
+        coin_from_theta("Z", 1.0),
+        coin_from_theta_frac("W", Fraction(2, 7)),
+        coin_from_rational("X", Fraction(5, 7), -1, 1),
+        multiply(grover_type(2), coin_from_theta("W", 0.5)),
+        coin_from_json(coin_to_json(coin_from_rational("Z", Fraction(2)))),
+    ]
+
+    @pytest.mark.parametrize("coin", NAMED)
+    def test_named_coin(self, coin):
+        assert coin.family is not None
+        assert coin.params == tuple(coin.matrix[0].tolist())
+
+    @pytest.mark.parametrize("coin", [
+        Coin3(matrix=-perm_matrix(1).matrix),
+        coin_from_json({"repr": "exact", "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}),
+    ])
+    def test_coin_without_family(self, coin):
+        assert coin.params is None
+        assert coin_to_json(coin)["params"] is None
+
+    def test_classification_rejects_a_wrong_family(self):
+        with pytest.raises(ConstraintViolated, match="names family W but its entries are family X"):
+            Coin3(matrix=perm_matrix(1).matrix, family="W").classification
