@@ -248,8 +248,7 @@ def solve_y(family: str, x: Scalar):
 
 
 def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
-    if f < 0:
-        return None
+    """The rational square root of f >= 0, or None when f is not a square."""
     pn, pd = math.isqrt(f.numerator), math.isqrt(f.denominator)
     if pn * pn == f.numerator and pd * pd == f.denominator:
         return Fraction(pn, pd)
