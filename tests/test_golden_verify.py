@@ -1,0 +1,49 @@
+"""Golden corpus: `verify` output, pinned by hash.
+
+`verify --suite all` runs every invariant suite, and its blockdiag-equivalence
+suite is the one CLI path that builds the dense walk operator.  The expected
+lines live in golden_verify.txt, one call per line: the argv, the sha256 of
+its stdout and its exit code, tab-separated.  The worst-defect values are
+printed to four digits, so the hashes also pin those figures.  The second
+call draws 5 samples per suite: each blockdiag-equivalence sample builds 188
+dense spectra, so 50 samples would cost about 10 s.  The lines were
+generated before `walk.evolution_operator` was built from the matrix-free step.
+Regenerate the file only when a change of behaviour is intended:
+
+    PYTHONPATH=src python tests/test_golden_verify.py
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+from livelywalk import cli
+
+GOLDEN = Path(__file__).with_name("golden_verify.txt")
+CALLS = (
+    ("verify", "--suite", "all", "--seed", "0"),
+    ("verify", "--suite", "all", "--seed", "3", "--samples", "5"),
+)
+
+
+def compute() -> list[str]:
+    lines = []
+    for argv in CALLS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        lines.append(f"{' '.join(argv)}\t{hashlib.sha256(out.getvalue().encode()).hexdigest()}\t{code}")
+    return lines
+
+
+def test_golden_verify_output():
+    assert compute() == GOLDEN.read_text().splitlines()
+
+
+def test_golden_calls_all_pass():
+    assert {line.split("\t")[2] for line in GOLDEN.read_text().splitlines()} == {"0"}
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("\n".join(compute()) + "\n")
