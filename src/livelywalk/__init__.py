@@ -3,7 +3,8 @@
 The library builds every 3x3 orthogonal matrix that is a linear sum of
 permutation matrices (the four families X, Y, Z, W, their exact rational
 members, and the Grover-type matrices), simulates the lively walk
-U = S (C (x) I) on the n-cycle matrix-free in O(n) per step, and computes
+U = S (C (x) I) on the n-cycle with one matrix-free step, O(n) per state
+(`evolution_operator` is that step written out as a matrix), and computes
 the walk period three ways: closed-form family dispatch, the lcm of the
 eigenvalue orders of the n momentum blocks (one batched LAPACK call over
 their (n, 3, 3) stack), and brute force on the same stack,
@@ -30,7 +31,7 @@ from .coins import (
     perm_matrix,
     solve_y,
 )
-from .exactnum import eig3_unitary, mat_power_norm_defect
+from .exactnum import eig3_unitary
 from .period import (
     CrossValidation,
     PeriodResult,
@@ -46,12 +47,9 @@ from .walk import (
     basis_state,
     block_stack,
     distribution,
-    eigenvalues_closed_form,
     evolution_operator,
     evolve,
-    momentum_state,
     reduced_block,
-    shift_operator,
     spectrum,
     write_distribution_csv,
 )
@@ -79,13 +77,10 @@ __all__ = [
     "decompose_linear_sum",
     "distribution",
     "eig3_unitary",
-    "eigenvalues_closed_form",
     "errors",
     "evolution_operator",
     "evolve",
     "grover_type",
-    "mat_power_norm_defect",
-    "momentum_state",
     "multiply",
     "order_of_unit",
     "pell_point",
@@ -95,7 +90,6 @@ __all__ = [
     "period_spectral",
     "reduced_block",
     "report_json",
-    "shift_operator",
     "solve_y",
     "spectrum",
     "write_distribution_csv",

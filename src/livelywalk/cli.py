@@ -124,7 +124,7 @@ def _scalar_json(v):
 
 def cmd_coin(args, parser) -> int:
     coin = _parse_coin(args, parser)
-    cls = _coins.classify(coin.matrix, tol=args.tol)
+    cls = _coins.classify(coin, tol=args.tol)  # a named family is checked at --tol
     linear_sum = {"basis": cls.basis, "x": _scalar_json(cls.x), "y": _scalar_json(cls.y), "z": _scalar_json(cls.z)}
     doc = {
         "coin": _coins.coin_to_json(coin),

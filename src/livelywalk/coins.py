@@ -72,10 +72,6 @@ _PERM_01 = {
     for p, images in PERM_IMAGES.items()
 }
 
-_PERM_STACK = np.array(list(_PERM_01.values()))
-#: the 24 special matrices as floats, in blocks of six: P, (2/3)J - P, -P, P - (2/3)J
-_SPECIAL = np.concatenate([_PERM_STACK, 2.0 / 3.0 - _PERM_STACK, -_PERM_STACK, _PERM_STACK - 2.0 / 3.0])
-
 #: family -> (basis, s = x + y + z), and back
 _FAMILY = {"X": (CYCLIC, 1), "Y": (CYCLIC, -1), "Z": (TRANSPOSITION, 1), "W": (TRANSPOSITION, -1)}
 _FAMILY_OF = {record: family for family, record in _FAMILY.items()}
@@ -100,7 +96,7 @@ class Coin3:
 
     ``family`` names the coin's family when it was built as a member of one,
     and ``theta_frac`` holds the exact angle fraction theta/(2*pi) when the
-    coin was built from one.  ``classification`` is ``classify(matrix)`` at
+    coin was built from one.  ``classification`` is ``classify(coin)`` at
     the default tolerance, computed on first use and cached; it raises
     ConstraintViolated when a named family is not the classified one.
     """
@@ -124,10 +120,7 @@ class Coin3:
 
     @functools.cached_property
     def classification(self) -> Classification:
-        found = classify(self.matrix)
-        if self.family is not None and self.family != found.family:
-            raise ConstraintViolated(f"coin names family {self.family} but its entries are family {found.family}")
-        return found
+        return classify(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coin3):
@@ -340,6 +333,17 @@ def grover_type(p: int, negate: bool = False) -> Coin3:
     return _special_coin(p, m, sign)
 
 
+#: the 24 special coins, in blocks of six over P1..P6: P, (2/3)J - P, -P, P - (2/3)J
+SPECIAL_COINS = tuple(
+    _special_coin(p, sign * make(p).matrix, sign)
+    for sign in (1, -1)
+    for make in (perm_matrix, grover_type)
+    for p in range(1, 7)
+)
+#: the special coins as one float stack, which `classify` compares against
+_SPECIAL = np.array([coin.as_float().real for coin in SPECIAL_COINS])
+
+
 def decompose_linear_sum(m, tol: float = DEFAULT_TOL) -> LinearSumCoefficients:
     """Express an orthogonal matrix as x,y,z over one of the two bases.
 
@@ -364,7 +368,7 @@ def decompose_linear_sum(m, tol: float = DEFAULT_TOL) -> LinearSumCoefficients:
     raise NotPermutative("rows are not cyclic shifts of the first row in either basis")
 
 
-def _near(a, b, tol=DEFAULT_TOL) -> bool:
+def _near(a, b, tol) -> bool:
     return abs(complex(a) - complex(b)) <= tol
 
 
@@ -386,8 +390,10 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     The family follows from the basis and the sign of x+y+z; the
     determinant is recomputed, at the same tolerance, as a redundant
     cross-check of that assignment.  A real coin is compared entry by entry
-    with the 24 special matrices at DEFAULT_TOL.
+    with the 24 special matrices at DEFAULT_TOL.  A Coin3 that names a
+    family raises ConstraintViolated when its entries are of another.
     """
+    named = m.family if isinstance(m, Coin3) else None
     m = _matrix_of(m)
     coeffs = decompose_linear_sum(m, tol)
     s = coeffs.x + coeffs.y + coeffs.z
@@ -407,6 +413,8 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
         raise InternalInconsistency(
             f"det {det} inconsistent with family {family} (expected {_FAMILY_DET[family]})"
         )
+    if named is not None and named != family:
+        raise ConstraintViolated(f"coin names family {named} but its entries are family {family}")
 
     mf = to_float(m)
     real = np.max(np.abs(mf.imag)) <= DEFAULT_TOL
@@ -469,8 +477,9 @@ def coin_to_json(coin: Coin3) -> dict:
 
 def coin_from_json(doc: dict) -> Coin3:
     """Coin of a document per the shared coin schema; ``params`` is not read.
-    A named family is checked here (ConstraintViolated); entries that are not
-    a 3x3 array of numbers raise ValueError, TypeError or ZeroDivisionError."""
+    A named family is checked when the coin is classified, not here; entries
+    that are not a 3x3 array of numbers raise ValueError, TypeError or
+    ZeroDivisionError."""
     if not isinstance(doc, dict):
         raise TypeError(f"a coin document is a JSON object, got {type(doc).__name__}")
     repr_tag = doc.get("repr")
@@ -483,7 +492,4 @@ def coin_from_json(doc: dict) -> Coin3:
         raise ConstraintViolated(f"unknown repr tag {repr_tag!r}")
     if m.shape != (3, 3):
         raise ValueError(f"entries must be a 3x3 array, got shape {m.shape}")
-    coin = Coin3(matrix=m, family=doc.get("family"))
-    if coin.family is not None:
-        coin.classification  # raises if the entries are not of the named family
-    return coin
+    return Coin3(matrix=m, family=doc.get("family"))

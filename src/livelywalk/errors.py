@@ -45,10 +45,6 @@ class NotNormalized(LivelyWalkError):
     pass
 
 
-class PhaseConditionViolated(LivelyWalkError):
-    pass
-
-
 class GuardExceeded(LivelyWalkError):
     pass
 

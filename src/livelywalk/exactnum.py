@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnitary, NumericalFailure, OutOfRange
+from .errors import DimensionMismatch, NotUnitary, NumericalFailure
 
 #: default tolerance for unitarity / orthogonality checks
 DEFAULT_TOL = 1e-10
@@ -35,13 +35,6 @@ def is_exact(m: np.ndarray) -> bool:
 def to_float(m: np.ndarray) -> np.ndarray:
     """Convert either representation to complex128."""
     return np.asarray(m, dtype=complex)
-
-
-def exact_identity(n: int = 3) -> np.ndarray:
-    return np.array(
-        [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)],
-        dtype=object,
-    )
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -99,33 +92,33 @@ def _solve_cluster(m: np.ndarray) -> np.ndarray:
 
     The name is kept from when only clustered blocks came here: the
     benchmark tracer and the angle-accuracy test count calls to it.  Each
-    block is unitary within tol, so its eigenvectors are orthonormal and
+    block is unitary within DEFAULT_TOL, so its eigenvectors are orthonormal and
     Bauer-Fike (1960) bounds each eigenvalue's error by LAPACK's ~eps
     backward error, clustered roots included.
     """
     return np.linalg.eigvals(m)
 
 
-def eig3_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def eig3_unitary(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 3x3 unitary matrix, or of each block of a (..., 3, 3) stack.
 
     Returns complex128 of shape (..., 3): per block, the LAPACK eigenvalues
     projected onto the unit circle and sorted (stably) by principal argument
     in [0, 2*pi), with arguments within 1e-12 of 2*pi wrapped to 0.  Raises
-    :class:`NotUnitary` when some block has ``||M^dagger M - I||_F > tol`` and
-    :class:`NumericalFailure` when some eigenvalue's modulus strays from 1
-    by more than 1e-6.
+    :class:`NotUnitary` when some block has
+    ``||M^dagger M - I||_F > DEFAULT_TOL`` and :class:`NumericalFailure` when
+    some eigenvalue's modulus strays from 1 by more than 1e-6.
     """
     mf = to_float(m)
     if mf.ndim < 2 or mf.shape[-2:] != (3, 3):
         raise DimensionMismatch(f"expected 3x3 matrix or stack of them, got {mf.shape}")
     defect = unitarity_defect(mf)
-    if not np.all(defect <= tol):  # also catches NaN/Inf entries
-        raise NotUnitary(f"unitarity defect {np.max(defect):.3e} exceeds tol {tol:.3e}")
+    if not np.all(defect <= DEFAULT_TOL):  # also catches NaN/Inf entries
+        raise NotUnitary(f"unitarity defect {np.max(defect):.3e} exceeds tol {DEFAULT_TOL:.3e}")
 
     lams = _solve_cluster(mf)
-    # the input is certified unitary within tol, so any radial offset of a
-    # root (true offsets reach ~sqrt(eps) at defective configurations) is
+    # the input is certified unitary within DEFAULT_TOL, so any radial offset
+    # of a root (true offsets reach ~sqrt(eps) at defective configurations) is
     # known error; project onto the circle, but refuse clearly broken roots
     moduli = np.abs(lams)
     off = np.abs(moduli - 1.0)
@@ -152,13 +145,3 @@ def multiset_distance(a, b) -> float:
         b.pop(j)
     return worst
 
-
-def mat_power_norm_defect(m: np.ndarray, t: int) -> float:
-    """``||M^t - I||_F`` for a square matrix, raw repeated-squaring product."""
-    mf = to_float(m)
-    if mf.ndim != 2 or mf.shape[0] != mf.shape[1]:
-        raise DimensionMismatch(f"matrix is not square: {mf.shape}")
-    if t < 1:
-        raise OutOfRange("power must be a positive integer")
-    power = np.linalg.matrix_power(mf, t)
-    return float(np.linalg.norm(power - np.eye(mf.shape[0])))

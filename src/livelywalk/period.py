@@ -16,8 +16,8 @@ Three routes to the period T = min{t > 0 : U^t = I}:
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
 spectral and brute-force routes both start from `walk.block_stack`; the
-dense 3n x 3n `walk.evolution_operator`, powered one step at a time, is the
-independent oracle the tests hold brute force to.
+tests hold brute force to an independent oracle: the dense 3n x 3n
+S (C (x) I_n), built as a Kronecker product and powered one step at a time.
 """
 
 from __future__ import annotations

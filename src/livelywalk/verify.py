@@ -118,7 +118,8 @@ def run_spectrum_symmetry(seed: int = 0, samples: int = 200) -> SuiteResult:
 
 
 def run_blockdiag_equivalence(seed: int = 0, samples: int = 1) -> SuiteResult:
-    """Dense eigenvalues match the union over momentum blocks, n <= 12."""
+    """Eigenvalues of `walk.evolution_operator`, the matrix-free step written
+    out as a dense matrix, match the union over momentum blocks, n <= 12."""
     rng = np.random.default_rng(seed)
     failures, worst, checks = 0, 0.0, 0
     for _ in range(samples):
@@ -135,17 +136,6 @@ def run_blockdiag_equivalence(seed: int = 0, samples: int = 1) -> SuiteResult:
     return SuiteResult("blockdiag-equivalence", checks, failures, worst)
 
 
-def _special_coins():
-    out = []
-    for p in range(1, 7):
-        base = _coins.perm_matrix(p)
-        out.append(base)
-        out.append(_coins.Coin3(matrix=-base.matrix))
-        out.append(_coins.grover_type(p))
-        out.append(_coins.grover_type(p, negate=True))
-    return out
-
-
 def run_period_consistency() -> SuiteResult:
     """Analytic, spectral and brute-force periods agree for all special coins, a = 0.
 
@@ -153,7 +143,7 @@ def run_period_consistency() -> SuiteResult:
     so it takes no seed and no sample count.
     """
     failures, checks = 0, 0
-    for coin in _special_coins():
+    for coin in _coins.SPECIAL_COINS:
         for n in range(2, CONSISTENCY_NMAX + 1):
             cv = _period.cross_validate(_walk.WalkSpec(n=n, a=0, coin=coin))
             checks += 1

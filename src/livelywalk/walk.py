@@ -7,10 +7,12 @@ e^{-ika}), k = 2*pi*l/n, carry the full spectrum; `block_stack` builds all
 n of them as one (n, 3, 3) array in a single broadcast, and `spectrum`
 solves that stack with one `eig3_unitary` call.
 
-`evolve` and `write_distribution_csv` are matrix-free: one step mixes the
-coin at every vertex and rolls each coin row by its shift, O(n) time and
-48*n bytes of state.  The dense 3n x 3n `evolution_operator` is the oracle
-that tests and `verify` hold the matrix-free step and the blocks to.
+The walk step is defined once, matrix-free: `_step` mixes the coin at
+every vertex and rolls each coin row by its shift, O(n) time and 48*n
+bytes per state.  `evolve` and `write_distribution_csv` apply it to one
+state; `evolution_operator` applies it to all 3n basis states at once, which
+writes the step out as the dense 3n x 3n matrix.  The independent oracle,
+S (C (x) I_n) built as a Kronecker product, lives in the tests.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coins as _coins
-from .errors import GuardExceeded, NotNormalized, NotUnitary, OutOfRange, PhaseConditionViolated
+from .errors import GuardExceeded, NotNormalized, NotUnitary, OutOfRange
 from .exactnum import DEFAULT_TOL, eig3_unitary
 
-#: largest cycle length for which the dense 3n x 3n oracle operators
-#: (`shift_operator`, `evolution_operator`) may be built; simulation does
-#: not build them and needs only 48*n bytes per state
+#: largest cycle length for which the dense 3n x 3n `evolution_operator`
+#: may be built; simulation does not build it and needs only 48*n bytes per
+#: state
 DENSE_GUARD = 4096
 
 NORM_TOL = 1e-9
@@ -52,28 +54,6 @@ class WalkSpec:
     @property
     def dim(self) -> int:
         return 3 * self.n
-
-
-def _check_guard(n: int):
-    if n > DENSE_GUARD:
-        raise GuardExceeded(f"dense operators are limited to n <= {DENSE_GUARD}, got {n}")
-
-
-def shift_operator(n: int, a: int) -> np.ndarray:
-    """Coin-conditioned cyclic shift on the 3n basis states (0/1 matrix)."""
-    _check_guard(n)
-    s = np.zeros((3 * n, 3 * n))
-    for c, step in enumerate((-1, 1, a)):
-        for x in range(n):
-            s[c * n + (x + step) % n, c * n + x] = 1.0
-    return s
-
-
-def evolution_operator(spec: WalkSpec) -> np.ndarray:
-    """Dense walk operator S * (C (x) I_n)."""
-    _check_guard(spec.n)
-    c = spec.coin.as_float()
-    return shift_operator(spec.n, spec.a) @ np.kron(c, np.eye(spec.n))
 
 
 def basis_state(n: int, vertex: int, coin_state: int) -> np.ndarray:
@@ -102,19 +82,29 @@ def _checked_state(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
 def _step(coin: np.ndarray, a: int, psi: np.ndarray) -> np.ndarray:
     """One walk step S (C (x) I_n) psi without the dense operator.
 
+    psi is one (3n,) state or a (3n, m) block of m states, one per column.
     The real 3x3 coin mixes the coin components at each vertex, then coin
     row 0 moves by -1, row 1 by +1 and row 2 by a; the result keeps the
     coin-major layout c*n + v.
     """
-    mixed = coin @ psi.reshape(3, -1)
-    return np.concatenate((np.roll(mixed[0], -1), np.roll(mixed[1], 1), np.roll(mixed[2], a)))
+    mixed = (coin @ psi.reshape(3, -1)).reshape(3, -1, *psi.shape[1:])
+    return np.concatenate(
+        (np.roll(mixed[0], -1, axis=0), np.roll(mixed[1], 1, axis=0), np.roll(mixed[2], a, axis=0))
+    )
+
+
+def evolution_operator(spec: WalkSpec) -> np.ndarray:
+    """The walk operator as a dense 3n x 3n matrix: `_step` applied to every basis state."""
+    if spec.n > DENSE_GUARD:
+        raise GuardExceeded(f"dense operators are limited to n <= {DENSE_GUARD}, got {spec.n}")
+    return _step(spec.coin.as_float(), spec.a, np.eye(spec.dim))
 
 
 def evolve(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
     """Apply the walk operator t times to a normalized state.
 
-    Matrix-free, O(n) per step; `evolution_operator(spec)` applied t times
-    is the dense oracle it agrees with to rounding.
+    Matrix-free, O(n) per step; the dense `evolution_operator(spec)`
+    applied t times is the same map written out as a matrix.
     """
     psi = _checked_state(spec, psi0, t)
     coin = spec.coin.as_float()
@@ -149,12 +139,6 @@ def reduced_block(spec: WalkSpec, l: int) -> np.ndarray:
     return block_stack(spec)[l]
 
 
-def momentum_state(n: int, l: int) -> np.ndarray:
-    """Normalized Fourier vector phi_k with components e^{ikx}/sqrt(n)."""
-    k = 2.0 * math.pi * l / n
-    return np.exp(1j * k * np.arange(n)) / math.sqrt(n)
-
-
 def spectrum(spec: WalkSpec) -> np.ndarray:
     """All 3n eigenvalues as an (n, 3) array: row l holds block l's eigenvalues.
 
@@ -163,28 +147,6 @@ def spectrum(spec: WalkSpec) -> np.ndarray:
     entries equals the spectrum of the dense operator.
     """
     return eig3_unitary(block_stack(spec))
-
-
-def eigenvalues_closed_form(x: float, k: float, n: int | None = None, a: int | None = None, l: int | None = None):
-    """Block eigenvalues {1, lam+, lam-} for an X-family coin with parameter x.
-
-    Valid on blocks where e^{-ika} = 1; pass n, a, l to have that phase
-    condition checked (PhaseConditionViolated when n does not divide l*a).
-    With s = x(1 + 2 cos k):
-
-        lam+- = (s - 1)/2 +- sqrt((s + 1)(s - 3))/2,
-
-    a conjugate pair on the unit circle with lam+ lam- = 1.
-    """
-    if n is not None and a is not None and l is not None:
-        if (l * a) % n != 0:
-            raise PhaseConditionViolated(f"n={n} does not divide l*a={l * a}")
-    s = x * (1.0 + 2.0 * math.cos(k))
-    disc = complex((s + 1.0) * (s - 3.0))
-    root = np.sqrt(disc)
-    lam_plus = (s - 1.0) / 2.0 + root / 2.0
-    lam_minus = (s - 1.0) / 2.0 - root / 2.0
-    return 1.0 + 0.0j, complex(lam_plus), complex(lam_minus)
 
 
 def write_distribution_csv(spec: WalkSpec, psi0: np.ndarray, tmax: int, stream) -> None:

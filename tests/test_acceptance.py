@@ -16,9 +16,6 @@ from livelywalk import (
     coins,
     cross_validate,
     eig3_unitary,
-    eigenvalues_closed_form,
-    evolution_operator,
-    momentum_state,
     pell_point,
     period_analytic,
     period_bruteforce,
@@ -35,7 +32,7 @@ from livelywalk.coins import (
     perm_matrix,
 )
 
-from conftest import multiset_distance
+from conftest import dense_operator, eigenvalues_closed_form, momentum_state, multiset_distance
 
 DET_OF = {"X": 1, "Y": -1, "Z": -1, "W": 1}
 
@@ -189,7 +186,7 @@ def test_criterion_6_property_suite():
         for a in range(0, n // 2 + 1):
             for fam in coins.FAMILIES:
                 spec = WalkSpec(n=n, a=a, coin=coin_from_theta(fam, rng.uniform(0, 2 * math.pi)))
-                dense = np.linalg.eigvals(evolution_operator(spec))
+                dense = np.linalg.eigvals(dense_operator(spec))
                 assert multiset_distance(dense, spectrum(spec).ravel()) <= 1e-8
 
     # block eigenpairs lift to eigenpairs of the full operator, for the
@@ -199,7 +196,7 @@ def test_criterion_6_property_suite():
         a = int(rng.integers(0, n // 2 + 1))
         fam = coins.FAMILIES[rng.integers(0, 4)]
         spec = WalkSpec(n=n, a=a, coin=coin_from_theta(fam, rng.uniform(0, 2 * math.pi)))
-        u = evolution_operator(spec)
+        u = dense_operator(spec)
         stack = block_stack(spec)
         assert stack.shape == (n, 3, 3)
         for l in range(n):
@@ -229,7 +226,7 @@ def test_criterion_6_property_suite():
 
     # norm drift over 10^4 steps
     spec = WalkSpec(n=16, a=3, coin=coin_from_theta("Y", rng.uniform(0, 2 * math.pi)))
-    u = evolution_operator(spec)
+    u = dense_operator(spec)
     psi = np.zeros(48, dtype=complex)
     psi[0] = 1.0
     for _ in range(10_000):
@@ -241,12 +238,7 @@ def test_criterion_6_property_suite():
 
 def test_criterion_7_lively_walks_empirical():
     crit = Criterion(7, "liveliness a = 1 empirical record at n = 3", 5.0)
-    special = []
-    for p in range(1, 7):
-        base = perm_matrix(p)
-        special += [base, coins.Coin3(matrix=-base.matrix),
-                    grover_type(p), grover_type(p, negate=True)]
-    for coin in special:
+    for coin in coins.SPECIAL_COINS:
         spec = WalkSpec(n=3, a=1, coin=coin)
         spectral = period_spectral(spec)
         brute = period_bruteforce(spec, tmax=10_000)

@@ -110,6 +110,19 @@ class TestCoinCommand:
         code, _, err = run(capsys, "coin", "--matrix-file", str(path))
         assert code == 1 and "orthogonality defect" in err
 
+    def test_tol_reaches_a_named_family(self, capsys, tmp_path):
+        # the same near-orthogonal coin, now naming its family: --tol 1e-6
+        # accepts it exactly as it does without the family
+        m = coins.coin_from_theta("X", 1.0).as_float().real * (1 + 1e-8)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"repr": "float", "entries": m.tolist(), "family": "X"}))
+        code, doc = run_json(capsys, "coin", "--matrix-file", str(path), "--tol", "1e-6")
+        assert code == 0
+        assert doc["classification"]["family"] == doc["coin"]["family"] == "X"
+        code, out, err = run(capsys, "coin", "--matrix-file", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: orthogonality defect 3.464e-08\n"
+
     def test_linear_sum_is_the_classification(self, capsys):
         _, doc = run_json(capsys, "coin", "--family", "W", "--theta", "2.5")
         cls, lin = doc["classification"], doc["linear_sum"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from livelywalk import coins
 from livelywalk.coins import (
+    SPECIAL_COINS,
     Coin3,
     classify,
     coin_from_json,
@@ -32,11 +33,10 @@ from livelywalk.errors import (
     OutOfRange,
     RangeViolated,
 )
-from livelywalk.exactnum import exact_identity, orthogonality_defect
-
-from conftest import SPECIAL_COINS
+from livelywalk.exactnum import exact_matrix, orthogonality_defect
 
 SQ3 = math.sqrt(3.0)
+EXACT_IDENTITY = exact_matrix(np.eye(3, dtype=int).tolist())
 DELTA1 = np.array(
     [
         [1 / 3, (1 + SQ3) / 3, (1 - SQ3) / 3],
@@ -64,7 +64,7 @@ def rows_are_permutations_of_first(m: np.ndarray, tol=1e-10) -> bool:
 
 class TestPermMatrices:
     def test_p1_is_identity(self):
-        assert np.array_equal(perm_matrix(1).matrix, exact_identity())
+        assert np.array_equal(perm_matrix(1).matrix, EXACT_IDENTITY)
 
     def test_p4_swaps_last_two(self):
         assert np.array_equal(
@@ -93,7 +93,7 @@ class TestPermMatrices:
 class TestCoinFromXyz:
     def test_identity_point(self):
         c = coin_from_xyz("X", 1, 0, 0)
-        assert np.array_equal(c.matrix, exact_identity())
+        assert np.array_equal(c.matrix, EXACT_IDENTITY)
 
     def test_grover_point(self):
         c = coin_from_xyz("X", Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3))
@@ -377,7 +377,7 @@ class TestMultiply:
 
     def test_transposition_squares_to_identity(self):
         p4 = perm_matrix(4)
-        assert np.array_equal(multiply(p4, p4).matrix, exact_identity())
+        assert np.array_equal(multiply(p4, p4).matrix, EXACT_IDENTITY)
 
     def test_classifies_each_product_once(self, monkeypatch):
         calls = []

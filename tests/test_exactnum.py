@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from livelywalk import WalkSpec, coins, eig3_unitary, exactnum, mat_power_norm_defect, reduced_block
+from livelywalk import WalkSpec, coins, eig3_unitary, exactnum, reduced_block
 from livelywalk.errors import DimensionMismatch, NotOrthogonal, NotUnitary, NumericalFailure
 from livelywalk.exactnum import (
     exact_det3,
-    exact_identity,
+    exact_matrix,
     orthogonality_defect,
     to_float,
 )
@@ -23,6 +23,7 @@ from conftest import random_unitary3, assert_same_multiset
 
 GROVER = (2.0 / 3.0) * np.ones((3, 3)) - np.eye(3)
 CYCLE = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])
+EXACT_IDENTITY = exact_matrix(np.eye(3, dtype=int).tolist())
 
 
 class TestEig3:
@@ -55,7 +56,7 @@ class TestEig3:
     def test_eigenvalue_product_equals_det(self, rng):
         for _ in range(300):
             u = random_unitary3(rng)
-            lams = eig3_unitary(u, tol=1e-10)
+            lams = eig3_unitary(u)
             assert abs(np.prod(lams) - np.linalg.det(u)) <= 10 * 1e-10
 
     def test_moduli_on_unit_circle(self, rng):
@@ -226,22 +227,6 @@ class TestAngleAccuracy:
         assert worst < ANGLE_ACCURACY, f"worst angle error {worst:.2e} of 2*pi"
 
 
-class TestMatPowerDefect:
-    def test_identity(self):
-        assert mat_power_norm_defect(np.eye(3), 7) == 0.0
-
-    def test_sign_flip_squares_away(self):
-        assert mat_power_norm_defect(np.diag([-1.0, 1.0]), 2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_third_root_squared(self):
-        m = np.diag([np.exp(2j * math.pi / 3), 1.0])
-        assert mat_power_norm_defect(m, 2) == pytest.approx(math.sqrt(3), abs=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            mat_power_norm_defect(np.ones((2, 3)), 2)
-
-
 class TestRepresentations:
     def test_orthogonal_inverse_is_transpose(self, rng):
         for _ in range(200):
@@ -250,7 +235,7 @@ class TestRepresentations:
             assert np.linalg.norm(c @ c.T - np.eye(3)) <= 1e-10
 
     def test_exact_identity_roundtrip(self):
-        assert np.array_equal(to_float(exact_identity()), np.eye(3).astype(complex))
+        assert np.array_equal(to_float(EXACT_IDENTITY), np.eye(3).astype(complex))
 
     def test_exact_orthogonality_is_exact_zero(self):
         assert orthogonality_defect(coins.grover_type(5).matrix) == 0.0
@@ -261,7 +246,7 @@ def test_rational_arithmetic_exact_bulk():
     # and sign pair, is exactly orthogonal: with D the lcm of its entries'
     # denominators, the integer matrix K = D M has K^T K = D^2 I in Python
     # integers (no Fraction arithmetic in the oracle); exact_det3 is +-1 and
-    # the library's own exact product M^T M is exact_identity()
+    # the library's own exact product M^T M is the exact identity
     grid = {Fraction(p, q) for p in range(-12, 13) for q in range(1, 8)}
     checked = 0
     for r in sorted(grid):
@@ -275,7 +260,7 @@ def test_rational_arithmetic_exact_bulk():
                     gram = sum(k[row][i] * k[row][j] for row in range(3))
                     assert gram == (d * d if i == j else 0), (fam, r, s1, s2)
                 assert exact_det3(m) in (1, -1)
-                assert np.array_equal(m.T @ m, exact_identity())
+                assert np.array_equal(m.T @ m, EXACT_IDENTITY)
                 checked += 1
     assert checked == 16 * len(grid) == 1840
 
@@ -332,10 +317,8 @@ class TestIntegerExactPath:
             coins.classify(m)
 
     def test_special_coins_match_fraction_reference(self):
-        from conftest import SPECIAL_COINS
-
-        assert len(SPECIAL_COINS) == 24
-        for coin in SPECIAL_COINS:
+        assert len(coins.SPECIAL_COINS) == 24
+        for coin in coins.SPECIAL_COINS:
             m = coin.matrix
             assert _fraction_orthogonal(m) and orthogonality_defect(m) == 0.0
             assert exact_det3(m) == _fraction_det3(m) in (1, -1)

@@ -10,7 +10,6 @@ from livelywalk import (
     WalkSpec,
     coins,
     cross_validate,
-    evolution_operator,
     order_of_unit,
     period_analytic,
     period_bruteforce,
@@ -18,6 +17,7 @@ from livelywalk import (
     report_json,
 )
 from livelywalk import period as period_mod
+from livelywalk.coins import SPECIAL_COINS
 from livelywalk.errors import GuardExceeded, NotUnitModulus
 from livelywalk.period import (
     ANGLE_ACCURACY,
@@ -28,7 +28,7 @@ from livelywalk.period import (
 )
 from livelywalk.walk import DENSE_GUARD
 
-from conftest import SPECIAL_COINS
+from conftest import dense_operator
 
 
 def spec_of(coin, n, a=0):
@@ -36,8 +36,8 @@ def spec_of(coin, n, a=0):
 
 
 def brute_oracle(spec, tmax=10_000, tol=1e-8):
-    """Independent dense-powering period oracle (no shared period code)."""
-    u = evolution_operator(spec)
+    """Independent dense-powering period oracle (no shared period or walk code)."""
+    u = dense_operator(spec)
     m = u.copy()
     eye = np.eye(spec.dim)
     for t in range(1, tmax + 1):
@@ -141,7 +141,7 @@ class TestBruteForce:
     def test_minimality(self):
         spec = spec_of(coins.grover_type(6), 3)
         res = period_bruteforce(spec)
-        u = evolution_operator(spec)
+        u = dense_operator(spec)
         m = u.copy()
         for t in range(1, res.period):
             assert np.linalg.norm(m - np.eye(spec.dim)) > 1e-6

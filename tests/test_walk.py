@@ -14,26 +14,29 @@ from livelywalk import (
     coins,
     distribution,
     eig3_unitary,
-    eigenvalues_closed_form,
     evolution_operator,
     evolve,
-    momentum_state,
     reduced_block,
-    shift_operator,
     spectrum,
     walk,
     write_distribution_csv,
 )
+from livelywalk.coins import SPECIAL_COINS
 from livelywalk.errors import (
     GuardExceeded,
     NotNormalized,
     NotUnitary,
     OutOfRange,
-    PhaseConditionViolated,
 )
 from livelywalk.walk import DENSE_GUARD
 
-from conftest import SPECIAL_COINS, assert_same_multiset
+from conftest import (
+    assert_same_multiset,
+    dense_operator,
+    eigenvalues_closed_form,
+    momentum_state,
+    shift_operator,
+)
 
 WALK_COINS = st.one_of(
     st.sampled_from(SPECIAL_COINS),
@@ -50,29 +53,34 @@ def grover_spec(n, a=0):
     return WalkSpec(n=n, a=a, coin=coins.grover_type(1))
 
 
+def library_shift(n, a):
+    """The library's shift S: the walk operator of the identity coin."""
+    return evolution_operator(WalkSpec(n=n, a=a, coin=coins.perm_matrix(1)))
+
+
 class TestShift:
     def test_coin0_moves_back(self):
-        s = shift_operator(3, 0)
+        s = library_shift(3, 0)
         psi = np.zeros(9)
         psi[1] = 1.0  # |0> (x) |1|
         out = s @ psi
         assert out[0] == 1.0 and out.sum() == 1.0
 
     def test_lazy_direction_fixed(self):
-        s = shift_operator(3, 0)
+        s = library_shift(3, 0)
         psi = np.zeros(9)
         psi[2 * 3 + 1] = 1.0
         assert np.array_equal(s @ psi, psi)
 
     def test_jump_wraps(self):
-        s = shift_operator(5, 2)
+        s = library_shift(5, 2)
         psi = np.zeros(15)
         psi[2 * 5 + 4] = 1.0  # |2> (x) |4>
         out = s @ psi
         assert out[2 * 5 + 1] == 1.0  # 4 + 2 mod 5 = 1
 
     def test_is_permutation_matrix(self):
-        s = shift_operator(6, 3)
+        s = library_shift(6, 3)
         assert np.array_equal(np.sort(s, axis=0)[-1], np.ones(18))
         assert np.array_equal(s.sum(axis=0), np.ones(18))
         assert np.array_equal(s.sum(axis=1), np.ones(18))
@@ -102,8 +110,19 @@ class TestEvolutionOperator:
             assert np.linalg.norm(u.conj().T @ u - np.eye(3 * n)) <= 1e-10
 
     def test_guard(self):
+        spec = WalkSpec(n=DENSE_GUARD + 1, a=0, coin=coins.perm_matrix(1))
         with pytest.raises(GuardExceeded):
-            shift_operator(DENSE_GUARD + 1, 0)
+            evolution_operator(spec)
+
+    def test_is_the_dense_oracle(self, rng):
+        # the step written out as a matrix equals S (C (x) I_n) built with np.kron, bit for bit
+        walk_coins = list(SPECIAL_COINS)
+        walk_coins += [coins.coin_from_theta(fam, rng.uniform(0, 2 * math.pi)) for fam in coins.FAMILIES]
+        for coin in walk_coins:
+            for n in range(2, 13):
+                for a in range(n // 2 + 1):
+                    spec = WalkSpec(n=n, a=a, coin=coin)
+                    assert np.array_equal(evolution_operator(spec), dense_operator(spec))
 
     def test_complex_coin_rejected(self):
         c = coins.coin_from_theta("X", 1.0 + 0.3j)
@@ -141,7 +160,7 @@ class TestEvolve:
 
     def test_norm_conserved_over_many_steps(self):
         spec = WalkSpec(n=16, a=5, coin=coins.coin_from_theta("W", 2.1))
-        u = evolution_operator(spec)
+        u = dense_operator(spec)
         psi = basis_state(16, 0, 0)
         for _ in range(10_000):
             psi = u @ psi
@@ -160,7 +179,7 @@ class TestEvolve:
         psi0 = rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n)
         psi0 /= np.linalg.norm(psi0)
         spec = WalkSpec(n=n, a=a, coin=coin)
-        u = evolution_operator(spec)
+        u = dense_operator(spec)
         want = psi0
         for _ in range(t):
             want = u @ want
@@ -181,7 +200,6 @@ class TestPastDenseGuard:
         def refuse(*args):
             raise AssertionError("dense operator built")
 
-        monkeypatch.setattr(walk, "shift_operator", refuse)
         monkeypatch.setattr(walk, "evolution_operator", refuse)
         spec = grover_spec(5, a=2)
         evolve(spec, basis_state(5, 0, 0), 7)
@@ -267,7 +285,7 @@ class TestSpectrum:
             a = int(rng.integers(0, n // 2 + 1))
             fam = coins.FAMILIES[rng.integers(0, 4)]
             spec = WalkSpec(n=n, a=a, coin=coins.coin_from_theta(fam, rng.uniform(0, 2 * math.pi)))
-            dense = np.linalg.eigvals(evolution_operator(spec))
+            dense = np.linalg.eigvals(dense_operator(spec))
             assert_same_multiset(spectrum(spec).ravel(), dense, tol=1e-8)
 
     def test_eigenpairs_lift_to_full_operator(self, rng):
@@ -277,7 +295,7 @@ class TestSpectrum:
             a = int(rng.integers(0, n // 2 + 1))
             fam = coins.FAMILIES[rng.integers(0, 4)]
             spec = WalkSpec(n=n, a=a, coin=coins.coin_from_theta(fam, rng.uniform(0, 2 * math.pi)))
-            u = evolution_operator(spec)
+            u = dense_operator(spec)
             for l in range(n):
                 uk = reduced_block(spec, l)
                 lams, vecs = np.linalg.eig(uk)
@@ -322,11 +340,6 @@ class TestClosedForm:
                     eigenvalues_closed_form(x, 2 * math.pi * l / n), eig3_unitary(reduced_block(spec, l)),
                     tol=1e-10,
                 )
-
-    def test_phase_condition_validation(self):
-        with pytest.raises(PhaseConditionViolated):
-            eigenvalues_closed_form(0.5, 2 * math.pi / 5, n=5, a=1, l=1)
-        eigenvalues_closed_form(0.5, 0.0, n=5, a=1, l=0)  # l = 0 always valid
 
     def test_all_real_only_at_identity_and_grover(self):
         thetas = np.concatenate([np.arange(0.0, 2 * math.pi, 1e-3), [math.pi]])
