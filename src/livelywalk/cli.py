@@ -43,6 +43,32 @@ def _count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite tolerance of at least 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
+def _read_document(path: str, what: str, parse, parser):
+    """``parse(doc)`` of the JSON file at path; bad JSON or a rejected doc is a usage error."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            parser.error(f"cannot parse {what} {path}: {exc}")
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        parser.error(f"{what} {path} does not match the schema: {exc}")
+
+
+def _state_from_json(doc) -> np.ndarray:
+    amps = doc["amplitudes"] if isinstance(doc, dict) else doc
+    return np.array([complex(re, im) for re, im in amps])
+
+
 def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--perm", choices=PERM_LABELS, help="permutation matrix coin")
     parser.add_argument("--grover", choices=PERM_LABELS, help="Grover-type coin (2/3)J - P")
@@ -77,15 +103,7 @@ def _parse_coin(args, parser) -> _coins.Coin3:
     if args.grover:
         return _coins.grover_type(int(args.grover[1]), negate=args.negate)
     if args.matrix_file:
-        with open(args.matrix_file) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                parser.error(f"cannot parse coin file {args.matrix_file}: {exc}")
-        try:
-            return _coins.coin_from_json(doc)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            parser.error(f"coin file {args.matrix_file} does not match the schema: {exc}")
+        return _read_document(args.matrix_file, "coin file", _coins.coin_from_json, parser)
     angle_opts = [v for v in (args.theta, args.theta_frac, args.rational) if v is not None]
     if len(angle_opts) != 1:
         parser.error("--family needs exactly one of --theta, --theta-frac, --rational")
@@ -101,9 +119,7 @@ def _parse_coin(args, parser) -> _coins.Coin3:
         r = Fraction(args.rational)
     except (ValueError, ZeroDivisionError):
         parser.error(f"cannot parse --rational {args.rational!r} as a rational number")
-    signs = args.signs or "++"
-    s1 = 1 if signs[0] == "+" else -1
-    s2 = 1 if signs[1] == "+" else -1
+    s1, s2 = (1 if sign == "+" else -1 for sign in args.signs or "++")
     return _coins.coin_from_rational(args.family, r, s1, s2)
 
 
@@ -117,7 +133,7 @@ def _emit(text: str, args) -> None:
 
 def _scalar_json(v):
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return _coins._frac_str(v)
     c = complex(v)
     return c.real if abs(c.imag) < 1e-12 else [c.real, c.imag]
 
@@ -169,16 +185,7 @@ def cmd_simulate(args, parser) -> int:
     if args.state_file and (args.start is not None or args.coinstate is not None):
         parser.error("give either --start/--coinstate or --state-file, not both")
     if args.state_file:
-        with open(args.state_file) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                parser.error(f"cannot parse state file {args.state_file}: {exc}")
-        try:
-            amps = doc["amplitudes"] if isinstance(doc, dict) else doc
-            psi0 = np.array([complex(re, im) for re, im in amps])
-        except (KeyError, TypeError, ValueError) as exc:
-            parser.error(f"state file {args.state_file} does not match the schema: {exc}")
+        psi0 = _read_document(args.state_file, "state file", _state_from_json, parser)
     else:
         if args.start is None or args.coinstate is None:
             parser.error("simulate needs --start and --coinstate, or --state-file")
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coin = sub.add_parser("coin", help="construct and classify a coin")
     _add_coin_spec(p_coin)
-    p_coin.add_argument("--tol", type=float, default=1e-10, help="orthogonality/unitarity tolerance")
+    p_coin.add_argument("--tol", type=_tolerance, default=1e-10, help="orthogonality/unitarity tolerance")
     _add_output(p_coin)
 
     p_period = sub.add_parser("period", help="compute the walk period by all methods")
@@ -353,10 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_glue_signs(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _HANDLERS[args.command](args, parser)
-    except LivelyWalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a coin, state or output path that cannot be opened
+    except (LivelyWalkError, OSError, MemoryError) as exc:  # OSError: a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

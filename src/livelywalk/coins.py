@@ -192,26 +192,19 @@ def coin_from_xyz(family: str, x: Scalar, y: Scalar, z: Scalar, allow_complex: b
         raise OutOfRange(f"unknown family {family!r}")
     basis, s = _FAMILY[family]
     exact = all(isinstance(v, (Fraction, int)) for v in (x, y, z))
-    if exact:
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        if x + y + z != s:
-            raise ConstraintViolated(f"x+y+z must be {s} for family {family}")
-        if _ellipse_residual(s, x, y) != 0:
-            raise ConstraintViolated("(x, y) is not on the family ellipse")
-    else:
-        x, y, z = complex(x), complex(y), complex(z)
-        if abs(x + y + z - s) > SUM_TOL:
-            raise ConstraintViolated(f"x+y+z must be {s} for family {family}")
-        if abs(_ellipse_residual(s, x, y)) > ELLIPSE_TOL:
-            raise ConstraintViolated("(x, y) is not on the family ellipse")
-        # exact (x, y) on the ellipse make y a real root of solve_y's
-        # quadratic, so x is in REAL_X_RANGE; only a float x needs the check
-        if not allow_complex:
-            lo, hi = REAL_X_RANGE[family]
-            if max(abs(x.imag), abs(y.imag), abs(z.imag)) > ELLIPSE_TOL:
-                raise RangeViolated("complex coefficients need allow_complex=True")
-            if not (float(lo) - ELLIPSE_TOL <= x.real <= float(hi) + ELLIPSE_TOL):
-                raise RangeViolated(f"x = {x.real} outside real range [{lo}, {hi}] of family {family}")
+    x, y, z = (Fraction(v) if exact else complex(v) for v in (x, y, z))
+    if abs(x + y + z - s) > (0 if exact else SUM_TOL):
+        raise ConstraintViolated(f"x+y+z must be {s} for family {family}")
+    if abs(_ellipse_residual(s, x, y)) > (0 if exact else ELLIPSE_TOL):
+        raise ConstraintViolated("(x, y) is not on the family ellipse")
+    # exact (x, y) on the ellipse make y a real root of solve_y's
+    # quadratic, so x is in REAL_X_RANGE; only a float x needs the check
+    if not (exact or allow_complex):
+        lo, hi = REAL_X_RANGE[family]
+        if max(abs(x.imag), abs(y.imag), abs(z.imag)) > ELLIPSE_TOL:
+            raise RangeViolated("complex coefficients need allow_complex=True")
+        if not (float(lo) - ELLIPSE_TOL <= x.real <= float(hi) + ELLIPSE_TOL):
+            raise RangeViolated(f"x = {x.real} outside real range [{lo}, {hi}] of family {family}")
     m = _layout(basis, x, y, z, object if exact else complex)
     return Coin3(matrix=m, family=family)
 

@@ -1,8 +1,12 @@
+import contextlib
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from livelywalk import cli
 from livelywalk.exactnum import multiset_distance
 
 
@@ -19,6 +23,24 @@ def random_unitary3(rng) -> np.ndarray:
 
 def assert_same_multiset(a, b, tol=1e-8):
     assert multiset_distance(a, b) <= tol
+
+
+# --- golden corpora of CLI calls -------------------------------------------
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """(exit code, stdout) of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def digest_line(label: str, argv) -> str:
+    """The golden-corpus line of one CLI call: the label, the sha256 of its
+    stdout and its exit code, tab-separated."""
+    code, out = run_cli(argv)
+    return f"{label}\t{hashlib.sha256(out.encode()).hexdigest()}\t{code}"
 
 
 # --- independent oracles: the walk written the paper's way -----------------

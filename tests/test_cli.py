@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from livelywalk import cli, coins, verify
+from livelywalk import cli, coins, verify, walk
 from livelywalk.walk import DENSE_GUARD
 
 
@@ -122,6 +124,19 @@ class TestCoinCommand:
         code, out, err = run(capsys, "coin", "--matrix-file", str(path))
         assert code == 1 and out == ""
         assert err == "error: orthogonality defect 3.464e-08\n"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tol_not_finite_and_nonnegative_is_usage_error(self, capsys, tol):
+        # at -1 or nan every coin failed as "orthogonality defect 0", and at
+        # inf a matrix that is not orthogonal was classified
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["coin", "--perm", "P1", "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol: must be finite and >= 0" in capsys.readouterr().err
+
+    def test_tol_zero_accepts_an_exact_coin(self, capsys):
+        code, doc = run_json(capsys, "coin", "--perm", "P1", "--tol", "0")
+        assert code == 0 and doc["classification"]["is_permutation"] is True
 
     def test_linear_sum_is_the_classification(self, capsys):
         _, doc = run_json(capsys, "coin", "--family", "W", "--theta", "2.5")
@@ -391,6 +406,32 @@ class TestVerifyCommand:
         assert "--seed is not read by --suite period-consistency" in capsys.readouterr().err
         with pytest.raises(ValueError, match="not sampled"):
             verify.run_suite("period-consistency", seed=9)
+
+
+def _nan_defects(monkeypatch, suite):
+    """Make every defect the suite measures NaN."""
+    if suite == "decompose-roundtrip":  # a NaN in one coefficient only
+        decompose = coins.decompose_linear_sum
+        monkeypatch.setattr(coins, "decompose_linear_sum", lambda m: dataclasses.replace(decompose(m), y=math.nan))
+    else:
+        target = "orthogonality_defect" if suite == "orthogonality" else "multiset_distance"
+        monkeypatch.setattr(verify, target, lambda *args: math.nan)
+
+
+class TestNanDefectFails:
+    """A check passes only when its defect is within its bound, so a NaN
+    defect fails and is reported as the worst defect."""
+
+    @pytest.mark.parametrize("suite", ["orthogonality", "decompose-roundtrip", "spectrum-symmetry",
+                                       "blockdiag-equivalence"])
+    def test_nan_defect_fails_every_check(self, capsys, monkeypatch, suite):
+        _nan_defects(monkeypatch, suite)
+        result = verify.run_suite(suite, samples=2)
+        assert result.checks > 0 and result.failures == result.checks
+        assert math.isnan(result.worst)
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--samples", "2")
+        assert code == 4
+        assert out == f"FAIL {suite}: 0/{result.checks} checks (worst defect nan)\n"
 
 
 class TestDeterminism:
@@ -734,6 +775,23 @@ class TestMalformedFiles:
         assert code == 2
         assert out == ""
         assert f"coin file {path} does not match the schema" in err
+
+
+class TestOutOfMemory:
+    """A spec whose arrays do not fit in memory gives an error line (exit 1),
+    not a traceback; the allocation is faked, never made."""
+
+    @pytest.mark.parametrize("target, argv", [
+        ("block_stack", ("period", "--perm", "P1", "--n", "5", "--methods", "spectral")),
+        ("basis_state", ("simulate", "--perm", "P1", "--n", "5", "--start", "0", "--coinstate", "0",
+                         "--tmax", "1")),
+    ])
+    def test_memory_error_is_domain_error(self, monkeypatch, target, argv):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(walk, target, no_memory)
+        assert _call(argv) == (1, "", "error: Unable to allocate 7.45 GiB for an array\n")
 
 
 class TestNamedFamilyIsChecked:

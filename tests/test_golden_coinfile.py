@@ -21,15 +21,13 @@ Regenerate the file only when a change of behaviour is intended:
     PYTHONPATH=src python tests/test_golden_coinfile.py
 """
 
-import contextlib
-import hashlib
-import io
 import json
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from livelywalk import cli, coins
+from conftest import digest_line, run_cli
+from livelywalk import coins
 
 GOLDEN = Path(__file__).with_name("golden_coinfile.txt")
 N_RANGE = range(2, 7)
@@ -52,13 +50,6 @@ def sources() -> list[tuple]:
     return out
 
 
-def _run(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    return code, out.getvalue()
-
-
 def _bare_document(coin: coins.Coin3) -> dict:
     entries = [[f"{Fraction(e).numerator}/{Fraction(e).denominator}" for e in row] for row in coin.matrix]
     return {"repr": "exact", "entries": entries}
@@ -71,7 +62,7 @@ def write_documents(workdir: Path) -> list[tuple[str, Path]]:
         bare = workdir / f"{label}.bare.json"
         bare.write_text(json.dumps(_bare_document(coin)))
         written = workdir / f"{label}.written.json"
-        code, _ = _run(("coin", *(source or ("--matrix-file", str(bare))), "--output", str(written)))
+        code, _ = run_cli(("coin", *(source or ("--matrix-file", str(bare))), "--output", str(written)))
         assert code == 0, label
         output = workdir / f"{label}.output.json"
         output.write_text(json.dumps(json.loads(written.read_text())["coin"]))
@@ -92,11 +83,7 @@ def calls(docs) -> list[tuple[str, tuple]]:
 
 def compute() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        lines = []
-        for label, argv in calls(write_documents(Path(tmp))):
-            code, out = _run(argv)
-            lines.append(f"{label}\t{hashlib.sha256(out.encode()).hexdigest()}\t{code}")
-        return lines
+        return [digest_line(label, argv) for label, argv in calls(write_documents(Path(tmp)))]
 
 
 def _expected() -> list[str]:

@@ -12,13 +12,10 @@ Regenerate the file only when a change of behaviour is intended:
     PYTHONPATH=src python tests/test_golden_table.py
 """
 
-import contextlib
-import hashlib
-import io
 import json
 from pathlib import Path
 
-from livelywalk import cli
+from conftest import digest_line, run_cli
 
 GOLDEN = Path(__file__).with_name("golden_table.txt")
 N_RANGE = range(2, 9)
@@ -38,20 +35,8 @@ def calls() -> list[tuple]:
     ]
 
 
-def _run(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    return code, out.getvalue()
-
-
-def _line(argv) -> str:
-    code, out = _run(argv)
-    return f"{' '.join(argv)}\t{hashlib.sha256(out.encode()).hexdigest()}\t{code}"
-
-
 def compute() -> list[str]:
-    return [_line(argv) for argv in calls()]
+    return [digest_line(" ".join(argv), argv) for argv in calls()]
 
 
 def _expected() -> list[str]:
@@ -61,7 +46,7 @@ def _expected() -> list[str]:
 def test_corpus_size():
     assert len(calls()) == 56
     assert len(_expected()) == 56
-    code, out = _run(calls()[0])
+    code, out = run_cli(calls()[0])
     assert code == 0
     assert len(json.loads(out)) == 12
 

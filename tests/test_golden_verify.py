@@ -13,12 +13,9 @@ Regenerate the file only when a change of behaviour is intended:
     PYTHONPATH=src python tests/test_golden_verify.py
 """
 
-import contextlib
-import hashlib
-import io
 from pathlib import Path
 
-from livelywalk import cli
+from conftest import digest_line
 
 GOLDEN = Path(__file__).with_name("golden_verify.txt")
 CALLS = (
@@ -28,13 +25,7 @@ CALLS = (
 
 
 def compute() -> list[str]:
-    lines = []
-    for argv in CALLS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(list(argv))
-        lines.append(f"{' '.join(argv)}\t{hashlib.sha256(out.getvalue().encode()).hexdigest()}\t{code}")
-    return lines
+    return [digest_line(" ".join(argv), argv) for argv in CALLS]
 
 
 def test_golden_verify_output():
