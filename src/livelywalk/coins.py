@@ -193,9 +193,9 @@ def coin_from_xyz(family: str, x: Scalar, y: Scalar, z: Scalar, allow_complex: b
     basis, s = _FAMILY[family]
     exact = all(isinstance(v, (Fraction, int)) for v in (x, y, z))
     x, y, z = (Fraction(v) if exact else complex(v) for v in (x, y, z))
-    if abs(x + y + z - s) > (0 if exact else SUM_TOL):
+    if not abs(x + y + z - s) <= (0 if exact else SUM_TOL):  # also catches NaN and inf
         raise ConstraintViolated(f"x+y+z must be {s} for family {family}")
-    if abs(_ellipse_residual(s, x, y)) > (0 if exact else ELLIPSE_TOL):
+    if not abs(_ellipse_residual(s, x, y)) <= (0 if exact else ELLIPSE_TOL):
         raise ConstraintViolated("(x, y) is not on the family ellipse")
     # exact (x, y) on the ellipse make y a real root of solve_y's
     # quadratic, so x is in REAL_X_RANGE; only a float x needs the check

@@ -153,16 +153,21 @@ def write_distribution_csv(spec: WalkSpec, psi0: np.ndarray, tmax: int, stream) 
     """Rows t,position,probability for t = 0..tmax (17 significant digits).
 
     Evolves with the same matrix-free step as `evolve`, so any n >= 2 runs
-    in O(n) memory; one write per time step.
+    in O(n) memory; one write per time step.  The row template, one
+    "v,%.17g" row per vertex behind a slot for the "t," prefix, is built
+    once per call and filled once per step: the prefix goes into every
+    slot, then one `%` writes all n probabilities (the same digits as
+    f"{p:.17g}").
     """
     psi = _checked_state(spec, psi0, tmax)
     stream.write("t,position,probability\n")
     coin = spec.coin.as_float()
+    rows = "".join(f"\0{v},%.17g\n" for v in range(spec.n))
     for t in range(tmax + 1):
         probs = distribution(psi)
         total = float(probs.sum())
         if not abs(total - 1.0) <= NORM_TOL:
             raise NotNormalized(f"probabilities at t={t} sum to {total}")
-        stream.write("".join(f"{t},{v},{p:.17g}\n" for v, p in enumerate(probs.tolist())))
+        stream.write(rows.replace("\0", f"{t},") % tuple(probs.tolist()))
         if t < tmax:
             psi = _step(coin, spec.a, psi)

@@ -120,6 +120,23 @@ class TestCoinFromXyz:
         ok = coin_from_xyz("X", x, y, z, allow_complex=True)
         assert orthogonality_defect(ok.matrix) <= 1e-8
 
+    @pytest.mark.parametrize("allow_complex", (False, True))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("family", coins.FAMILIES)
+    def test_non_finite_coefficient_rejected(self, family, slot, bad, allow_complex):
+        xyz = list(coin_from_theta(family, 0.3).params)
+        xyz[slot] = bad
+        with pytest.raises(ConstraintViolated):
+            coin_from_xyz(family, *xyz, allow_complex=allow_complex)
+
+    @pytest.mark.parametrize("allow_complex", (False, True))
+    @pytest.mark.parametrize("family", coins.FAMILIES)
+    def test_all_nan_and_cancelling_infinities_rejected(self, family, allow_complex):
+        for xyz in ((math.nan,) * 3, (math.inf, -math.inf, 0.0), (1.0, math.nan, 0.0)):
+            with pytest.raises(ConstraintViolated):
+                coin_from_xyz(family, *xyz, allow_complex=allow_complex)
+
 
 class TestSolveY:
     def test_endpoint_double_root(self):
