@@ -133,7 +133,7 @@ class TestCoinFromXyz:
     @pytest.mark.parametrize("allow_complex", (False, True))
     @pytest.mark.parametrize("family", coins.FAMILIES)
     def test_all_nan_and_cancelling_infinities_rejected(self, family, allow_complex):
-        for xyz in ((math.nan,) * 3, (math.inf, -math.inf, 0.0), (1.0, math.nan, 0.0)):
+        for xyz in ((math.nan,) * 3, (math.inf, -math.inf, 0.0)):
             with pytest.raises(ConstraintViolated):
                 coin_from_xyz(family, *xyz, allow_complex=allow_complex)
 
