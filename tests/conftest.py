@@ -29,10 +29,13 @@ def assert_same_multiset(a, b, tol=1e-8):
 
 
 def run_cli(argv) -> tuple[int, str]:
-    """(exit code, stdout) of one in-process CLI call."""
+    """(exit code, stdout) of one in-process CLI call, usage errors included."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
     return code, out.getvalue()
 
 
