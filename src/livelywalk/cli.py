@@ -7,8 +7,8 @@ disagreement, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import io
 import json
 import math
 import sys
@@ -70,25 +70,21 @@ def _state_from_json(doc) -> np.ndarray:
 
 
 def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--perm", choices=PERM_LABELS, help="permutation matrix coin")
-    parser.add_argument("--grover", choices=PERM_LABELS, help="Grover-type coin (2/3)J - P")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--perm", choices=PERM_LABELS, help="permutation matrix coin")
+    source.add_argument("--grover", choices=PERM_LABELS, help="Grover-type coin (2/3)J - P")
+    source.add_argument("--family", choices=_coins.FAMILIES, help="parametric family")
+    source.add_argument("--matrix-file", type=str, help="path to a coin JSON document")
     parser.add_argument("--negate", action="store_true", help="negate a --grover coin")
-    parser.add_argument("--family", choices=_coins.FAMILIES, help="parametric family")
-    parser.add_argument("--theta", type=float, help="family angle in radians")
-    parser.add_argument("--theta-frac", type=str, help="family angle as M/Q meaning theta = 2*pi*M/Q")
-    parser.add_argument("--rational", type=str, help="rational parameter r for the exact constructor")
+    angle = parser.add_mutually_exclusive_group()
+    angle.add_argument("--theta", type=float, help="family angle in radians")
+    angle.add_argument("--theta-frac", type=str, help="family angle as M/Q meaning theta = 2*pi*M/Q")
+    angle.add_argument("--rational", type=str, help="rational parameter r for the exact constructor")
     parser.add_argument("--signs", choices=SIGN_PAIRS,
                         help="sign pair for the exact rational constructor (default ++)")
-    parser.add_argument("--matrix-file", type=str, help="path to a coin JSON document")
 
 
 def _parse_coin(args, parser) -> _coins.Coin3:
-    chosen = [name for name, val in (
-        ("perm", args.perm), ("grover", args.grover),
-        ("family", args.family), ("matrix-file", args.matrix_file),
-    ) if val is not None]
-    if len(chosen) != 1:
-        parser.error(f"exactly one coin source required, got {chosen or 'none'}")
     for flag, given, source, reader in (
         ("--negate", args.negate, "--grover", args.grover),
         ("--theta", args.theta is not None, "--family", args.family),
@@ -104,9 +100,6 @@ def _parse_coin(args, parser) -> _coins.Coin3:
         return _coins.grover_type(int(args.grover[1]), negate=args.negate)
     if args.matrix_file:
         return _read_document(args.matrix_file, "coin file", _coins.coin_from_json, parser)
-    angle_opts = [v for v in (args.theta, args.theta_frac, args.rational) if v is not None]
-    if len(angle_opts) != 1:
-        parser.error("--family needs exactly one of --theta, --theta-frac, --rational")
     if args.theta is not None:
         return _coins.coin_from_theta(args.family, args.theta)
     if args.theta_frac is not None:
@@ -115,6 +108,8 @@ def _parse_coin(args, parser) -> _coins.Coin3:
         except (ValueError, ZeroDivisionError):
             parser.error(f"cannot parse --theta-frac {args.theta_frac!r} as M/Q")
         return _coins.coin_from_theta_frac(args.family, frac)
+    if args.rational is None:
+        parser.error("--family needs one of --theta, --theta-frac, --rational")
     try:
         r = Fraction(args.rational)
     except (ValueError, ZeroDivisionError):
@@ -123,12 +118,14 @@ def _parse_coin(args, parser) -> _coins.Coin3:
     return _coins.coin_from_rational(args.family, r, s1, s2)
 
 
+def _output(args):
+    """A context manager that yields the --output file, opened for writing, or stdout."""
+    return open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, args) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as out:
+        out.write(text)
 
 
 def _scalar_json(v):
@@ -190,9 +187,9 @@ def cmd_simulate(args, parser) -> int:
         if args.start is None or args.coinstate is None:
             parser.error("simulate needs --start and --coinstate, or --state-file")
         psi0 = _walk.basis_state(spec.n, args.start, args.coinstate)
-    buf = io.StringIO()
-    _walk.write_distribution_csv(spec, psi0, args.tmax, buf)
-    _emit(buf.getvalue(), args)
+    _walk._checked_state(spec, psi0, args.tmax)  # before --output opens: a failed call leaves it intact
+    with _output(args) as out:  # written one time step at a time
+        _walk.write_distribution_csv(spec, psi0, args.tmax, out)
     return 0
 
 
@@ -203,45 +200,39 @@ def _int_list(text: str, parser, what: str):
         parser.error(f"cannot parse {what} list {text!r}")
 
 
-def cmd_table(args, parser) -> int:
-    thetas = []  # (kind, value): exact fractions keep the analytic route exact
-    if args.theta_list:
+def _theta_values(args, parser):
+    """The --theta-list or --theta-grid angles, in radians."""
+    if args.theta_list is not None:
         try:
-            thetas = [("float", float(v)) for v in args.theta_list.split(",") if v.strip()]
+            return [float(v) for v in args.theta_list.split(",") if v.strip()]
         except ValueError:
             parser.error(f"cannot parse --theta-list {args.theta_list!r}")
-    elif args.theta_grid:
-        try:
-            start, stop, count = args.theta_grid.split(":")
-            start, stop, count = float(start), float(stop), int(count)
-        except ValueError:
-            parser.error(f"--theta-grid wants START:STOP:COUNT, got {args.theta_grid!r}")
-        if count < 1:
-            parser.error(f"--theta-grid COUNT must be >= 1, got {count}")
-        for end in (start, stop):
-            if not math.isfinite(end):
-                raise OutOfRange(f"theta must be finite, got {end}")
-        thetas = [("float", v) for v in np.linspace(start, stop, count)]
-    elif args.rational_grid is not None:
-        qbound = args.rational_grid
-        for q in range(1, qbound + 1):
-            for m in range(q):
-                if math.gcd(m, q) == 1:
-                    thetas.append(("frac", Fraction(m, q)))
-    else:
-        parser.error("table needs one of --theta-list, --theta-grid, --rational-grid")
+    try:
+        start, stop, count = args.theta_grid.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        parser.error(f"--theta-grid wants START:STOP:COUNT, got {args.theta_grid!r}")
+    if count < 1:
+        parser.error(f"--theta-grid COUNT must be >= 1, got {count}")
+    for end in (start, stop):
+        if not math.isfinite(end):
+            raise OutOfRange(f"theta must be finite, got {end}")
+    return np.linspace(start, stop, count)
 
+
+def cmd_table(args, parser) -> int:
     ns = _int_list(args.n_list, parser, "n")
     a_values = _int_list(args.a_list, parser, "a")
     methods = _methods_of(args, parser)
+    if args.rational_grid:  # exact fractions keep the analytic route exact
+        coins = [_coins.coin_from_theta_frac(args.family, Fraction(m, q))
+                 for q in range(1, args.rational_grid + 1) for m in range(q) if math.gcd(m, q) == 1]
+    else:
+        coins = [_coins.coin_from_theta(args.family, v) for v in _theta_values(args, parser)]
     reports = []
     for n in ns:
         for a in a_values:
-            for kind, value in thetas:
-                if kind == "frac":
-                    coin = _coins.coin_from_theta_frac(args.family, value)
-                else:
-                    coin = _coins.coin_from_theta(args.family, value)
+            for coin in coins:
                 spec = _walk.WalkSpec(n=n, a=a, coin=coin)
                 cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax, methods=methods)
                 reports.append(_period.report_json(cv))
@@ -311,10 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="period reports over a parameter sweep")
     p_table.add_argument("--family", choices=_coins.FAMILIES, required=True)
-    p_table.add_argument("--theta-list", type=str, help="comma-separated angles in radians")
-    p_table.add_argument("--theta-grid", type=str, help="START:STOP:COUNT grid of angles")
-    p_table.add_argument("--rational-grid", type=_count,
-                         help="all theta = 2*pi*m/q with q <= bound and gcd(m, q) = 1")
+    angles = p_table.add_mutually_exclusive_group(required=True)
+    angles.add_argument("--theta-list", type=str, help="comma-separated angles in radians")
+    angles.add_argument("--theta-grid", type=str, help="START:STOP:COUNT grid of angles")
+    angles.add_argument("--rational-grid", type=_count,
+                        help="all theta = 2*pi*m/q with q <= bound and gcd(m, q) = 1")
     p_table.add_argument("--n-list", type=str, required=True)
     p_table.add_argument("--a-list", type=str, default="0")
     p_table.add_argument("--methods", type=str, default=",".join(_period.METHODS))

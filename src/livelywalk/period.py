@@ -2,8 +2,8 @@
 
 Three routes to the period T = min{t > 0 : U^t = I}:
 
-* analytic  -- a per-family table of closed forms, applicable when n
-               divides a*l for every block (a = 0 at desk scale): the
+* analytic  -- a per-family table of closed forms, applicable when
+               a = 0, so that every block's phase e^{-ika} is 1: the
                special angles theta/2pi = k/6 have their own period rule,
                every other rational angle at n = 3 an lcm rule, and all
                remaining coins are proven aperiodic or left undecided.
@@ -243,9 +243,10 @@ def _analytic(status: str, theorem: str, period: Optional[int] = None) -> Period
 def period_analytic(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodResult:
     """Closed-form period from the coin family's row of `_ANALYTIC_TABLE`.
 
-    Requires a = 0 (mod n) so the momentum phases e^{-ika} collapse to 1 on
-    every block; other liveliness values return not_applicable and are left
-    to the spectral and brute-force routes.  A +-permutation or
+    Requires a = 0 so the momentum phases e^{-ika} collapse to 1 on every
+    block (`WalkSpec` keeps 0 <= a < n, so that is n | a); other
+    liveliness values return not_applicable and are left to the spectral
+    and brute-force routes.  A +-permutation or
     +-Grover-type coin is read at its exact angle k/6 (a coin merely near
     k/6 is not); where the family's row lists that angle, its rule holds for
     every n.  Any other coin is aperiodic when n != 3; at n = 3 a rational
@@ -255,7 +256,7 @@ def period_analytic(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     """
     _check_qmax(qmax)
     n = spec.n
-    if spec.a % n != 0:
+    if spec.a != 0:
         return _analytic("not_applicable", "phase-condition-unmet")
 
     fam = spec.coin.classification.family
