@@ -63,12 +63,6 @@ class TestTableSweep:
         assert _run(capsys, "table", "--family", "X", "--theta-list", theta_list, "--n-list", "3") == \
             (0, "[]\n", "")
 
-    def test_usage_error_wins_over_a_bad_angle(self, capsys):
-        code, _, err = _run(capsys, "table", "--family", "X", "--theta-list", "nan", "--n-list", "3",
-                            "--methods", "magic")
-        assert code == 2
-        assert "unknown method 'magic'" in err
-
 
 class _RecordingSink:
     """A stdout stand-in that counts the lines written, and the most lines in
