@@ -98,7 +98,7 @@ def _parse_coin(args, parser) -> _coins.Coin3:
         return _coins.perm_matrix(int(args.perm[1]))
     if args.grover:
         return _coins.grover_type(int(args.grover[1]), negate=args.negate)
-    if args.matrix_file:
+    if args.matrix_file is not None:
         return _read_document(args.matrix_file, "coin file", _coins.coin_from_json, parser)
     if args.theta is not None:
         return _coins.coin_from_theta(args.family, args.theta)
@@ -120,7 +120,7 @@ def _parse_coin(args, parser) -> _coins.Coin3:
 
 def _output(args):
     """A context manager that yields the --output file, opened for writing, or stdout."""
-    return open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+    return open(args.output, "w") if args.output is not None else contextlib.nullcontext(sys.stdout)
 
 
 def _emit(text: str, args) -> None:
@@ -179,9 +179,9 @@ def cmd_period(args, parser) -> int:
 def cmd_simulate(args, parser) -> int:
     coin = _parse_coin(args, parser)
     spec = _walk.WalkSpec(n=args.n, a=args.a, coin=coin)
-    if args.state_file and (args.start is not None or args.coinstate is not None):
+    if args.state_file is not None and (args.start is not None or args.coinstate is not None):
         parser.error("give either --start/--coinstate or --state-file, not both")
-    if args.state_file:
+    if args.state_file is not None:
         psi0 = _read_document(args.state_file, "state file", _state_from_json, parser)
     else:
         if args.start is None or args.coinstate is None:
@@ -262,6 +262,14 @@ def cmd_verify(args, parser) -> int:
     return 0 if all_ok else 4
 
 
+def _add_command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """The subparser of one command; ``args.run(args)`` calls handler(args, subparser),
+    so a usage error found by the handler prints that command's usage line."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(run=functools.partial(handler, parser=parser))
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on the first call and shared after that.
@@ -277,12 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_coin = sub.add_parser("coin", help="construct and classify a coin")
+    p_coin = _add_command(sub, "coin", cmd_coin, "construct and classify a coin")
     _add_coin_spec(p_coin)
     p_coin.add_argument("--tol", type=_tolerance, default=1e-10, help="orthogonality/unitarity tolerance")
     _add_output(p_coin)
 
-    p_period = sub.add_parser("period", help="compute the walk period by all methods")
+    p_period = _add_command(sub, "period", cmd_period, "compute the walk period by all methods")
     _add_coin_spec(p_period)
     p_period.add_argument("--n", type=int, required=True)
     p_period.add_argument("--a", type=int, default=0)
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_period_bounds(p_period)
     _add_output(p_period)
 
-    p_sim = sub.add_parser("simulate", help="emit t,position,probability CSV")
+    p_sim = _add_command(sub, "simulate", cmd_simulate, "emit t,position,probability CSV")
     _add_coin_spec(p_sim)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--a", type=int, default=0)
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tmax", type=int, required=True, help="largest time step to emit")
     _add_output(p_sim)
 
-    p_table = sub.add_parser("table", help="period reports over a parameter sweep")
+    p_table = _add_command(sub, "table", cmd_table, "period reports over a parameter sweep")
     p_table.add_argument("--family", choices=_coins.FAMILIES, required=True)
     angles = p_table.add_mutually_exclusive_group(required=True)
     angles.add_argument("--theta-list", type=str, help="comma-separated angles in radians")
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_period_bounds(p_table)
     _add_output(p_table)
 
-    p_verify = sub.add_parser("verify", help="run a sampled invariant suite")
+    p_verify = _add_command(sub, "verify", cmd_verify, "run a sampled invariant suite")
     p_verify.add_argument("--suite", choices=_verify.SUITES + ("all",), required=True)
     p_verify.add_argument("--samples", type=_count, default=None,
                           help="samples per sampled suite, >= 1; --suite all passes it to every suite "
@@ -324,15 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p_verify)
 
     return parser
-
-
-_HANDLERS = {
-    "coin": cmd_coin,
-    "period": cmd_period,
-    "simulate": cmd_simulate,
-    "table": cmd_table,
-    "verify": cmd_verify,
-}
 
 
 def _glue_signs(argv: list) -> list:
@@ -351,7 +350,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_signs(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return _HANDLERS[args.command](args, parser)
+        return args.run(args)
     except (LivelyWalkError, OSError, MemoryError) as exc:  # OSError: a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1

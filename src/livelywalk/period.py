@@ -11,8 +11,11 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                batched eigensolve, has its angle classified as a rational
                multiple of 2*pi by continued fractions; the period is the
                lcm of the multiplicative orders.
-* bruteforce -- power the n momentum blocks U_l in chunks of many steps
-               per numpy call until ||U^t - I||_F <= IDENTITY_TOL.  The arbiter.
+* bruteforce -- build the powers U^1..U^B of the n momentum blocks once,
+               then test B steps t = t0 + j per numpy call: U^t0 is unitary,
+               so ||U^t - I||_F = ||U^j - (U^t0)^dagger||_F, and the first
+               t with distance <= IDENTITY_TOL is the period.  The arbiter:
+               it checks every t <= tmax without the other methods' results.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
 spectral and brute-force routes both start from `walk.block_stack`; the
@@ -53,7 +56,9 @@ GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 CHUNK_STEPS = 128
 #: bytes a brute-force chunk of block powers and its temporaries may hold
 CHUNK_BYTES = 16 * 2**20
-#: arrays of chunk size brute force holds: the powers U^1..U^B and the current window
+#: arrays of chunk size brute force holds: the powers U^1..U^B, one step per row,
+#: and the window of their differences from (U^t0)^dagger, which reuses the
+#: buffer the powers were built in
 _CHUNK_COPIES = 2
 
 
@@ -157,9 +162,11 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     """First t <= tmax with ||U^t - I||_F <= IDENTITY_TOL, by powering the momentum blocks.
 
     The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
-    over blocks of ||U_l^t - I||_F^2.  The powers U_l^1..U_l^B of all n
-    blocks sit side by side in one (n, 3, 3B) array; each further chunk is
-    U^t0 times that array, and one einsum gives the B distances to I.
+    over blocks of ||U_l^t - I||_F^2, and U^t0 is unitary, so at t = t0 + j
+    that is ||U^j - (U^t0)^dagger||_F^2.  The powers U^1..U^B of all n blocks
+    are built once, as the rows of one (B, 9n) array; each chunk subtracts
+    (U^t0)^dagger from every row, one einsum gives the B distances, and one
+    product of 3x3 blocks advances t0 by B.
     """
     if tmax < 0:
         raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
@@ -173,15 +180,17 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
         np.matmul(powers[:, :, 3 * done - 3:3 * done], powers[:, :, :3 * m],
                   out=powers[:, :, 3 * done:3 * (done + m)])
         done += m
-    eye = np.tile(np.eye(3), chunk)
-    window = powers.copy()  # U^(t0+1..t0+B), then minus I in place
-    re_im = window.view(np.float64).reshape(n, 3, chunk, 6)  # per power: 3 entries as re, im
+    rows = powers.reshape(n, 3, chunk, 3).transpose(2, 0, 1, 3).copy().reshape(chunk, 9 * n)
+    window = powers.reshape(chunk, 9 * n)  # the doubling buffer, reused: rows minus (U^t0)^dagger
+    re_im = window.view(np.float64)  # per power: 9n entries as re, im
+    u_chunk_t = rows[-1].reshape(n, 3, 3).transpose(0, 2, 1)  # (U^B)^T
+    target = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3)).copy()  # (U^t0)^dagger
     for t0 in range(0, tmax, chunk):
-        if t0:
-            np.matmul(last, powers, out=window)
-        last = window[:, :, -3:].copy()
-        window -= eye
-        hits = np.flatnonzero(np.sqrt(np.einsum("lrbc,lrbc->b", re_im, re_im)) <= IDENTITY_TOL)
+        if t0:  # (U^(t0+B))^dagger = conj((U^B)^T conj((U^t0)^dagger)), with window row 0 as scratch
+            scratch = np.conjugate(target, out=window[0].reshape(n, 3, 3))
+            np.conjugate(np.matmul(u_chunk_t, scratch, out=target), out=target)
+        np.subtract(rows, target.reshape(-1), out=window)
+        hits = np.flatnonzero(np.sqrt(np.einsum("bi,bi->b", re_im, re_im)) <= IDENTITY_TOL)
         if hits.size and t0 + hits[0] + 1 <= tmax:
             return PeriodResult(status="finite", method="bruteforce", period=int(t0 + hits[0] + 1))
     return PeriodResult(status="no_period_up_to", method="bruteforce", bound=tmax)

@@ -1,4 +1,5 @@
-"""The CLI's either-or flag groups, the `table` sweep and the `simulate` output sink."""
+"""The CLI's either-or flag groups, its path flags and usage lines, the `table`
+sweep and the `simulate` output sink."""
 
 import contextlib
 import itertools
@@ -48,6 +49,40 @@ class TestEitherOrGroups:
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "")
         assert message in err
+
+
+class TestEmptyPaths:
+    """An empty path is read like any path: it names no file, so the call
+    fails as a missing file does, with exit 1 and an error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("coin", "--matrix-file", ""),
+        ("simulate", "--perm", "P1", "--n", "3", "--tmax", "2", "--state-file", ""),
+        ("period", "--perm", "P1", "--n", "3", "--output", ""),
+    ])
+    def test_empty_path_is_a_missing_file(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "No such file or directory" in err
+
+
+class TestHandlerUsageLines:
+    """A usage error that a command's handler finds prints that command's
+    usage line, as argparse's own errors for the command do."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("coin", "--family", "X"), "--family needs one of --theta, --theta-frac, --rational"),
+        (("period", "--perm", "P1", "--n", "3", "--methods", "foo"), "unknown method 'foo'"),
+        (("simulate", "--perm", "P1", "--n", "3", "--tmax", "2", "--start", "0"),
+         "simulate needs --start and --coinstate, or --state-file"),
+        (("table", "--family", "X", "--theta-list", "1", "--n-list", "q"), "cannot parse n list 'q'"),
+        (("verify", "--suite", "period-consistency", "--samples", "2"), "--samples is not read by"),
+    ])
+    def test_usage_line_of_the_command(self, capsys, argv, message):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: livelywalk {argv[0]} [-h]")
+        assert f"livelywalk {argv[0]}: error: {message}" in err
 
 
 class TestTableSweep:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,21 @@ class TestBlockBruteForceChunks:
         res = period_bruteforce(spec, tmax=n - 1)
         assert res.status == "no_period_up_to" and res.bound == n - 1
 
+    @pytest.mark.parametrize("coin, n", [
+        (coins.perm_matrix(1), 3 * CHUNK_STEPS),  # identity-lcm, period n: the last step of chunk 3
+        (coins.perm_matrix(1), 3 * CHUNK_STEPS + 1),  # the first step of chunk 4
+        (coins.coin_from_theta_frac("Z", Fraction(0)), 700),  # permutation-lcm, period 2n: chunk 17 of 83 steps
+    ])
+    def test_hit_in_a_late_chunk_matches_analytic(self, coin, n):
+        # past the second chunk each chunk is compared against an accumulated (U^t0)^dagger
+        spec = spec_of(coin, n)
+        period = period_analytic(spec).period
+        assert period > 2 * period_mod._chunk_steps(n)
+        assert period_bruteforce(spec).period == period
+        assert period_bruteforce(spec, tmax=period).period == period
+        res = period_bruteforce(spec, tmax=period - 1)
+        assert res.status == "no_period_up_to" and res.bound == period - 1
+
     @settings(max_examples=100, deadline=None)
     @given(family=st.sampled_from(coins.FAMILIES),
            theta=st.one_of(st.floats(0.0, 2 * math.pi),
@@ -228,6 +244,21 @@ class TestBruteForceMemoryGuard:
             period_mod._chunk_steps(largest + 1)
         with pytest.raises(GuardExceeded):
             period_bruteforce(spec_of(coins.perm_matrix(1), largest + 1), tmax=3)
+
+    def test_peak_memory_within_chunk_budget(self):
+        # at n = 20,000 a chunk holds 2 powers: the powers and the window take
+        # 11.5 MB of the 16 MiB budget, and (U^t0)^dagger one power, 2.9 MB,
+        # more; a third chunk-sized array, or a second power, would exceed it
+        spec = spec_of(coins.perm_matrix(2), 20_000)
+        assert period_mod._chunk_steps(spec.n) == 2
+        tracemalloc.start()
+        try:
+            res = period_bruteforce(spec, tmax=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.period == 3  # a hit in the second chunk, after U^t0 has advanced once
+        assert peak <= period_mod.CHUNK_BYTES + 256 * 1024
 
     def test_chunk_shrinks_with_n_within_budget(self):
         for n in (2, 100, 1000, DENSE_GUARD + 1, 20_000):
