@@ -44,7 +44,9 @@ from .errors import (
 from .exactnum import (
     _TWO_PI,
     DEFAULT_TOL,
-    exact_det3,
+    _integer_det3,
+    _integer_orthogonal,
+    _scaled_integer,
     exact_matrix,
     is_exact,
     orthogonality_defect,
@@ -71,6 +73,11 @@ _PERM_01 = {
     p: np.array([[int(images[i] == j) for j in range(3)] for i in range(3)])
     for p, images in PERM_IMAGES.items()
 }
+
+#: index orders that take the first row (x, y, z) to each row of a basis's layout
+_ROW_ORDERS = {CYCLIC: ((0, 1, 2), (2, 0, 1), (1, 2, 0)),
+               TRANSPOSITION: ((0, 1, 2), (1, 2, 0), (2, 0, 1))}
+_ROW_INDEX = {basis: np.array(orders) for basis, orders in _ROW_ORDERS.items()}
 
 #: family -> (basis, s = x + y + z), and back
 _FAMILY = {"X": (CYCLIC, 1), "Y": (CYCLIC, -1), "Z": (TRANSPOSITION, 1), "W": (TRANSPOSITION, -1)}
@@ -110,7 +117,15 @@ class Coin3:
         return is_exact(self.matrix)
 
     def as_float(self) -> np.ndarray:
-        return to_float(self.matrix)
+        """The matrix as complex128: one read-only copy, made on first use and
+        cached, so the coin's own ``matrix`` is never aliased."""
+        return self._float
+
+    @functools.cached_property
+    def _float(self) -> np.ndarray:
+        mf = np.array(self.matrix, dtype=complex)
+        mf.flags.writeable = False
+        return mf
 
     @property
     def params(self) -> Optional[tuple]:
@@ -161,25 +176,17 @@ def _matrix_of(m) -> np.ndarray:
     return np.asarray(m)
 
 
-def _special_coin(p: int, m: np.ndarray, s: int) -> Coin3:
-    """Coin of the exact matrix m built on P_p, whose coefficients sum to s."""
-    basis = CYCLIC if p <= 3 else TRANSPOSITION
-    return Coin3(matrix=m, family=_FAMILY_OF[(basis, s)])
-
-
 def perm_matrix(p: int) -> Coin3:
-    """The permutation matrix P_p, p in 1..6, in exact representation."""
+    """The permutation matrix P_p, p in 1..6, in exact representation: the
+    shared read-only constant ``SPECIAL_COINS[p - 1]``."""
     if p not in PERM_IMAGES:
         raise OutOfRange(f"permutation index must be 1..6, got {p}")
-    return _special_coin(p, exact_matrix(_PERM_01[p].tolist()), 1)
+    return SPECIAL_COINS[int(p) - 1]
 
 
 def _layout(basis: str, x, y, z, dtype) -> np.ndarray:
-    if basis == CYCLIC:
-        rows = [[x, y, z], [z, x, y], [y, z, x]]
-    else:
-        rows = [[x, y, z], [y, z, x], [z, x, y]]
-    return np.array(rows, dtype=dtype)
+    first = (x, y, z)
+    return np.array([[first[i] for i in order] for order in _ROW_ORDERS[basis]], dtype=dtype)
 
 
 def _ellipse_residual(s: int, x, y):
@@ -315,26 +322,73 @@ def pell_point(r: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def grover_type(p: int, negate: bool = False) -> Coin3:
-    """(2/3)J - P_p, negated when asked, in exact representation."""
+    """(2/3)J - P_p, negated when asked, in exact representation: a shared
+    read-only constant of ``SPECIAL_COINS``."""
     if p not in PERM_IMAGES:
         raise OutOfRange(f"permutation index must be 1..6, got {p}")
-    sign = -1 if negate else 1
-    m = np.array(
-        [[sign * (Fraction(2, 3) - e) for e in row] for row in _PERM_01[p].tolist()],
-        dtype=object,
-    )
-    return _special_coin(p, m, sign)
+    return SPECIAL_COINS[(18 if negate else 6) + int(p) - 1]
 
 
-#: the 24 special coins, in blocks of six over P1..P6: P, (2/3)J - P, -P, P - (2/3)J
+def _special_coin(p: int, grover: bool, s: int) -> Coin3:
+    """The exact coin s*P_p, or s*((2/3)J - P_p) for a Grover-type one, with a
+    read-only matrix; its coefficients sum to s."""
+    m = exact_matrix([[s * (Fraction(2, 3) - e if grover else e) for e in row]
+                      for row in _PERM_01[p].tolist()])
+    m.flags.writeable = False
+    return Coin3(matrix=m, family=_FAMILY_OF[(CYCLIC if p <= 3 else TRANSPOSITION, s)])
+
+
+#: the 24 special coins, in blocks of six over P1..P6: P, (2/3)J - P, -P,
+#: P - (2/3)J.  Built once; `perm_matrix` and `grover_type` return these
+#: objects, so each is converted to floats and classified once per process.
 SPECIAL_COINS = tuple(
-    _special_coin(p, sign * make(p).matrix, sign)
-    for sign in (1, -1)
-    for make in (perm_matrix, grover_type)
-    for p in range(1, 7)
+    _special_coin(p, grover, sign) for sign in (1, -1) for grover in (False, True) for p in range(1, 7)
 )
 #: the special coins as one float stack, which `classify` compares against
 _SPECIAL = np.array([coin.as_float().real for coin in SPECIAL_COINS])
+
+
+def _float_of(m) -> np.ndarray:
+    return m.as_float() if isinstance(m, Coin3) else to_float(m)
+
+
+def _check_orthogonal(mf: np.ndarray, tol: float) -> None:
+    defect = orthogonality_defect(mf)
+    if not defect <= tol:  # also catches NaN/Inf entries
+        raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
+
+
+def _linear_sum(m, tol: float) -> tuple[LinearSumCoefficients, Scalar, Scalar]:
+    """The one pass `decompose_linear_sum` and `classify` share: the basis and
+    coefficients of an orthogonal linear sum of permutations, with x + y + z
+    and the determinant.
+
+    An exact matrix is read once as the integers M = d*m: M^T M = d^2 I, rows
+    2 and 3 are row 1 taken in the index orders of one basis, and det(m) =
+    det(M) / d^3.  One that is not exactly orthogonal is measured in floats
+    at ``tol``, as a float matrix is: ||M^T M - I||_F, the layout gathered
+    from row 1 and compared at ``tol``, and ``np.linalg.det``.
+    """
+    matrix = _matrix_of(m)
+    if is_exact(matrix):
+        rows, d = _scaled_integer(matrix)
+        if not _integer_orthogonal(rows, d):
+            _check_orthogonal(_float_of(m), tol)
+        first = rows[0]
+        basis = next((b for b, orders in _ROW_ORDERS.items()
+                      if all(rows[i] == [first[j] for j in orders[i]] for i in (1, 2))), None)
+        x, y, z = matrix[0]
+        s, det = Fraction(sum(first), d), Fraction(_integer_det3(rows), d ** 3)
+    else:
+        mf = _float_of(m)
+        _check_orthogonal(mf, tol)
+        basis = next((b for b, index in _ROW_INDEX.items()
+                      if np.max(np.abs(mf[0][index] - mf)) <= tol), None)
+        x, y, z = mf[0].tolist()
+        s, det = x + y + z, np.linalg.det(mf)
+    if basis is None:
+        raise NotPermutative("rows are not cyclic shifts of the first row in either basis")
+    return LinearSumCoefficients(basis, x, y, z), s, det
 
 
 def decompose_linear_sum(m, tol: float = DEFAULT_TOL) -> LinearSumCoefficients:
@@ -344,31 +398,16 @@ def decompose_linear_sum(m, tol: float = DEFAULT_TOL) -> LinearSumCoefficients:
     matches; a matrix matching neither is orthogonal but not a linear sum of
     permutations.
     """
-    m = _matrix_of(m)
-    defect = orthogonality_defect(m)
-    if not defect <= tol:  # also catches NaN/Inf entries
-        raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
-    x, y, z = m[0]
-    exact = is_exact(m)
-    for basis in (CYCLIC, TRANSPOSITION):
-        candidate = _layout(basis, x, y, z, object if exact else complex)
-        if exact:
-            if np.array_equal(candidate, m):
-                return LinearSumCoefficients(basis, x, y, z)
-        else:
-            if np.max(np.abs(candidate - to_float(m))) <= tol:
-                return LinearSumCoefficients(basis, complex(x), complex(y), complex(z))
-    raise NotPermutative("rows are not cyclic shifts of the first row in either basis")
+    return _linear_sum(m, tol)[0]
 
 
 def _near(a, b, tol) -> bool:
     return abs(complex(a) - complex(b)) <= tol
 
 
-def _is_rational_matrix(m: np.ndarray) -> bool:
-    if is_exact(m):
-        return True
-    mf = to_float(m)
+def _is_rational_matrix(mf: np.ndarray) -> bool:
+    """Whether every entry of the float matrix mf is within RATIONAL_TOL of a
+    fraction with denominator at most RATIONAL_MAX_DEN."""
     if np.max(np.abs(mf.imag)) > RATIONAL_TOL:
         return False
     for v in mf.real.flat:
@@ -387,9 +426,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     family raises ConstraintViolated when its entries are of another.
     """
     named = m.family if isinstance(m, Coin3) else None
-    m = _matrix_of(m)
-    coeffs = decompose_linear_sum(m, tol)
-    s = coeffs.x + coeffs.y + coeffs.z
+    coeffs, s, det = _linear_sum(m, tol)
     if _near(s, 1, tol):
         sign = 1
     elif _near(s, -1, tol):
@@ -397,11 +434,6 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     else:
         raise NotPermutative(f"coefficient sum {s} is not +-1")
     family = _FAMILY_OF[(coeffs.basis, sign)]
-
-    if is_exact(m):
-        det = exact_det3(m)
-    else:
-        det = np.linalg.det(to_float(m))
     if not _near(det, _FAMILY_DET[family], tol):
         raise InternalInconsistency(
             f"det {det} inconsistent with family {family} (expected {_FAMILY_DET[family]})"
@@ -409,7 +441,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     if named is not None and named != family:
         raise ConstraintViolated(f"coin names family {named} but its entries are family {family}")
 
-    mf = to_float(m)
+    mf = _float_of(m)
     real = np.max(np.abs(mf.imag)) <= DEFAULT_TOL
     hits = real & (np.max(np.abs(mf.real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
     return Classification(
@@ -420,7 +452,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
         z=coeffs.z,
         is_permutation=bool(hits[:6].any()),
         is_grover_type=bool(hits[6:12].any()),
-        is_rational=_is_rational_matrix(m),
+        is_rational=is_exact(_matrix_of(m)) or _is_rational_matrix(mf),
         theta=_reconstruct_angle(sign, coeffs.x, coeffs.y),
         is_special=bool(hits.any()),
     )

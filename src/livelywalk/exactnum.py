@@ -50,9 +50,8 @@ def _scaled_integer(m: np.ndarray) -> tuple[list, int]:
     return [[e.numerator * (d // e.denominator) for e in row] for row in m.tolist()], d
 
 
-def _is_orthogonal_exact(m: np.ndarray) -> bool:
-    """m^T m = I exactly, checked as M^T M = d^2 I on M = d*m."""
-    rows, d = _scaled_integer(m)
+def _integer_orthogonal(rows: list, d: int) -> bool:
+    """m^T m = I exactly, checked as M^T M = d^2 I on the rows of M = d*m."""
     cols = list(zip(*rows))
     return all(
         sum(p * q for p, q in zip(cols[i], cols[j])) == (d * d if i == j else 0)
@@ -67,7 +66,7 @@ def orthogonality_defect(m: np.ndarray) -> float:
     are complex *orthogonal*, not unitary, so no conjugation here.
     """
     if is_exact(m):
-        if _is_orthogonal_exact(m):
+        if _integer_orthogonal(*_scaled_integer(m)):
             return 0.0
         m = to_float(m)
     mf = np.asarray(m, dtype=complex)
@@ -81,10 +80,10 @@ def unitarity_defect(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(gram - np.eye(mf.shape[-1]), axis=(-2, -1))
 
 
-def exact_det3(m: np.ndarray) -> Fraction:
-    """det of an exact 3x3 matrix, as det(M) / d^3 for M = d*m of :func:`_scaled_integer`."""
-    ((a, b, c), (d, e, f), (g, h, i)), scale = _scaled_integer(m)
-    return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g), scale ** 3)
+def _integer_det3(rows: list) -> int:
+    """det of a 3x3 integer matrix given as rows; for M = d*m it is d^3 det(m)."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _solve_cluster(m: np.ndarray) -> np.ndarray:

@@ -7,10 +7,12 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                special angles theta/2pi = k/6 have their own period rule,
                every other rational angle at n = 3 an lcm rule, and all
                remaining coins are proven aperiodic or left undecided.
-* spectral  -- every eigenvalue of the momentum-block stack, from one
-               batched eigensolve, has its angle classified as a rational
-               multiple of 2*pi by continued fractions; the period is the
-               lcm of the multiplicative orders.
+* spectral  -- every eigenvalue of the momentum blocks l = 0..n//2, from
+               one batched eigensolve, has its angle classified as a
+               rational multiple of 2*pi by continued fractions; the
+               period is the lcm of the multiplicative orders.  The coin
+               is real, so block n - l is the complex conjugate of block l
+               and has the same orders: the other blocks add nothing.
 * bruteforce -- build the powers U^1..U^B of the n momentum blocks once,
                then test B steps t = t0 + j per numpy call: U^t0 is unitary,
                so ||U^t - I||_F = ||U^j - (U^t0)^dagger||_F, and the first
@@ -36,7 +38,7 @@ import numpy as np
 from . import coins as _coins
 from . import walk as _walk
 from .errors import GuardExceeded, NotUnitModulus, OutOfRange
-from .exactnum import _TWO_PI, DEFAULT_TOL
+from .exactnum import _TWO_PI, DEFAULT_TOL, eig3_unitary
 
 TMAX_DEFAULT = 10_000
 QMAX_DEFAULT = 1_000_000
@@ -54,11 +56,12 @@ ANGLE_ACCURACY = 1e-12
 GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 #: most block powers brute force computes and checks per numpy call
 CHUNK_STEPS = 128
-#: bytes a brute-force chunk of block powers and its temporaries may hold
+#: bytes a brute-force chunk of block powers, (U^t0)^dagger and their
+#: temporaries may hold
 CHUNK_BYTES = 16 * 2**20
 #: arrays of chunk size brute force holds: the powers U^1..U^B, one step per row,
 #: and the window of their differences from (U^t0)^dagger, which reuses the
-#: buffer the powers were built in
+#: buffer the powers were built in; (U^t0)^dagger is one more power
 _CHUNK_COPIES = 2
 
 
@@ -75,16 +78,11 @@ class PeriodResult:
         return self.status == "finite"
 
 
-def classify_fraction(x: float, qmax: int = QMAX_DEFAULT) -> Optional[Fraction]:
-    """Best convergent p/q of x mod 1 with q <= qmax, err < ANGLE_TOL and err*q^2 < DECISIVE.
-
-    Returns None when no convergent qualifies.  The decisiveness guard keeps
-    convergents of genuinely irrational values (whose error scales like
-    1/q^2) from slipping under the absolute tolerance once q is large.
-    """
+def _convergent(x: float, qmax: int) -> Optional[tuple[int, int]]:
+    """(p, q) of :func:`classify_fraction`, in lowest terms, or None."""
     x = float(x) % 1.0
     if abs(x) < ANGLE_TOL or abs(x - 1.0) < ANGLE_TOL:
-        return Fraction(0)
+        return 0, 1
     h0, k0 = 1, 0
     h1, k1 = 0, 1  # first convergent of a value in (0, 1) is 0/1
     frac = x
@@ -100,8 +98,19 @@ def classify_fraction(x: float, qmax: int = QMAX_DEFAULT) -> Optional[Fraction]:
             break
         err = abs(x - h1 / k1)
         if err < ANGLE_TOL and err * k1 * k1 < DECISIVE:
-            return Fraction(h1, k1)
+            return h1, k1
     return None
+
+
+def classify_fraction(x: float, qmax: int = QMAX_DEFAULT) -> Optional[Fraction]:
+    """Best convergent p/q of x mod 1 with q <= qmax, err < ANGLE_TOL and err*q^2 < DECISIVE.
+
+    Returns None when no convergent qualifies.  The decisiveness guard keeps
+    convergents of genuinely irrational values (whose error scales like
+    1/q^2) from slipping under the absolute tolerance once q is large.
+    """
+    convergent = _convergent(x, qmax)
+    return None if convergent is None else Fraction(*convergent)
 
 
 def order_of_unit(lam: complex, qmax: int = QMAX_DEFAULT) -> Optional[int]:
@@ -115,10 +124,8 @@ def order_of_unit(lam: complex, qmax: int = QMAX_DEFAULT) -> Optional[int]:
     lam = complex(lam)
     if not abs(abs(lam) - 1.0) <= DEFAULT_TOL:  # also catches NaN
         raise NotUnitModulus(f"|lambda| = {abs(lam)} is not 1 within {DEFAULT_TOL}")
-    frac = classify_fraction((math.atan2(lam.imag, lam.real) / _TWO_PI) % 1.0, qmax)
-    if frac is None:
-        return None
-    return frac.denominator
+    convergent = _convergent((math.atan2(lam.imag, lam.real) / _TWO_PI) % 1.0, qmax)
+    return None if convergent is None else convergent[1]
 
 
 def _lcm(values) -> int:
@@ -131,17 +138,21 @@ def _check_qmax(qmax: int) -> None:
 
 
 def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodResult:
-    """Period as the lcm of the eigenvalue orders over all momentum blocks.
+    """Period as the lcm of the eigenvalue orders over the momentum blocks.
 
-    When some eigenvalue's angle fails to classify as rational, the walk has
-    no period up to the reported bound: a period T forces every order to
-    divide T, and orders are detected reliably as far as the decisiveness
-    guard allows, so the bound is min(qmax, GUARANTEED_ORDER_BOUND).
+    Only blocks l = 0..n//2 are solved: `WalkSpec` admits real coins only,
+    so block n - l, D_{-k} C = conj(D_k C), is the complex conjugate of
+    block l and its eigenvalues, the conjugates of block l's, have the same
+    orders; l = 0 and, for even n, l = n/2 are their own conjugates.  When
+    some eigenvalue's angle fails to classify as rational, the walk has no
+    period up to the reported bound: a period T forces every order to divide
+    T, and orders are detected reliably as far as the decisiveness guard
+    allows, so the bound is min(qmax, GUARANTEED_ORDER_BOUND).
     """
     _check_qmax(qmax)
     bound = min(qmax, GUARANTEED_ORDER_BOUND)
     orders = []
-    for lam in _walk.spectrum(spec).flat:
+    for lam in eig3_unitary(_walk.block_stack(spec)[: spec.n // 2 + 1]).flat:
         q = order_of_unit(lam, qmax)
         if q is None:
             return PeriodResult(status="no_period_up_to", method="spectral", bound=bound)
@@ -149,13 +160,20 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     return PeriodResult(status="finite", method="spectral", period=_lcm(orders))
 
 
-def _chunk_steps(n: int) -> int:
-    """Powers per chunk for n blocks: at most CHUNK_STEPS, within CHUNK_BYTES."""
-    per_power = _CHUNK_COPIES * n * 9 * np.dtype(complex).itemsize
-    if per_power > CHUNK_BYTES:
-        raise GuardExceeded(f"one power of the {n} momentum blocks needs {per_power} bytes "
-                            f"of chunk storage, over the {CHUNK_BYTES}-byte budget")
-    return min(CHUNK_STEPS, CHUNK_BYTES // per_power)
+def _chunk_steps(n: int, tmax: int) -> int:
+    """Powers per chunk for n blocks and tmax steps: at most CHUNK_STEPS and
+    max(1, tmax), with the B powers' _CHUNK_COPIES arrays and (U^t0)^dagger,
+    (_CHUNK_COPIES * B + 1) * 144 * n bytes, within CHUNK_BYTES.
+
+    Raises GuardExceeded when not even B = 1 fits: for n > 38,836.
+    """
+    per_power = n * 9 * np.dtype(complex).itemsize
+    fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
+    if fits < 1:
+        raise GuardExceeded(f"one power of the {n} momentum blocks needs "
+                            f"{(_CHUNK_COPIES + 1) * per_power} bytes of chunk storage, "
+                            f"over the {CHUNK_BYTES}-byte budget")
+    return min(CHUNK_STEPS, max(1, tmax), fits)
 
 
 def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodResult:
@@ -171,7 +189,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     if tmax < 0:
         raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
     n = spec.n
-    chunk = _chunk_steps(n)
+    chunk = _chunk_steps(n, tmax)
     powers = np.empty((n, 3, 3 * chunk), dtype=complex)
     powers[:, :, :3] = _walk.block_stack(spec)
     done = 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from livelywalk import coins
+from livelywalk import WalkSpec, coins, period_analytic, period_spectral
 from livelywalk.coins import (
     SPECIAL_COINS,
     Coin3,
@@ -88,6 +88,57 @@ class TestPermMatrices:
     def test_index_out_of_range(self):
         with pytest.raises(OutOfRange):
             perm_matrix(7)
+
+
+class TestSharedSpecialCoins:
+    """perm_matrix and grover_type return the read-only SPECIAL_COINS entries."""
+
+    def test_constructors_return_the_shared_constants(self):
+        assert perm_matrix(2) is perm_matrix(2)
+        for p in range(1, 7):
+            assert perm_matrix(p) is SPECIAL_COINS[p - 1]
+            assert grover_type(p) is SPECIAL_COINS[5 + p]
+            assert grover_type(p, negate=True) is SPECIAL_COINS[17 + p]
+
+    def test_shared_matrices_are_read_only(self):
+        with pytest.raises(ValueError):
+            perm_matrix(2).matrix[0, 0] = Fraction(0)
+        with pytest.raises(ValueError):
+            perm_matrix(2).as_float()[0, 0] = 0.0
+        assert perm_matrix(2).as_float() is perm_matrix(2).as_float()
+
+    def test_float_coin_matrix_stays_writable(self):
+        coin = coin_from_theta("X", 1.0)
+        mf = coin.as_float()
+        assert mf is coin.as_float() and not np.shares_memory(mf, coin.matrix)
+        assert np.array_equal(mf, coin.matrix)
+        with pytest.raises(ValueError):
+            mf[0, 0] = 0.0
+        coin.matrix[0, 0] = coin.matrix[0, 0]
+
+    def test_negated_constant_is_a_fresh_writable_coin(self):
+        coin = Coin3(matrix=-perm_matrix(2).matrix)
+        assert all(coin is not shared for shared in SPECIAL_COINS)
+        coin.matrix[0, 0] = coin.matrix[0, 0]
+        assert coin.classification.family == "Y" and coin.classification.is_special
+
+    def test_each_shared_coin_classified_once(self, monkeypatch):
+        calls = []
+        real = coins.classify
+
+        def counting_classify(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coins, "classify", counting_classify)
+        for coin in (perm_matrix(2), grover_type(3, negate=True)):
+            # forget the classification an earlier test may have cached; restored after the test
+            monkeypatch.delitem(vars(coin), "classification", raising=False)
+        for n in range(3, 9):
+            for spec in (WalkSpec(n, 1, perm_matrix(2)), WalkSpec(n, 1, grover_type(3, negate=True))):
+                period_analytic(spec)
+                period_spectral(spec)
+        assert len(calls) == 2
 
 
 class TestCoinFromXyz:

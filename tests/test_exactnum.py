@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from livelywalk import WalkSpec, coins, eig3_unitary, exactnum, reduced_block
 from livelywalk.errors import DimensionMismatch, NotOrthogonal, NotUnitary, NumericalFailure
 from livelywalk.exactnum import (
-    exact_det3,
     exact_matrix,
     orthogonality_defect,
     to_float,
@@ -245,7 +244,7 @@ def test_rational_arithmetic_exact_bulk():
     # every Pell-parametrized coin over a grid of rationals r, in every family
     # and sign pair, is exactly orthogonal: with D the lcm of its entries'
     # denominators, the integer matrix K = D M has K^T K = D^2 I in Python
-    # integers (no Fraction arithmetic in the oracle); exact_det3 is +-1 and
+    # integers (no Fraction arithmetic in the oracle); integer_det3 is +-1 and
     # the library's own exact product M^T M is the exact identity
     grid = {Fraction(p, q) for p in range(-12, 13) for q in range(1, 8)}
     checked = 0
@@ -259,7 +258,7 @@ def test_rational_arithmetic_exact_bulk():
                 for i, j in itertools.product(range(3), repeat=2):
                     gram = sum(k[row][i] * k[row][j] for row in range(3))
                     assert gram == (d * d if i == j else 0), (fam, r, s1, s2)
-                assert exact_det3(m) in (1, -1)
+                assert integer_det3(m) in (1, -1)
                 assert np.array_equal(m.T @ m, EXACT_IDENTITY)
                 checked += 1
     assert checked == 16 * len(grid) == 1840
@@ -281,13 +280,20 @@ def _fraction_det3(m) -> Fraction:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def integer_det3(m) -> Fraction:
+    """det of an exact 3x3 matrix by the integer kernel `classify` uses:
+    det(M) / d^3 for the scaled integers M = d*m."""
+    rows, d = exactnum._scaled_integer(m)
+    return Fraction(exactnum._integer_det3(rows), d ** 3)
+
+
 def _float_defect(m) -> float:
     mf = to_float(m)
     return float(np.linalg.norm(mf.T @ mf - np.eye(3)))
 
 
 class TestIntegerExactPath:
-    """orthogonality_defect and exact_det3 on exact matrices scale by the lcm of
+    """orthogonality_defect and integer_det3 on exact matrices scale by the lcm of
     the denominators and work in integers; their verdicts and dets equal the
     Fraction reference above."""
 
@@ -298,7 +304,7 @@ class TestIntegerExactPath:
         m = coins.coin_from_rational(family, Fraction(num, den), s1, s2).matrix
         assert _fraction_orthogonal(m)
         assert orthogonality_defect(m) == 0.0
-        det = exact_det3(m)
+        det = integer_det3(m)
         assert type(det) is Fraction and det == _fraction_det3(m) == (1 if family in ("X", "W") else -1)
 
     @settings(max_examples=200, deadline=None)
@@ -312,7 +318,7 @@ class TestIntegerExactPath:
         assert not _fraction_orthogonal(m)
         defect = orthogonality_defect(m)
         assert defect == _float_defect(m) > exactnum.DEFAULT_TOL
-        assert exact_det3(m) == _fraction_det3(m)
+        assert integer_det3(m) == _fraction_det3(m)
         with pytest.raises(NotOrthogonal):
             coins.classify(m)
 
@@ -321,15 +327,15 @@ class TestIntegerExactPath:
         for coin in coins.SPECIAL_COINS:
             m = coin.matrix
             assert _fraction_orthogonal(m) and orthogonality_defect(m) == 0.0
-            assert exact_det3(m) == _fraction_det3(m) in (1, -1)
-            assert type(exact_det3(m)) is Fraction
+            assert integer_det3(m) == _fraction_det3(m) in (1, -1)
+            assert type(integer_det3(m)) is Fraction
 
     def test_products_of_rational_coins(self):
         a = coins.coin_from_rational("X", Fraction(999983, 1000003), 1, -1)
         b = coins.coin_from_rational("W", Fraction(-7, 123457), -1, 1)
         m = coins.multiply(a, b).matrix
         assert _fraction_orthogonal(m) and orthogonality_defect(m) == 0.0
-        assert exact_det3(m) == _fraction_det3(m) == 1
+        assert integer_det3(m) == _fraction_det3(m) == 1
 
     @pytest.mark.parametrize("rows, det", [
         ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 1),
@@ -340,4 +346,4 @@ class TestIntegerExactPath:
         m = exactnum.exact_matrix(rows)
         assert not _fraction_orthogonal(m)
         assert orthogonality_defect(m) == _float_defect(m) > 0
-        assert exact_det3(m) == _fraction_det3(m) == det
+        assert integer_det3(m) == _fraction_det3(m) == det

@@ -25,9 +25,11 @@ from livelywalk.period import (
     CHUNK_STEPS,
     GUARANTEED_ORDER_BOUND,
     QMAX_DEFAULT,
+    PeriodResult,
+    TMAX_DEFAULT,
     classify_fraction,
 )
-from livelywalk.walk import DENSE_GUARD
+from livelywalk.walk import DENSE_GUARD, block_stack, spectrum
 
 from conftest import dense_operator
 
@@ -127,6 +129,78 @@ class TestSpectral:
                 assert spectral.period == brute
 
 
+def full_spectrum_period(spec) -> PeriodResult:
+    """The spectral report read off every block: the lcm of `order_of_unit`
+    over all of `walk.spectrum(spec)`, the route before it solved half the
+    blocks."""
+    orders = [order_of_unit(lam) for lam in spectrum(spec).flat]
+    if None in orders:
+        return PeriodResult(status="no_period_up_to", method="spectral",
+                            bound=min(QMAX_DEFAULT, GUARANTEED_ORDER_BOUND))
+    return PeriodResult(status="finite", method="spectral", period=math.lcm(*orders))
+
+
+#: the 24 special coins, the four Pell coins at r = 2 and every family at
+#: each theta/2pi = m/q with q <= 8
+HALF_BLOCK_COINS = (
+    list(SPECIAL_COINS)
+    + [coins.coin_from_rational(fam, Fraction(2)) for fam in coins.FAMILIES]
+    + [coins.coin_from_theta_frac(fam, Fraction(m, q)) for fam in coins.FAMILIES
+       for q in range(1, 9) for m in range(q) if math.gcd(m, q) == 1]
+)
+
+
+class TestHalfBlockSpectral:
+    """period_spectral solves blocks 0..n//2 only: for a real coin block n - l
+    is the conjugate of block l, so it adds no order.  Held to the lcm over
+    the full spectrum.  The sweeps below take odd and even n from 2 to 64;
+    the same comparison over every n = 2..64 and every a (126,092 specs of
+    these coins) was run once when the route was changed, and agreed on
+    every spec."""
+
+    @pytest.mark.parametrize("n, a_values", [
+        *((n, range(n // 2 + 1)) for n in (2, 3, 4, 5, 6, 7, 8, 9, 16, 17)),
+        *((n, (0, 1, n // 2 - 1, n // 2)) for n in (63, 64)),
+    ])
+    def test_matches_full_spectrum_on_the_coin_corpus(self, n, a_values):
+        for coin in HALF_BLOCK_COINS:
+            for a in a_values:
+                spec = spec_of(coin, n, a)
+                assert period_spectral(spec) == full_spectrum_period(spec), (coin.matrix, n, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(coins.FAMILIES), theta=st.floats(0.0, 2 * math.pi),
+           n=st.integers(2, 64), data=st.data())
+    def test_matches_full_spectrum_on_float_angles(self, family, theta, n, data):
+        spec = spec_of(coins.coin_from_theta(family, theta), n, data.draw(st.integers(0, n // 2)))
+        assert period_spectral(spec) == full_spectrum_period(spec)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_upper_blocks_conjugate_the_lower(self, n):
+        # odd n pairs every block l >= 1 with n - l; even n leaves l = n/2,
+        # the phases diag(-1, -1, (-1)^a), paired with itself
+        for a in range(n // 2 + 1):
+            stack = block_stack(spec_of(coins.coin_from_theta("W", 1.3), n, a))
+            for l in range(1, n):
+                assert np.allclose(stack[n - l], stack[l].conj(), atol=1e-14, rtol=0)
+            assert not np.any(stack[0].imag)
+            if n % 2 == 0:
+                assert np.allclose(stack[n // 2].imag, 0, atol=1e-14, rtol=0)
+
+    @pytest.mark.parametrize("n, solved", [(2, 2), (3, 2), (7, 4), (8, 5), (64, 33)])
+    def test_solves_blocks_zero_to_half_n(self, monkeypatch, n, solved):
+        shapes = []
+        real = period_mod.eig3_unitary
+
+        def recording(m):
+            shapes.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(period_mod, "eig3_unitary", recording)
+        assert period_spectral(spec_of(coins.perm_matrix(2), n, n // 2)).finite
+        assert shapes == [(solved, 3, 3)]
+
+
 class TestBruteForce:
     def test_cyclic_coin(self):
         # X-family coin at theta = 2*pi/3 is a cyclic permutation matrix
@@ -197,7 +271,7 @@ class TestBlockBruteForceChunks:
         # the identity coin at a = 0 has period n (golden analytic rows), so
         # the hit lands one step before the end of the first chunk, on its
         # last step, or on the first step of the second
-        assert period_mod._chunk_steps(n) == CHUNK_STEPS
+        assert period_mod._chunk_steps(n, TMAX_DEFAULT) == CHUNK_STEPS
         spec = spec_of(coins.perm_matrix(1), n)
         assert period_analytic(spec).period == n
         assert period_bruteforce(spec).period == n
@@ -208,13 +282,13 @@ class TestBlockBruteForceChunks:
     @pytest.mark.parametrize("coin, n", [
         (coins.perm_matrix(1), 3 * CHUNK_STEPS),  # identity-lcm, period n: the last step of chunk 3
         (coins.perm_matrix(1), 3 * CHUNK_STEPS + 1),  # the first step of chunk 4
-        (coins.coin_from_theta_frac("Z", Fraction(0)), 700),  # permutation-lcm, period 2n: chunk 17 of 83 steps
+        (coins.coin_from_theta_frac("Z", Fraction(0)), 700),  # permutation-lcm, period 2n: chunk 18 of 82 steps
     ])
     def test_hit_in_a_late_chunk_matches_analytic(self, coin, n):
         # past the second chunk each chunk is compared against an accumulated (U^t0)^dagger
         spec = spec_of(coin, n)
         period = period_analytic(spec).period
-        assert period > 2 * period_mod._chunk_steps(n)
+        assert period > 2 * period_mod._chunk_steps(n, TMAX_DEFAULT)
         assert period_bruteforce(spec).period == period
         assert period_bruteforce(spec, tmax=period).period == period
         res = period_bruteforce(spec, tmax=period - 1)
@@ -237,11 +311,13 @@ class TestBruteForceMemoryGuard:
         assert res.status == "finite" and res.period == 3
 
     def test_guard_only_when_one_power_exceeds_budget(self):
-        per_block = period_mod._CHUNK_COPIES * 9 * 16
+        # a chunk of one power holds the power, its window and (U^t0)^dagger
+        per_block = (period_mod._CHUNK_COPIES + 1) * 9 * 16
         largest = period_mod.CHUNK_BYTES // per_block
-        assert period_mod._chunk_steps(largest) == 1
+        assert largest == 38_836
+        assert period_mod._chunk_steps(largest, TMAX_DEFAULT) == 1
         with pytest.raises(GuardExceeded):
-            period_mod._chunk_steps(largest + 1)
+            period_mod._chunk_steps(largest + 1, TMAX_DEFAULT)
         with pytest.raises(GuardExceeded):
             period_bruteforce(spec_of(coins.perm_matrix(1), largest + 1), tmax=3)
 
@@ -250,7 +326,7 @@ class TestBruteForceMemoryGuard:
         # 11.5 MB of the 16 MiB budget, and (U^t0)^dagger one power, 2.9 MB,
         # more; a third chunk-sized array, or a second power, would exceed it
         spec = spec_of(coins.perm_matrix(2), 20_000)
-        assert period_mod._chunk_steps(spec.n) == 2
+        assert period_mod._chunk_steps(spec.n, 3) == 2
         tracemalloc.start()
         try:
             res = period_bruteforce(spec, tmax=3)
@@ -262,9 +338,29 @@ class TestBruteForceMemoryGuard:
 
     def test_chunk_shrinks_with_n_within_budget(self):
         for n in (2, 100, 1000, DENSE_GUARD + 1, 20_000):
-            chunk = period_mod._chunk_steps(n)
+            chunk = period_mod._chunk_steps(n, TMAX_DEFAULT)
             assert 1 <= chunk <= CHUNK_STEPS
-            assert period_mod._CHUNK_COPIES * n * 9 * 16 * chunk <= period_mod.CHUNK_BYTES
+            assert (period_mod._CHUNK_COPIES * chunk + 1) * n * 9 * 16 <= period_mod.CHUNK_BYTES
+
+    def test_chunk_never_exceeds_tmax(self):
+        for n in (2, 5, 400, 1000, 20_000):
+            for tmax in (0, 1, 2, 3, 57, 127, 128, 129, TMAX_DEFAULT):
+                assert 1 <= period_mod._chunk_steps(n, tmax) <= max(1, tmax)
+        assert period_mod._chunk_steps(5, TMAX_DEFAULT) == CHUNK_STEPS  # the period-table sizes
+
+    def test_peak_memory_at_n_1000_within_chunk_budget(self):
+        # 57 powers fit: (2 * 57 + 1) powers of 144,000 bytes are 16.56 MB;
+        # the chunk once left (U^t0)^dagger out and peaked at 16.85 MB
+        spec = spec_of(coins.perm_matrix(2), 1000)
+        assert period_mod._chunk_steps(spec.n, 200) == 57
+        tracemalloc.start()
+        try:
+            res = period_bruteforce(spec, tmax=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.period == 3
+        assert peak <= period_mod.CHUNK_BYTES
 
 
 class TestAnalytic:
