@@ -50,7 +50,6 @@ from .exactnum import (
     exact_matrix,
     is_exact,
     orthogonality_defect,
-    to_float,
 )
 
 Scalar = Union[int, float, complex, Fraction]
@@ -170,10 +169,9 @@ class Classification:
     is_special: bool
 
 
-def _matrix_of(m) -> np.ndarray:
-    if isinstance(m, Coin3):
-        return m.matrix
-    return np.asarray(m)
+def _as_coin(m) -> Coin3:
+    """m itself if it is a Coin3, else a family-less coin of the matrix m."""
+    return m if isinstance(m, Coin3) else Coin3(matrix=np.asarray(m))
 
 
 def perm_matrix(p: int) -> Coin3:
@@ -348,39 +346,35 @@ SPECIAL_COINS = tuple(
 _SPECIAL = np.array([coin.as_float().real for coin in SPECIAL_COINS])
 
 
-def _float_of(m) -> np.ndarray:
-    return m.as_float() if isinstance(m, Coin3) else to_float(m)
-
-
 def _check_orthogonal(mf: np.ndarray, tol: float) -> None:
     defect = orthogonality_defect(mf)
     if not defect <= tol:  # also catches NaN/Inf entries
         raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
 
 
-def _linear_sum(m, tol: float) -> tuple[LinearSumCoefficients, Scalar, Scalar]:
+def _linear_sum(coin: Coin3, tol: float) -> tuple[LinearSumCoefficients, Scalar, Scalar]:
     """The one pass `decompose_linear_sum` and `classify` share: the basis and
     coefficients of an orthogonal linear sum of permutations, with x + y + z
     and the determinant.
 
-    An exact matrix is read once as the integers M = d*m: M^T M = d^2 I, rows
-    2 and 3 are row 1 taken in the index orders of one basis, and det(m) =
-    det(M) / d^3.  One that is not exactly orthogonal is measured in floats
-    at ``tol``, as a float matrix is: ||M^T M - I||_F, the layout gathered
-    from row 1 and compared at ``tol``, and ``np.linalg.det``.
+    An exact coin is read once as the integers M = d*m: M^T M = d^2 I (an
+    M that fails it still passes when its float defect is within ``tol``),
+    rows 2 and 3 are row 1 taken in the index orders of one basis, and
+    det(m) = det(M) / d^3.  A float coin is read off its one complex array:
+    ||M^T M - I||_F, the layout gathered from row 1 and compared at
+    ``tol``, and ``np.linalg.det``.
     """
-    matrix = _matrix_of(m)
-    if is_exact(matrix):
-        rows, d = _scaled_integer(matrix)
+    if coin.exact:
+        rows, d = _scaled_integer(coin.matrix)
         if not _integer_orthogonal(rows, d):
-            _check_orthogonal(_float_of(m), tol)
+            _check_orthogonal(coin.as_float(), tol)
         first = rows[0]
         basis = next((b for b, orders in _ROW_ORDERS.items()
                       if all(rows[i] == [first[j] for j in orders[i]] for i in (1, 2))), None)
-        x, y, z = matrix[0]
+        x, y, z = coin.matrix[0]
         s, det = Fraction(sum(first), d), Fraction(_integer_det3(rows), d ** 3)
     else:
-        mf = _float_of(m)
+        mf = coin.as_float()
         _check_orthogonal(mf, tol)
         basis = next((b for b, index in _ROW_INDEX.items()
                       if np.max(np.abs(mf[0][index] - mf)) <= tol), None)
@@ -398,7 +392,7 @@ def decompose_linear_sum(m, tol: float = DEFAULT_TOL) -> LinearSumCoefficients:
     matches; a matrix matching neither is orthogonal but not a linear sum of
     permutations.
     """
-    return _linear_sum(m, tol)[0]
+    return _linear_sum(_as_coin(m), tol)[0]
 
 
 def _near(a, b, tol) -> bool:
@@ -425,8 +419,8 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     with the 24 special matrices at DEFAULT_TOL.  A Coin3 that names a
     family raises ConstraintViolated when its entries are of another.
     """
-    named = m.family if isinstance(m, Coin3) else None
-    coeffs, s, det = _linear_sum(m, tol)
+    coin = _as_coin(m)
+    coeffs, s, det = _linear_sum(coin, tol)
     if _near(s, 1, tol):
         sign = 1
     elif _near(s, -1, tol):
@@ -438,10 +432,10 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
         raise InternalInconsistency(
             f"det {det} inconsistent with family {family} (expected {_FAMILY_DET[family]})"
         )
-    if named is not None and named != family:
-        raise ConstraintViolated(f"coin names family {named} but its entries are family {family}")
+    if coin.family is not None and coin.family != family:
+        raise ConstraintViolated(f"coin names family {coin.family} but its entries are family {family}")
 
-    mf = _float_of(m)
+    mf = coin.as_float()
     real = np.max(np.abs(mf.imag)) <= DEFAULT_TOL
     hits = real & (np.max(np.abs(mf.real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
     return Classification(
@@ -452,7 +446,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
         z=coeffs.z,
         is_permutation=bool(hits[:6].any()),
         is_grover_type=bool(hits[6:12].any()),
-        is_rational=is_exact(_matrix_of(m)) or _is_rational_matrix(mf),
+        is_rational=coin.exact or _is_rational_matrix(mf),
         theta=_reconstruct_angle(sign, coeffs.x, coeffs.y),
         is_special=bool(hits.any()),
     )
