@@ -69,6 +69,15 @@ def _state_from_json(doc) -> np.ndarray:
     return np.array([complex(re, im) for re, im in amps])
 
 
+class _SignPair(argparse.Action):
+    """Store the --signs pair.  Python 3.11's argparse strips the pair -- out
+    of --signs=-- before storing it, which leaves an empty list: read that
+    as --."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--perm", choices=PERM_LABELS, help="permutation matrix coin")
@@ -80,7 +89,7 @@ def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
     angle.add_argument("--theta", type=float, help="family angle in radians")
     angle.add_argument("--theta-frac", type=str, help="family angle as M/Q meaning theta = 2*pi*M/Q")
     angle.add_argument("--rational", type=str, help="rational parameter r for the exact constructor")
-    parser.add_argument("--signs", choices=SIGN_PAIRS,
+    parser.add_argument("--signs", choices=SIGN_PAIRS, action=_SignPair,
                         help="sign pair for the exact rational constructor (default ++)")
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -155,7 +155,8 @@ class Classification:
     """A coin's family and coefficients, its angle theta read off the
     coefficients (atan2 mod 2*pi, so in [0, 2*pi]), and which special
     matrices it is: a permutation, a Grover-type matrix, or either of those
-    up to sign (``is_special``)."""
+    up to sign (``is_special``).  ``is_rational`` is worked out from the
+    coin's matrix on first read."""
 
     family: str
     basis: str
@@ -164,9 +165,17 @@ class Classification:
     z: Scalar
     is_permutation: bool
     is_grover_type: bool
-    is_rational: bool
     theta: float
     is_special: bool
+    exact: bool = field(repr=False, compare=False)
+    matrix: np.ndarray = field(repr=False, compare=False)  # the coin's read-only complex matrix
+
+    @functools.cached_property
+    def is_rational(self) -> bool:
+        """Whether the coin is exact or every entry of its float matrix is
+        within RATIONAL_TOL of a fraction with denominator at most
+        RATIONAL_MAX_DEN."""
+        return self.exact or _is_rational_matrix(self.matrix)
 
 
 def _as_coin(m) -> Coin3:
@@ -446,9 +455,10 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
         z=coeffs.z,
         is_permutation=bool(hits[:6].any()),
         is_grover_type=bool(hits[6:12].any()),
-        is_rational=coin.exact or _is_rational_matrix(mf),
         theta=_reconstruct_angle(sign, coeffs.x, coeffs.y),
         is_special=bool(hits.any()),
+        exact=coin.exact,
+        matrix=mf,
     )
 
 

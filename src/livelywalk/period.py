@@ -14,10 +14,15 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                is real, so block n - l is the complex conjugate of block l
                and has the same orders: the other blocks add nothing.
 * bruteforce -- build the powers U^1..U^B of the n momentum blocks once,
-               then test B steps t = t0 + j per numpy call: U^t0 is unitary,
-               so ||U^t - I||_F = ||U^j - (U^t0)^dagger||_F, and the first
-               t with distance <= IDENTITY_TOL is the period.  The arbiter:
-               it checks every t <= tmax without the other methods' results.
+               then test B steps t = t0 + j per chunk: U^t0 is unitary, so
+               ||U^t - I||_F = ||U^j - (U^t0)^dagger||_F, and the first t
+               with distance <= IDENTITY_TOL is the period.  One
+               matrix-vector product screens a chunk: a chunk none of whose
+               distances squared, so computed, comes within IDENTITY_TOL^2
+               plus a stated rounding bound holds no period; any other chunk
+               takes the exact subtract-and-norm test.  The arbiter: it
+               checks every t <= tmax from powers of U alone, without the
+               other methods' results.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
 spectral and brute-force routes both start from `walk.block_stack`; the
@@ -63,6 +68,8 @@ CHUNK_BYTES = 16 * 2**20
 #: and the window of their differences from (U^t0)^dagger, which reuses the
 #: buffer the powers were built in; (U^t0)^dagger is one more power
 _CHUNK_COPIES = 2
+#: unit roundoff of float64, for the brute-force screen's rounding bound
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -176,15 +183,47 @@ def _chunk_steps(n: int, tmax: int) -> int:
     return min(CHUNK_STEPS, max(1, tmax), fits)
 
 
+def _screen_slack(n: int, r: float, t: float) -> float:
+    """Slack of the brute-force screen for powers of n blocks with Frobenius
+    norms up to r against (U^t0)^dagger of norm t: 4 gamma (r + t)^2, where
+    gamma = k u / (1 - k u), k = 18n + 3 and u = 2^-53.
+
+    For 18n-float vectors x and y, ||x||^2 - 2 x.y + ||y||^2 evaluated in
+    float64 (any summation order, then three more roundings) differs from
+    ||x - y||^2 by at most gamma (||x|| + ||y||)^2; the exact chunk test's
+    own rounding adds at most gamma ||x - y||^2, and within IDENTITY_TOL
+    that is below gamma (r + t)^2.  The factor 4 covers both with room for
+    the rounding of r and t themselves.
+    """
+    k = (18 * n + 3) * _UNIT_ROUNDOFF
+    return 4.0 * k / (1.0 - k) * (r + t) ** 2
+
+
+def _first_hit(rows: np.ndarray, target: np.ndarray, window: np.ndarray) -> Optional[int]:
+    """Index of the first row within IDENTITY_TOL of (U^t0)^dagger, or None:
+    the chunk's differences into `window`, then their norms."""
+    np.subtract(rows, target.reshape(-1), out=window)
+    re_im = window.view(np.float64)  # per power: 9n entries as re, im
+    hits = np.flatnonzero(np.sqrt(np.einsum("bi,bi->b", re_im, re_im)) <= IDENTITY_TOL)
+    return int(hits[0]) if hits.size else None
+
+
 def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodResult:
     """First t <= tmax with ||U^t - I||_F <= IDENTITY_TOL, by powering the momentum blocks.
 
     The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
     over blocks of ||U_l^t - I||_F^2, and U^t0 is unitary, so at t = t0 + j
     that is ||U^j - (U^t0)^dagger||_F^2.  The powers U^1..U^B of all n blocks
-    are built once, as the rows of one (B, 9n) array; each chunk subtracts
-    (U^t0)^dagger from every row, one einsum gives the B distances, and one
-    product of 3x3 blocks advances t0 by B.
+    are built once, as the rows of one (B, 9n) array, with (U^t0)^dagger as
+    one more row and ||U^j||_F^2 computed once per call.  Per chunk one
+    matrix-vector product of that array with (U^t0)^dagger screens it: it
+    gives ||U^j||^2 - 2 U^j . (U^t0)^dagger + ||(U^t0)^dagger||^2, which is
+    the distance squared up to `_screen_slack`.  A chunk none of whose rows
+    comes within IDENTITY_TOL^2 plus that slack holds no period and is
+    skipped; any other chunk takes the exact test, `_first_hit`, which
+    subtracts (U^t0)^dagger from every row and takes the B distances with
+    one einsum.  So every reported t is the exact test's, and one product of
+    3x3 blocks advances t0 by B.
     """
     if tmax < 0:
         raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
@@ -198,19 +237,27 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
         np.matmul(powers[:, :, 3 * done - 3:3 * done], powers[:, :, :3 * m],
                   out=powers[:, :, 3 * done:3 * (done + m)])
         done += m
-    rows = powers.reshape(n, 3, chunk, 3).transpose(2, 0, 1, 3).copy().reshape(chunk, 9 * n)
+    stack = np.empty((chunk + 1, 9 * n), dtype=complex)  # U^1..U^B, then (U^t0)^dagger
+    rows, target = stack[:chunk], stack[chunk].reshape(n, 3, 3)
+    rows.reshape(chunk, n, 3, 3)[...] = powers.reshape(n, 3, chunk, 3).transpose(2, 0, 1, 3)
+    target[...] = np.eye(3)
     window = powers.reshape(chunk, 9 * n)  # the doubling buffer, reused: rows minus (U^t0)^dagger
-    re_im = window.view(np.float64)  # per power: 9n entries as re, im
+    stack_f, target_f = stack.view(np.float64), target.reshape(-1).view(np.float64)
+    half_norms = 0.5 * np.einsum("bi,bi->b", stack_f[:chunk], stack_f[:chunk])  # ||U^j||_F^2 / 2
+    r_max = math.sqrt(2.0 * half_norms.max())
     u_chunk_t = rows[-1].reshape(n, 3, 3).transpose(0, 2, 1)  # (U^B)^T
-    target = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3)).copy()  # (U^t0)^dagger
     for t0 in range(0, tmax, chunk):
         if t0:  # (U^(t0+B))^dagger = conj((U^B)^T conj((U^t0)^dagger)), with window row 0 as scratch
             scratch = np.conjugate(target, out=window[0].reshape(n, 3, 3))
             np.conjugate(np.matmul(u_chunk_t, scratch, out=target), out=target)
-        np.subtract(rows, target.reshape(-1), out=window)
-        hits = np.flatnonzero(np.sqrt(np.einsum("bi,bi->b", re_im, re_im)) <= IDENTITY_TOL)
-        if hits.size and t0 + hits[0] + 1 <= tmax:
-            return PeriodResult(status="finite", method="bruteforce", period=int(t0 + hits[0] + 1))
+        dots = stack_f @ target_f  # U^j . (U^t0)^dagger for every j, then ||(U^t0)^dagger||^2
+        gap = half_norms - dots[:chunk]  # half the distance squared, less ||(U^t0)^dagger||^2 / 2
+        tt = float(dots[chunk])
+        if 2.0 * gap[gap.argmin()] + tt > IDENTITY_TOL ** 2 + _screen_slack(n, r_max, math.sqrt(tt)):
+            continue  # also false when a NaN is about, which leaves it to the exact test
+        hit = _first_hit(rows, target, window)
+        if hit is not None and t0 + hit + 1 <= tmax:
+            return PeriodResult(status="finite", method="bruteforce", period=t0 + hit + 1)
     return PeriodResult(status="no_period_up_to", method="bruteforce", bound=tmax)
 
 

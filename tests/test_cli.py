@@ -530,7 +530,18 @@ class TestIgnoredCoinModifiers:
         _, minus_plus = run_json(capsys, "coin", "--family", "X", "--rational", "3", "--signs", "-+")
         _, minus_minus = run_json(capsys, "coin", "--family", "X", "--rational", "3", "--signs", "--")
         assert minus_plus["coin"]["entries"][0] == ["0/1", "1/1", "0/1"]  # P2
-        assert minus_minus["coin"]["entries"][0] == ["2/3", "-1/3", "2/3"]
+        assert minus_minus["coin"]["entries"][0] == ["0/1", "0/1", "1/1"]  # P3
+
+    @pytest.mark.parametrize("family", coins.FAMILIES)
+    @pytest.mark.parametrize("command, tail", [("coin", ()), ("period", ("--n", "3"))])
+    @pytest.mark.parametrize("glued", [False, True])
+    def test_minus_minus_is_the_minus_minus_pell_coin(self, capsys, family, command, tail, glued):
+        # argparse strips -- out of --signs=--; that once built the ++ coin
+        signs = ("--signs=--",) if glued else ("--signs", "--")
+        code, doc = run_json(capsys, command, "--family", family, "--rational", "2", *signs, *tail)
+        want = coins.coin_to_json(coins.coin_from_rational(family, Fraction(2), -1, -1))
+        assert code == 0
+        assert doc["coin"] == json.loads(json.dumps(want))
 
     def test_bad_sign_pair_is_still_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -42,7 +42,7 @@ def cli_sources() -> dict:
             out[f"{fam} frac {f}"] = ("--family", fam, f"--theta-frac={f}")
             out[f"{fam} rad {f}"] = ("--family", fam, f"--theta={theta!r}")
         for r in PELL_R:
-            for label in ("++", "+-", "-+"):  # argparse drops the "--" of --signs=--
+            for label in ("++", "+-", "-+"):  # recorded when --signs=-- built the ++ coin; test_cli pins --
                 out[f"{fam} pell {r} {label}"] = ("--family", fam, "--rational", str(r), f"--signs={label}")
         for theta in GENERIC_THETAS:
             out[f"{fam} theta {theta}"] = ("--family", fam, f"--theta={theta!r}")

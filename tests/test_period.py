@@ -304,6 +304,101 @@ class TestBlockBruteForceChunks:
         assert _matches_oracle(spec_of(coins.coin_from_theta(family, theta), n, a), tmax)
 
 
+def _near_special_theta(k, sign, exponent):
+    """theta = 2*pi*k/6 + sign * 10^exponent: the special angle k/6, or a float coin near it."""
+    return 2 * math.pi * k / 6 + sign * 10.0 ** exponent
+
+
+def _spy_first_hit(monkeypatch):
+    """Record what every exact chunk test of period_bruteforce returns."""
+    seen = []
+    exact = period_mod._first_hit
+
+    def recording(*args):
+        seen.append(exact(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(period_mod, "_first_hit", recording)
+    return seen
+
+
+def _unitary_stack(rng, n):
+    x = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    q, r = np.linalg.qr(x)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+class TestBruteForceScreen:
+    """The one matrix-vector screen per chunk and the exact test behind it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(coins.FAMILIES), theta=st.builds(
+               _near_special_theta, st.integers(0, 5), st.sampled_from((-1, 1)), st.floats(-15.0, -6.0)),
+           n=st.integers(2, 12), tmax=st.integers(0, 600), data=st.data())
+    def test_near_special_angles_match_dense_oracle(self, family, theta, n, tmax, data):
+        # the powers come within 1e-8 of I, or just miss it, at the special
+        # coin's period: the screen passes those chunks on to the exact test
+        a = data.draw(st.integers(0, n // 2))
+        assert _matches_oracle(spec_of(coins.coin_from_theta(family, theta), n, a), tmax)
+
+    def test_z_just_below_four_thirds_pi(self):
+        spec = spec_of(coins.coin_from_theta("Z", 4 * math.pi / 3 - 1.25e-10), 11)
+        assert period_bruteforce(spec).period == 22
+        assert brute_oracle(spec, tmax=100) == 22
+
+    @pytest.mark.parametrize("n, rows", [(2, 64), (5, 64), (1000, 16), (38_836, 2)])
+    def test_slack_bounds_the_screen_rounding(self, rng, n, rows):
+        # rows at distance 0, near (U^t0)^dagger and far from it, against the
+        # distance squared in extended precision
+        target = _unitary_stack(rng, n)
+        stack = np.empty((rows + 1, 9 * n), dtype=complex)
+        stack[-1] = target.reshape(-1)
+        stack[0] = target.reshape(-1)
+        for j in range(1, rows):
+            scale = 10.0 ** -rng.uniform(0, 12) if j % 2 else 1.0
+            near = np.eye(3) + scale * (_unitary_stack(rng, n) - np.eye(3))
+            stack[j] = np.matmul(target, near).reshape(-1)
+        stack_f = stack.view(np.float64)
+        norms = np.einsum("bi,bi->b", stack_f[:rows], stack_f[:rows])
+        dots = stack_f @ stack_f[-1]
+        approx = norms - 2.0 * dots[:rows] + dots[rows]
+        slack = period_mod._screen_slack(n, math.sqrt(norms.max()), math.sqrt(dots[rows]))
+        t_ext = stack_f[-1].astype(np.longdouble)
+        for j in range(rows):
+            exact = np.sum((stack_f[j].astype(np.longdouble) - t_ext) ** 2)
+            assert abs(approx[j] - exact) <= slack, (n, j)
+
+    def test_aperiodic_chunks_skip_the_exact_test(self, monkeypatch):
+        seen = _spy_first_hit(monkeypatch)
+        res = period_bruteforce(spec_of(coins.grover_type(1), 5, 2))
+        assert res.status == "no_period_up_to" and res.bound == TMAX_DEFAULT
+        assert seen == []
+
+    def test_only_the_chunk_with_the_period_takes_the_exact_test(self, monkeypatch):
+        seen = _spy_first_hit(monkeypatch)
+        assert period_bruteforce(spec_of(coins.perm_matrix(1), 3 * CHUNK_STEPS)).period == 3 * CHUNK_STEPS
+        assert seen == [CHUNK_STEPS - 1]
+
+    def test_chunk_that_passes_the_screen_without_a_hit(self, monkeypatch):
+        # U^3 of the cyclic coin moved 1e-8 rad misses I by 4.2e-8, inside
+        # the screen's slack but outside IDENTITY_TOL: the scan goes on
+        seen = _spy_first_hit(monkeypatch)
+        spec = spec_of(coins.coin_from_theta("X", 2 * math.pi / 3 + 1e-8), 3)
+        res = period_bruteforce(spec, tmax=600)
+        assert seen == [None]
+        assert res.status == "no_period_up_to" and brute_oracle(spec, tmax=600) is None
+
+    def test_every_chunk_passing_the_screen_still_finds_a_late_period(self, monkeypatch):
+        monkeypatch.setattr(period_mod, "_screen_slack", lambda n, r, t: math.inf)
+        seen = _spy_first_hit(monkeypatch)
+        spec = spec_of(coins.perm_matrix(1), 3 * CHUNK_STEPS)
+        assert period_bruteforce(spec).period == 3 * CHUNK_STEPS
+        assert seen == [None, None, CHUNK_STEPS - 1]
+        for coin, n, a in CHUNK_SPECS:
+            assert _matches_oracle(spec_of(coin, n, a), 300), (n, a)
+
+
 class TestBruteForceMemoryGuard:
     def test_past_dense_guard_gives_report(self):
         spec = spec_of(coins.perm_matrix(2), DENSE_GUARD + 1)
