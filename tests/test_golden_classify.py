@@ -6,9 +6,8 @@ and repr(z), the flags is_permutation, is_grover_type, is_rational and
 is_special, and repr(theta) of ``classify(coin)``; then the sha256 of the
 stdout of ``livelywalk coin`` for the coin's CLI source and its exit code.
 A coin that no combination of coin flags builds has "-" in both CLI
-columns: -P, which only a coin file expresses, and the Pell coins with signs
---, which the CLI reads as ++.  Regenerate the file only when a change of
-behaviour is intended:
+columns: -P, which only a coin file expresses.  Regenerate the file only
+when a change of behaviour is intended:
 
     PYTHONPATH=src python tests/test_golden_classify.py
 """
@@ -42,7 +41,7 @@ def cli_sources() -> dict:
             out[f"{fam} frac {f}"] = ("--family", fam, f"--theta-frac={f}")
             out[f"{fam} rad {f}"] = ("--family", fam, f"--theta={theta!r}")
         for r in PELL_R:
-            for label in ("++", "+-", "-+"):  # recorded when --signs=-- built the ++ coin; test_cli pins --
+            for label in ("++", "+-", "-+", "--"):
                 out[f"{fam} pell {r} {label}"] = ("--family", fam, "--rational", str(r), f"--signs={label}")
         for theta in GENERIC_THETAS:
             out[f"{fam} theta {theta}"] = ("--family", fam, f"--theta={theta!r}")
@@ -69,8 +68,7 @@ def compute() -> list[str]:
 def test_cli_sources_build_the_corpus_coins():
     every = corpus()
     sources = cli_sources()
-    unexpressed = {f"-P{p}" for p in range(1, 7)} | {f"{fam} pell {r} --" for fam in coins.FAMILIES
-                                                     for r in PELL_R}
+    unexpressed = {f"-P{p}" for p in range(1, 7)}
     assert set(sources) == set(every) - unexpressed
     for cid, argv in sources.items():
         code, out = run_cli(("coin", *argv))
