@@ -13,16 +13,18 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                period is the lcm of the multiplicative orders.  The coin
                is real, so block n - l is the complex conjugate of block l
                and has the same orders: the other blocks add nothing.
-* bruteforce -- build the powers U^1..U^B of the n momentum blocks once,
-               then test B steps t = t0 + j per chunk: U^t0 is unitary, so
+* bruteforce -- baby-step giant-step powering of the n momentum blocks:
+               the baby steps U^1..U^B are built once, and the giant steps
+               (U^t0)^dagger, t0 = kB, by doubling, in groups of 1, 1, 2,
+               4, .. chunks.  U^t0 is unitary, so at t = t0 + j
                ||U^t - I||_F = ||U^j - (U^t0)^dagger||_F, and the first t
-               with distance <= IDENTITY_TOL is the period.  One
-               matrix-vector product screens a chunk: a chunk none of whose
-               distances squared, so computed, comes within IDENTITY_TOL^2
-               plus a stated rounding bound holds no period; any other chunk
-               takes the exact subtract-and-norm test.  The arbiter: it
-               checks every t <= tmax from powers of U alone, without the
-               other methods' results.
+               with distance <= IDENTITY_TOL is the period.  One matrix
+               product screens a group: a chunk none of whose distances
+               squared, so computed, comes within IDENTITY_TOL^2 plus a
+               stated rounding bound holds no period; any other chunk takes
+               the exact subtract-and-norm test.  The arbiter: it checks
+               every t <= tmax from powers of U alone, without the other
+               methods' results.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
 spectral and brute-force routes both start from `walk.block_stack`; the
@@ -61,13 +63,19 @@ ANGLE_ACCURACY = 1e-12
 GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 #: most block powers brute force computes and checks per numpy call
 CHUNK_STEPS = 128
-#: bytes a brute-force chunk of block powers, (U^t0)^dagger and their
-#: temporaries may hold
+#: bytes brute force's baby steps, giant steps and their temporaries may hold
 CHUNK_BYTES = 16 * 2**20
-#: arrays of chunk size brute force holds: the powers U^1..U^B, one step per row,
-#: and the window of their differences from (U^t0)^dagger, which reuses the
-#: buffer the powers were built in; (U^t0)^dagger is one more power
+#: arrays of chunk size brute force holds: the baby steps U^1..U^B, one step
+#: per row, and the window of their differences from a giant step, which
+#: reuses the buffer the powers were built in; a group of one giant step,
+#: (U^t0)^dagger, is one more power
 _CHUNK_COPIES = 2
+#: powers each giant step of a larger group holds: its column of the doubling
+#: table and of the group's product, and its row of the screened group
+_GIANT_COPIES = 3
+#: floats each giant step of a group holds besides its column of the (B, g)
+#: screen: the screen's per-column temporaries, with room to spare
+_SCREEN_TEMPS = 8
 #: unit roundoff of float64, for the brute-force screen's rounding bound
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -168,9 +176,9 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
 
 
 def _chunk_steps(n: int, tmax: int) -> int:
-    """Powers per chunk for n blocks and tmax steps: at most CHUNK_STEPS and
-    max(1, tmax), with the B powers' _CHUNK_COPIES arrays and (U^t0)^dagger,
-    (_CHUNK_COPIES * B + 1) * 144 * n bytes, within CHUNK_BYTES.
+    """Baby steps per chunk for n blocks and tmax steps: at most CHUNK_STEPS
+    and max(1, tmax), with the B powers' _CHUNK_COPIES arrays and one giant
+    step, (_CHUNK_COPIES * B + 1) * 144 * n bytes, within CHUNK_BYTES.
 
     Raises GuardExceeded when not even B = 1 fits: for n > 38,836.
     """
@@ -183,10 +191,78 @@ def _chunk_steps(n: int, tmax: int) -> int:
     return min(CHUNK_STEPS, max(1, tmax), fits)
 
 
-def _screen_slack(n: int, r: float, t: float) -> float:
+def _group_steps(n: int, chunk: int) -> int:
+    """Most giant steps per group for n blocks and B = chunk baby steps: the
+    largest g with the baby steps' _CHUNK_COPIES arrays and g giant steps of
+    _GIANT_COPIES powers and B + _SCREEN_TEMPS floats each within
+    CHUNK_BYTES, and at least 1: a group of one giant step holds one power
+    and a (B, 1) screen, and `_chunk_steps` leaves room for that power.
+    """
+    per_power = n * 9 * np.dtype(complex).itemsize
+    left = CHUNK_BYTES - _CHUNK_COPIES * chunk * per_power
+    per_giant = _GIANT_COPIES * per_power + (chunk + _SCREEN_TEMPS) * np.dtype(float).itemsize
+    return max(1, left // per_giant)
+
+
+def _double(table: np.ndarray, done: int, upto: int) -> None:
+    """Extend the block-major powers M^1..M^done, in columns of 3 of each
+    (n, 3, 3m) block row of `table`, to M^1..M^upto by doubling."""
+    while done < upto:  # M^(done+1..done+m) = M^done @ M^(1..m)
+        m = min(done, upto - done)
+        np.matmul(table[:, :, 3 * done - 3:3 * done], table[:, :, :3 * m],
+                  out=table[:, :, 3 * done:3 * (done + m)])
+        done += m
+
+
+def _giant_groups(rows: np.ndarray, window: np.ndarray, last: int, cap: int):
+    """Yield (k0, giants) for the giant steps k = 0..last in groups: the rows
+    of `giants` are (U^(kB))^dagger for k = k0, k0 + 1, .., where U^1..U^B
+    are the B baby steps in `rows`.
+
+    The first group is k = 0, the identity.  Every other giant step is
+    conj(W^k), where W = (U^B)^T = conj((U^B)^dagger) is a view of the last
+    baby step.  A table of W^1..W^d in block-major columns grows by one
+    doubling per group, whose new columns are the group, so the groups hold
+    1, 1, 2, 4, .. steps; once d is `cap`, each group of up to cap steps is
+    the product W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`.
+    A group of one step is that product, built in its own row.
+    """
+    if last < 0:
+        return
+    n = rows.shape[1] // 9
+    size = max(1, min(cap, last))  # the largest group, and the table's length
+    giants = np.empty((size, 9 * n), dtype=complex)
+    giants.reshape(size, n, 3, 3)[0] = np.eye(3)
+    yield 0, giants[:1]
+    w = rows[-1].reshape(n, 3, 3).transpose(0, 2, 1)  # (U^B)^T, a view
+    if size == 1:
+        table, product = w, giants[0].reshape(n, 3, 3)
+    else:
+        table = np.empty((n, 3, 3 * size), dtype=complex)
+        table[:, :, :3] = w
+        product = np.empty_like(table)
+    k0, g, out = 1, 1, table[:, :, :3]
+    while True:
+        np.conjugate(out.reshape(n, 3, g, 3).transpose(2, 0, 1, 3), out=giants[:g].reshape(g, n, 3, 3))
+        yield k0, giants[:g]
+        k0 += g
+        if k0 > last:
+            return
+        if k0 - 1 < size:  # the table's next columns are the group
+            g = min(k0 - 1, size - k0 + 1)
+            _double(table, k0 - 1, k0 - 1 + g)
+            out = table[:, :, 3 * (k0 - 1):3 * (k0 - 1 + g)]
+        else:
+            step = np.conjugate(giants[g - 1].reshape(n, 3, 3), out=window[0].reshape(n, 3, 3))
+            g = min(size, last - k0 + 1)
+            out = np.matmul(step, table[:, :, :3 * g], out=product[:, :, :3 * g])
+
+
+def _screen_slack(n: int, r: float, t):
     """Slack of the brute-force screen for powers of n blocks with Frobenius
-    norms up to r against (U^t0)^dagger of norm t: 4 gamma (r + t)^2, where
-    gamma = k u / (1 - k u), k = 18n + 3 and u = 2^-53.
+    norms up to r against (U^t0)^dagger of norm t, a float or an array of
+    them: 4 gamma (r + t)^2, where gamma = k u / (1 - k u), k = 18n + 3 and
+    u = 2^-53.
 
     For 18n-float vectors x and y, ||x||^2 - 2 x.y + ||y||^2 evaluated in
     float64 (any summation order, then three more roundings) differs from
@@ -197,6 +273,24 @@ def _screen_slack(n: int, r: float, t: float) -> float:
     """
     k = (18 * n + 3) * _UNIT_ROUNDOFF
     return 4.0 * k / (1.0 - k) * (r + t) ** 2
+
+
+def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
+            n: int, r_max: float) -> list[int]:
+    """Indices of the giant steps (U^t0)^dagger, the rows of `giants_f`,
+    whose chunk of baby steps U^j, the rows of `rows_f`, can hold a period.
+
+    One product gives every U^j . (U^t0)^dagger; with ||U^j||_F^2 / 2 in
+    `half_norms`, ||U^j||^2 - 2 U^j . (U^t0)^dagger + ||(U^t0)^dagger||^2
+    is the distance squared up to `_screen_slack`.  A chunk stays in unless
+    its least value exceeds IDENTITY_TOL^2 plus that slack, so a NaN keeps it.
+    """
+    gaps = giants_f @ rows_f.T  # U^j . (U^t0)^dagger, one row per giant step
+    # half the distance squared, less ||(U^t0)^dagger||^2 / 2
+    np.subtract(half_norms, gaps, out=gaps)
+    tt = np.einsum("gi,gi->g", giants_f, giants_f)  # ||(U^t0)^dagger||^2
+    lhs = 2.0 * gaps.min(axis=1) + tt
+    return np.flatnonzero(~(lhs > IDENTITY_TOL ** 2 + _screen_slack(n, r_max, np.sqrt(tt)))).tolist()
 
 
 def _first_hit(rows: np.ndarray, target: np.ndarray, window: np.ndarray) -> Optional[int]:
@@ -213,17 +307,19 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
 
     The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
     over blocks of ||U_l^t - I||_F^2, and U^t0 is unitary, so at t = t0 + j
-    that is ||U^j - (U^t0)^dagger||_F^2.  The powers U^1..U^B of all n blocks
-    are built once, as the rows of one (B, 9n) array, with (U^t0)^dagger as
-    one more row and ||U^j||_F^2 computed once per call.  Per chunk one
-    matrix-vector product of that array with (U^t0)^dagger screens it: it
-    gives ||U^j||^2 - 2 U^j . (U^t0)^dagger + ||(U^t0)^dagger||^2, which is
-    the distance squared up to `_screen_slack`.  A chunk none of whose rows
-    comes within IDENTITY_TOL^2 plus that slack holds no period and is
-    skipped; any other chunk takes the exact test, `_first_hit`, which
-    subtracts (U^t0)^dagger from every row and takes the B distances with
-    one einsum.  So every reported t is the exact test's, and one product of
-    3x3 blocks advances t0 by B.
+    that is ||U^j - (U^t0)^dagger||_F^2.  Baby steps and giant steps: the
+    powers U^1..U^B of all n blocks are built once by doubling, as the rows
+    of one (B, 9n) array, with ||U^j||_F^2 computed once per call; the chunk
+    t0 = 0 is screened against I, and only when it holds no period are the
+    giant steps (U^t0)^dagger, t0 = kB, built, in groups of 1, 1, 2, 4, ..
+    chunks (`_giant_groups`).  One matrix product screens a group
+    (`_screen`): a chunk none of whose distances squared, so computed, comes
+    within IDENTITY_TOL^2 plus `_screen_slack` holds no period and is
+    skipped; any other chunk, in order, takes the exact test, `_first_hit`,
+    which subtracts (U^t0)^dagger from every row and takes the B distances
+    with one einsum.  So every reported t is the exact test's.  The groups
+    stop growing at `_group_steps`, where the baby steps, the giant steps'
+    table, product and rows, and the (B, g) screen fill CHUNK_BYTES.
     """
     if tmax < 0:
         raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
@@ -231,33 +327,19 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     chunk = _chunk_steps(n, tmax)
     powers = np.empty((n, 3, 3 * chunk), dtype=complex)
     powers[:, :, :3] = _walk.block_stack(spec)
-    done = 1
-    while done < chunk:  # U^(done+1..done+m) = U^done @ U^(1..m)
-        m = min(done, chunk - done)
-        np.matmul(powers[:, :, 3 * done - 3:3 * done], powers[:, :, :3 * m],
-                  out=powers[:, :, 3 * done:3 * (done + m)])
-        done += m
-    stack = np.empty((chunk + 1, 9 * n), dtype=complex)  # U^1..U^B, then (U^t0)^dagger
-    rows, target = stack[:chunk], stack[chunk].reshape(n, 3, 3)
+    _double(powers, 1, chunk)
+    rows = np.empty((chunk, 9 * n), dtype=complex)  # the baby steps U^1..U^B
     rows.reshape(chunk, n, 3, 3)[...] = powers.reshape(n, 3, chunk, 3).transpose(2, 0, 1, 3)
-    target[...] = np.eye(3)
     window = powers.reshape(chunk, 9 * n)  # the doubling buffer, reused: rows minus (U^t0)^dagger
-    stack_f, target_f = stack.view(np.float64), target.reshape(-1).view(np.float64)
-    half_norms = 0.5 * np.einsum("bi,bi->b", stack_f[:chunk], stack_f[:chunk])  # ||U^j||_F^2 / 2
+    rows_f = rows.view(np.float64)
+    half_norms = 0.5 * np.einsum("bi,bi->b", rows_f, rows_f)  # ||U^j||_F^2 / 2
     r_max = math.sqrt(2.0 * half_norms.max())
-    u_chunk_t = rows[-1].reshape(n, 3, 3).transpose(0, 2, 1)  # (U^B)^T
-    for t0 in range(0, tmax, chunk):
-        if t0:  # (U^(t0+B))^dagger = conj((U^B)^T conj((U^t0)^dagger)), with window row 0 as scratch
-            scratch = np.conjugate(target, out=window[0].reshape(n, 3, 3))
-            np.conjugate(np.matmul(u_chunk_t, scratch, out=target), out=target)
-        dots = stack_f @ target_f  # U^j . (U^t0)^dagger for every j, then ||(U^t0)^dagger||^2
-        gap = half_norms - dots[:chunk]  # half the distance squared, less ||(U^t0)^dagger||^2 / 2
-        tt = float(dots[chunk])
-        if 2.0 * gap[gap.argmin()] + tt > IDENTITY_TOL ** 2 + _screen_slack(n, r_max, math.sqrt(tt)):
-            continue  # also false when a NaN is about, which leaves it to the exact test
-        hit = _first_hit(rows, target, window)
-        if hit is not None and t0 + hit + 1 <= tmax:
-            return PeriodResult(status="finite", method="bruteforce", period=t0 + hit + 1)
+    for k0, giants in _giant_groups(rows, window, (tmax - 1) // chunk, _group_steps(n, chunk)):
+        for c in _screen(rows_f, half_norms, giants.view(np.float64), n, r_max):
+            t0 = (k0 + c) * chunk
+            hit = _first_hit(rows, giants[c], window)
+            if hit is not None and t0 + hit + 1 <= tmax:
+                return PeriodResult(status="finite", method="bruteforce", period=t0 + hit + 1)
     return PeriodResult(status="no_period_up_to", method="bruteforce", bound=tmax)
 
 

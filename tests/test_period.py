@@ -399,6 +399,100 @@ class TestBruteForceScreen:
             assert _matches_oracle(spec_of(coin, n, a), 300), (n, a)
 
 
+def _giant_group_chunks(last):
+    """(first, last) chunk of each group of giant steps k = 1..last, in
+    groups of 1, 1, 2, 4, .. chunks, while no group reaches the budget cap."""
+    groups, k0, size = [], 1, 1
+    while k0 <= last:
+        groups.append((k0, min(k0 + size - 1, last)))
+        k0, size = k0 + size, k0 + size - 1
+    return groups
+
+
+def _n3_coin_of_period(t):
+    """A coin whose walk at n = 3, a = 0 has period t, for t even or a
+    multiple of 3: the X rule lcm(3, q) at theta/2pi = 1/q, or the Z rule
+    lcm(2, 2 den(theta/2pi - 1/3))."""
+    if t % 3 == 0:
+        return coins.coin_from_theta_frac("X", Fraction(1, t))
+    return coins.coin_from_theta_frac("Z", (Fraction(1, 3) + Fraction(2, t)) % 1)
+
+
+def _spy_screen(monkeypatch):
+    """Record the number of giant steps in every group screen of period_bruteforce."""
+    sizes = []
+    screen = period_mod._screen
+
+    def recording(rows_f, half_norms, giants_f, *args):
+        sizes.append(len(giants_f))
+        return screen(rows_f, half_norms, giants_f, *args)
+
+    monkeypatch.setattr(period_mod, "_screen", recording)
+    return sizes
+
+
+class TestGiantSteps:
+    """Giant steps (U^kB)^dagger, screened in groups of 1, 1, 2, 4, .. chunks."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7])
+    def test_periods_on_group_edges_match_oracle(self, monkeypatch, chunk):
+        # a period in the first and in the last chunk of every group, at its
+        # chunk's first and last step where the n = 3 rules give one; at
+        # tmax = period - 1 the last group is cut short inside that chunk
+        monkeypatch.setattr(period_mod, "CHUNK_STEPS", chunk)
+        tmax = 600
+        groups = _giant_group_chunks((tmax - 1) // chunk)
+        assert len(groups) >= 7
+        tested = set()
+        for first, last in groups:
+            for k in (first, last):
+                periods = [t for t in range(k * chunk + 1, min((k + 1) * chunk, tmax) + 1)
+                           if t % 2 == 0 or t % 3 == 0]
+                for t in {periods[0], periods[-1]} if periods else ():
+                    spec = spec_of(_n3_coin_of_period(t), 3)
+                    assert brute_oracle(spec, tmax) == t
+                    res = period_bruteforce(spec, tmax)
+                    assert res.period == t and type(res.period) is int
+                    for bound in (t - 1, t):
+                        assert _matches_oracle(spec, bound), (chunk, k, t, bound)
+                    tested.add(k)
+        edges = {k for group in groups for k in group}
+        assert tested == edges if chunk > 1 else len(edges - tested) == 4  # 5, 17, 65, 257: odd, not 3k
+
+    def test_aperiodic_scan_screens_every_chunk_once_in_few_groups(self, monkeypatch):
+        sizes = _spy_screen(monkeypatch)
+        seen = _spy_first_hit(monkeypatch)
+        res = period_bruteforce(spec_of(coins.grover_type(1), 5, 2))
+        assert res.status == "no_period_up_to" and res.bound == TMAX_DEFAULT
+        chunk = period_mod._chunk_steps(5, TMAX_DEFAULT)
+        assert len(sizes) <= math.ceil(math.log2(TMAX_DEFAULT / chunk)) + 2
+        assert sum(sizes) == math.ceil(TMAX_DEFAULT / chunk)
+        assert seen == []
+
+    def test_period_in_the_first_chunk_builds_no_giant_step(self, monkeypatch):
+        sizes = _spy_screen(monkeypatch)
+        assert period_bruteforce(spec_of(coins.perm_matrix(1), 4)).period == 4
+        assert sizes == [1]
+
+    def test_late_period_screens_twice_its_chunks_at_most(self, monkeypatch):
+        # period 5122 in chunk k = 40 of 79: the groups up to k = 64 are
+        # screened, not the whole scan
+        sizes = _spy_screen(monkeypatch)
+        spec = spec_of(_n3_coin_of_period(40 * CHUNK_STEPS + 2), 3)
+        assert period_bruteforce(spec).period == 40 * CHUNK_STEPS + 2
+        assert sizes == [1, 1, 1, 2, 4, 8, 16, 32]
+        assert sum(sizes) <= 2 * 40 + 1
+
+    def test_one_giant_step_per_group_where_the_budget_leaves_no_room_for_two(self):
+        # from n = 445 the baby steps leave less than two giant steps of three
+        # powers each, so every group is one giant step: the (U^t0)^dagger
+        # that _chunk_steps counts
+        for n in (2, 5, 100, 444):
+            assert period_mod._group_steps(n, period_mod._chunk_steps(n, TMAX_DEFAULT)) > 1
+        for n in (445, 453, 454, 700, 1000, 20_000, 38_836):
+            assert period_mod._group_steps(n, period_mod._chunk_steps(n, TMAX_DEFAULT)) == 1
+
+
 class TestBruteForceMemoryGuard:
     def test_past_dense_guard_gives_report(self):
         spec = spec_of(coins.perm_matrix(2), DENSE_GUARD + 1)
@@ -455,6 +549,26 @@ class TestBruteForceMemoryGuard:
         finally:
             tracemalloc.stop()
         assert res.period == 3
+        assert peak <= period_mod.CHUNK_BYTES
+
+    def test_peak_memory_at_the_largest_giant_group_within_chunk_budget(self, monkeypatch):
+        # 23,437 giant steps at tmax = 3,000,000: the groups reach the cap,
+        # where their table, product and rows take 9.1 MB and the (128, g)
+        # screen 7.2 MB of the 16 MiB budget
+        sizes = _spy_screen(monkeypatch)
+        spec = spec_of(coins.coin_from_theta("X", 1.0), 3)
+        tmax = 3_000_000
+        chunk = period_mod._chunk_steps(spec.n, tmax)
+        cap = period_mod._group_steps(spec.n, chunk)
+        assert 1 < cap < (tmax - 1) // chunk
+        tracemalloc.start()
+        try:
+            res = period_bruteforce(spec, tmax=tmax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "no_period_up_to" and res.bound == tmax
+        assert max(sizes) == cap and sum(sizes) == math.ceil(tmax / chunk)
         assert peak <= period_mod.CHUNK_BYTES
 
 
