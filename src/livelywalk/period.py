@@ -214,47 +214,46 @@ def _double(table: np.ndarray, done: int, upto: int) -> None:
         done += m
 
 
-def _giant_groups(rows: np.ndarray, window: np.ndarray, last: int, cap: int):
-    """Yield (k0, giants) for the giant steps k = 0..last in groups: the rows
-    of `giants` are (U^(kB))^dagger for k = k0, k0 + 1, .., where U^1..U^B
-    are the B baby steps in `rows`.
+def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last: int):
+    """Yield (k0, group) for the giant steps k = 0..last in groups: the rows
+    of `group`, leading rows of `giants`, are (U^(kB))^dagger for k = k0,
+    k0 + 1, .., where U^1..U^B are the B baby steps in `rows`.
 
     The first group is k = 0, the identity.  Every other giant step is
     conj(W^k), where W = (U^B)^T = conj((U^B)^dagger) is a view of the last
-    baby step.  A table of W^1..W^d in block-major columns grows by one
-    doubling per group, whose new columns are the group, so the groups hold
-    1, 1, 2, 4, .. steps; once d is `cap`, each group of up to cap steps is
-    the product W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`.
-    A group of one step is that product, built in its own row.
+    baby step.  A table of W^1..W^d in block-major columns, W itself at
+    first, grows by one doubling per group, whose new columns are the group,
+    so the groups hold 1, 1, 2, 4, .. steps; once d is len(giants), each
+    group of up to that many steps is the product W^(k0 - 1) @ W^(1..g),
+    with W^(k0 - 1) in row 0 of `window`.  A group of one step is that
+    product, built in its own row.  The table, while it grows, and the
+    product after it never hold more than 2 len(giants) steps together.
     """
     if last < 0:
         return
-    n = rows.shape[1] // 9
-    size = max(1, min(cap, last))  # the largest group, and the table's length
-    giants = np.empty((size, 9 * n), dtype=complex)
+    size, n = len(giants), rows.shape[1] // 9  # the largest group, and the table's last length
     giants.reshape(size, n, 3, 3)[0] = np.eye(3)
     yield 0, giants[:1]
-    w = rows[-1].reshape(n, 3, 3).transpose(0, 2, 1)  # (U^B)^T, a view
-    if size == 1:
-        table, product = w, giants[0].reshape(n, 3, 3)
-    else:
-        table = np.empty((n, 3, 3 * size), dtype=complex)
-        table[:, :, :3] = w
-        product = np.empty_like(table)
-    k0, g, out = 1, 1, table[:, :, :3]
+    table = out = rows[-1].reshape(n, 3, 3).transpose(0, 2, 1)  # (U^B)^T, a view
+    product = giants[0].reshape(n, 3, 3) if size == 1 else None
+    k0, g = 1, 1
     while True:
         np.conjugate(out.reshape(n, 3, g, 3).transpose(2, 0, 1, 3), out=giants[:g].reshape(g, n, 3, 3))
         yield k0, giants[:g]
         k0 += g
         if k0 > last:
             return
-        if k0 - 1 < size:  # the table's next columns are the group
+        if k0 - 1 < size:  # the table grows by the group
             g = min(k0 - 1, size - k0 + 1)
-            _double(table, k0 - 1, k0 - 1 + g)
-            out = table[:, :, 3 * (k0 - 1):3 * (k0 - 1 + g)]
+            grown = np.empty((n, 3, 3 * (k0 - 1 + g)), dtype=complex)
+            grown[:, :, :3 * (k0 - 1)] = table
+            _double(grown, k0 - 1, k0 - 1 + g)
+            table, out = grown, grown[:, :, 3 * (k0 - 1):]
         else:
             step = np.conjugate(giants[g - 1].reshape(n, 3, 3), out=window[0].reshape(n, 3, 3))
             g = min(size, last - k0 + 1)
+            if product is None:
+                product = np.empty_like(table)
             out = np.matmul(step, table[:, :, :3 * g], out=product[:, :, :3 * g])
 
 
@@ -328,16 +327,19 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     powers = np.empty((n, 3, 3 * chunk), dtype=complex)
     powers[:, :, :3] = _walk.block_stack(spec)
     _double(powers, 1, chunk)
-    rows = np.empty((chunk, 9 * n), dtype=complex)  # the baby steps U^1..U^B
+    last = (tmax - 1) // chunk  # the last chunk, t0 = last * B
+    # the baby steps U^1..U^B, then the largest group of giant steps
+    stack = np.empty((chunk + max(1, min(_group_steps(n, chunk), last)), 9 * n), dtype=complex)
+    rows, giants = stack[:chunk], stack[chunk:]
     rows.reshape(chunk, n, 3, 3)[...] = powers.reshape(n, 3, chunk, 3).transpose(2, 0, 1, 3)
     window = powers.reshape(chunk, 9 * n)  # the doubling buffer, reused: rows minus (U^t0)^dagger
     rows_f = rows.view(np.float64)
     half_norms = 0.5 * np.einsum("bi,bi->b", rows_f, rows_f)  # ||U^j||_F^2 / 2
     r_max = math.sqrt(2.0 * half_norms.max())
-    for k0, giants in _giant_groups(rows, window, (tmax - 1) // chunk, _group_steps(n, chunk)):
-        for c in _screen(rows_f, half_norms, giants.view(np.float64), n, r_max):
+    for k0, group in _giant_groups(rows, giants, window, last):
+        for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max):
             t0 = (k0 + c) * chunk
-            hit = _first_hit(rows, giants[c], window)
+            hit = _first_hit(rows, group[c], window)
             if hit is not None and t0 + hit + 1 <= tmax:
                 return PeriodResult(status="finite", method="bruteforce", period=t0 + hit + 1)
     return PeriodResult(status="no_period_up_to", method="bruteforce", bound=tmax)
