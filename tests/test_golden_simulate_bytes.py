@@ -8,6 +8,10 @@ are:
 * the four benchmark shapes: Grover P1 at n = 512 and 1024, a = 0 and 3,
   tmax = 50, from the starts the benchmark draws at seed 1;
 * n = 2 with a = 1, and a call with --tmax 0;
+* starts whose support wraps past vertex n - 1: vertex 0 and vertex 1023 at
+  n = 1024, a = 3, and vertex 0 at n = 64, a = 3 with --tmax 200, where the
+  support spreads round the whole cycle (every other vertex: at even n the
+  moves -1, +1 and 3 keep the walker on one parity class);
 * dense --state-file starts at n = 3 and n = 17: every one of the 3n
   amplitudes is nonzero, drawn from a fixed numpy seed, and every third
   vertex is scaled by 1e-6, so some rows are written in exponent form.
@@ -15,7 +19,9 @@ are:
 The expected lines live in golden_simulate_bytes.txt, one call per line: a
 label for the argv (a state file named by its n and seed), the sha256 of
 its stdout and its exit code, tab-separated.  The lines were generated
-before each time step was written through one prebuilt row template.
+before each time step was written through one prebuilt row template, and
+the three wrap lines before rows of exact zeros were taken from a template
+of their own.
 Regenerate the file only when a change of behaviour is intended:
 
     PYTHONPATH=src python tests/test_golden_simulate_bytes.py
@@ -31,6 +37,8 @@ from conftest import digest_line, run_cli
 
 GOLDEN = Path(__file__).with_name("golden_simulate_bytes.txt")
 BENCHMARK_STARTS = ((512, 0, 474, 1), (1024, 0, 236, 0), (512, 3, 106, 2), (1024, 3, 812, 2))
+#: (n, a, start, coin state, tmax) of each start whose support wraps past vertex n - 1
+WRAP_STARTS = ((1024, 3, 0, 0, 50), (1024, 3, 1023, 1, 50), (64, 3, 0, 2, 200))
 #: (coin argv, n, a, numpy seed, tmax) of each dense --state-file start
 DENSE_STARTS = (
     (("--family", "X", "--theta-frac", "2/7"), 3, 1, 5, 12),
@@ -54,6 +62,10 @@ def calls(workdir: Path) -> list[tuple[str, tuple]]:
     for n, a, start, coinstate in BENCHMARK_STARTS:
         argv = ("simulate", "--grover", "P1", "--n", str(n), "--a", str(a), "--start", str(start),
                 "--coinstate", str(coinstate), "--tmax", "50")
+        out.append((" ".join(argv), argv))
+    for n, a, start, coinstate, tmax in WRAP_STARTS:
+        argv = ("simulate", "--grover", "P1", "--n", str(n), "--a", str(a), "--start", str(start),
+                "--coinstate", str(coinstate), "--tmax", str(tmax))
         out.append((" ".join(argv), argv))
     for argv in (
         ("simulate", "--family", "Z", "--theta-frac", "1/5", "--n", "2", "--a", "1", "--start", "1",
@@ -82,7 +94,7 @@ def _expected() -> list[str]:
 
 def test_golden_simulate_bytes():
     expected, actual = _expected(), compute()
-    assert len(actual) == len(expected) == 8
+    assert len(actual) == len(expected) == 11
     for want, got in zip(expected, actual):
         assert got == want
 
