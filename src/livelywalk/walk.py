@@ -8,15 +8,17 @@ n of them as one (n, 3, 3) array in a single broadcast, and `spectrum`
 solves that stack with one `eig3_unitary` call.
 
 The walk step is defined once, matrix-free: `_step` mixes the coin at
-every vertex and rolls each coin row by its shift, O(n) time and 48*n
-bytes per state.  `evolve` and `write_distribution_csv` apply it to one
-state; `evolution_operator` applies it to all 3n basis states at once, which
-writes the step out as the dense 3n x 3n matrix.  The independent oracle,
+every vertex and shifts each coin row cyclically by its move with two slice
+copies, O(n) time and 48*n bytes per state.  `evolve` and
+`write_distribution_csv` apply it to one state; `evolution_operator` applies
+it to all 3n basis states at once, which writes the step out as the dense
+3n x 3n matrix.  The independent oracle,
 S (C (x) I_n) built as a Kronecker product, lives in the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,9 +90,13 @@ def _step(coin: np.ndarray, a: int, psi: np.ndarray) -> np.ndarray:
     coin-major layout c*n + v.
     """
     mixed = (coin @ psi.reshape(3, -1)).reshape(3, -1, *psi.shape[1:])
-    return np.concatenate(
-        (np.roll(mixed[0], -1, axis=0), np.roll(mixed[1], 1, axis=0), np.roll(mixed[2], a, axis=0))
-    )
+    n = mixed.shape[1]
+    out = np.empty_like(mixed)
+    for row, shift in enumerate((-1, 1, a)):
+        k = shift % n
+        out[row, k:] = mixed[row, : n - k]
+        out[row, :k] = mixed[row, n - k :]
+    return out.reshape(psi.shape)
 
 
 def evolution_operator(spec: WalkSpec) -> np.ndarray:
@@ -149,25 +155,62 @@ def spectrum(spec: WalkSpec) -> np.ndarray:
     return eig3_unitary(block_stack(spec))
 
 
+def _support_arc(probs: np.ndarray) -> tuple[int, int]:
+    """(start, stop) of the shortest cyclic arc of vertices start..stop-1 (mod n)
+    that holds every nonzero entry of probs, with 0 <= start < n and
+    start < stop <= start + n; stop > n when the arc wraps past vertex n - 1.
+
+    The arc is the complement of the longest cyclic run of zeros; a dense
+    probs gives (0, n).  probs must have a nonzero entry.
+    """
+    nz = probs.nonzero()[0]
+    first, last = int(nz[0]), int(nz[-1])
+    if nz.size > 1:
+        gaps = nz[1:] - nz[:-1]
+        i = int(gaps.argmax())
+        if gaps[i] > first + probs.size - last:  # the longest zero run lies inside 0..n-1
+            return int(nz[i + 1]), int(nz[i]) + 1 + probs.size
+    return first, last + 1
+
+
 def write_distribution_csv(spec: WalkSpec, psi0: np.ndarray, tmax: int, stream) -> None:
     """Rows t,position,probability for t = 0..tmax (17 significant digits).
 
     Evolves with the same matrix-free step as `evolve`, so any n >= 2 runs
-    in O(n) memory; one write per time step.  The row template, one
-    "v,%.17g" row per vertex behind a slot for the "t," prefix, is built
-    once per call and filled once per step: the prefix goes into every
-    slot, then one `%` writes all n probabilities (the same digits as
-    f"{p:.17g}").
+    in O(n) memory; one write per time step.  Two row templates are built
+    once per call, each with a slot for the "t," prefix before every row:
+    "v,%.17g" and "v,0", one row per vertex.  Each step finds the shortest
+    cyclic arc of vertices that holds every nonzero probability, fills that
+    arc's slice of the first template with one `%` (two when the arc wraps
+    past vertex n - 1; the same digits as f"{p:.17g}"), splices the second
+    template's rows in around it and puts the prefix into every slot.  A
+    dense state's arc is the whole cycle, so it is one `%` over all n rows.
     """
     psi = _checked_state(spec, psi0, tmax)
     stream.write("t,position,probability\n")
-    coin = spec.coin.as_float()
-    rows = "".join(f"\0{v},%.17g\n" for v in range(spec.n))
+    coin, n = spec.coin.as_float(), spec.n
+    rows = [f"\0{v},%.17g\n" for v in range(n)]
+    # "%.17g" % 0.0 == "0", and a probability is a sum of abs(.)**2, never
+    # -0.0, so a zero row reads the same from either template
+    filled, filled_at = "".join(rows), [0, *itertools.accumulate(map(len, rows))]
+    zeros = filled.replace("%.17g", "0")
+    zeros_at = [at - 4 * v for v, at in enumerate(filled_at)]  # its rows are 4 characters shorter
     for t in range(tmax + 1):
         probs = distribution(psi)
         total = float(probs.sum())
-        if not abs(total - 1.0) <= NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:  # before indexing: rejects all-zero and NaN
             raise NotNormalized(f"probabilities at t={t} sum to {total}")
-        stream.write(rows.replace("\0", f"{t},") % tuple(probs.tolist()))
+        start, stop = _support_arc(probs)
+        if stop <= n:
+            text = (zeros[: zeros_at[start]]
+                    + filled[filled_at[start] : filled_at[stop]] % tuple(probs[start:stop].tolist())
+                    + zeros[zeros_at[stop] :])
+        else:
+            stop -= n
+            text = (filled[: filled_at[stop]] % tuple(probs[:stop].tolist())
+                    + zeros[zeros_at[stop] : zeros_at[start]]
+                    + filled[filled_at[start] :] % tuple(probs[start:].tolist()))
+        stream.write(text.replace("\0", f"{t},"))
         if t < tmax:
             psi = _step(coin, spec.a, psi)
+

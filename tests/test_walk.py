@@ -86,6 +86,34 @@ class TestShift:
         assert np.array_equal(s.sum(axis=1), np.ones(18))
 
 
+def rolled_step(coin, a, psi):
+    """The walk step as np.roll of each coin row and one np.concatenate: the
+    oracle that `walk._step`'s slice copies must match bit for bit."""
+    mixed = (coin @ psi.reshape(3, -1)).reshape(3, -1, *psi.shape[1:])
+    return np.concatenate(
+        (np.roll(mixed[0], -1, axis=0), np.roll(mixed[1], 1, axis=0), np.roll(mixed[2], a, axis=0))
+    )
+
+
+class TestStepSlices:
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_bitwise_equal_to_rolled_step(self, n, half, rng):
+        a = n // 2 if half else 0
+        coins_ = (coins.grover_type(1).as_float(), coins.coin_from_theta("W", 2.1).as_float())
+        states = (
+            rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n),
+            rng.normal(size=(3 * n, 4)) + 1j * rng.normal(size=(3 * n, 4)),
+            np.eye(3 * n),
+            -np.eye(3 * n)[:, :5],  # signed zeros
+        )
+        for coin in coins_:
+            for psi in states:
+                want, got = rolled_step(coin, a, psi), walk._step(coin, a, psi)
+                assert got.shape == want.shape == psi.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
 class TestEvolutionOperator:
     def test_identity_coin_reduces_to_shift(self):
         spec = WalkSpec(n=5, a=2, coin=coins.perm_matrix(1))
@@ -385,6 +413,70 @@ class TestCsvExport:
         at = {(int(t), int(v)): float(p) for t, v, p in rows}
         for v in range(3):
             assert at[(6, v)] == pytest.approx(at[(0, v)], abs=1e-9)
+
+
+def naive_csv(spec, psi0, tmax):
+    """The CSV written one f-string per row over `distribution(evolve(...))`."""
+    out, psi = ["t,position,probability\n"], psi0
+    for t in range(tmax + 1):
+        out.extend(f"{t},{v},{p:.17g}\n" for v, p in enumerate(distribution(psi).tolist()))
+        psi = evolve(spec, psi, 1)
+    return "".join(out)
+
+
+@st.composite
+def sparse_starts(draw):
+    """(spec, psi0, tmax): a walk and a start supported on one vertex (0, n - 1
+    or the middle), an arc that wraps past vertex n - 1, two separated
+    clusters or every vertex, with some amplitudes scaled by 1e-6..1e-150 so
+    that exponent-form rows sit next to exact zeros."""
+    n = draw(st.integers(2, 64))
+    spec = WalkSpec(n=n, a=draw(st.integers(0, n // 2)), coin=draw(WALK_COINS))
+    kind = draw(st.sampled_from(["vertex", "wrap", "clusters", "dense"]))
+    if kind == "vertex":
+        support = [draw(st.sampled_from([0, n - 1, n // 2]))]
+    elif kind == "wrap":
+        left, right = draw(st.integers(1, n // 2)), draw(st.integers(1, (n + 1) // 2))
+        support = [*range(n - left, n), *range(right)]
+    elif kind == "clusters":
+        start = draw(st.integers(0, n - 1))
+        width = draw(st.integers(1, max(1, n // 3)))
+        gap = draw(st.integers(1, max(1, n - 2 * width - 1)))  # a gap on both sides
+        support = sorted({(start + i) % n for i in [*range(width), *range(width + gap, 2 * width + gap)]})
+    else:
+        support = list(range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = np.zeros((3, n), dtype=complex)
+    psi[:, support] = rng.normal(size=(3, len(support))) + 1j * rng.normal(size=(3, len(support)))
+    tiny = draw(st.lists(st.sampled_from(support), max_size=len(support), unique=True))
+    psi[:, tiny] *= 10.0 ** -draw(st.integers(6, 150))
+    psi /= np.linalg.norm(psi)
+    return spec, psi.ravel(), draw(st.integers(0, 3 * n))
+
+
+class TestCsvTemplates:
+    """The arc of nonzero rows and the zero template leave every byte as it was."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sparse_starts())
+    def test_matches_naive_writer(self, case):
+        spec, psi0, tmax = case
+        buf = io.StringIO()
+        write_distribution_csv(spec, psi0, tmax, buf)
+        assert buf.getvalue() == naive_csv(spec, psi0, tmax)
+
+    @pytest.mark.parametrize("probs, arc", [
+        ([1.0, 0, 0, 0, 0], (0, 1)),
+        ([0, 0, 0, 0, 1.0], (4, 5)),
+        ([0, 0, 1.0, 0, 0], (2, 3)),
+        ([0.5, 0, 0, 0, 0.5], (4, 6)),
+        ([0.25, 0.25, 0, 0.25, 0.25], (3, 7)),
+        ([0, 0.5, 0, 0.5, 0], (1, 4)),
+        ([0.25] * 4, (0, 4)),
+        ([0.5, 0, 0.5, 0], (0, 3)),
+    ])
+    def test_support_arc(self, probs, arc):
+        assert walk._support_arc(np.array(probs)) == arc
 
 
 class TestValidation:
