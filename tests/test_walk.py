@@ -436,7 +436,8 @@ def sparse_starts(draw):
     if kind == "vertex":
         support = [draw(st.sampled_from([0, n - 1, n // 2]))]
     elif kind == "wrap":
-        left, right = draw(st.integers(1, n // 2)), draw(st.integers(1, (n + 1) // 2))
+        left = draw(st.integers(1, n // 2))
+        right = draw(st.integers(1, max(1, n - left - 1)))  # a zero outside the arc for n > 2
         support = [*range(n - left, n), *range(right)]
     elif kind == "clusters":
         start = draw(st.integers(0, n - 1))
