@@ -190,6 +190,22 @@ class TestPeriodCommand:
         assert code == 3
         assert doc["agreement"] is False
 
+    def test_float_coin_near_a_special_angle_disagrees(self, capsys):
+        # Z at 4.18879020466091 = 4*pi/3 - 1.25e-10: analytic snaps the coin to
+        # the special angle and brute force finds 22, but the angle is outside
+        # spectral's band, so the report disagrees and exits 3.  ROADMAP item 4
+        # (one tolerance contract for float coins near a periodic coin) will
+        # change this row on purpose.
+        code, doc = run_json(capsys, "period", "--family", "Z", "--theta", "4.18879020466091",
+                             "--n", "11", "--a", "0")
+        assert code == 3
+        assert doc["agreement"] is False
+        assert [(r["method"], r["status"], r["period"], r["bound"]) for r in doc["results"]] == [
+            ("analytic", "finite", 22, None),
+            ("spectral", "no_period_up_to", None, 31622),
+            ("bruteforce", "finite", 22, None),
+        ]
+
 
 class TestPeriodBounds:
     def test_negative_tmax_is_domain_error(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -755,6 +756,67 @@ class TestCrossValidate:
         for r in doc["results"]:
             assert set(r) == {"method", "status", "period", "bound", "theorem"}
             assert r["status"] in {"finite", "no_period_up_to", "proven_infinite", "not_applicable"}
+
+
+#: fixed method results around the period p = 6
+_FIXED_RESULTS = {
+    "finite_p": PeriodResult(status="finite", method="analytic", period=6),
+    "finite_p_again": PeriodResult(status="finite", method="bruteforce", period=6),
+    "finite_q": PeriodResult(status="finite", method="spectral", period=12),
+    "bound_at_p": PeriodResult(status="no_period_up_to", method="bruteforce", bound=6),
+    "bound_below_p": PeriodResult(status="no_period_up_to", method="spectral", bound=5),
+    "infinite": PeriodResult(status="proven_infinite", method="analytic", theorem="x-family:aperiodic-off-3cycle"),
+    "not_applicable": PeriodResult(status="not_applicable", method="analytic", theorem="phase-condition-unmet"),
+}
+#: the pairs that disagree: a finite period against another finite period,
+#: against proven_infinite, or against no period up to a bound at least that
+#: period (finite_q's 12 exceeds bound_at_p's 6, so that pair agrees)
+_CONTRADICTIONS = {
+    frozenset(pair) for pair in (
+        ("finite_p", "finite_q"), ("finite_p_again", "finite_q"),
+        ("finite_p", "bound_at_p"), ("finite_p_again", "bound_at_p"),
+        ("finite_p", "infinite"), ("finite_p_again", "infinite"), ("finite_q", "infinite"),
+    )
+}
+
+
+def _fixed_methods(monkeypatch, analytic=None, spectral=None, bruteforce=None):
+    """Make each method return its given fixed result."""
+    for name, result in (("analytic", analytic), ("spectral", spectral), ("bruteforce", bruteforce)):
+        monkeypatch.setattr(period_mod, f"period_{name}", lambda *args, result=result: result)
+
+
+class TestContradictions:
+    """`cross_validate`'s agreement over every ordered pair of fixed results."""
+
+    @pytest.mark.parametrize("first, second", itertools.product(_FIXED_RESULTS, repeat=2))
+    def test_pair_in_both_orders(self, monkeypatch, first, second):
+        a, b = _FIXED_RESULTS[first], _FIXED_RESULTS[second]
+        _fixed_methods(monkeypatch, analytic=a, spectral=b)
+        expected = frozenset((first, second)) not in _CONTRADICTIONS
+        forward = cross_validate(spec_of(coins.grover_type(1), 3), methods=("analytic", "spectral"))
+        backward = cross_validate(spec_of(coins.grover_type(1), 3), methods=("spectral", "analytic"))
+        assert forward.results == (a, b)
+        assert backward.results == (b, a)
+        assert forward.agreement is backward.agreement is expected
+
+    @pytest.mark.parametrize("first, last, agreement", [
+        ("finite_p", "infinite", False),
+        ("infinite", "bound_at_p", True),
+        ("finite_q", "bound_at_p", True),
+        ("bound_at_p", "finite_p", False),
+    ])
+    def test_first_and_last_of_three(self, monkeypatch, first, last, agreement):
+        _fixed_methods(monkeypatch, analytic=_FIXED_RESULTS[first],
+                       spectral=_FIXED_RESULTS["not_applicable"], bruteforce=_FIXED_RESULTS[last])
+        assert cross_validate(spec_of(coins.grover_type(1), 3)).agreement is agreement
+
+    def test_single_result_agrees(self, monkeypatch):
+        _fixed_methods(monkeypatch, analytic=_FIXED_RESULTS["finite_p"])
+        assert cross_validate(spec_of(coins.grover_type(1), 3), methods=("analytic",)).agreement
+
+    def test_no_method_agrees(self):
+        assert cross_validate(spec_of(coins.grover_type(1), 3), methods=()).agreement
 
 
 class TestGuaranteedOrderBound:
