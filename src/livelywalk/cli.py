@@ -21,6 +21,7 @@ from . import period as _period
 from . import verify as _verify
 from . import walk as _walk
 from .errors import LivelyWalkError, OutOfRange
+from .exactnum import DEFAULT_TOL
 
 PERM_LABELS = tuple(f"P{i}" for i in range(1, 7))
 SIGN_PAIRS = ("++", "+-", "-+", "--")
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coin = _add_command(sub, "coin", cmd_coin, "construct and classify a coin")
     _add_coin_spec(p_coin)
-    p_coin.add_argument("--tol", type=_tolerance, default=1e-10, help="orthogonality/unitarity tolerance")
+    p_coin.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="orthogonality/unitarity tolerance")
     _add_output(p_coin)
 
     p_period = _add_command(sub, "period", cmd_period, "compute the walk period by all methods")

@@ -54,7 +54,6 @@ from .exactnum import (
 
 Scalar = Union[int, float, complex, Fraction]
 
-FAMILIES = ("X", "Y", "Z", "W")
 CYCLIC = "cyclic"
 TRANSPOSITION = "transposition"
 
@@ -81,6 +80,7 @@ _ROW_INDEX = {basis: np.array(orders) for basis, orders in _ROW_ORDERS.items()}
 #: family -> (basis, s = x + y + z), and back
 _FAMILY = {"X": (CYCLIC, 1), "Y": (CYCLIC, -1), "Z": (TRANSPOSITION, 1), "W": (TRANSPOSITION, -1)}
 _FAMILY_OF = {record: family for family, record in _FAMILY.items()}
+FAMILIES = tuple(_FAMILY)
 # det is s on the cyclic basis (X rotations, Y = -X) and -s on the other (Z = P4*X, W = P4*Y)
 _FAMILY_DET = {f: s if basis == CYCLIC else -s for f, (basis, s) in _FAMILY.items()}
 
@@ -200,11 +200,16 @@ def _ellipse_residual(s: int, x, y):
     return x * x + y * y - s * x - s * y + x * y
 
 
-def coin_from_xyz(family: str, x: Scalar, y: Scalar, z: Scalar, allow_complex: bool = False) -> Coin3:
-    """Coin from linear-sum coefficients; validates the family constraints."""
+def _family(family: str) -> tuple[str, int]:
+    """The (basis, s) record of a family name; OutOfRange for any other name."""
     if family not in FAMILIES:
         raise OutOfRange(f"unknown family {family!r}")
-    basis, s = _FAMILY[family]
+    return _FAMILY[family]
+
+
+def coin_from_xyz(family: str, x: Scalar, y: Scalar, z: Scalar, allow_complex: bool = False) -> Coin3:
+    """Coin from linear-sum coefficients; validates the family constraints."""
+    basis, s = _family(family)
     exact = all(isinstance(v, (Fraction, int)) for v in (x, y, z))
     x, y, z = (Fraction(v) if exact else complex(v) for v in (x, y, z))
     if not abs(x + y + z - s) <= (0 if exact else SUM_TOL):  # also catches NaN and inf
@@ -230,9 +235,7 @@ def solve_y(family: str, x: Scalar):
     Fractions come back when x is rational and the discriminant is a
     rational square.
     """
-    if family not in FAMILIES:
-        raise OutOfRange(f"unknown family {family!r}")
-    s = _FAMILY[family][1]
+    s = _family(family)[1]
     if isinstance(x, int):
         x = Fraction(x)
     lin, disc = s - x, (s - x) * (3 * x + s)
@@ -276,8 +279,7 @@ def coin_from_theta(family: str, theta: float) -> Coin3:
     parametrization satisfies the ellipse identity for any complex angle.
     A NaN or infinite angle, real or complex, is out of range.
     """
-    if family not in FAMILIES:
-        raise OutOfRange(f"unknown family {family!r}")
+    basis, s = _family(family)
     if not cmath.isfinite(theta):
         raise OutOfRange(f"theta must be finite, got {theta}")
     if isinstance(theta, complex):
@@ -285,7 +287,6 @@ def coin_from_theta(family: str, theta: float) -> Coin3:
     else:
         theta = float(theta) % (2.0 * math.pi)
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-    basis, s = _FAMILY[family]
     x, y, z = _theta_params(s, cos_t, sin_t, math.sqrt(3.0))
     return Coin3(matrix=_layout(basis, x, y, z, complex), family=family)
 
@@ -311,14 +312,13 @@ def coin_from_rational(family: str, r: Fraction, sign1: int = 1, sign2: int = 1)
     X^2 - 3Y^2 = 1, up to the signs.  Any rational r works (r^2 = 3 has no
     rational solution); the result is exactly orthogonal.
     """
-    if family not in FAMILIES:
-        raise OutOfRange(f"unknown family {family!r}")
+    s = _family(family)[1]
     if sign1 not in (1, -1) or sign2 not in (1, -1):
         raise OutOfRange("sign1 and sign2 must be +1 or -1")
     r = Fraction(r)
     cos_t = sign1 * (r * r - 3) / (r * r + 3)
     sin_t_over_sqrt3 = -sign1 * sign2 * 2 * r / (r * r + 3)
-    return coin_from_xyz(family, *_theta_params(_FAMILY[family][1], cos_t, sin_t_over_sqrt3, 1))
+    return coin_from_xyz(family, *_theta_params(s, cos_t, sin_t_over_sqrt3, 1))
 
 
 def pell_point(r: Fraction) -> tuple[Fraction, Fraction]:

@@ -34,6 +34,7 @@ S (C (x) I_n), built as a Kronecker product and powered one step at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -446,27 +447,27 @@ class CrossValidation:
     agreement: bool
 
 
-def _pairwise_consistent(a: PeriodResult, b: PeriodResult) -> bool:
-    if "not_applicable" in (a.status, b.status):
-        return True
-    if a.finite and b.finite:
-        return a.period == b.period
-    for fin, other in ((a, b), (b, a)):
-        if fin.finite and other.status == "no_period_up_to":
-            if other.bound is not None and fin.period <= other.bound:
-                return False
-        if fin.finite and other.status == "proven_infinite":
-            return False
-    return True
+def _contradicts(fin: PeriodResult, other: PeriodResult) -> bool:
+    """Whether `other` rules out `fin`'s finite period, by `cross_validate`'s rule."""
+    if not fin.finite:
+        return False
+    if other.finite:
+        return other.period != fin.period
+    if other.status == "no_period_up_to":
+        return fin.period <= other.bound
+    return other.status == "proven_infinite"
 
 
 def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = QMAX_DEFAULT,
                    methods=METHODS) -> CrossValidation:
-    """Run the requested methods and flag any inconsistency between them.
+    """Run the requested methods, in order, and flag any contradiction.
 
     analytic reads the coin family's closed forms, spectral takes the lcm
     of the eigenvalue orders of the momentum blocks, and bruteforce powers
-    those blocks up to tmax.  No method builds the dense operator.
+    those blocks up to tmax; none builds the dense operator.  A finite
+    period p is contradicted by a finite period other than p, by
+    proven_infinite and by no_period_up_to a bound >= p; not_applicable
+    contradicts nothing.  The results agree when none is contradicted.
     """
     results = []
     for method in methods:
@@ -478,11 +479,7 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
             results.append(period_bruteforce(spec, tmax))
         else:
             raise ValueError(f"unknown method {method!r}")
-    agreement = all(
-        _pairwise_consistent(results[i], results[j])
-        for i in range(len(results))
-        for j in range(i + 1, len(results))
-    )
+    agreement = not any(_contradicts(a, b) for a, b in itertools.permutations(results, 2))
     return CrossValidation(spec=spec, results=tuple(results), agreement=agreement)
 
 
