@@ -31,9 +31,6 @@ class TestUnknownFamily:
     def test_each_constructor(self, call, args):
         assert raised(OutOfRange, call, "Q", *args) == "unknown family 'Q'"
 
-    def test_lower_case_name(self):
-        assert raised(OutOfRange, coins.coin_from_theta, "x", 0.5) == "unknown family 'x'"
-
 
 class TestCoinArguments:
     def test_grover_type_index(self):
