@@ -158,6 +158,15 @@ class TestCoinFromXyz:
         with pytest.raises(ConstraintViolated):
             coin_from_xyz("X", 0.5, 0.5, 0.0)
 
+    def test_point_off_the_ellipse_by_3e_11_rejected_at_construction(self):
+        # the sum is exact and the ellipse residual 3.4e-11, so the
+        # orthogonality defect, sqrt(18) times the residual, is 1.4e-10:
+        # past DEFAULT_TOL, and classify's error for the same matrix
+        x = 0.5
+        y = solve_y("X", x)[0] + 3e-11
+        with pytest.raises(NotOrthogonal):
+            coin_from_xyz("X", x, y, 1 - x - y)
+
     def test_bad_sum_rejected(self):
         with pytest.raises(ConstraintViolated):
             coin_from_xyz("X", Fraction(1), Fraction(0), Fraction(1))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from livelywalk import WalkSpec, coins, cross_validate, verify, walk
+from livelywalk import WalkSpec, coins, cross_validate, report_json, verify, walk
 from livelywalk.errors import ConstraintViolated, DimensionMismatch, OutOfRange, RangeViolated
 from livelywalk.exactnum import multiset_distance
 
@@ -84,6 +84,13 @@ class TestSerializationChecks:
     def test_complex_parameter_coin(self):
         message = raised(ConstraintViolated, coins.coin_to_json, coins.coin_from_theta("X", 1j))
         assert message == "cannot serialize a complex-parameter coin"
+
+    def test_report_of_a_coin_within_the_realness_tolerance(self):
+        # max |imag| is 5.9e-12, within DEFAULT_TOL: WalkSpec accepts the coin
+        # as real, so its report serializes, with the real part's entries
+        coin = coins.coin_from_theta("X", 1 + 1e-11j)
+        doc = report_json(cross_validate(WalkSpec(5, 1, coin)))
+        assert doc == report_json(cross_validate(WalkSpec(5, 1, coins.coin_from_theta("X", 1.0))))
 
 
 def test_complex_coin_is_not_rational():
