@@ -16,9 +16,9 @@ basis it expands in and the sign s = x + y + z:
 
 with (x, y) on the ellipse x^2+y^2-s*x-s*y+xy = 0.  Z and W are X and Y
 with rows 2 and 3 exchanged, and every other per-family formula (the
-theta-parametrization, the real x range, the determinant, the Pell offset)
-is one formula in s.  `classify` reports the family once per coin, together
-with the recovered angle ``theta`` and ``is_special``: whether +-coin is a
+theta-parametrization, the determinant, the Pell offset) is one formula
+in s.  `classify` reports the family once per coin, together with the
+recovered angle ``theta`` and ``is_special``: whether +-coin is a
 permutation or Grover-type matrix.
 """
 
@@ -84,13 +84,7 @@ FAMILIES = tuple(_FAMILY)
 # det is s on the cyclic basis (X rotations, Y = -X) and -s on the other (Z = P4*X, W = P4*Y)
 _FAMILY_DET = {f: s if basis == CYCLIC else -s for f, (basis, s) in _FAMILY.items()}
 
-#: closed real parameter range for x in each family: between the roots x = s
-#: and x = -s/3 of the discriminant in :func:`solve_y`
-REAL_X_RANGE = {f: tuple(sorted((Fraction(s), Fraction(-s, 3)))) for f, (_, s) in _FAMILY.items()}
-
-ELLIPSE_TOL = 1e-10
-SUM_TOL = 1e-12
-#: a float coin counts as rational when every entry is within RATIONAL_TOL
+#: a real float coin counts as rational when every entry is within RATIONAL_TOL
 #: of a fraction with denominator at most RATIONAL_MAX_DEN
 RATIONAL_TOL = 1e-9
 RATIONAL_MAX_DEN = 1000
@@ -105,6 +99,8 @@ class Coin3:
     coin was built from one.  ``classification`` is ``classify(coin)`` at
     the default tolerance, computed on first use and cached; it raises
     ConstraintViolated when a named family is not the classified one.
+    ``is_real``, cached too, is the one realness rule: every |imag| is at
+    most DEFAULT_TOL, whatever tolerance the coin is classified at.
     """
 
     matrix: np.ndarray
@@ -136,6 +132,10 @@ class Coin3:
     def classification(self) -> Classification:
         return classify(self)
 
+    @functools.cached_property
+    def is_real(self) -> bool:
+        return bool(np.max(np.abs(self._float.imag)) <= DEFAULT_TOL)  # NaN is not real
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coin3):
             return NotImplemented
@@ -156,7 +156,7 @@ class Classification:
     coefficients (atan2 mod 2*pi, so in [0, 2*pi]), and which special
     matrices it is: a permutation, a Grover-type matrix, or either of those
     up to sign (``is_special``).  ``is_rational`` is worked out from the
-    coin's matrix on first read."""
+    coin's matrix on first read; ``real`` is the coin's ``is_real``."""
 
     family: str
     basis: str
@@ -168,14 +168,15 @@ class Classification:
     theta: float
     is_special: bool
     exact: bool = field(repr=False, compare=False)
+    real: bool = field(repr=False, compare=False)
     matrix: np.ndarray = field(repr=False, compare=False)  # the coin's read-only complex matrix
 
     @functools.cached_property
     def is_rational(self) -> bool:
-        """Whether the coin is exact or every entry of its float matrix is
-        within RATIONAL_TOL of a fraction with denominator at most
+        """Whether the coin is exact, or real with every entry of its float
+        matrix within RATIONAL_TOL of a fraction with denominator at most
         RATIONAL_MAX_DEN."""
-        return self.exact or _is_rational_matrix(self.matrix)
+        return self.exact or (self.real and _is_rational_matrix(self.matrix.real))
 
 
 def _as_coin(m) -> Coin3:
@@ -196,10 +197,6 @@ def _layout(basis: str, x, y, z, dtype) -> np.ndarray:
     return np.array([[first[i] for i in order] for order in _ROW_ORDERS[basis]], dtype=dtype)
 
 
-def _ellipse_residual(s: int, x, y):
-    return x * x + y * y - s * x - s * y + x * y
-
-
 def _family(family: str) -> tuple[str, int]:
     """The (basis, s) record of a family name; OutOfRange for any other name."""
     if family not in FAMILIES:
@@ -208,24 +205,18 @@ def _family(family: str) -> tuple[str, int]:
 
 
 def coin_from_xyz(family: str, x: Scalar, y: Scalar, z: Scalar, allow_complex: bool = False) -> Coin3:
-    """Coin from linear-sum coefficients; validates the family constraints."""
-    basis, s = _family(family)
+    """The coin of the family with first row (x, y, z), exact for ints and
+    Fractions.  It is classified here, so an invalid point raises what
+    `classify` raises for its matrix (NotOrthogonal off the ellipse); a coin
+    that is not real raises RangeViolated unless allow_complex is set."""
+    basis = _family(family)[0]
     exact = all(isinstance(v, (Fraction, int)) for v in (x, y, z))
     x, y, z = (Fraction(v) if exact else complex(v) for v in (x, y, z))
-    if not abs(x + y + z - s) <= (0 if exact else SUM_TOL):  # also catches NaN and inf
-        raise ConstraintViolated(f"x+y+z must be {s} for family {family}")
-    if not abs(_ellipse_residual(s, x, y)) <= (0 if exact else ELLIPSE_TOL):
-        raise ConstraintViolated("(x, y) is not on the family ellipse")
-    # exact (x, y) on the ellipse make y a real root of solve_y's
-    # quadratic, so x is in REAL_X_RANGE; only a float x needs the check
-    if not (exact or allow_complex):
-        lo, hi = REAL_X_RANGE[family]
-        if max(abs(x.imag), abs(y.imag), abs(z.imag)) > ELLIPSE_TOL:
-            raise RangeViolated("complex coefficients need allow_complex=True")
-        if not (float(lo) - ELLIPSE_TOL <= x.real <= float(hi) + ELLIPSE_TOL):
-            raise RangeViolated(f"x = {x.real} outside real range [{lo}, {hi}] of family {family}")
-    m = _layout(basis, x, y, z, object if exact else complex)
-    return Coin3(matrix=m, family=family)
+    coin = Coin3(matrix=_layout(basis, x, y, z, object if exact else complex), family=family)
+    coin.classification  # raises for a point that is not a valid coin of the family
+    if not (allow_complex or coin.is_real):
+        raise RangeViolated("complex coefficients need allow_complex=True")
+    return coin
 
 
 def solve_y(family: str, x: Scalar):
@@ -409,11 +400,9 @@ def _near(a, b, tol) -> bool:
 
 
 def _is_rational_matrix(mf: np.ndarray) -> bool:
-    """Whether every entry of the float matrix mf is within RATIONAL_TOL of a
+    """Whether every entry of the real matrix mf is within RATIONAL_TOL of a
     fraction with denominator at most RATIONAL_MAX_DEN."""
-    if np.max(np.abs(mf.imag)) > RATIONAL_TOL:
-        return False
-    for v in mf.real.flat:
+    for v in mf.flat:
         if abs(v - Fraction(v).limit_denominator(RATIONAL_MAX_DEN)) > RATIONAL_TOL:
             return False
     return True
@@ -424,9 +413,10 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
 
     The family follows from the basis and the sign of x+y+z; the
     determinant is recomputed, at the same tolerance, as a redundant
-    cross-check of that assignment.  A real coin is compared entry by entry
-    with the 24 special matrices at DEFAULT_TOL.  A Coin3 that names a
-    family raises ConstraintViolated when its entries are of another.
+    cross-check of that assignment.  A real coin (``Coin3.is_real``) is
+    compared entry by entry with the 24 special matrices at DEFAULT_TOL.  A
+    Coin3 that names a family raises ConstraintViolated when its entries are
+    of another.
     """
     coin = _as_coin(m)
     coeffs, s, det = _linear_sum(coin, tol)
@@ -445,8 +435,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
         raise ConstraintViolated(f"coin names family {coin.family} but its entries are family {family}")
 
     mf = coin.as_float()
-    real = np.max(np.abs(mf.imag)) <= DEFAULT_TOL
-    hits = real & (np.max(np.abs(mf.real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
+    hits = coin.is_real & (np.max(np.abs(mf.real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
     return Classification(
         family=family,
         basis=coeffs.basis,
@@ -458,6 +447,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
         theta=_reconstruct_angle(sign, coeffs.x, coeffs.y),
         is_special=bool(hits.any()),
         exact=coin.exact,
+        real=coin.is_real,
         matrix=mf,
     )
 
@@ -495,10 +485,9 @@ def coin_to_json(coin: Coin3) -> dict:
         entries = [[_frac_str(e) for e in row] for row in coin.matrix]
         repr_tag = "exact"
     else:
-        mf = coin.as_float()
-        if np.max(np.abs(mf.imag)) > 1e-12:
+        if not coin.is_real:
             raise ConstraintViolated("cannot serialize a complex-parameter coin")
-        entries = [[float(v) for v in row] for row in mf.real]
+        entries = [[float(v) for v in row] for row in coin.as_float().real]
         repr_tag = "float"
     params = None if coin.family is None else dict(zip(("x", "y", "z"), entries[0]))
     return {"repr": repr_tag, "entries": entries, "family": coin.family, "params": params}

@@ -70,7 +70,8 @@ def orthogonality_defect(m: np.ndarray) -> float:
             return 0.0
         m = to_float(m)
     mf = np.asarray(m, dtype=complex)
-    return float(np.linalg.norm(mf.T @ mf - np.eye(mf.shape[0])))
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf defect is reported, not warned
+        return float(np.linalg.norm(mf.T @ mf - np.eye(mf.shape[0])))
 
 
 def unitarity_defect(m: np.ndarray) -> np.ndarray:

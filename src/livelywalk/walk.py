@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coins as _coins
 from .errors import GuardExceeded, NotNormalized, NotUnitary, OutOfRange
-from .exactnum import DEFAULT_TOL, eig3_unitary
+from .exactnum import eig3_unitary
 
 #: largest cycle length for which the dense 3n x 3n `evolution_operator`
 #: may be built; simulation does not build it and needs only 48*n bytes per
@@ -45,12 +46,16 @@ class WalkSpec:
     coin: _coins.Coin3
 
     def __post_init__(self):
+        try:  # np.int64 and the like pass; floats, strings and None do not
+            operator.index(self.n), operator.index(self.a)
+        except TypeError:
+            raise OutOfRange(f"cycle length and liveliness must be integers, got n={self.n!r}, a={self.a!r}") from None
         if self.n < 2:
             raise OutOfRange(f"cycle length must be >= 2, got {self.n}")
         if not (0 <= self.a <= self.n // 2):
             raise OutOfRange(f"liveliness must satisfy 0 <= a <= n//2, got a={self.a}")
         self.coin.classification  # raises if the coin is not a valid linear sum
-        if np.max(np.abs(self.coin.as_float().imag)) > DEFAULT_TOL:
+        if not self.coin.is_real:
             raise NotUnitary("walk coins must be real orthogonal matrices")
 
     @property

@@ -155,7 +155,7 @@ class TestCoinFromXyz:
         assert np.array_equal(c.matrix, perm_matrix(4).matrix)
 
     def test_off_ellipse_rejected(self):
-        with pytest.raises(ConstraintViolated):
+        with pytest.raises(NotOrthogonal):
             coin_from_xyz("X", 0.5, 0.5, 0.0)
 
     def test_point_off_the_ellipse_by_3e_11_rejected_at_construction(self):
@@ -168,7 +168,7 @@ class TestCoinFromXyz:
             coin_from_xyz("X", x, y, 1 - x - y)
 
     def test_bad_sum_rejected(self):
-        with pytest.raises(ConstraintViolated):
+        with pytest.raises(NotOrthogonal):
             coin_from_xyz("X", Fraction(1), Fraction(0), Fraction(1))
 
     def test_complex_needs_flag(self):
@@ -187,14 +187,14 @@ class TestCoinFromXyz:
     def test_non_finite_coefficient_rejected(self, family, slot, bad, allow_complex):
         xyz = list(coin_from_theta(family, 0.3).params)
         xyz[slot] = bad
-        with pytest.raises(ConstraintViolated):
+        with pytest.raises(NotOrthogonal):
             coin_from_xyz(family, *xyz, allow_complex=allow_complex)
 
     @pytest.mark.parametrize("allow_complex", (False, True))
     @pytest.mark.parametrize("family", coins.FAMILIES)
     def test_all_nan_and_cancelling_infinities_rejected(self, family, allow_complex):
         for xyz in ((math.nan,) * 3, (math.inf, -math.inf, 0.0)):
-            with pytest.raises(ConstraintViolated):
+            with pytest.raises(NotOrthogonal):
                 coin_from_xyz(family, *xyz, allow_complex=allow_complex)
 
 

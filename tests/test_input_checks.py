@@ -7,8 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from livelywalk import WalkSpec, coins, cross_validate, report_json, verify, walk
-from livelywalk.errors import ConstraintViolated, DimensionMismatch, OutOfRange, RangeViolated
+from livelywalk import (
+    WalkSpec,
+    coins,
+    cross_validate,
+    period_bruteforce,
+    period_spectral,
+    report_json,
+    verify,
+    walk,
+)
+from livelywalk.errors import ConstraintViolated, DimensionMismatch, NotOrthogonal, OutOfRange
 from livelywalk.exactnum import multiset_distance
 
 
@@ -41,23 +50,17 @@ class TestCoinArguments:
         message = raised(OutOfRange, coins.coin_from_rational, "X", Fraction(1, 2), *signs)
         assert message == "sign1 and sign2 must be +1 or -1"
 
-    def test_real_x_range_message(self, monkeypatch):
-        # x = 1 is X's upper end; with the range narrowed to [-1/3, 1/2] the
-        # identity coin's coefficients reach the real-x-range check
-        monkeypatch.setitem(coins.REAL_X_RANGE, "X", (Fraction(-1, 3), Fraction(1, 2)))
-        message = raised(RangeViolated, coins.coin_from_xyz, "X", 1.0, 0.0, 0.0)
-        assert message == "x = 1.0 outside real range [-1/3, 1/2] of family X"
-
     @pytest.mark.parametrize("family", coins.FAMILIES)
     def test_x_past_the_real_range_is_off_the_ellipse(self, family):
-        # at a real x past the range by d, the ellipse residual is at least d
-        # for every real y, so the ellipse check fires before the real-x-range check
+        # real x runs between the roots s and -s/3 of solve_y's discriminant;
+        # at a real x past either end by d, the ellipse residual is at least d
+        # for every real y, so the orthogonality defect is past DEFAULT_TOL
         _, s = coins._FAMILY[family]
-        lo, hi = coins.REAL_X_RANGE[family]
-        for x in (float(hi) + 2e-10, float(lo) - 2e-10):
+        for end, outward in ((s, s), (-s / 3, -s)):
+            x = end + outward * 2e-10
             y = (s - x) / 2  # the vertex: the least residual over real y
-            message = raised(ConstraintViolated, coins.coin_from_xyz, family, x, y, s - x - y)
-            assert message == "(x, y) is not on the family ellipse"
+            message = raised(NotOrthogonal, coins.coin_from_xyz, family, x, y, s - x - y)
+            assert message.startswith("orthogonality defect ")
 
 
 class TestSolveY:
@@ -115,6 +118,16 @@ class TestCoinEquality:
 
 
 class TestWalkChecks:
+    @pytest.mark.parametrize("n, a", [(3.0, 0), (3, 0.0)])
+    def test_spec_sizes_must_be_integers(self, n, a):
+        message = raised(OutOfRange, WalkSpec, n, a, coins.perm_matrix(2))
+        assert message == f"cycle length and liveliness must be integers, got n={n!r}, a={a!r}"
+
+    @pytest.mark.parametrize("method", [period_spectral, period_bruteforce])
+    def test_numpy_integer_sizes(self, method):
+        spec = WalkSpec(np.int64(3), np.int64(1), coins.perm_matrix(2))
+        assert method(spec) == method(WalkSpec(3, 1, coins.perm_matrix(2)))
+
     def test_basis_state_coin_state(self):
         assert raised(OutOfRange, walk.basis_state, 4, 0, 3) == "coin state must be 0, 1 or 2, got 3"
 
