@@ -207,8 +207,9 @@ def _family(family: str) -> tuple[str, int]:
 def coin_from_xyz(family: str, x: Scalar, y: Scalar, z: Scalar, allow_complex: bool = False) -> Coin3:
     """The coin of the family with first row (x, y, z), exact for ints and
     Fractions.  It is classified here, so an invalid point raises what
-    `classify` raises for its matrix (NotOrthogonal off the ellipse); a coin
-    that is not real raises RangeViolated unless allow_complex is set."""
+    `classify` raises for its matrix (NotOrthogonal off the ellipse, and for
+    an exact point off it by any amount); a coin that is not real raises
+    RangeViolated unless allow_complex is set."""
     basis = _family(family)[0]
     exact = all(isinstance(v, (Fraction, int)) for v in (x, y, z))
     x, y, z = (Fraction(v) if exact else complex(v) for v in (x, y, z))
@@ -346,20 +347,14 @@ SPECIAL_COINS = tuple(
 _SPECIAL = np.array([coin.as_float().real for coin in SPECIAL_COINS])
 
 
-def _check_orthogonal(mf: np.ndarray, tol: float) -> None:
-    defect = orthogonality_defect(mf)
-    if not defect <= tol:  # also catches NaN/Inf entries
-        raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
-
-
 def _linear_sum(coin: Coin3, tol: float) -> tuple[LinearSumCoefficients, Scalar, Scalar]:
     """The one pass `decompose_linear_sum` and `classify` share: the basis and
     coefficients of an orthogonal linear sum of permutations, with x + y + z
     and the determinant.
 
-    An exact coin is read once as the integers M = d*m: M^T M = d^2 I (an
-    M that fails it still passes when its float defect is within ``tol``),
-    rows 2 and 3 are row 1 taken in the index orders of one basis, and
+    An exact coin is read once as the integers M = d*m: M^T M = d^2 I must
+    hold exactly, whatever ``tol``, since the rational-coin theorems rest on
+    it; rows 2 and 3 are row 1 taken in the index orders of one basis, and
     det(m) = det(M) / d^3.  A float coin is read off its one complex array:
     ||M^T M - I||_F, the layout gathered from row 1 and compared at
     ``tol``, and ``np.linalg.det``.
@@ -367,7 +362,7 @@ def _linear_sum(coin: Coin3, tol: float) -> tuple[LinearSumCoefficients, Scalar,
     if coin.exact:
         rows, d = _scaled_integer(coin.matrix)
         if not _integer_orthogonal(rows, d):
-            _check_orthogonal(coin.as_float(), tol)
+            raise NotOrthogonal(f"orthogonality defect {orthogonality_defect(coin.matrix):.3e}")
         first = rows[0]
         basis = next((b for b, orders in _ROW_ORDERS.items()
                       if all(rows[i] == [first[j] for j in orders[i]] for i in (1, 2))), None)
@@ -375,7 +370,9 @@ def _linear_sum(coin: Coin3, tol: float) -> tuple[LinearSumCoefficients, Scalar,
         s, det = Fraction(sum(first), d), Fraction(_integer_det3(rows), d ** 3)
     else:
         mf = coin.as_float()
-        _check_orthogonal(mf, tol)
+        defect = orthogonality_defect(mf)
+        if not defect <= tol:  # also catches NaN/Inf entries
+            raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
         basis = next((b for b, index in _ROW_INDEX.items()
                       if np.max(np.abs(mf[0][index] - mf)) <= tol), None)
         x, y, z = mf[0].tolist()
@@ -411,7 +408,8 @@ def _is_rational_matrix(mf: np.ndarray) -> bool:
 def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     """Family report for an orthogonal linear sum of permutations.
 
-    The family follows from the basis and the sign of x+y+z; the
+    An exact coin must be exactly orthogonal; ``tol`` applies to float
+    coins.  The family follows from the basis and the sign of x+y+z; the
     determinant is recomputed, at the same tolerance, as a redundant
     cross-check of that assignment.  A real coin (``Coin3.is_real``) is
     compared entry by entry with the 24 special matrices at DEFAULT_TOL.  A

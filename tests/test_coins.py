@@ -171,6 +171,15 @@ class TestCoinFromXyz:
         with pytest.raises(NotOrthogonal):
             coin_from_xyz("X", Fraction(1), Fraction(0), Fraction(1))
 
+    def test_exact_point_off_the_ellipse_by_1e_12_rejected(self):
+        # the ellipse residual is 1e-12, well inside DEFAULT_TOL as a float
+        # defect, but an exact coin must be exactly orthogonal
+        eps = Fraction(1, 10**6)
+        with pytest.raises(NotOrthogonal, match="orthogonality defect 4.243e-12"):
+            coin_from_xyz("X", 1, eps, -eps)
+        with pytest.raises(NotOrthogonal):
+            classify(Coin3(matrix=exact_matrix([[1, eps, -eps], [-eps, 1, eps], [eps, -eps, 1]])), tol=1e-3)
+
     def test_complex_needs_flag(self):
         # a complex point on the X ellipse, from the complex-angle parametrization
         c = coin_from_theta("X", 0.3 + 0.2j)

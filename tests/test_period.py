@@ -20,7 +20,7 @@ from livelywalk import (
 )
 from livelywalk import period as period_mod
 from livelywalk.coins import SPECIAL_COINS
-from livelywalk.errors import GuardExceeded, NotUnitModulus
+from livelywalk.errors import GuardExceeded, NotOrthogonal, NotUnitModulus
 from livelywalk.period import (
     ANGLE_ACCURACY,
     CHUNK_STEPS,
@@ -597,6 +597,19 @@ class TestAnalytic:
         assert res.status == "proven_infinite"
         assert res.theorem == "rational-coin:aperiodic"
         assert brute_oracle(spec_of(coin, 3)) is None
+
+    def test_rational_coin_theorem_needs_exact_orthogonality(self):
+        # moving y and z of an exact X coin by 1e-12 keeps the sum and leaves
+        # a float defect of 4.8e-12, inside DEFAULT_TOL, yet the matrix is not
+        # orthogonal, so no walk of it reaches the rational-coin theorem
+        eps = Fraction(1, 10**12)
+        x, y, z = coins.coin_from_rational("X", Fraction(2)).params
+        y, z = y + eps, z - eps
+        near = coins.Coin3(matrix=np.array([[x, y, z], [z, x, y], [y, z, x]], dtype=object))
+        with pytest.raises(NotOrthogonal):
+            spec_of(near, 3)
+        res = period_analytic(spec_of(coins.Coin3(matrix=near.as_float()), 3))
+        assert res.theorem != "rational-coin:aperiodic"
 
     def test_unclassifiable_float_angle(self):
         res = period_analytic(spec_of(coins.coin_from_theta("X", 1.0), 3))
