@@ -141,6 +141,13 @@ def test_multiset_sizes():
     assert message == "multisets differ in size: 2 != 1"
 
 
+@pytest.mark.parametrize("a, b", [([math.nan], [0]), ([0, 1], [1, math.nan])])
+def test_multiset_with_nan_is_no_match(a, b):
+    # a NaN defect must fail every `distance <= tol` check
+    assert math.isnan(multiset_distance(a, b))
+    assert math.isnan(multiset_distance(b, a))
+
+
 def test_cross_validate_unknown_method():
     spec = WalkSpec(n=3, a=0, coin=coins.grover_type(1))
     assert raised(ValueError, cross_validate, spec, methods=("magic",)) == "unknown method 'magic'"
