@@ -155,7 +155,7 @@ def cmd_coin(args, parser) -> int:
             **linear_sum,
             "is_permutation": cls.is_permutation,
             "is_grover_type": cls.is_grover_type,
-            "is_rational": cls.is_rational,
+            "is_rational": coin.is_rational,
         },
         "linear_sum": linear_sum,
     }

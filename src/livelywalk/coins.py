@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -99,8 +99,8 @@ class Coin3:
     coin was built from one.  ``classification`` is ``classify(coin)`` at
     the default tolerance, computed on first use and cached; it raises
     ConstraintViolated when a named family is not the classified one.
-    ``is_real``, cached too, is the one realness rule: every |imag| is at
-    most DEFAULT_TOL, whatever tolerance the coin is classified at.
+    ``is_real`` and ``is_rational``, cached too, are the one realness and
+    rationality rules, whatever tolerance the coin is classified at.
     """
 
     matrix: np.ndarray
@@ -134,7 +134,17 @@ class Coin3:
 
     @functools.cached_property
     def is_real(self) -> bool:
+        """Whether every |imag| is at most DEFAULT_TOL."""
         return bool(np.max(np.abs(self._float.imag)) <= DEFAULT_TOL)  # NaN is not real
+
+    @functools.cached_property
+    def is_rational(self) -> bool:
+        """Whether the coin is exact, or real with every entry within
+        RATIONAL_TOL of a fraction with denominator at most RATIONAL_MAX_DEN;
+        a NaN or infinite entry is near no fraction."""
+        return self.exact or (self.is_real and all(
+            math.isfinite(v) and abs(v - Fraction(v).limit_denominator(RATIONAL_MAX_DEN)) <= RATIONAL_TOL
+            for v in self._float.real.flat))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coin3):
@@ -151,32 +161,18 @@ class LinearSumCoefficients:
 
 
 @dataclass(frozen=True)
-class Classification:
-    """A coin's family and coefficients, its angle theta read off the
-    coefficients (atan2 mod 2*pi, so in [0, 2*pi]), and which special
-    matrices it is: a permutation, a Grover-type matrix, or either of those
-    up to sign (``is_special``).  ``is_rational`` is worked out from the
-    coin's matrix on first read; ``real`` is the coin's ``is_real``."""
+class Classification(LinearSumCoefficients):
+    """A coin's linear-sum decomposition and the family it gives with the
+    sign of x + y + z, the angle theta read off the coefficients (atan2 mod
+    2*pi, so in [0, 2*pi]), and which special matrices the coin is: a
+    permutation, a Grover-type matrix, or either of those up to sign
+    (``is_special``)."""
 
     family: str
-    basis: str
-    x: Scalar
-    y: Scalar
-    z: Scalar
     is_permutation: bool
     is_grover_type: bool
     theta: float
     is_special: bool
-    exact: bool = field(repr=False, compare=False)
-    real: bool = field(repr=False, compare=False)
-    matrix: np.ndarray = field(repr=False, compare=False)  # the coin's read-only complex matrix
-
-    @functools.cached_property
-    def is_rational(self) -> bool:
-        """Whether the coin is exact, or real with every entry of its float
-        matrix within RATIONAL_TOL of a fraction with denominator at most
-        RATIONAL_MAX_DEN."""
-        return self.exact or (self.real and _is_rational_matrix(self.matrix.real))
 
 
 def _as_coin(m) -> Coin3:
@@ -396,15 +392,6 @@ def _near(a, b, tol) -> bool:
     return abs(complex(a) - complex(b)) <= tol
 
 
-def _is_rational_matrix(mf: np.ndarray) -> bool:
-    """Whether every entry of the real matrix mf is within RATIONAL_TOL of a
-    fraction with denominator at most RATIONAL_MAX_DEN."""
-    for v in mf.flat:
-        if abs(v - Fraction(v).limit_denominator(RATIONAL_MAX_DEN)) > RATIONAL_TOL:
-            return False
-    return True
-
-
 def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     """Family report for an orthogonal linear sum of permutations.
 
@@ -435,18 +422,12 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     mf = coin.as_float()
     hits = coin.is_real & (np.max(np.abs(mf.real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
     return Classification(
+        **vars(coeffs),
         family=family,
-        basis=coeffs.basis,
-        x=coeffs.x,
-        y=coeffs.y,
-        z=coeffs.z,
         is_permutation=bool(hits[:6].any()),
         is_grover_type=bool(hits[6:12].any()),
         theta=_reconstruct_angle(sign, coeffs.x, coeffs.y),
         is_special=bool(hits.any()),
-        exact=coin.exact,
-        real=coin.is_real,
-        matrix=mf,
     )
 
 

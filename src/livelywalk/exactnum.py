@@ -132,11 +132,14 @@ def eig3_unitary(m: np.ndarray) -> np.ndarray:
 
 
 def multiset_distance(a, b) -> float:
-    """Greedy nearest matching of two equal-size complex multisets; max matched gap."""
+    """Greedy nearest matching of two equal-size complex multisets; max matched
+    gap, or NaN when either multiset holds a NaN."""
     a = np.asarray(a, dtype=complex)
     b = list(np.asarray(b, dtype=complex))
     if a.size != len(b):
         raise DimensionMismatch(f"multisets differ in size: {a.size} != {len(b)}")
+    if np.isnan(a).any() or np.isnan(b).any():
+        return math.nan
     worst = 0.0
     for x in a:
         gaps = [abs(x - y) for y in b]

@@ -38,7 +38,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -96,6 +95,7 @@ class PeriodResult:
 
 def _convergent(x: float, qmax: int) -> Optional[tuple[int, int]]:
     """(p, q) of :func:`classify_fraction`, in lowest terms, or None."""
+    _check_qmax(qmax)
     x = float(x) % 1.0
     if abs(x) < ANGLE_TOL or abs(x - 1.0) < ANGLE_TOL:
         return 0, 1
@@ -124,6 +124,7 @@ def classify_fraction(x: float, qmax: int = QMAX_DEFAULT) -> Optional[Fraction]:
     Returns None when no convergent qualifies.  The decisiveness guard keeps
     convergents of genuinely irrational values (whose error scales like
     1/q^2) from slipping under the absolute tolerance once q is large.
+    Raises OutOfRange for qmax < 1.
     """
     convergent = _convergent(x, qmax)
     return None if convergent is None else Fraction(*convergent)
@@ -135,17 +136,13 @@ def order_of_unit(lam: complex, qmax: int = QMAX_DEFAULT) -> Optional[int]:
     arg(lam)/(2*pi) is scanned for a continued-fraction convergent p/q with
     q <= qmax; when one qualifies the order is q (the fraction is already in
     lowest terms).  Raises NotUnitModulus if |lam| strays from 1 by more
-    than DEFAULT_TOL.
+    than DEFAULT_TOL, and OutOfRange for qmax < 1.
     """
     lam = complex(lam)
     if not abs(abs(lam) - 1.0) <= DEFAULT_TOL:  # also catches NaN
         raise NotUnitModulus(f"|lambda| = {abs(lam)} is not 1 within {DEFAULT_TOL}")
     convergent = _convergent((math.atan2(lam.imag, lam.real) / _TWO_PI) % 1.0, qmax)
     return None if convergent is None else convergent[1]
-
-
-def _lcm(values) -> int:
-    return reduce(math.lcm, values, 1)
 
 
 def _check_qmax(qmax: int) -> None:
@@ -173,15 +170,21 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
         if q is None:
             return PeriodResult(status="no_period_up_to", method="spectral", bound=bound)
         orders.append(q)
-    return PeriodResult(status="finite", method="spectral", period=_lcm(orders))
+    return PeriodResult(status="finite", method="spectral", period=math.lcm(*orders))
 
 
-def _chunk_steps(n: int, tmax: int) -> int:
-    """Baby steps per chunk for n blocks and tmax steps: at most CHUNK_STEPS
-    and max(1, tmax), with the B powers' _CHUNK_COPIES arrays and one giant
-    step, (_CHUNK_COPIES * B + 1) * 144 * n bytes, within CHUNK_BYTES.
+def _plan(n: int, tmax: int) -> tuple[int, int]:
+    """Brute force's sizes for n blocks and tmax steps: B baby steps per
+    chunk and G giant steps in the largest group.
 
-    Raises GuardExceeded when not even B = 1 fits: for n > 38,836.
+    B is at most CHUNK_STEPS and max(1, tmax), with the B powers'
+    _CHUNK_COPIES arrays and one giant step, (_CHUNK_COPIES * B + 1) * 144 * n
+    bytes, within CHUNK_BYTES; GuardExceeded when not even B = 1 fits: for
+    n > 38,836.  G is the largest g with those arrays and g giant steps of
+    _GIANT_COPIES powers and B + _SCREEN_TEMPS floats each within
+    CHUNK_BYTES, at most the (tmax - 1) // B giant steps past t0 = 0, and at
+    least 1: a group of one giant step holds the one power B leaves room for
+    and a (B, 1) screen.
     """
     per_power = n * 9 * np.dtype(complex).itemsize
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
@@ -189,20 +192,10 @@ def _chunk_steps(n: int, tmax: int) -> int:
         raise GuardExceeded(f"one power of the {n} momentum blocks needs "
                             f"{(_CHUNK_COPIES + 1) * per_power} bytes of chunk storage, "
                             f"over the {CHUNK_BYTES}-byte budget")
-    return min(CHUNK_STEPS, max(1, tmax), fits)
-
-
-def _group_steps(n: int, chunk: int) -> int:
-    """Most giant steps per group for n blocks and B = chunk baby steps: the
-    largest g with the baby steps' _CHUNK_COPIES arrays and g giant steps of
-    _GIANT_COPIES powers and B + _SCREEN_TEMPS floats each within
-    CHUNK_BYTES, and at least 1: a group of one giant step holds one power
-    and a (B, 1) screen, and `_chunk_steps` leaves room for that power.
-    """
-    per_power = n * 9 * np.dtype(complex).itemsize
-    left = CHUNK_BYTES - _CHUNK_COPIES * chunk * per_power
+    chunk = min(CHUNK_STEPS, max(1, tmax), fits)
     per_giant = _GIANT_COPIES * per_power + (chunk + _SCREEN_TEMPS) * np.dtype(float).itemsize
-    return max(1, left // per_giant)
+    group = (CHUNK_BYTES - _CHUNK_COPIES * chunk * per_power) // per_giant
+    return chunk, max(1, min(group, (tmax - 1) // chunk))
 
 
 def _double(table: np.ndarray, done: int, upto: int) -> None:
@@ -318,19 +311,19 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     skipped; any other chunk, in order, takes the exact test, `_first_hit`,
     which subtracts (U^t0)^dagger from every row and takes the B distances
     with one einsum.  So every reported t is the exact test's.  The groups
-    stop growing at `_group_steps`, where the baby steps, the giant steps'
+    stop growing at `_plan`'s G, where the baby steps, the giant steps'
     table, product and rows, and the (B, g) screen fill CHUNK_BYTES.
     """
     if tmax < 0:
         raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
     n = spec.n
-    chunk = _chunk_steps(n, tmax)
+    chunk, group_max = _plan(n, tmax)
     powers = np.empty((n, 3, 3 * chunk), dtype=complex)
     powers[:, :, :3] = _walk.block_stack(spec)
     _double(powers, 1, chunk)
     last = (tmax - 1) // chunk  # the last chunk, t0 = last * B
     # the baby steps U^1..U^B, then the largest group of giant steps
-    stack = np.empty((chunk + max(1, min(_group_steps(n, chunk), last)), 9 * n), dtype=complex)
+    stack = np.empty((chunk + group_max, 9 * n), dtype=complex)
     rows, giants = stack[:chunk], stack[chunk:]
     rows.reshape(chunk, n, 3, 3)[...] = powers.reshape(n, 3, chunk, 3).transpose(2, 0, 1, 3)
     window = powers.reshape(chunk, 9 * n)  # the doubling buffer, reused: rows minus (U^t0)^dagger
@@ -428,7 +421,7 @@ def period_analytic(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     if n != 3:
         return _analytic("proven_infinite", prefix + "aperiodic-off-3cycle")
     if frac is not None:
-        period = _lcm([base, mult * (scale * frac + offset).denominator])
+        period = math.lcm(base, mult * (scale * frac + offset).denominator)
         return _analytic("finite", prefix + "n3-rational-angle", period)
     if spec.coin.exact:
         return _analytic("proven_infinite", "rational-coin:aperiodic")
@@ -460,7 +453,8 @@ def _contradicts(fin: PeriodResult, other: PeriodResult) -> bool:
 
 def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = QMAX_DEFAULT,
                    methods=METHODS) -> CrossValidation:
-    """Run the requested methods, in order, and flag any contradiction.
+    """Run the requested methods, in order, and flag any contradiction;
+    ValueError, before any method runs, for a name not in METHODS.
 
     analytic reads the coin family's closed forms, spectral takes the lcm
     of the eigenvalue orders of the momentum blocks, and bruteforce powers
@@ -469,18 +463,16 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
     proven_infinite and by no_period_up_to a bound >= p; not_applicable
     contradicts nothing.  The results agree when none is contradicted.
     """
-    results = []
+    run = {"analytic": lambda: period_analytic(spec, qmax),
+           "spectral": lambda: period_spectral(spec, qmax),
+           "bruteforce": lambda: period_bruteforce(spec, tmax)}
+    methods = tuple(methods)
     for method in methods:
-        if method == "analytic":
-            results.append(period_analytic(spec, qmax))
-        elif method == "spectral":
-            results.append(period_spectral(spec, qmax))
-        elif method == "bruteforce":
-            results.append(period_bruteforce(spec, tmax))
-        else:
+        if method not in run:
             raise ValueError(f"unknown method {method!r}")
+    results = tuple(run[method]() for method in methods)
     agreement = not any(_contradicts(a, b) for a, b in itertools.permutations(results, 2))
-    return CrossValidation(spec=spec, results=tuple(results), agreement=agreement)
+    return CrossValidation(spec=spec, results=results, agreement=agreement)
 
 
 def report_json(cv: CrossValidation) -> dict:

@@ -394,7 +394,7 @@ class TestClassify:
     def test_grover(self):
         cls = classify(grover_type(1).matrix)
         assert cls.family == "X"
-        assert cls.is_grover_type and cls.is_rational and not cls.is_permutation
+        assert cls.is_grover_type and grover_type(1).is_rational and not cls.is_permutation
 
     def test_p4(self):
         cls = classify(perm_matrix(4).matrix)
@@ -404,7 +404,7 @@ class TestClassify:
     def test_delta1_no_flags(self):
         cls = classify(DELTA1)
         assert cls.family == "X"
-        assert not (cls.is_permutation or cls.is_grover_type or cls.is_rational)
+        assert not (cls.is_permutation or cls.is_grover_type or coins.Coin3(matrix=DELTA1).is_rational)
 
     @settings(max_examples=300, deadline=None)
     @given(fam=st.sampled_from(coins.FAMILIES),

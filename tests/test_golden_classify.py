@@ -51,7 +51,7 @@ def cli_sources() -> dict:
 def _classification(coin) -> str:
     c = coins.classify(coin)
     cells = (c.family, c.basis, repr(c.x), repr(c.y), repr(c.z), c.is_permutation,
-             c.is_grover_type, c.is_rational, c.is_special, repr(c.theta))
+             c.is_grover_type, coin.is_rational, c.is_special, repr(c.theta))
     return "\t".join(str(v) for v in cells)
 
 
@@ -73,6 +73,13 @@ def test_cli_sources_build_the_corpus_coins():
     for cid, argv in sources.items():
         code, out = run_cli(("coin", *argv))
         assert code == 0 and json.loads(out)["coin"] == coins.coin_to_json(every[cid]), cid
+
+
+def test_classification_is_the_linear_sum_decomposition():
+    for cid, coin in corpus().items():
+        cls = coins.classify(coin)
+        coeffs = coins.decompose_linear_sum(coin.matrix)
+        assert (cls.basis, cls.x, cls.y, cls.z) == (coeffs.basis, coeffs.x, coeffs.y, coeffs.z), cid
 
 
 def test_golden_classification_and_coin_output():

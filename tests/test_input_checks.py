@@ -11,6 +11,7 @@ from livelywalk import (
     WalkSpec,
     coins,
     cross_validate,
+    period,
     period_bruteforce,
     period_spectral,
     report_json,
@@ -97,7 +98,12 @@ class TestSerializationChecks:
 
 
 def test_complex_coin_is_not_rational():
-    assert coins.coin_from_theta("X", 0.5 + 0.5j).classification.is_rational is False
+    assert coins.coin_from_theta("X", 0.5 + 0.5j).is_rational is False
+
+
+def test_non_finite_coin_is_not_rational():
+    assert coins.Coin3(matrix=np.full((3, 3), math.nan)).is_rational is False
+    assert coins.Coin3(matrix=np.diag([math.inf, 1.0, 1.0])).is_rational is False
 
 
 class TestCoinEquality:
@@ -151,6 +157,22 @@ def test_multiset_with_nan_is_no_match(a, b):
 def test_cross_validate_unknown_method():
     spec = WalkSpec(n=3, a=0, coin=coins.grover_type(1))
     assert raised(ValueError, cross_validate, spec, methods=("magic",)) == "unknown method 'magic'"
+
+
+def test_cross_validate_checks_every_method_before_running_any(monkeypatch):
+    ran = []
+    for name in period.METHODS:
+        monkeypatch.setattr(period, f"period_{name}", lambda *args, name=name: ran.append(name))
+    spec = WalkSpec(n=1000, a=3, coin=coins.coin_from_theta("X", 1.0))
+    message = raised(ValueError, cross_validate, spec, methods=("bruteforce", "spectral", "magic"))
+    assert message == "unknown method 'magic'" and ran == []
+
+
+@pytest.mark.parametrize("qmax", [0, -5])
+@pytest.mark.parametrize("call, value", [(period.order_of_unit, 1.0), (period.order_of_unit, -1.0),
+                                         (period.classify_fraction, 0.0), (period.classify_fraction, 0.5)])
+def test_denominator_bound_below_one(call, value, qmax):
+    assert raised(OutOfRange, call, value, qmax=qmax) == f"denominator bound qmax must be >= 1, got {qmax}"
 
 
 def test_unknown_suite():

@@ -272,7 +272,7 @@ class TestBlockBruteForceChunks:
         # the identity coin at a = 0 has period n (golden analytic rows), so
         # the hit lands one step before the end of the first chunk, on its
         # last step, or on the first step of the second
-        assert period_mod._chunk_steps(n, TMAX_DEFAULT) == CHUNK_STEPS
+        assert period_mod._plan(n, TMAX_DEFAULT)[0] == CHUNK_STEPS
         spec = spec_of(coins.perm_matrix(1), n)
         assert period_analytic(spec).period == n
         assert period_bruteforce(spec).period == n
@@ -289,7 +289,7 @@ class TestBlockBruteForceChunks:
         # past the second chunk each chunk is compared against an accumulated (U^t0)^dagger
         spec = spec_of(coin, n)
         period = period_analytic(spec).period
-        assert period > 2 * period_mod._chunk_steps(n, TMAX_DEFAULT)
+        assert period > 2 * period_mod._plan(n, TMAX_DEFAULT)[0]
         assert period_bruteforce(spec).period == period
         assert period_bruteforce(spec, tmax=period).period == period
         res = period_bruteforce(spec, tmax=period - 1)
@@ -465,7 +465,7 @@ class TestGiantSteps:
         seen = _spy_first_hit(monkeypatch)
         res = period_bruteforce(spec_of(coins.grover_type(1), 5, 2))
         assert res.status == "no_period_up_to" and res.bound == TMAX_DEFAULT
-        chunk = period_mod._chunk_steps(5, TMAX_DEFAULT)
+        chunk = period_mod._plan(5, TMAX_DEFAULT)[0]
         assert len(sizes) <= math.ceil(math.log2(TMAX_DEFAULT / chunk)) + 2
         assert sum(sizes) == math.ceil(TMAX_DEFAULT / chunk)
         assert seen == []
@@ -487,11 +487,11 @@ class TestGiantSteps:
     def test_one_giant_step_per_group_where_the_budget_leaves_no_room_for_two(self):
         # from n = 445 the baby steps leave less than two giant steps of three
         # powers each, so every group is one giant step: the (U^t0)^dagger
-        # that _chunk_steps counts
+        # that _plan counts
         for n in (2, 5, 100, 444):
-            assert period_mod._group_steps(n, period_mod._chunk_steps(n, TMAX_DEFAULT)) > 1
+            assert period_mod._plan(n, TMAX_DEFAULT)[1] > 1
         for n in (445, 453, 454, 700, 1000, 20_000, 38_836):
-            assert period_mod._group_steps(n, period_mod._chunk_steps(n, TMAX_DEFAULT)) == 1
+            assert period_mod._plan(n, TMAX_DEFAULT)[1] == 1
 
 
 class TestBruteForceMemoryGuard:
@@ -505,9 +505,9 @@ class TestBruteForceMemoryGuard:
         per_block = (period_mod._CHUNK_COPIES + 1) * 9 * 16
         largest = period_mod.CHUNK_BYTES // per_block
         assert largest == 38_836
-        assert period_mod._chunk_steps(largest, TMAX_DEFAULT) == 1
+        assert period_mod._plan(largest, TMAX_DEFAULT)[0] == 1
         with pytest.raises(GuardExceeded):
-            period_mod._chunk_steps(largest + 1, TMAX_DEFAULT)
+            period_mod._plan(largest + 1, TMAX_DEFAULT)[0]
         with pytest.raises(GuardExceeded):
             period_bruteforce(spec_of(coins.perm_matrix(1), largest + 1), tmax=3)
 
@@ -516,7 +516,7 @@ class TestBruteForceMemoryGuard:
         # 11.5 MB of the 16 MiB budget, and (U^t0)^dagger one power, 2.9 MB,
         # more; a third chunk-sized array, or a second power, would exceed it
         spec = spec_of(coins.perm_matrix(2), 20_000)
-        assert period_mod._chunk_steps(spec.n, 3) == 2
+        assert period_mod._plan(spec.n, 3)[0] == 2
         tracemalloc.start()
         try:
             res = period_bruteforce(spec, tmax=3)
@@ -528,21 +528,21 @@ class TestBruteForceMemoryGuard:
 
     def test_chunk_shrinks_with_n_within_budget(self):
         for n in (2, 100, 1000, DENSE_GUARD + 1, 20_000):
-            chunk = period_mod._chunk_steps(n, TMAX_DEFAULT)
+            chunk = period_mod._plan(n, TMAX_DEFAULT)[0]
             assert 1 <= chunk <= CHUNK_STEPS
             assert (period_mod._CHUNK_COPIES * chunk + 1) * n * 9 * 16 <= period_mod.CHUNK_BYTES
 
     def test_chunk_never_exceeds_tmax(self):
         for n in (2, 5, 400, 1000, 20_000):
             for tmax in (0, 1, 2, 3, 57, 127, 128, 129, TMAX_DEFAULT):
-                assert 1 <= period_mod._chunk_steps(n, tmax) <= max(1, tmax)
-        assert period_mod._chunk_steps(5, TMAX_DEFAULT) == CHUNK_STEPS  # the period-table sizes
+                assert 1 <= period_mod._plan(n, tmax)[0] <= max(1, tmax)
+        assert period_mod._plan(5, TMAX_DEFAULT)[0] == CHUNK_STEPS  # the period-table sizes
 
     def test_peak_memory_at_n_1000_within_chunk_budget(self):
         # 57 powers fit: (2 * 57 + 1) powers of 144,000 bytes are 16.56 MB;
         # the chunk once left (U^t0)^dagger out and peaked at 16.85 MB
         spec = spec_of(coins.perm_matrix(2), 1000)
-        assert period_mod._chunk_steps(spec.n, 200) == 57
+        assert period_mod._plan(spec.n, 200)[0] == 57
         tracemalloc.start()
         try:
             res = period_bruteforce(spec, tmax=200)
@@ -559,8 +559,7 @@ class TestBruteForceMemoryGuard:
         sizes = _spy_screen(monkeypatch)
         spec = spec_of(coins.coin_from_theta("X", 1.0), 3)
         tmax = 3_000_000
-        chunk = period_mod._chunk_steps(spec.n, tmax)
-        cap = period_mod._group_steps(spec.n, chunk)
+        chunk, cap = period_mod._plan(spec.n, tmax)
         assert 1 < cap < (tmax - 1) // chunk
         tracemalloc.start()
         try:
