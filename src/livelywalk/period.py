@@ -15,16 +15,17 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                and has the same orders: the other blocks add nothing.
 * bruteforce -- baby-step giant-step powering of the n momentum blocks:
                the baby steps U^1..U^B are built once, and the giant steps
-               (U^t0)^dagger, t0 = kB, by doubling, in groups of 1, 1, 2,
-               4, .. chunks.  U^t0 is unitary, so at t = t0 + j
-               ||U^t - I||_F = ||U^j - (U^t0)^dagger||_F, and the first t
-               with distance <= IDENTITY_TOL is the period.  One matrix
-               product screens a group: a chunk none of whose distances
-               squared, so computed, comes within IDENTITY_TOL^2 plus a
-               stated rounding bound holds no period; any other chunk takes
-               the exact subtract-and-norm test.  The arbiter: it checks
-               every t <= tmax from powers of U alone, without the other
-               methods' results.
+               (U^t0)^dagger, t0 = kB, by doubling, in groups: a first
+               group of GROUP_FLOOR_BYTES of steps, then doubling.  U^t0 is
+               unitary, so at t = t0 + j ||U^t - I||_F =
+               ||U^j - (U^t0)^dagger||_F, and the first t with distance
+               <= IDENTITY_TOL is the period.  One matrix product screens a
+               group: a chunk none of whose distances squared, so computed,
+               comes within IDENTITY_TOL^2 plus a stated rounding bound,
+               one per group, holds no period; any other chunk takes the
+               exact subtract-and-norm test.  The arbiter: it checks every
+               t <= tmax from powers of U alone, without the other methods'
+               results.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
 spectral and brute-force routes both start from `walk.block_stack`; the
@@ -65,6 +66,13 @@ GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 CHUNK_STEPS = 128
 #: bytes brute force's baby steps, giant steps and their temporaries may hold
 CHUNK_BYTES = 16 * 2**20
+#: least bytes of giant steps brute force's first group holds: 18, 14 and 11
+#: steps at n = 3, 4 and 5, one from n = 29 on.  At small n a group screen's
+#: fixed cost outweighs its GEMM, so a scan to tmax 10,000 takes four group
+#: screens, not eight; each extra step costs a walk whose period falls in the
+#: second chunk one more doubling, and 16 KiB, two steps at n = 38..56, made
+#: such walks 3-6% slower at n = 50
+GROUP_FLOOR_BYTES = 8 * 2**10
 #: arrays of chunk size brute force holds: the baby steps U^1..U^B, one step
 #: per row, and the window of their differences from a giant step, which
 #: reuses the buffer the powers were built in; a group of one giant step,
@@ -146,8 +154,13 @@ def order_of_unit(lam: complex, qmax: int = QMAX_DEFAULT) -> Optional[int]:
 
 
 def _check_qmax(qmax: int) -> None:
-    if qmax < 1:
+    if not qmax >= 1:  # also catches NaN
         raise OutOfRange(f"denominator bound qmax must be >= 1, got {qmax}")
+
+
+def _check_tmax(tmax: int) -> None:
+    if not tmax >= 0:  # also catches NaN
+        raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
 
 
 def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodResult:
@@ -184,7 +197,8 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     _GIANT_COPIES powers and B + _SCREEN_TEMPS floats each within
     CHUNK_BYTES, at most the (tmax - 1) // B giant steps past t0 = 0, and at
     least 1: a group of one giant step holds the one power B leaves room for
-    and a (B, 1) screen.
+    and a (B, 1) screen.  The first group, sized by GROUP_FLOOR_BYTES in
+    `_giant_groups`, is at most G steps, so it fits too.
     """
     per_power = n * 9 * np.dtype(complex).itemsize
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
@@ -215,22 +229,31 @@ def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last
 
     The first group is k = 0, the identity.  Every other giant step is
     conj(W^k), where W = (U^B)^T = conj((U^B)^dagger) is a view of the last
-    baby step.  A table of W^1..W^d in block-major columns, W itself at
-    first, grows by one doubling per group, whose new columns are the group,
-    so the groups hold 1, 1, 2, 4, .. steps; once d is len(giants), each
-    group of up to that many steps is the product W^(k0 - 1) @ W^(1..g),
-    with W^(k0 - 1) in row 0 of `window`.  A group of one step is that
-    product, built in its own row.  The table, while it grows, and the
-    product after it never hold more than 2 len(giants) steps together.
+    baby step.  A table of W^1..W^d in block-major columns is built by
+    doubling W up to the first group past k = 0: F steps, as many as
+    GROUP_FLOOR_BYTES holds, but at least 1 and at most len(giants).  The
+    table grows by one doubling per group after that, whose new columns are
+    the group, so the groups hold 1, F, F, 2F, 4F, .. steps; once d is
+    len(giants), each group of up to that many steps is the product
+    W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`.  A group
+    of one step is that product, built in its own row.  The table, while it
+    grows, and the product after it never hold more than 2 len(giants)
+    steps together.
     """
-    if last < 0:
-        return
     size, n = len(giants), rows.shape[1] // 9  # the largest group, and the table's last length
     giants.reshape(size, n, 3, 3)[0] = np.eye(3)
     yield 0, giants[:1]
+    if last < 1:
+        return
     table = out = rows[-1].reshape(n, 3, 3).transpose(0, 2, 1)  # (U^B)^T, a view
+    g = max(1, min(size, GROUP_FLOOR_BYTES // rows[0].nbytes))
+    if g > 1:
+        out = np.empty((n, 3, 3 * g), dtype=complex)
+        out[:, :, :3] = table
+        _double(out, 1, g)
+        table = out
     product = giants[0].reshape(n, 3, 3) if size == 1 else None
-    k0, g = 1, 1
+    k0 = 1
     while True:
         np.conjugate(out.reshape(n, 3, g, 3).transpose(2, 0, 1, 3), out=giants[:g].reshape(g, n, 3, 3))
         yield k0, giants[:g]
@@ -251,11 +274,10 @@ def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last
             out = np.matmul(step, table[:, :, :3 * g], out=product[:, :, :3 * g])
 
 
-def _screen_slack(n: int, r: float, t):
+def _screen_slack(n: int, r: float, t: float) -> float:
     """Slack of the brute-force screen for powers of n blocks with Frobenius
-    norms up to r against (U^t0)^dagger of norm t, a float or an array of
-    them: 4 gamma (r + t)^2, where gamma = k u / (1 - k u), k = 18n + 3 and
-    u = 2^-53.
+    norms up to r against (U^t0)^dagger of norm up to t: 4 gamma (r + t)^2,
+    where gamma = k u / (1 - k u), k = 18n + 3 and u = 2^-53.
 
     For 18n-float vectors x and y, ||x||^2 - 2 x.y + ||y||^2 evaluated in
     float64 (any summation order, then three more roundings) differs from
@@ -275,15 +297,20 @@ def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
 
     One product gives every U^j . (U^t0)^dagger; with ||U^j||_F^2 / 2 in
     `half_norms`, ||U^j||^2 - 2 U^j . (U^t0)^dagger + ||(U^t0)^dagger||^2
-    is the distance squared up to `_screen_slack`.  A chunk stays in unless
-    its least value exceeds IDENTITY_TOL^2 plus that slack, so a NaN keeps it.
+    is the distance squared up to `_screen_slack`.  One slack serves the
+    group, taken at its largest ||(U^t0)^dagger||, so it is never below a
+    giant step's own.  A chunk stays in unless its least value exceeds
+    IDENTITY_TOL^2 plus that slack, so a NaN keeps it.
     """
     gaps = giants_f @ rows_f.T  # U^j . (U^t0)^dagger, one row per giant step
     # half the distance squared, less ||(U^t0)^dagger||^2 / 2
     np.subtract(half_norms, gaps, out=gaps)
     tt = np.einsum("gi,gi->g", giants_f, giants_f)  # ||(U^t0)^dagger||^2
     lhs = 2.0 * gaps.min(axis=1) + tt
-    return np.flatnonzero(~(lhs > IDENTITY_TOL ** 2 + _screen_slack(n, r_max, np.sqrt(tt)))).tolist()
+    limit = IDENTITY_TOL ** 2 + _screen_slack(n, r_max, math.sqrt(tt.max()))
+    if lhs.min() > limit:  # every chunk is far; a NaN reads as near
+        return []
+    return np.flatnonzero(~(lhs > limit)).tolist()
 
 
 def _first_hit(rows: np.ndarray, target: np.ndarray, window: np.ndarray) -> Optional[int]:
@@ -304,18 +331,19 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     powers U^1..U^B of all n blocks are built once by doubling, as the rows
     of one (B, 9n) array, with ||U^j||_F^2 computed once per call; the chunk
     t0 = 0 is screened against I, and only when it holds no period are the
-    giant steps (U^t0)^dagger, t0 = kB, built, in groups of 1, 1, 2, 4, ..
-    chunks (`_giant_groups`).  One matrix product screens a group
-    (`_screen`): a chunk none of whose distances squared, so computed, comes
-    within IDENTITY_TOL^2 plus `_screen_slack` holds no period and is
-    skipped; any other chunk, in order, takes the exact test, `_first_hit`,
+    giant steps (U^t0)^dagger, t0 = kB, built, in groups of F, F, 2F, 4F, ..
+    chunks, with F at least GROUP_FLOOR_BYTES of steps (`_giant_groups`).
+    One matrix product screens a group (`_screen`): a chunk none of whose
+    distances squared, so computed, comes within IDENTITY_TOL^2 plus the
+    group's `_screen_slack` holds no period and is skipped; any other
+    chunk, in order, takes the exact test, `_first_hit`,
     which subtracts (U^t0)^dagger from every row and takes the B distances
     with one einsum.  So every reported t is the exact test's.  The groups
     stop growing at `_plan`'s G, where the baby steps, the giant steps'
-    table, product and rows, and the (B, g) screen fill CHUNK_BYTES.
+    table, product and rows, and the (B, g) screen fill CHUNK_BYTES; the
+    first group is at most G.
     """
-    if tmax < 0:
-        raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
+    _check_tmax(tmax)
     n = spec.n
     chunk, group_max = _plan(n, tmax)
     powers = np.empty((n, 3, 3 * chunk), dtype=complex)
@@ -454,7 +482,8 @@ def _contradicts(fin: PeriodResult, other: PeriodResult) -> bool:
 def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = QMAX_DEFAULT,
                    methods=METHODS) -> CrossValidation:
     """Run the requested methods, in order, and flag any contradiction;
-    ValueError, before any method runs, for a name not in METHODS.
+    ValueError, before any method runs, for a name not in METHODS, and
+    OutOfRange, also before any runs, for tmax < 0 with bruteforce asked for.
 
     analytic reads the coin family's closed forms, spectral takes the lcm
     of the eigenvalue orders of the momentum blocks, and bruteforce powers
@@ -470,6 +499,8 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
     for method in methods:
         if method not in run:
             raise ValueError(f"unknown method {method!r}")
+    if "bruteforce" in methods:
+        _check_tmax(tmax)
     results = tuple(run[method]() for method in methods)
     agreement = not any(_contradicts(a, b) for a, b in itertools.permutations(results, 2))
     return CrossValidation(spec=spec, results=results, agreement=agreement)

@@ -168,9 +168,36 @@ def test_cross_validate_checks_every_method_before_running_any(monkeypatch):
     assert message == "unknown method 'magic'" and ran == []
 
 
-@pytest.mark.parametrize("qmax", [0, -5])
+def test_cross_validate_checks_the_step_bound_before_running_any(monkeypatch):
+    ran = []
+
+    def stub(name):
+        def run(*args):
+            ran.append(name)
+            return period.PeriodResult("not_applicable", name)
+        return run
+
+    for name in period.METHODS:
+        monkeypatch.setattr(period, f"period_{name}", stub(name))
+    spec = WalkSpec(n=20_000, a=3, coin=coins.coin_from_theta("X", 1.0))
+    for tmax in (-1, math.nan):
+        message = raised(OutOfRange, cross_validate, spec, tmax=tmax, methods=("spectral", "bruteforce"))
+        assert message == f"step bound tmax must be >= 0, got {tmax}" and ran == []
+    # without bruteforce the step bound is not read
+    assert cross_validate(spec, tmax=-1, methods=("analytic", "spectral")).agreement
+    assert ran == ["analytic", "spectral"]
+
+
+def test_nan_step_bound():
+    spec = WalkSpec(n=3, a=0, coin=coins.grover_type(1))
+    assert raised(OutOfRange, period_bruteforce, spec, tmax=math.nan) == "step bound tmax must be >= 0, got nan"
+
+
+@pytest.mark.parametrize("qmax", [0, -5, math.nan])
 @pytest.mark.parametrize("call, value", [(period.order_of_unit, 1.0), (period.order_of_unit, -1.0),
-                                         (period.classify_fraction, 0.0), (period.classify_fraction, 0.5)])
+                                         (period.classify_fraction, 0.0), (period.classify_fraction, 0.5),
+                                         (period_spectral, WalkSpec(n=3, a=0, coin=coins.grover_type(1))),
+                                         (period.period_analytic, WalkSpec(n=3, a=0, coin=coins.grover_type(1)))])
 def test_denominator_bound_below_one(call, value, qmax):
     assert raised(OutOfRange, call, value, qmax=qmax) == f"denominator bound qmax must be >= 1, got {qmax}"
 

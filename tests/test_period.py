@@ -370,6 +370,55 @@ class TestBruteForceScreen:
             exact = np.sum((stack_f[j].astype(np.longdouble) - t_ext) ** 2)
             assert abs(approx[j] - exact) <= slack, (n, j)
 
+    @staticmethod
+    def _group(rng, n, rows, giants):
+        """Baby steps and giant steps of n random unitary blocks, as the
+        float views _screen takes, with ||U^j||^2 / 2 and the largest ||U^j||."""
+        stack = np.stack([_unitary_stack(rng, n).reshape(-1) for _ in range(rows + giants)])
+        rows_f, giants_f = stack[:rows].view(np.float64), stack[rows:].view(np.float64)
+        half_norms = 0.5 * np.einsum("bi,bi->b", rows_f, rows_f)
+        return rows_f, half_norms, giants_f, math.sqrt(2.0 * half_norms.max())
+
+    @pytest.mark.parametrize("n", [3, 50, 1000])
+    def test_one_slack_per_group_at_its_longest_giant_step(self, rng, n):
+        # giant steps at distance 0 and 10^-4..10^-12 from a baby step, and
+        # far from every one, one of them twice as long as a unitary one:
+        # each giant step's own slack, as the screen once took it, keeps no
+        # chunk the group's one slack drops, and giant step 2, between the
+        # two slacks, is kept by the group's only
+        rows_f, half_norms, giants_f, r_max = self._group(rng, n, 16, 24)
+        giants_f = giants_f.copy()
+        giants_f[1] *= 2.0
+        target = rows_f.view(complex)[3]
+        for g in range(0, 24, 2):
+            scale = 10.0 ** -(4 + g // 3) if g else 0.0
+            near = np.eye(3) + scale * (_unitary_stack(rng, n) - np.eye(3))
+            giants_f.view(complex)[g] = np.matmul(target.reshape(n, 3, 3), near).reshape(-1)
+        unit = math.sqrt(3 * n)  # ||U||_F of a unitary stack
+        low, high = (period_mod._screen_slack(n, r_max, t) for t in (unit, 2 * unit))
+        step = rng.normal(size=target.shape) + 1j * rng.normal(size=target.shape)
+        giants_f.view(complex)[2] = target + math.sqrt((low + high) / 2) * step / np.linalg.norm(step)
+        tt = np.einsum("gi,gi->g", giants_f, giants_f)
+        lhs = 2.0 * (half_norms - giants_f @ rows_f.T).min(axis=1) + tt
+        own = period_mod._screen_slack(n, r_max, np.sqrt(tt))
+        kept = np.flatnonzero(~(lhs > period_mod.IDENTITY_TOL ** 2 + own)).tolist()
+        screened = period_mod._screen(rows_f, half_norms, giants_f, n, r_max)
+        assert set(kept) <= set(screened)
+        assert 0 in kept and 1 not in screened and 2 in screened and 2 not in kept
+
+    def test_a_nan_giant_or_baby_step_keeps_its_chunk(self, rng):
+        n = 5
+        rows_f, half_norms, giants_f, r_max = self._group(rng, n, 8, 6)
+        assert period_mod._screen(rows_f, half_norms, giants_f, n, r_max) == []
+        giants_f = giants_f.copy()
+        giants_f[2, 7] = math.nan
+        assert 2 in period_mod._screen(rows_f, half_norms, giants_f, n, r_max)
+        giants_f[2, 7] = 0.0
+        rows_f = rows_f.copy()
+        rows_f[5, 0] = math.nan
+        half_norms = 0.5 * np.einsum("bi,bi->b", rows_f, rows_f)
+        assert period_mod._screen(rows_f, half_norms, giants_f, n, r_max) == list(range(6))
+
     def test_aperiodic_chunks_skip_the_exact_test(self, monkeypatch):
         seen = _spy_first_hit(monkeypatch)
         res = period_bruteforce(spec_of(coins.grover_type(1), 5, 2))
@@ -400,13 +449,19 @@ class TestBruteForceScreen:
             assert _matches_oracle(spec_of(coin, n, a), 300), (n, a)
 
 
-def _giant_group_chunks(last):
-    """(first, last) chunk of each group of giant steps k = 1..last, in
-    groups of 1, 1, 2, 4, .. chunks, while no group reaches the budget cap."""
-    groups, k0, size = [], 1, 1
+def _giant_group_chunks(n, tmax):
+    """(first, last) chunk of each group of giant steps k = 1..last for n
+    blocks: the first group holds GROUP_FLOOR_BYTES of powers, at least one
+    and at most _plan's G; each later group doubles the steps so far, until
+    the groups are G steps each."""
+    chunk, size = period_mod._plan(n, tmax)
+    last = (tmax - 1) // chunk
+    g = max(1, min(size, period_mod.GROUP_FLOOR_BYTES // (n * 9 * 16)))
+    groups, k0 = [], 1
     while k0 <= last:
-        groups.append((k0, min(k0 + size - 1, last)))
-        k0, size = k0 + size, k0 + size - 1
+        groups.append((k0, min(k0 + g - 1, last)))
+        k0 += g
+        g = min(k0 - 1, size - k0 + 1) if k0 - 1 < size else size
     return groups
 
 
@@ -433,22 +488,24 @@ def _spy_screen(monkeypatch):
 
 
 class TestGiantSteps:
-    """Giant steps (U^kB)^dagger, screened in groups of 1, 1, 2, 4, .. chunks."""
+    """Giant steps (U^kB)^dagger, screened in groups: k = 0, then the first
+    group of GROUP_FLOOR_BYTES of powers, then doubling."""
 
-    @pytest.mark.parametrize("chunk", [1, 2, 5, 7])
-    def test_periods_on_group_edges_match_oracle(self, monkeypatch, chunk):
-        # a period in the first and in the last chunk of every group, at its
-        # chunk's first and last step where the n = 3 rules give one; at
-        # tmax = period - 1 the last group is cut short inside that chunk
-        monkeypatch.setattr(period_mod, "CHUNK_STEPS", chunk)
+    @staticmethod
+    def _periods_on_group_edges_match_oracle(chunk):
+        """A period in the first and in the last chunk of every group, at its
+        chunk's first and last step where the n = 3 rules give one; at
+        tmax = period - 1 the last group is cut short inside that chunk.
+        Returns the groups and the single-step chunks that no rule fits."""
         tmax = 600
-        groups = _giant_group_chunks((tmax - 1) // chunk)
-        assert len(groups) >= 7
-        tested = set()
+        groups = _giant_group_chunks(3, tmax)
+        tested, missed = set(), set()
         for first, last in groups:
             for k in (first, last):
                 periods = [t for t in range(k * chunk + 1, min((k + 1) * chunk, tmax) + 1)
                            if t % 2 == 0 or t % 3 == 0]
+                if not periods:
+                    missed.add(k * chunk + 1)
                 for t in {periods[0], periods[-1]} if periods else ():
                     spec = spec_of(_n3_coin_of_period(t), 3)
                     assert brute_oracle(spec, tmax) == t
@@ -457,18 +514,41 @@ class TestGiantSteps:
                     for bound in (t - 1, t):
                         assert _matches_oracle(spec, bound), (chunk, k, t, bound)
                     tested.add(k)
-        edges = {k for group in groups for k in group}
-        assert tested == edges if chunk > 1 else len(edges - tested) == 4  # 5, 17, 65, 257: odd, not 3k
+        assert {k for group in groups for k in group} - tested == {t - 1 for t in missed}
+        return groups, missed
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7])
+    def test_periods_on_group_edges_match_oracle(self, monkeypatch, chunk):
+        # with no floor the groups double from one giant step, so every
+        # doubling edge is tested
+        monkeypatch.setattr(period_mod, "CHUNK_STEPS", chunk)
+        monkeypatch.setattr(period_mod, "GROUP_FLOOR_BYTES", 0)
+        groups, missed = self._periods_on_group_edges_match_oracle(chunk)
+        assert groups[0] == (1, 1) and len(groups) >= 7
+        assert missed == ({5, 17, 65, 257} if chunk == 1 else set())  # odd, not 3k
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7])
+    def test_periods_on_first_group_edges_match_oracle(self, monkeypatch, chunk):
+        # at n = 3 the first group is 18 giant steps: its last chunk and the
+        # next group's first are edges
+        monkeypatch.setattr(period_mod, "CHUNK_STEPS", chunk)
+        groups, missed = self._periods_on_group_edges_match_oracle(chunk)
+        assert groups[:2] == [(1, 18), (19, 36)] and len(groups) >= 4
+        assert missed == ({19, 37, 73, 145, 289, 577} if chunk == 1 else set())
 
     def test_aperiodic_scan_screens_every_chunk_once_in_few_groups(self, monkeypatch):
-        sizes = _spy_screen(monkeypatch)
-        seen = _spy_first_hit(monkeypatch)
-        res = period_bruteforce(spec_of(coins.grover_type(1), 5, 2))
-        assert res.status == "no_period_up_to" and res.bound == TMAX_DEFAULT
-        chunk = period_mod._plan(5, TMAX_DEFAULT)[0]
-        assert len(sizes) <= math.ceil(math.log2(TMAX_DEFAULT / chunk)) + 2
-        assert sum(sizes) == math.ceil(TMAX_DEFAULT / chunk)
-        assert seen == []
+        # 18 and 11 giant steps in the first group: five screens in all
+        for n in (3, 5):
+            sizes = _spy_screen(monkeypatch)
+            seen = _spy_first_hit(monkeypatch)
+            res = period_bruteforce(spec_of(coins.grover_type(1), n, n // 2))
+            assert res.status == "no_period_up_to" and res.bound == TMAX_DEFAULT
+            chunk = period_mod._plan(n, TMAX_DEFAULT)[0]
+            assert sizes == [1] + [last - first + 1 for first, last in _giant_group_chunks(n, TMAX_DEFAULT)]
+            assert len(sizes) == 5
+            assert sum(sizes) == math.ceil(TMAX_DEFAULT / chunk)
+            assert seen == []
+            monkeypatch.undo()
 
     def test_period_in_the_first_chunk_builds_no_giant_step(self, monkeypatch):
         sizes = _spy_screen(monkeypatch)
@@ -476,13 +556,34 @@ class TestGiantSteps:
         assert sizes == [1]
 
     def test_late_period_screens_twice_its_chunks_at_most(self, monkeypatch):
-        # period 5122 in chunk k = 40 of 79: the groups up to k = 64 are
-        # screened, not the whole scan
+        # period 5122 in chunk k = 40 of 79: the groups up to k = 72 are
+        # screened, not the whole scan; a period in the first group costs
+        # that group, however early it falls
         sizes = _spy_screen(monkeypatch)
         spec = spec_of(_n3_coin_of_period(40 * CHUNK_STEPS + 2), 3)
         assert period_bruteforce(spec).period == 40 * CHUNK_STEPS + 2
-        assert sizes == [1, 1, 1, 2, 4, 8, 16, 32]
-        assert sum(sizes) <= 2 * 40 + 1
+        assert sizes == [1, 18, 18, 36]
+        assert sum(sizes) <= max(2 * 40 + 1, sizes[1] + 1)
+
+    @pytest.mark.parametrize("tmax", [2, 129, 257, 640, 4737, TMAX_DEFAULT])
+    def test_first_group_never_exceeds_the_largest(self, monkeypatch, tmax):
+        # with tmax cutting the scan short, and with a budget of ten giant
+        # steps, so that the first group is the largest and every later
+        # group the product W^(k0 - 1) @ W^(1..g)
+        sizes = _spy_screen(monkeypatch)
+        spec = spec_of(coins.coin_from_theta("X", 1.0), 3)
+        chunk, size = period_mod._plan(3, tmax)
+        assert period_bruteforce(spec, tmax).bound == tmax
+        assert max(sizes[1:], default=1) <= size and sum(sizes) == math.ceil(tmax / chunk)
+        sizes.clear()
+        monkeypatch.setattr(period_mod, "CHUNK_BYTES", 2 * 128 * 432 + 10 * (3 * 432 + 136 * 8))
+        chunk, size = period_mod._plan(3, tmax)
+        assert chunk == min(CHUNK_STEPS, tmax) and size == min(10, max(1, (tmax - 1) // chunk))
+        late = spec_of(_n3_coin_of_period(40 * CHUNK_STEPS + 2), 3)
+        assert _matches_oracle(late, tmax)
+        assert max(sizes[1:], default=1) <= size
+        if tmax == TMAX_DEFAULT:
+            assert sizes == [1] + [10] * 4
 
     def test_one_giant_step_per_group_where_the_budget_leaves_no_room_for_two(self):
         # from n = 445 the baby steps leave less than two giant steps of three
