@@ -138,18 +138,13 @@ def _emit(text: str, args) -> None:
         out.write(text)
 
 
-def _scalar_json(v):
-    if isinstance(v, Fraction):
-        return _coins._frac_str(v)
-    return complex(v).real  # a coin that is not real fails in coin_to_json, before any output
-
-
 def cmd_coin(args, parser) -> int:
     coin = _parse_coin(args, parser)
     cls = _coins.classify(coin, tol=args.tol)  # a named family is checked at --tol
-    linear_sum = {"basis": cls.basis, "x": _scalar_json(cls.x), "y": _scalar_json(cls.y), "z": _scalar_json(cls.z)}
+    coin_doc = _coins.coin_to_json(coin)  # x, y, z are its first row
+    linear_sum = {"basis": cls.basis, **dict(zip("xyz", coin_doc["entries"][0]))}
     doc = {
-        "coin": _coins.coin_to_json(coin),
+        "coin": coin_doc,
         "classification": {
             "family": cls.family,
             **linear_sum,
@@ -202,20 +197,18 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-def _int_list(text: str, parser, what: str):
+def _values(text: str, kind, label: str, parser):
+    """The comma-separated entries of `text`, each read by `kind`."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        parser.error(f"cannot parse {what} list {text!r}")
+        parser.error(f"cannot parse {label} {text!r}")
 
 
 def _theta_values(args, parser):
     """The --theta-list or --theta-grid angles, in radians."""
     if args.theta_list is not None:
-        try:
-            return [float(v) for v in args.theta_list.split(",") if v.strip()]
-        except ValueError:
-            parser.error(f"cannot parse --theta-list {args.theta_list!r}")
+        return _values(args.theta_list, float, "--theta-list", parser)
     try:
         start, stop, count = args.theta_grid.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -230,8 +223,8 @@ def _theta_values(args, parser):
 
 
 def cmd_table(args, parser) -> int:
-    ns = _int_list(args.n_list, parser, "n")
-    a_values = _int_list(args.a_list, parser, "a")
+    ns = _values(args.n_list, int, "n list", parser)
+    a_values = _values(args.a_list, int, "a list", parser)
     methods = _methods_of(args, parser)
     if args.rational_grid:  # exact fractions keep the analytic route exact
         coins = [_coins.coin_from_theta_frac(args.family, Fraction(m, q))

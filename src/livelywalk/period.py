@@ -35,8 +35,11 @@ S (C (x) I_n), built as a Kronecker product and powered one step at a time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -153,14 +156,18 @@ def order_of_unit(lam: complex, qmax: int = QMAX_DEFAULT) -> Optional[int]:
     return None if convergent is None else convergent[1]
 
 
-def _check_qmax(qmax: int) -> None:
-    if not qmax >= 1:  # also catches NaN
-        raise OutOfRange(f"denominator bound qmax must be >= 1, got {qmax}")
+def _check_bound(value: int, least: int, what: str) -> None:
+    """OutOfRange unless the bound is an integer (by operator.index) >= least."""
+    if isinstance(value, numbers.Real) and not value >= least:  # also catches NaN
+        raise OutOfRange(f"{what} must be >= {least}, got {value}")
+    try:
+        operator.index(value)
+    except TypeError:  # inf, 2.5, 10.0, "5", None
+        raise OutOfRange(f"{what} must be an integer, got {value!r}") from None
 
 
-def _check_tmax(tmax: int) -> None:
-    if not tmax >= 0:  # also catches NaN
-        raise OutOfRange(f"step bound tmax must be >= 0, got {tmax}")
+_check_qmax = functools.partial(_check_bound, least=1, what="denominator bound qmax")
+_check_tmax = functools.partial(_check_bound, least=0, what="step bound tmax")
 
 
 def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodResult:
@@ -212,14 +219,21 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     return chunk, max(1, min(group, (tmax - 1) // chunk))
 
 
-def _double(table: np.ndarray, done: int, upto: int) -> None:
-    """Extend the block-major powers M^1..M^done, in columns of 3 of each
-    (n, 3, 3m) block row of `table`, to M^1..M^upto by doubling."""
+def _grow(table: np.ndarray, upto: int) -> np.ndarray:
+    """The block-major powers M^1..M^d, in columns of 3 of each (n, 3, 3d)
+    block row of `table`, doubled up to M^1..M^upto in a new array; `table`
+    itself when d >= upto."""
+    done = table.shape[2] // 3
+    if done >= upto:
+        return table
+    grown = np.empty((len(table), 3, 3 * upto), dtype=complex)
+    grown[:, :, :3 * done] = table
     while done < upto:  # M^(done+1..done+m) = M^done @ M^(1..m)
         m = min(done, upto - done)
-        np.matmul(table[:, :, 3 * done - 3:3 * done], table[:, :, :3 * m],
-                  out=table[:, :, 3 * done:3 * (done + m)])
+        np.matmul(grown[:, :, 3 * done - 3:3 * done], grown[:, :, :3 * m],
+                  out=grown[:, :, 3 * done:3 * (done + m)])
         done += m
+    return grown
 
 
 def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last: int):
@@ -229,29 +243,24 @@ def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last
 
     The first group is k = 0, the identity.  Every other giant step is
     conj(W^k), where W = (U^B)^T = conj((U^B)^dagger) is a view of the last
-    baby step.  A table of W^1..W^d in block-major columns is built by
-    doubling W up to the first group past k = 0: F steps, as many as
-    GROUP_FLOOR_BYTES holds, but at least 1 and at most len(giants).  The
-    table grows by one doubling per group after that, whose new columns are
-    the group, so the groups hold 1, F, F, 2F, 4F, .. steps; once d is
-    len(giants), each group of up to that many steps is the product
-    W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`.  A group
-    of one step is that product, built in its own row.  The table, while it
-    grows, and the product after it never hold more than 2 len(giants)
-    steps together.
+    baby step.  `_grow` doubles W into a table of W^1..W^d in block-major
+    columns up to the first group past k = 0: F steps, as many as
+    GROUP_FLOOR_BYTES holds, but at least 1 and at most len(giants), and W
+    itself at F = 1.  `_grow` doubles the table once per group after that,
+    whose new columns are the group, so the groups hold 1, F, F, 2F, 4F, ..
+    steps; once d is len(giants), each group of up to that many steps is the
+    product W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`.  A
+    group of one step is that product, built in its own row.  The table,
+    while it grows, and the product after it never hold more than
+    2 len(giants) steps together.
     """
     size, n = len(giants), rows.shape[1] // 9  # the largest group, and the table's last length
     giants.reshape(size, n, 3, 3)[0] = np.eye(3)
     yield 0, giants[:1]
     if last < 1:
         return
-    table = out = rows[-1].reshape(n, 3, 3).transpose(0, 2, 1)  # (U^B)^T, a view
     g = max(1, min(size, GROUP_FLOOR_BYTES // rows[0].nbytes))
-    if g > 1:
-        out = np.empty((n, 3, 3 * g), dtype=complex)
-        out[:, :, :3] = table
-        _double(out, 1, g)
-        table = out
+    table = out = _grow(rows[-1].reshape(n, 3, 3).transpose(0, 2, 1), g)  # from (U^B)^T, a view
     product = giants[0].reshape(n, 3, 3) if size == 1 else None
     k0 = 1
     while True:
@@ -262,10 +271,8 @@ def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last
             return
         if k0 - 1 < size:  # the table grows by the group
             g = min(k0 - 1, size - k0 + 1)
-            grown = np.empty((n, 3, 3 * (k0 - 1 + g)), dtype=complex)
-            grown[:, :, :3 * (k0 - 1)] = table
-            _double(grown, k0 - 1, k0 - 1 + g)
-            table, out = grown, grown[:, :, 3 * (k0 - 1):]
+            table = _grow(table, k0 - 1 + g)
+            out = table[:, :, 3 * (k0 - 1):]
         else:
             step = np.conjugate(giants[g - 1].reshape(n, 3, 3), out=window[0].reshape(n, 3, 3))
             g = min(size, last - k0 + 1)
@@ -328,7 +335,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
     over blocks of ||U_l^t - I||_F^2, and U^t0 is unitary, so at t = t0 + j
     that is ||U^j - (U^t0)^dagger||_F^2.  Baby steps and giant steps: the
-    powers U^1..U^B of all n blocks are built once by doubling, as the rows
+    powers U^1..U^B of all n blocks are built once by `_grow`, as the rows
     of one (B, 9n) array, with ||U^j||_F^2 computed once per call; the chunk
     t0 = 0 is screened against I, and only when it holds no period are the
     giant steps (U^t0)^dagger, t0 = kB, built, in groups of F, F, 2F, 4F, ..
@@ -346,9 +353,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     _check_tmax(tmax)
     n = spec.n
     chunk, group_max = _plan(n, tmax)
-    powers = np.empty((n, 3, 3 * chunk), dtype=complex)
-    powers[:, :, :3] = _walk.block_stack(spec)
-    _double(powers, 1, chunk)
+    powers = _grow(_walk.block_stack(spec), chunk)
     last = (tmax - 1) // chunk  # the last chunk, t0 = last * B
     # the baby steps U^1..U^B, then the largest group of giant steps
     stack = np.empty((chunk + group_max, 9 * n), dtype=complex)
@@ -483,7 +488,8 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
                    methods=METHODS) -> CrossValidation:
     """Run the requested methods, in order, and flag any contradiction;
     ValueError, before any method runs, for a name not in METHODS, and
-    OutOfRange, also before any runs, for tmax < 0 with bruteforce asked for.
+    OutOfRange, also before any runs, for a tmax that is not an integer >= 0
+    with bruteforce asked for.
 
     analytic reads the coin family's closed forms, spectral takes the lcm
     of the eigenvalue orders of the momentum blocks, and bruteforce powers

@@ -74,13 +74,18 @@ def basis_state(n: int, vertex: int, coin_state: int) -> np.ndarray:
 
 
 def _checked_state(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
-    """psi0 as complex128, once its length, its norm and the time t >= 0 check out."""
+    """psi0 as complex128, once its length, its norm and the time, an integer
+    t >= 0 read by operator.index, check out."""
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (spec.dim,):
         raise OutOfRange(f"state must have length {spec.dim}, got {psi.shape}")
     norm2 = float(np.vdot(psi, psi).real)
     if not abs(norm2 - 1.0) <= NORM_TOL:  # also catches NaN amplitudes
         raise NotNormalized(f"|psi|^2 = {norm2} is not 1 within {NORM_TOL}")
+    try:
+        operator.index(t)
+    except TypeError:  # 2.5, inf, NaN
+        raise OutOfRange(f"time must be an integer, got {t!r}") from None
     if t < 0:
         raise OutOfRange("time must be nonnegative")
     return psi

@@ -18,9 +18,11 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from livelywalk import coins
-from livelywalk.period import period_bruteforce
-from livelywalk.walk import WalkSpec
+from livelywalk.period import IDENTITY_TOL, period_bruteforce
+from livelywalk.walk import WalkSpec, block_stack
 
 GOLDEN = Path(__file__).with_name("golden_bruteforce.txt")
 N_RANGE = range(2, 9)
@@ -78,6 +80,44 @@ def test_golden_reaches_both_outcomes_and_the_bound():
     assert {r[2] for r in rows} == {"finite", "no_period_up_to"}
     assert max(int(r[3]) for r in rows if r[2] == "finite") == 60
     assert all(r[4] == str(TMAX) for r in rows if r[2] == "no_period_up_to")
+
+
+def _distances(spec, tmax: int) -> np.ndarray:
+    """||U^t - I||_F for t = 1..tmax: the momentum blocks' powers, built by
+    doubling with broadcast products rather than `period`'s helpers."""
+    powers = np.empty((tmax, spec.n, 3, 3), dtype=complex)
+    powers[0] = block_stack(spec)
+    done = 1
+    while done < tmax:  # U^(done+1..done+m) = U^done @ U^(1..m)
+        m = min(done, tmax - done)
+        last, first, out = powers[done - 1], powers[:m], powers[done:done + m]
+        np.multiply(last[:, :, 0, None], first[:, :, 0, None, :], out=out)
+        for k in (1, 2):
+            out += last[:, :, k, None] * first[:, :, k, None, :]
+        done += m
+    powers -= np.eye(3)
+    re_im = powers.reshape(tmax, -1).view(np.float64)
+    return np.sqrt(np.einsum("ti,ti->t", re_im, re_im))
+
+
+def test_identity_tol_margins():
+    """IDENTITY_TOL (1e-8) is far from every distance brute force decides on
+    here.  Measured: ||U^T - I||_F is at most 6.5e-14 at each period T, at
+    least 0.72 at every t before it, and at least 1.8e-4 at every t <= TMAX
+    for the walks with no period up to TMAX."""
+    hit, before, never = 0.0, math.inf, math.inf
+    for line, coin in zip(_expected(), corpus().values()):
+        for row in line.split("\t")[1].split(";"):
+            n, a, status, period, _ = row.split(" ")
+            spec = WalkSpec(n=int(n), a=int(a), coin=coin)
+            if status == "finite":
+                d = _distances(spec, int(period))
+                hit, before = max(hit, d[-1]), min(before, d[:-1].min(initial=math.inf))
+            else:
+                never = min(never, _distances(spec, TMAX).min())
+    assert hit <= 1e-12 < IDENTITY_TOL
+    assert IDENTITY_TOL < 1e-5 <= never
+    assert before >= 0.1
 
 
 if __name__ == "__main__":

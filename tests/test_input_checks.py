@@ -1,6 +1,7 @@
 """Each input check of the library API raises its own exception type and
 message, and `Coin3` equality compares matrices only."""
 
+import io
 import math
 from fractions import Fraction
 
@@ -200,6 +201,43 @@ def test_nan_step_bound():
                                          (period.period_analytic, WalkSpec(n=3, a=0, coin=coins.grover_type(1)))])
 def test_denominator_bound_below_one(call, value, qmax):
     assert raised(OutOfRange, call, value, qmax=qmax) == f"denominator bound qmax must be >= 1, got {qmax}"
+
+
+class TestBoundsAreIntegers:
+    """Step, time and denominator bounds are integers, read by operator.index
+    as `WalkSpec` reads n and a: a float, whole or not, a str or None is
+    OutOfRange, not a scan that never ends or a TypeError (a NaN step or
+    denominator bound keeps its own message, pinned above)."""
+
+    # P1 at n = 4, a = 1 has period 4, in the first chunk, so a scan that did
+    # not check its bound would return at once
+    SPEC = WalkSpec(n=4, a=1, coin=coins.perm_matrix(1))
+
+    @pytest.mark.parametrize("tmax", [math.inf, 10.0, 2.5, "5", None])
+    def test_step_bound(self, tmax):
+        message = f"step bound tmax must be an integer, got {tmax!r}"
+        assert raised(OutOfRange, period_bruteforce, self.SPEC, tmax=tmax) == message
+        assert raised(OutOfRange, cross_validate, self.SPEC, tmax=tmax) == message
+
+    @pytest.mark.parametrize("qmax", [math.inf, 10.0, 2.5, "5"])
+    @pytest.mark.parametrize("call, value", [(period.order_of_unit, -1.0), (period.classify_fraction, 0.5),
+                                             (period_spectral, SPEC), (period.period_analytic, SPEC)])
+    def test_denominator_bound(self, call, value, qmax):
+        message = f"denominator bound qmax must be an integer, got {qmax!r}"
+        assert raised(OutOfRange, call, value, qmax=qmax) == message
+
+    @pytest.mark.parametrize("t", [2.5, 3.0, math.inf, math.nan, "3"])
+    @pytest.mark.parametrize("call", [walk.evolve,
+                                      lambda spec, psi, t: walk.write_distribution_csv(spec, psi, t, io.StringIO())])
+    def test_time(self, call, t):
+        psi = walk.basis_state(4, 0, 0)
+        assert raised(OutOfRange, call, self.SPEC, psi, t) == f"time must be an integer, got {t!r}"
+
+    def test_numpy_integers_pass(self):
+        assert period_bruteforce(self.SPEC, tmax=np.int64(10)).period == 4
+        assert period_spectral(self.SPEC, qmax=np.int64(10)).period == 4
+        assert np.array_equal(walk.evolve(self.SPEC, walk.basis_state(4, 0, 0), np.int64(4)),
+                              walk.basis_state(4, 0, 0))
 
 
 def test_unknown_suite():
