@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -128,6 +129,37 @@ def _parse_coin(args, parser) -> _coins.Coin3:
     return _coins.coin_from_rational(args.family, r, s1, s2)
 
 
+#: the text json.dumps writes for each scalar type
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+                 type(None): lambda _: "null",
+                 float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v)}  # NaN, Infinity
+
+
+def _json_text(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``, or its TypeError, in less time: the
+    stdlib uses its C encoder only when indent is None.  Each scalar's text
+    is looked up by its type, and each container's items joined once.  Keys
+    must be str, as in every document the CLI writes."""
+    inner, scalar, quote, items = indent + "  ", _JSON_SCALARS.get, encode_basestring_ascii, []
+    if isinstance(doc, dict):
+        text = "{}"
+        for k, v in doc.items():
+            write = scalar(type(v))
+            items.append(f"{quote(k)}: {write(v) if write else _json_text(v, inner)}")
+    elif isinstance(doc, (list, tuple)):
+        text = "[]"
+        for v in doc:
+            write = scalar(type(v))
+            items.append(write(v) if write else _json_text(v, inner))
+    else:  # a scalar, a subclass of str, int or float (numpy's float64), or no JSON value
+        kind = type(doc) if type(doc) in _JSON_SCALARS else next(
+            (t for t in (str, int, float) if isinstance(doc, t)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+        return _JSON_SCALARS[kind](doc)
+    return f"{text[0]}{inner}{(',' + inner).join(items)}{indent}{text[1]}" if items else text
+
+
 def _output(args):
     """A context manager that yields the --output file, opened for writing, or stdout."""
     return open(args.output, "w") if args.output is not None else contextlib.nullcontext(sys.stdout)
@@ -154,7 +186,7 @@ def cmd_coin(args, parser) -> int:
         },
         "linear_sum": linear_sum,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args)
+    _emit(_json_text(doc) + "\n", args)
     return 0
 
 
@@ -176,7 +208,7 @@ def cmd_period(args, parser) -> int:
     coin = _parse_coin(args, parser)
     spec = _walk.WalkSpec(n=args.n, a=args.a, coin=coin)
     cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax, methods=_methods_of(args, parser))
-    _emit(json.dumps(_period.report_json(cv), indent=2) + "\n", args)
+    _emit(_json_text(_period.report_json(cv)) + "\n", args)
     return 0 if cv.agreement else 3
 
 
@@ -238,7 +270,7 @@ def cmd_table(args, parser) -> int:
                 spec = _walk.WalkSpec(n=n, a=a, coin=coin)
                 cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax, methods=methods)
                 reports.append(_period.report_json(cv))
-    _emit(json.dumps(reports, indent=2) + "\n", args)
+    _emit(_json_text(reports) + "\n", args)
     return 0 if all(r["agreement"] for r in reports) else 3
 
 
@@ -279,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     Building it costs about as much as a whole `period` call, so in-process
     callers of :func:`main` (tests, notebooks, the benchmark) build it once;
     a shell command still builds one per process.  ``parse_args`` keeps no
-    state between calls, so the shared parser must not be modified.
+    state between calls, so the shared parser must not be modified.  Its
+    ``commands`` maps each command name to that command's subparser.
     """
     parser = argparse.ArgumentParser(
         prog="livelywalk",
@@ -333,24 +366,44 @@ def build_parser() -> argparse.ArgumentParser:
                                "suite but period-consistency")
     _add_output(p_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
 def _glue_signs(argv: list) -> list:
-    """Join a sign pair to the --signs before it: argparse would read a
-    separate -+ or -- as an option or as the end of the options."""
+    """Join a value to the flag before it as --flag=value where argparse
+    would read the value as an option or as the end of the options: a sign
+    pair after --signs, and a token starting with - and a digit or . (-5/2,
+    -1e-3, -1,2, -1:1:3) after a flag whose value may be negative."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--signs" and arg in SIGN_PAIRS:
-            out[-1] = f"--signs={arg}"
+        if out and ((out[-1] == "--signs" and arg in SIGN_PAIRS) or (
+                out[-1] in ("--rational", "--theta-frac", "--theta", "--theta-list", "--theta-grid")
+                and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789.")):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args`` of argv with its signed values glued: the
+    subparser of the command argv[0] names parses the rest, and the top-level
+    parser reads only help, usage errors and leftover arguments."""
+    parser, argv = build_parser(), _glue_signs(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_signs(sys.argv[1:] if argv is None else list(argv)))
+    """Run one command line (sys.argv[1:] by default) and return its exit code;
+    a usage error exits 2 through argparse."""
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.run(args)
     except (LivelyWalkError, OSError, MemoryError) as exc:  # OSError: a path that cannot be opened

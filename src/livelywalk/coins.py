@@ -44,6 +44,7 @@ from .errors import (
 from .exactnum import (
     _TWO_PI,
     DEFAULT_TOL,
+    _gram3,
     _integer_det3,
     _integer_orthogonal,
     _scaled_integer,
@@ -75,7 +76,6 @@ _PERM_01 = {
 #: index orders that take the first row (x, y, z) to each row of a basis's layout
 _ROW_ORDERS = {CYCLIC: ((0, 1, 2), (2, 0, 1), (1, 2, 0)),
                TRANSPOSITION: ((0, 1, 2), (1, 2, 0), (2, 0, 1))}
-_ROW_INDEX = {basis: np.array(orders) for basis, orders in _ROW_ORDERS.items()}
 
 #: family -> (basis, s = x + y + z), and back
 _FAMILY = {"X": (CYCLIC, 1), "Y": (CYCLIC, -1), "Z": (TRANSPOSITION, 1), "W": (TRANSPOSITION, -1)}
@@ -118,9 +118,16 @@ class Coin3:
 
     @functools.cached_property
     def _float(self) -> np.ndarray:
-        mf = np.array(self.matrix, dtype=complex)
+        m = self.matrix
+        if self.exact:  # M / d: each int division rounds once, as float(Fraction) does
+            rows, d = self._scaled
+            m = [[v / d for v in row] for row in rows]
+        mf = np.array(m, dtype=complex)
         mf.flags.writeable = False
         return mf
+
+    #: (M, d) of `_scaled_integer`, for an exact coin; classify and as_float share it
+    _scaled = functools.cached_property(lambda self: _scaled_integer(self.matrix))
 
     @property
     def params(self) -> Optional[tuple]:
@@ -341,6 +348,7 @@ SPECIAL_COINS = tuple(
 )
 #: the special coins as one float stack, which `classify` compares against
 _SPECIAL = np.array([coin.as_float().real for coin in SPECIAL_COINS])
+_NO_HITS = np.zeros(len(SPECIAL_COINS), dtype=bool)
 
 
 def _linear_sum(coin: Coin3, tol: float) -> tuple[LinearSumCoefficients, Scalar, Scalar]:
@@ -351,28 +359,30 @@ def _linear_sum(coin: Coin3, tol: float) -> tuple[LinearSumCoefficients, Scalar,
     An exact coin is read once as the integers M = d*m: M^T M = d^2 I must
     hold exactly, whatever ``tol``, since the rational-coin theorems rest on
     it; rows 2 and 3 are row 1 taken in the index orders of one basis, and
-    det(m) = det(M) / d^3.  A float coin is read off its one complex array:
-    ||M^T M - I||_F, the layout gathered from row 1 and compared at
-    ``tol``, and ``np.linalg.det``.
+    det(m) = det(M) / d^3.  A float coin is read as nine Python complex
+    numbers: ||M^T M - I||_F, the layout compared at ``tol``, and the same
+    cofactor det as M's.
     """
     if coin.exact:
-        rows, d = _scaled_integer(coin.matrix)
+        (rows, d), slack = coin._scaled, 0
         if not _integer_orthogonal(rows, d):
             raise NotOrthogonal(f"orthogonality defect {orthogonality_defect(coin.matrix):.3e}")
-        first = rows[0]
-        basis = next((b for b, orders in _ROW_ORDERS.items()
-                      if all(rows[i] == [first[j] for j in orders[i]] for i in (1, 2))), None)
         x, y, z = coin.matrix[0]
-        s, det = Fraction(sum(first), d), Fraction(_integer_det3(rows), d ** 3)
+        s, det = Fraction(sum(rows[0]), d), Fraction(_integer_det3(rows), d ** 3)
     else:
-        mf = coin.as_float()
-        defect = orthogonality_defect(mf)
+        flat, slack = coin.as_float().ravel().tolist(), tol
+        rows = [flat[:3], flat[3:6], flat[6:]]
+        g0, g1, g2, g3, g4, g5 = _gram3(rows)
+        # ||M^T M - I||_F over its nine entries; w * conj(w) overflows to inf where abs(w) raises
+        defect = math.sqrt(sum((w * w.conjugate()).real for w in (g0 - 1, g1 - 1, g2 - 1, g3, g3, g4, g4, g5, g5)))
         if not defect <= tol:  # also catches NaN/Inf entries
             raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
-        basis = next((b for b, index in _ROW_INDEX.items()
-                      if np.max(np.abs(mf[0][index] - mf)) <= tol), None)
-        x, y, z = mf[0].tolist()
-        s, det = x + y + z, np.linalg.det(mf)
+        x, y, z = rows[0]
+        s, det = x + y + z, _integer_det3(rows)
+    first = rows[0]
+    basis = next((b for b, orders in _ROW_ORDERS.items()
+                  if all(abs(rows[i][j] - first[k]) <= slack for i in (1, 2) for j, k in enumerate(orders[i]))),
+                 None)
     if basis is None:
         raise NotPermutative("rows are not cyclic shifts of the first row in either basis")
     return LinearSumCoefficients(basis, x, y, z), s, det
@@ -399,7 +409,8 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     coins.  The family follows from the basis and the sign of x+y+z; the
     determinant is recomputed, at the same tolerance, as a redundant
     cross-check of that assignment.  A real coin (``Coin3.is_real``) is
-    compared entry by entry with the 24 special matrices at DEFAULT_TOL.  A
+    compared entry by entry with the 24 special matrices at DEFAULT_TOL,
+    unless its first row is not near multiples of 1/3 as theirs is.  A
     Coin3 that names a family raises ConstraintViolated when its entries are
     of another.
     """
@@ -419,8 +430,10 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     if coin.family is not None and coin.family != family:
         raise ConstraintViolated(f"coin names family {coin.family} but its entries are family {family}")
 
-    mf = coin.as_float()
-    hits = coin.is_real & (np.max(np.abs(mf.real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
+    # every special entry is a multiple of 1/3: a first row far from those is no special's
+    first = (coeffs.x, coeffs.y, coeffs.z)
+    hits = (coin.is_real & (np.max(np.abs(coin.as_float().real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
+            if all(abs((3 * complex(v).real + 0.5) % 1 - 0.5) <= 4 * DEFAULT_TOL for v in first) else _NO_HITS)
     return Classification(
         **vars(coeffs),
         family=family,

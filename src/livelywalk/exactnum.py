@@ -50,20 +50,24 @@ def _scaled_integer(m: np.ndarray) -> tuple[list, int]:
     return [[e.numerator * (d // e.denominator) for e in row] for row in m.tolist()], d
 
 
+def _gram3(rows: list) -> tuple:
+    """M^T M's diagonal, then its entries (0, 1), (0, 2), (1, 2), for a 3x3 M given as rows."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return (a * a + d * d + g * g, b * b + e * e + h * h, c * c + f * f + i * i,
+            a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i)
+
+
 def _integer_orthogonal(rows: list, d: int) -> bool:
-    """m^T m = I exactly, checked as M^T M = d^2 I on the rows of M = d*m."""
-    cols = list(zip(*rows))
-    return all(
-        sum(p * q for p, q in zip(cols[i], cols[j])) == (d * d if i == j else 0)
-        for i in range(len(cols)) for j in range(i, len(cols))
-    )
+    """m^T m = I exactly, checked as M^T M = d^2 I on the rows of the 3x3 M = d*m."""
+    return _gram3(rows) == (d * d,) * 3 + (0,) * 3
 
 
 def orthogonality_defect(m: np.ndarray) -> float:
     """``||M^T M - I||_F`` with the plain (unconjugated) transpose.
 
-    Zero exactly for exact orthogonal matrices; the complex-parameter coins
-    are complex *orthogonal*, not unitary, so no conjugation here.
+    Zero exactly for exact orthogonal matrices, which are 3x3 coins; the
+    complex-parameter coins are complex *orthogonal*, not unitary, so no
+    conjugation here.
     """
     if is_exact(m):
         if _integer_orthogonal(*_scaled_integer(m)):
@@ -74,15 +78,9 @@ def orthogonality_defect(m: np.ndarray) -> float:
         return float(np.linalg.norm(mf.T @ mf - np.eye(mf.shape[0])))
 
 
-def unitarity_defect(m: np.ndarray) -> np.ndarray:
-    """``||M^dagger M - I||_F``, one value per block of a (..., k, k) stack."""
-    mf = to_float(m)
-    gram = np.swapaxes(mf, -1, -2).conj() @ mf
-    return np.linalg.norm(gram - np.eye(mf.shape[-1]), axis=(-2, -1))
-
-
-def _integer_det3(rows: list) -> int:
-    """det of a 3x3 integer matrix given as rows; for M = d*m it is d^3 det(m)."""
+def _integer_det3(rows: list):
+    """det of a 3x3 matrix given as rows of Python numbers, by cofactors; for
+    the integers M = d*m it is d^3 det(m), exactly."""
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
@@ -104,16 +102,18 @@ def eig3_unitary(m: np.ndarray) -> np.ndarray:
 
     Returns complex128 of shape (..., 3): per block, the LAPACK eigenvalues
     projected onto the unit circle and sorted (stably) by principal argument
-    in [0, 2*pi), with arguments within 1e-12 of 2*pi wrapped to 0.  Raises
-    :class:`NotUnitary` when some block has
-    ``||M^dagger M - I||_F > DEFAULT_TOL`` and :class:`NumericalFailure` when
-    some eigenvalue's modulus strays from 1 by more than 1e-6.
+    in [0, 2*pi), with arguments within 1e-12 of 2*pi wrapped to 0, and
+    gathered by flat index.  Raises :class:`NotUnitary` when some block has
+    ``||M^dagger M - I||_F > DEFAULT_TOL``, a norm taken by one einsum over
+    the float view, and :class:`NumericalFailure` when some eigenvalue's
+    modulus strays from 1 by more than 1e-6.
     """
     mf = to_float(m)
     if mf.ndim < 2 or mf.shape[-2:] != (3, 3):
         raise DimensionMismatch(f"expected 3x3 matrix or stack of them, got {mf.shape}")
-    defect = unitarity_defect(mf)
-    if not np.all(defect <= DEFAULT_TOL):  # also catches NaN/Inf entries
+    parts = (np.swapaxes(mf, -1, -2).conj() @ mf - np.eye(3)).view(float)  # real and imaginary parts
+    defect = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
+    if not (defect <= DEFAULT_TOL).all():  # also catches NaN/Inf entries
         raise NotUnitary(f"unitarity defect {np.max(defect):.3e} exceeds tol {DEFAULT_TOL:.3e}")
 
     lams = _solve_cluster(mf)
@@ -122,13 +122,15 @@ def eig3_unitary(m: np.ndarray) -> np.ndarray:
     # known error; project onto the circle, but refuse clearly broken roots
     moduli = np.abs(lams)
     off = np.abs(moduli - 1.0)
-    if not np.all(off <= 1e-6):
+    if not (off <= 1e-6).all():
         raise NumericalFailure(f"eigenvalue modulus {moduli.flat[np.argmax(off)]:.15f} is not 1")
     lams = lams / moduli
 
-    args = np.angle(lams) % _TWO_PI
+    args = np.arctan2(lams.imag, lams.real) % _TWO_PI  # np.angle(lams)
     args[_TWO_PI - args < 1e-12] = 0.0
-    return np.take_along_axis(lams, np.argsort(args, axis=-1, kind="stable"), axis=-1)
+    order = np.argsort(args, axis=-1, kind="stable")
+    order += np.arange(0, order.size, 3).reshape(order.shape[:-1] + (1,))  # flat index of each block's roots
+    return lams.take(order)
 
 
 def multiset_distance(a, b) -> float:

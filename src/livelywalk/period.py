@@ -105,8 +105,7 @@ class PeriodResult:
 
 
 def _convergent(x: float, qmax: int) -> Optional[tuple[int, int]]:
-    """(p, q) of :func:`classify_fraction`, in lowest terms, or None."""
-    _check_qmax(qmax)
+    """(p, q) of :func:`classify_fraction`, in lowest terms, or None; the caller checks qmax."""
     x = float(x) % 1.0
     if abs(x) < ANGLE_TOL or abs(x - 1.0) < ANGLE_TOL:
         return 0, 1
@@ -137,6 +136,7 @@ def classify_fraction(x: float, qmax: int = QMAX_DEFAULT) -> Optional[Fraction]:
     1/q^2) from slipping under the absolute tolerance once q is large.
     Raises OutOfRange for qmax < 1.
     """
+    _check_qmax(qmax)
     convergent = _convergent(x, qmax)
     return None if convergent is None else Fraction(*convergent)
 
@@ -149,9 +149,15 @@ def order_of_unit(lam: complex, qmax: int = QMAX_DEFAULT) -> Optional[int]:
     lowest terms).  Raises NotUnitModulus if |lam| strays from 1 by more
     than DEFAULT_TOL, and OutOfRange for qmax < 1.
     """
-    lam = complex(lam)
+    return _unit_order(complex(lam), qmax, qmax_checked=False)
+
+
+def _unit_order(lam: complex, qmax: int, qmax_checked: bool = True) -> Optional[int]:
+    """`order_of_unit` of a Python complex; qmax is checked, after |lam|, unless qmax_checked."""
     if not abs(abs(lam) - 1.0) <= DEFAULT_TOL:  # also catches NaN
         raise NotUnitModulus(f"|lambda| = {abs(lam)} is not 1 within {DEFAULT_TOL}")
+    if not qmax_checked:
+        _check_qmax(qmax)
     convergent = _convergent((math.atan2(lam.imag, lam.real) / _TWO_PI) % 1.0, qmax)
     return None if convergent is None else convergent[1]
 
@@ -180,13 +186,15 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     some eigenvalue's angle fails to classify as rational, the walk has no
     period up to the reported bound: a period T forces every order to divide
     T, and orders are detected reliably as far as the decisiveness guard
-    allows, so the bound is min(qmax, GUARANTEED_ORDER_BOUND).
+    allows, so the bound is min(qmax, GUARANTEED_ORDER_BOUND).  qmax is
+    checked once, and each eigenvalue's order is read as in `order_of_unit`:
+    its modulus checked, its angle taken by math.atan2.
     """
     _check_qmax(qmax)
     bound = min(qmax, GUARANTEED_ORDER_BOUND)
     orders = []
-    for lam in eig3_unitary(_walk.block_stack(spec)[: spec.n // 2 + 1]).flat:
-        q = order_of_unit(lam, qmax)
+    for lam in eig3_unitary(_walk.block_stack(spec)[: spec.n // 2 + 1]).ravel().tolist():
+        q = _unit_order(lam, qmax)
         if q is None:
             return PeriodResult(status="no_period_up_to", method="spectral", bound=bound)
         orders.append(q)

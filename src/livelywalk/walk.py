@@ -187,40 +187,37 @@ def write_distribution_csv(spec: WalkSpec, psi0: np.ndarray, tmax: int, stream) 
     """Rows t,position,probability for t = 0..tmax (17 significant digits).
 
     Evolves with the same matrix-free step as `evolve`, so any n >= 2 runs
-    in O(n) memory; one write per time step.  Two row templates are built
-    once per call, each with a slot for the "t," prefix before every row:
-    "v,%.17g" and "v,0", one row per vertex.  Each step finds the shortest
-    cyclic arc of vertices that holds every nonzero probability, fills that
-    arc's slice of the first template with one `%` (two when the arc wraps
-    past vertex n - 1; the same digits as f"{p:.17g}"), splices the second
-    template's rows in around it and puts the prefix into every slot.  A
-    dense state's arc is the whole cycle, so it is one `%` over all n rows.
+    in O(n) memory; one write per time step.  A list of the n rows without
+    their "t," prefix, "v,0" for every vertex, and a template of the rows
+    "v,%.17g", split by "\0", are built once per call.  Each step finds the
+    shortest cyclic arc of vertices that holds every nonzero probability,
+    fills that arc's slice of the template with one `%` (two when the arc
+    wraps past vertex n - 1; the same digits as f"{p:.17g}"), puts its rows
+    in the list in place of the zero rows, and writes the list with one
+    `str.join` that puts the prefix before every row.  A dense state's arc
+    is the whole cycle, so it is one `%` over all n rows.
     """
     psi = _checked_state(spec, psi0, tmax)
     stream.write("t,position,probability\n")
     coin, n = spec.coin.as_float(), spec.n
-    rows = [f"\0{v},%.17g\n" for v in range(n)]
+    template = [f"{v},%.17g\n" for v in range(n)]
+    filled, filled_at = "\0".join(template), [0, *itertools.accumulate(len(row) + 1 for row in template)]
     # "%.17g" % 0.0 == "0", and a probability is a sum of abs(.)**2, never
-    # -0.0, so a zero row reads the same from either template
-    filled, filled_at = "".join(rows), [0, *itertools.accumulate(map(len, rows))]
-    zeros = filled.replace("%.17g", "0")
-    zeros_at = [at - 4 * v for v, at in enumerate(filled_at)]  # its rows are 4 characters shorter
+    # -0.0, so a zero row reads the same either way
+    zeros = [row.replace("%.17g", "0") for row in template]
+    rows = zeros.copy()
     for t in range(tmax + 1):
         probs = distribution(psi)
         total = float(probs.sum())
         if not abs(total - 1.0) <= NORM_TOL:  # before indexing: rejects all-zero and NaN
             raise NotNormalized(f"probabilities at t={t} sum to {total}")
         start, stop = _support_arc(probs)
-        if stop <= n:
-            text = (zeros[: zeros_at[start]]
-                    + filled[filled_at[start] : filled_at[stop]] % tuple(probs[start:stop].tolist())
-                    + zeros[zeros_at[stop] :])
-        else:
-            stop -= n
-            text = (filled[: filled_at[stop]] % tuple(probs[:stop].tolist())
-                    + zeros[zeros_at[stop] : zeros_at[start]]
-                    + filled[filled_at[start] :] % tuple(probs[start:].tolist()))
-        stream.write(text.replace("\0", f"{t},"))
+        arcs = ((start, stop),) if stop <= n else ((0, stop - n), (start, n))
+        for lo, hi in arcs:
+            rows[lo:hi] = (filled[filled_at[lo] : filled_at[hi] - 1] % tuple(probs[lo:hi].tolist())).split("\0")
+        prefix = f"{t},"
+        stream.write(prefix + prefix.join(rows))
+        for lo, hi in arcs:
+            rows[lo:hi] = zeros[lo:hi]
         if t < tmax:
             psi = _step(coin, spec.a, psi)
-
