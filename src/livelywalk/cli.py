@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -53,13 +54,22 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _read_document(path: str, what: str, parse, parser):
-    """``parse(doc)`` of the JSON file at path; bad JSON or a rejected doc is a usage error."""
+def _read_text(path: str, what: str, parser) -> str:
+    """The text of the file at path; a file that is not UTF-8 is a usage error."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+            return fh.read()
+        except ValueError as exc:  # not UTF-8
             parser.error(f"cannot parse {what} {path}: {exc}")
+
+
+def _read_document(path: str, what: str, parse, parser, text=None):
+    """``parse(doc)`` of the JSON file at path, or of its `text` when the
+    caller has read it; bad JSON or a rejected doc is a usage error."""
+    try:
+        doc = json.loads(_read_text(path, what, parser) if text is None else text)
+    except ValueError as exc:  # not JSON
+        parser.error(f"cannot parse {what} {path}: {exc}")
     try:
         return parse(doc)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -95,7 +105,30 @@ def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
                         help="sign pair for the exact rational constructor (default ++)")
 
 
-def _parse_coin(args, parser) -> _coins.Coin3:
+#: most coins `_parse_coin` keeps; a new coin past it drops the oldest
+COIN_MEMO_CAP = 256
+#: the coins `_parse_coin` built, by their source: the coin flags, and for
+#: --matrix-file the path and the file's text
+_COIN_MEMO: dict = {}
+
+
+@dataclass
+class _CoinEntry:
+    """A coin `_parse_coin` built, with a read-only matrix, and its report
+    fragment: `coin_to_json` as `_json_text` writes it at depth 0, rendered
+    on first use."""
+
+    coin: _coins.Coin3
+
+    @functools.cached_property
+    def fragment(self) -> _Fragment:
+        return _Fragment(_json_text(_coins.coin_to_json(self.coin)))
+
+
+def _parse_coin(args, parser) -> _CoinEntry:
+    """The coin the flags name, built once per source and process: a later
+    call with the same flags, or the same coin file path and text, gets the
+    same entry, so the coin is classified and its fragment written once."""
     for flag, given, source, reader in (
         ("--negate", args.negate, "--grover", args.grover),
         ("--theta", args.theta is not None, "--family", args.family),
@@ -105,12 +138,27 @@ def _parse_coin(args, parser) -> _coins.Coin3:
     ):
         if given and reader is None:
             parser.error(f"{flag} is read only with {source}")
+    text = None if args.matrix_file is None else _read_text(args.matrix_file, "coin file", parser)
+    key = (args.perm, args.grover, args.negate, args.family, args.theta, args.theta_frac, args.rational,
+           args.signs, args.matrix_file, text)
+    entry = _COIN_MEMO.get(key)
+    if entry is None:
+        coin = _build_coin(args, parser, text)
+        coin.matrix.flags.writeable = False  # shared by every later call, as SPECIAL_COINS are
+        if len(_COIN_MEMO) >= COIN_MEMO_CAP:
+            del _COIN_MEMO[next(iter(_COIN_MEMO))]
+        entry = _COIN_MEMO[key] = _CoinEntry(coin)
+    return entry
+
+
+def _build_coin(args, parser, text) -> _coins.Coin3:
+    """The coin of the checked flags; `text` is the --matrix-file's."""
     if args.perm:
         return _coins.perm_matrix(int(args.perm[1]))
     if args.grover:
         return _coins.grover_type(int(args.grover[1]), negate=args.negate)
     if args.matrix_file is not None:
-        return _read_document(args.matrix_file, "coin file", _coins.coin_from_json, parser)
+        return _read_document(args.matrix_file, "coin file", _coins.coin_from_json, parser, text)
     if args.theta is not None:
         return _coins.coin_from_theta(args.family, args.theta)
     if args.theta_frac is not None:
@@ -135,11 +183,20 @@ _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "
                  float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v)}  # NaN, Infinity
 
 
+@dataclass(frozen=True)
+class _Fragment:
+    """A document's text as `_json_text` writes it at depth 0; `_json_text`
+    writes it as is, re-indented to the depth it is placed at."""
+
+    text: str
+
+
 def _json_text(doc, indent: str = "\n") -> str:
     """``json.dumps(doc, indent=2)``, or its TypeError, in less time: the
     stdlib uses its C encoder only when indent is None.  Each scalar's text
     is looked up by its type, and each container's items joined once.  Keys
-    must be str, as in every document the CLI writes."""
+    must be str, as in every document the CLI writes; a `_Fragment` is
+    written as its text."""
     inner, scalar, quote, items = indent + "  ", _JSON_SCALARS.get, encode_basestring_ascii, []
     if isinstance(doc, dict):
         text = "{}"
@@ -151,6 +208,8 @@ def _json_text(doc, indent: str = "\n") -> str:
         for v in doc:
             write = scalar(type(v))
             items.append(write(v) if write else _json_text(v, inner))
+    elif isinstance(doc, _Fragment):  # no JSON string holds a raw newline
+        return doc.text.replace("\n", indent)
     else:  # a scalar, a subclass of str, int or float (numpy's float64), or no JSON value
         kind = type(doc) if type(doc) in _JSON_SCALARS else next(
             (t for t in (str, int, float) if isinstance(doc, t)), None)
@@ -171,7 +230,7 @@ def _emit(text: str, args) -> None:
 
 
 def cmd_coin(args, parser) -> int:
-    coin = _parse_coin(args, parser)
+    coin = _parse_coin(args, parser).coin
     cls = _coins.classify(coin, tol=args.tol)  # a named family is checked at --tol
     coin_doc = _coins.coin_to_json(coin)  # x, y, z are its first row
     linear_sum = {"basis": cls.basis, **dict(zip("xyz", coin_doc["entries"][0]))}
@@ -205,15 +264,15 @@ def _methods_of(args, parser):
 
 
 def cmd_period(args, parser) -> int:
-    coin = _parse_coin(args, parser)
-    spec = _walk.WalkSpec(n=args.n, a=args.a, coin=coin)
+    entry = _parse_coin(args, parser)
+    spec = _walk.WalkSpec(n=args.n, a=args.a, coin=entry.coin)
     cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax, methods=_methods_of(args, parser))
-    _emit(_json_text(_period.report_json(cv)) + "\n", args)
+    _emit(_json_text(_period.report_json(cv, entry.fragment)) + "\n", args)
     return 0 if cv.agreement else 3
 
 
 def cmd_simulate(args, parser) -> int:
-    coin = _parse_coin(args, parser)
+    coin = _parse_coin(args, parser).coin
     spec = _walk.WalkSpec(n=args.n, a=args.a, coin=coin)
     if args.state_file is not None and (args.start is not None or args.coinstate is not None):
         parser.error("give either --start/--coinstate or --state-file, not both")

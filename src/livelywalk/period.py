@@ -193,7 +193,7 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     _check_qmax(qmax)
     bound = min(qmax, GUARANTEED_ORDER_BOUND)
     orders = []
-    for lam in eig3_unitary(_walk.block_stack(spec)[: spec.n // 2 + 1]).ravel().tolist():
+    for lam in eig3_unitary(_walk.block_stack(spec, spec.n // 2 + 1)).ravel().tolist():
         q = _unit_order(lam, qmax)
         if q is None:
             return PeriodResult(status="no_period_up_to", method="spectral", bound=bound)
@@ -492,6 +492,14 @@ def _contradicts(fin: PeriodResult, other: PeriodResult) -> bool:
     return other.status == "proven_infinite"
 
 
+def _guarded(method: str, run) -> PeriodResult:
+    """run(), or not_applicable by guard-exceeded when it raises GuardExceeded."""
+    try:
+        return run()
+    except GuardExceeded:
+        return PeriodResult(status="not_applicable", method=method, theorem="guard-exceeded")
+
+
 def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = QMAX_DEFAULT,
                    methods=METHODS) -> CrossValidation:
     """Run the requested methods, in order, and flag any contradiction;
@@ -504,7 +512,10 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
     those blocks up to tmax; none builds the dense operator.  A finite
     period p is contradicted by a finite period other than p, by
     proven_infinite and by no_period_up_to a bound >= p; not_applicable
-    contradicts nothing.  The results agree when none is contradicted.
+    contradicts nothing.  The results agree when none is contradicted.  A
+    method whose arrays would pass a size guard (GuardExceeded: brute force
+    at n > 38,836) reports not_applicable with theorem guard-exceeded, and
+    the other methods' results stand.
     """
     run = {"analytic": lambda: period_analytic(spec, qmax),
            "spectral": lambda: period_spectral(spec, qmax),
@@ -515,17 +526,19 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
             raise ValueError(f"unknown method {method!r}")
     if "bruteforce" in methods:
         _check_tmax(tmax)
-    results = tuple(run[method]() for method in methods)
+    results = tuple(_guarded(method, run[method]) for method in methods)
     agreement = not any(_contradicts(a, b) for a, b in itertools.permutations(results, 2))
     return CrossValidation(spec=spec, results=results, agreement=agreement)
 
 
-def report_json(cv: CrossValidation) -> dict:
-    """Period report document per the shared schema."""
+def report_json(cv: CrossValidation, coin_doc=None) -> dict:
+    """Period report document per the shared schema; `coin_doc`, when given,
+    stands in for ``coin_to_json(cv.spec.coin)`` (the CLI passes that
+    document's text, written once per coin)."""
     return {
         "n": cv.spec.n,
         "a": cv.spec.a,
-        "coin": _coins.coin_to_json(cv.spec.coin),
+        "coin": _coins.coin_to_json(cv.spec.coin) if coin_doc is None else coin_doc,
         "results": [
             {
                 "method": r.method,

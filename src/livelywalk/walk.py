@@ -4,8 +4,9 @@ State vectors live in C^3 (x) C^n with flat index c*n + v (coin-major):
 coin state 0 steps the walker to v-1, coin 1 to v+1, coin 2 jumps to v+a,
 all mod n.  The momentum blocks U_k = D_k C with D_k = diag(e^{ik}, e^{-ik},
 e^{-ika}), k = 2*pi*l/n, carry the full spectrum; `block_stack` builds all
-n of them as one (n, 3, 3) array in a single broadcast, and `spectrum`
-solves that stack with one `eig3_unitary` call.
+n of them, or the leading ones asked for, as one (n, 3, 3) array in a
+single broadcast, and `spectrum` solves that stack with one `eig3_unitary`
+call.
 
 The walk step is defined once, matrix-free: `_step` mixes the coin at
 every vertex and shifts each coin row cyclically by its move with two slice
@@ -138,21 +139,23 @@ def distribution(psi: np.ndarray) -> np.ndarray:
     return (np.abs(psi.reshape(3, n)) ** 2).sum(axis=0)
 
 
-def block_stack(spec: WalkSpec) -> np.ndarray:
-    """All n momentum blocks as one (n, 3, 3) array: entry l is U_k = D_k C at k = 2*pi*l/n.
+def block_stack(spec: WalkSpec, rows: int | None = None) -> np.ndarray:
+    """The leading `rows` momentum blocks, all n by default, as one (rows, 3, 3)
+    array: entry l is U_k = D_k C at k = 2*pi*l/n.
 
-    D_k = diag(e^{ik}, e^{-ik}, e^{-ika}) scales the rows of the coin.
+    D_k = diag(e^{ik}, e^{-ik}, e^{-ika}) scales the rows of the coin; one
+    `np.exp` over the (rows, 3) phases gives each D_k, and each entry is
+    the same bits whatever `rows` is.
     """
-    k = 2.0 * math.pi * np.arange(spec.n) / spec.n
-    phases = np.exp(np.stack([1j * k, -1j * k, -1j * k * spec.a], axis=-1))
-    return phases[:, :, None] * spec.coin.as_float()
+    k = 2.0 * math.pi * np.arange(spec.n if rows is None else rows) / spec.n
+    return np.exp(np.multiply.outer(k, (1j, -1j, -1j * spec.a)))[:, :, None] * spec.coin.as_float()
 
 
 def reduced_block(spec: WalkSpec, l: int) -> np.ndarray:
     """Momentum block U_k = D_k C at k = 2*pi*l/n, the 3x3 array `block_stack(spec)[l]`."""
     if not (0 <= l < spec.n):
         raise OutOfRange(f"block index {l} outside 0..{spec.n - 1}")
-    return block_stack(spec)[l]
+    return block_stack(spec, l + 1)[l]
 
 
 def spectrum(spec: WalkSpec) -> np.ndarray:

@@ -804,6 +804,22 @@ class TestMalformedFiles:
         assert f"coin file {path} does not match the schema" in err
 
 
+class TestGuardExceeded:
+    """Past brute force's size guard, period still reports the other methods
+    and exits 0: brute force is not_applicable by guard-exceeded."""
+
+    @pytest.mark.parametrize("methods", ["analytic,bruteforce", "analytic,spectral,bruteforce"])
+    def test_period_past_the_guard_exits_0(self, methods):
+        code, out, err = _call(("period", "--perm", "P1", "--n", "38837", "--methods", methods))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        brute = doc["results"][-1]
+        assert (brute["method"], brute["status"], brute["theorem"]) == (
+            "bruteforce", "not_applicable", "guard-exceeded")
+        assert all(r["period"] == 38837 for r in doc["results"][:-1])
+        assert doc["agreement"] is True
+
+
 class TestOutOfMemory:
     """A spec whose arrays do not fit in memory gives an error line (exit 1),
     not a traceback; the allocation is faked, never made."""

@@ -1,0 +1,150 @@
+"""The CLI builds each coin once per process, keyed by its source.
+
+`cli._parse_coin` keeps the coins it built in one bounded memo, keyed by
+the coin flags and, for --matrix-file, by the path and the file's text.
+A memoized coin's matrix is read-only, and `period` splices the coin's
+report fragment, written once, into each report.  So:
+
+* a coin file rewritten between two calls gives the new coin's report;
+* a missing, non-JSON or non-UTF-8 coin file fails the same way on every
+  call, since a failed build is never kept;
+* the memo never holds more than COIN_MEMO_CAP coins;
+* every argv of the golden CLI corpora prints the same bytes and exit code
+  when it is replayed in the same process as when the memo was empty;
+* a report with the fragment spliced in is the report without it, at any
+  depth.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+import test_golden_classify
+import test_golden_cli_errors
+import test_golden_coinfile
+import test_golden_simulate_bytes
+import test_golden_table
+from livelywalk import cli, period, walk
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _coin_argv(path):
+    return ("period", "--matrix-file", str(path), "--n", "4", "--methods", "analytic,spectral")
+
+
+PERM_P2 = {"repr": "exact", "entries": [["0/1", "1/1", "0/1"], ["0/1", "0/1", "1/1"], ["1/1", "0/1", "0/1"]]}
+PERM_P4 = {"repr": "exact", "entries": [["1/1", "0/1", "0/1"], ["0/1", "0/1", "1/1"], ["0/1", "1/1", "0/1"]]}
+
+
+def test_rewritten_coin_file_gives_the_new_coins_report(tmp_path):
+    path = tmp_path / "coin.json"
+    reports = []
+    for doc in (PERM_P2, PERM_P4, PERM_P2):
+        path.write_text(json.dumps(doc))
+        code, out, err = _call(_coin_argv(path))
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    assert [r["coin"]["entries"] for r in reports] == [d["entries"] for d in (PERM_P2, PERM_P4, PERM_P2)]
+    assert [r["results"][0]["theorem"] for r in reports] == [
+        "x-family:cyclic-permutation", "z-family:permutation-lcm", "x-family:cyclic-permutation"]
+
+
+@pytest.mark.parametrize("content, code", [
+    (None, 1),  # missing
+    (b'{"repr": "exact", "entries": [', 2),  # not JSON
+    ('{"repr": "exact", "entries": "é"}'.encode("latin-1"), 2),  # not UTF-8
+    (b'{"repr": "exact", "entries": [["1", "0"]]}', 2),  # not the schema
+    (b'{"repr": "exact", "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]}', 1),  # not orthogonal
+])
+@pytest.mark.parametrize("command", ["coin", "period"])
+def test_a_bad_coin_file_fails_alike_on_every_call(tmp_path, content, code, command):
+    path = tmp_path / "coin.json"
+    if content is not None:
+        path.write_bytes(content)
+    argv = ("coin", "--matrix-file", str(path)) if command == "coin" else _coin_argv(path)
+    calls = [_call(argv) for _ in range(3)]
+    assert calls[0][0] == code and calls[0][1] == "" and calls[0][2]
+    assert calls[1:] == calls[:1] * 2
+
+
+@pytest.mark.parametrize("source", [
+    ("--perm", "P3"), ("--grover", "P5", "--negate"), ("--family", "Y", "--theta", "0.7"),
+    ("--family", "Z", "--theta-frac", "2/7"), ("--family", "W", "--rational", "-5/2", "--signs", "+-"),
+])
+def test_a_memoized_coins_matrix_is_read_only(source):
+    args = cli.parse_args(["coin", *source])
+    coin = cli._parse_coin(args, cli.build_parser().commands["coin"]).coin
+    assert not coin.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        coin.matrix[0, 0] = 0
+    assert cli._parse_coin(args, cli.build_parser().commands["coin"]).coin is coin
+
+
+def test_a_memoized_coin_files_matrix_is_read_only(tmp_path):
+    path = tmp_path / "coin.json"
+    path.write_text(json.dumps(PERM_P4))
+    args = cli.parse_args(["coin", "--matrix-file", str(path)])
+    coin = cli._parse_coin(args, cli.build_parser().commands["coin"]).coin
+    assert not coin.matrix.flags.writeable
+
+
+def test_the_memo_never_exceeds_its_cap():
+    cli._COIN_MEMO.clear()
+    first = None
+    for i in range(cli.COIN_MEMO_CAP + 20):
+        code, out, _ = _call(("coin", "--family", "X", "--theta", repr(0.001 * i)))
+        assert code == 0 and out
+        assert len(cli._COIN_MEMO) == min(i + 1, cli.COIN_MEMO_CAP)
+        first = first or next(iter(cli._COIN_MEMO))
+    assert first not in cli._COIN_MEMO  # the oldest went first
+    assert _call(("coin", "--family", "X", "--theta", "0.0"))[0] == 0
+    assert len(cli._COIN_MEMO) == cli.COIN_MEMO_CAP
+
+
+def golden_argvs(workdir: Path) -> list[tuple]:
+    """Every argv of the golden CLI corpora: `test_fixed_cost.corpus_argvs`
+    without the benchmark workloads."""
+    out = list(test_golden_cli_errors.calls()) + list(test_golden_table.calls())
+    out += [("coin", *argv) for argv in test_golden_classify.cli_sources().values()]
+    out += [argv for _, argv in test_golden_coinfile.calls(test_golden_coinfile.write_documents(workdir))]
+    out += [argv for _, argv in test_golden_simulate_bytes.calls(workdir)]
+    return out
+
+
+def test_golden_corpora_replay_the_same_in_one_process(tmp_path):
+    argvs = golden_argvs(tmp_path)
+    assert len(argvs) > 400
+    cli._COIN_MEMO.clear()
+    first = [_call(argv) for argv in argvs]
+    assert cli._COIN_MEMO
+    for argv, want in zip(argvs, first):
+        assert _call(argv) == want, argv
+
+
+def _nested(doc, depth):
+    for _ in range(depth):
+        doc = [{"x": doc}]
+    return doc
+
+
+@pytest.mark.parametrize("source", [("--grover", "P1"), ("--family", "X", "--theta-frac", "1/5")])
+def test_the_spliced_fragment_is_the_coin_document(source):
+    args = cli.parse_args(["period", *source, "--n", "5"])
+    entry = cli._parse_coin(args, cli.build_parser().commands["period"])
+    cv = period.cross_validate(walk.WalkSpec(n=5, a=1, coin=entry.coin), methods=("spectral",))
+    plain, spliced = period.report_json(cv), period.report_json(cv, entry.fragment)
+    for depth in range(4):
+        assert cli._json_text(_nested(spliced, depth)) == json.dumps(_nested(plain, depth), indent=2)

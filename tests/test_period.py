@@ -612,6 +612,16 @@ class TestBruteForceMemoryGuard:
         with pytest.raises(GuardExceeded):
             period_bruteforce(spec_of(coins.perm_matrix(1), largest + 1), tmax=3)
 
+    def test_cross_validate_keeps_the_other_results_past_the_guard(self):
+        spec = spec_of(coins.perm_matrix(1), 38_837)
+        cv = cross_validate(spec, tmax=3)
+        assert [r.method for r in cv.results] == list(period_mod.METHODS)
+        analytic, spectral, brute = cv.results
+        assert (analytic.status, analytic.period) == ("finite", 38_837)
+        assert (spectral.status, spectral.period) == ("finite", 38_837)
+        assert brute == PeriodResult(status="not_applicable", method="bruteforce", theorem="guard-exceeded")
+        assert cv.agreement
+
     def test_peak_memory_within_chunk_budget(self):
         # at n = 20,000 a chunk holds 2 powers: the powers and the window take
         # 11.5 MB of the 16 MiB budget, and (U^t0)^dagger one power, 2.9 MB,

@@ -30,6 +30,7 @@ from livelywalk.errors import (
 )
 from livelywalk.walk import DENSE_GUARD
 
+import test_golden_spectral
 from conftest import (
     assert_same_multiset,
     dense_operator,
@@ -268,6 +269,30 @@ class TestReducedBlocks:
         for l in (-1, 7):
             with pytest.raises(OutOfRange):
                 reduced_block(spec, l)
+
+    @staticmethod
+    def stacked_blocks(spec):
+        """All n blocks by the reference np.stack formula: three phase columns, then one exp."""
+        k = 2.0 * math.pi * np.arange(spec.n) / spec.n
+        return np.exp(np.stack([1j * k, -1j * k, -1j * k * spec.a], axis=-1))[:, :, None] * spec.coin.as_float()
+
+    def test_leading_rows_are_the_full_stacks_bits(self):
+        """On the golden spectral corpus (n <= 12) and the special coins at
+        n <= 64, every a: block_stack(spec, rows) is the bits of
+        block_stack(spec)[:rows], and block_stack(spec) those of the np.stack
+        formula."""
+        corpus = [(coin, range(2, 13)) for coin in test_golden_spectral.corpus().values()]
+        corpus += [(coin, range(13, 65)) for coin in SPECIAL_COINS]
+        for coin, ns in corpus:
+            for n in ns:
+                for a in range(n // 2 + 1):
+                    spec = WalkSpec(n=n, a=a, coin=coin)
+                    full = block_stack(spec)
+                    assert full.tobytes() == self.stacked_blocks(spec).tobytes(), (n, a)
+                    for rows in (1, n // 2 + 1):
+                        part = block_stack(spec, rows)
+                        assert part.shape == (rows, 3, 3)
+                        assert part.tobytes() == full[:rows].tobytes(), (n, a, rows)
 
     def test_blocks_unitary(self, rng):
         spec = WalkSpec(n=9, a=4, coin=coins.coin_from_theta("Y", rng.uniform(0, 2 * math.pi)))
