@@ -105,10 +105,10 @@ def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
                         help="sign pair for the exact rational constructor (default ++)")
 
 
-#: most coins `_parse_coin` keeps; a new coin past it drops the oldest
+#: most coins `_memo_coin` keeps; a new coin past it drops the oldest
 COIN_MEMO_CAP = 256
-#: the coins `_parse_coin` built, by their source: the coin flags, and for
-#: --matrix-file the path and the file's text
+#: the coins built, by their source: the coin flags, and for --matrix-file
+#: the path and the file's text; for `table`, a tag, the family and the angle
 _COIN_MEMO: dict = {}
 
 
@@ -141,9 +141,15 @@ def _parse_coin(args, parser) -> _CoinEntry:
     text = None if args.matrix_file is None else _read_text(args.matrix_file, "coin file", parser)
     key = (args.perm, args.grover, args.negate, args.family, args.theta, args.theta_frac, args.rational,
            args.signs, args.matrix_file, text)
+    return _memo_coin(key, _build_coin, args, parser, text)
+
+
+def _memo_coin(key, build, *args) -> _CoinEntry:
+    """The memo's entry for key, from build(*args) on a miss; a build that
+    raises is never kept."""
     entry = _COIN_MEMO.get(key)
     if entry is None:
-        coin = _build_coin(args, parser, text)
+        coin = build(*args)
         coin.matrix.flags.writeable = False  # shared by every later call, as SPECIAL_COINS are
         if len(_COIN_MEMO) >= COIN_MEMO_CAP:
             del _COIN_MEMO[next(iter(_COIN_MEMO))]
@@ -314,21 +320,29 @@ def _theta_values(args, parser):
 
 
 def cmd_table(args, parser) -> int:
+    """Period reports, n outermost, then a, then the angle: each coin from
+    the coin memo, the spectral blocks solved in batches."""
     ns = _values(args.n_list, int, "n list", parser)
     a_values = _values(args.a_list, int, "a list", parser)
     methods = _methods_of(args, parser)
     if args.rational_grid:  # exact fractions keep the analytic route exact
-        coins = [_coins.coin_from_theta_frac(args.family, Fraction(m, q))
-                 for q in range(1, args.rational_grid + 1) for m in range(q) if math.gcd(m, q) == 1]
-    else:
-        coins = [_coins.coin_from_theta(args.family, v) for v in _theta_values(args, parser)]
+        tag, build = "table-frac", _coins.coin_from_theta_frac
+        angles = [Fraction(m, q) for q in range(1, args.rational_grid + 1) for m in range(q) if math.gcd(m, q) == 1]
+    else:  # the tags keep the angle 0.5 apart from the equal fraction 1/2
+        tag, build = "table-theta", _coins.coin_from_theta
+        angles = map(float, _theta_values(args, parser))
+    entries = [_memo_coin((tag, args.family, v), build, args.family, v) for v in angles]
+    cells = [(n, a, entry) for n in ns for a in a_values for entry in entries]
+    spectral = [(n, a, entry.coin) for n, a, entry in cells] if "spectral" in methods else []
+    solved = _period._sweep_spectra(spectral, args.qmax)
     reports = []
-    for n in ns:
-        for a in a_values:
-            for coin in coins:
-                spec = _walk.WalkSpec(n=n, a=a, coin=coin)
-                cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax, methods=methods)
-                reports.append(_period.report_json(cv))
+    for n, a, entry in cells:
+        spec, eigenvalues = next(solved, (None, None))
+        if spec is None:  # past the prefetch: built and solved spec by spec, so errors come in order
+            spec = _walk.WalkSpec(n=n, a=a, coin=entry.coin)
+        cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax, methods=methods,
+                                    eigenvalues=eigenvalues)
+        reports.append(_period.report_json(cv, entry.fragment))
     _emit(_json_text(reports) + "\n", args)
     return 0 if all(r["agreement"] for r in reports) else 3
 

@@ -13,6 +13,7 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                period is the lcm of the multiplicative orders.  The coin
                is real, so block n - l is the complex conjugate of block l
                and has the same orders: the other blocks add nothing.
+               A sweep solves many specs' blocks in one eigensolve.
 * bruteforce -- baby-step giant-step powering of the n momentum blocks:
                the baby steps U^1..U^B are built once, and the giant steps
                (U^t0)^dagger, t0 = kB, by doubling, in groups: a first
@@ -67,7 +68,8 @@ ANGLE_ACCURACY = 1e-12
 GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 #: most block powers brute force computes and checks per numpy call
 CHUNK_STEPS = 128
-#: bytes brute force's baby steps, giant steps and their temporaries may hold
+#: bytes brute force's baby steps, giant steps and their temporaries may
+#: hold, and the block stacks of one batch of `_sweep_spectra`
 CHUNK_BYTES = 16 * 2**20
 #: least bytes of giant steps brute force's first group holds: 18, 14 and 11
 #: steps at n = 3, 4 and 5, one from n = 29 on.  At small n a group screen's
@@ -176,7 +178,41 @@ _check_qmax = functools.partial(_check_bound, least=1, what="denominator bound q
 _check_tmax = functools.partial(_check_bound, least=0, what="step bound tmax")
 
 
-def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodResult:
+def _block_eigenvalues(specs) -> list:
+    """`eig3_unitary` of each spec's blocks l = 0..n//2, from one call on
+    their concatenation: the same bits as a call per spec, since each block
+    is solved on its own.  One spec, as in `period`, skips the copy."""
+    stacks = [_walk.block_stack(spec, spec.n // 2 + 1) for spec in specs]
+    if len(stacks) == 1:
+        return [eig3_unitary(stacks[0])]
+    lams, ends = eig3_unitary(np.concatenate(stacks)), itertools.accumulate(map(len, stacks))
+    return [lams[end - len(stack):end] for stack, end in zip(stacks, ends)]
+
+
+def _sweep_spectra(cells, qmax: int):
+    """Yield (spec, its `_block_eigenvalues` entry) for the leading (n, a,
+    coin) `cells`, solved in batches whose half stacks fit CHUNK_BYTES
+    together, a larger spec alone.  A prefetch that never raises: a bad
+    qmax, a WalkSpec or a solve that raises ends it, so a caller that builds
+    and solves each later spec itself raises what a spec-by-spec loop
+    raises, in order."""
+    batch, size = [], 0
+    try:
+        _check_qmax(qmax)
+        for n, a, coin in cells:
+            half = (n // 2 + 1) * 9 * np.dtype(complex).itemsize
+            if batch and size + half > CHUNK_BYTES:
+                yield from zip(batch, _block_eigenvalues(batch))
+                batch, size = [], 0
+            batch.append(_walk.WalkSpec(n=n, a=a, coin=coin))
+            size += half
+        if batch:
+            yield from zip(batch, _block_eigenvalues(batch))
+    except Exception:  # raised again where the caller's own loop reaches it
+        return
+
+
+def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=None) -> PeriodResult:
     """Period as the lcm of the eigenvalue orders over the momentum blocks.
 
     Only blocks l = 0..n//2 are solved: `WalkSpec` admits real coins only,
@@ -188,12 +224,16 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT) -> PeriodRes
     T, and orders are detected reliably as far as the decisiveness guard
     allows, so the bound is min(qmax, GUARANTEED_ORDER_BOUND).  qmax is
     checked once, and each eigenvalue's order is read as in `order_of_unit`:
-    its modulus checked, its angle taken by math.atan2.
+    its modulus checked, its angle taken by math.atan2.  `eigenvalues` is
+    the spec's entry of `_block_eigenvalues` when it was solved in a batch;
+    by default the spec is a batch of its own.
     """
     _check_qmax(qmax)
     bound = min(qmax, GUARANTEED_ORDER_BOUND)
+    if eigenvalues is None:
+        (eigenvalues,) = _block_eigenvalues([spec])
     orders = []
-    for lam in eig3_unitary(_walk.block_stack(spec, spec.n // 2 + 1)).ravel().tolist():
+    for lam in eigenvalues.ravel().tolist():
         q = _unit_order(lam, qmax)
         if q is None:
             return PeriodResult(status="no_period_up_to", method="spectral", bound=bound)
@@ -501,7 +541,7 @@ def _guarded(method: str, run) -> PeriodResult:
 
 
 def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = QMAX_DEFAULT,
-                   methods=METHODS) -> CrossValidation:
+                   methods=METHODS, eigenvalues=None) -> CrossValidation:
     """Run the requested methods, in order, and flag any contradiction;
     ValueError, before any method runs, for a name not in METHODS, and
     OutOfRange, also before any runs, for a tmax that is not an integer >= 0
@@ -515,10 +555,10 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
     contradicts nothing.  The results agree when none is contradicted.  A
     method whose arrays would pass a size guard (GuardExceeded: brute force
     at n > 38,836) reports not_applicable with theorem guard-exceeded, and
-    the other methods' results stand.
+    the other methods' results stand; `eigenvalues` goes to `period_spectral`.
     """
     run = {"analytic": lambda: period_analytic(spec, qmax),
-           "spectral": lambda: period_spectral(spec, qmax),
+           "spectral": lambda: period_spectral(spec, qmax, eigenvalues),
            "bruteforce": lambda: period_bruteforce(spec, tmax)}
     methods = tuple(methods)
     for method in methods:
