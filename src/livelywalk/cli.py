@@ -114,7 +114,7 @@ _COIN_MEMO: dict = {}
 
 @dataclass
 class _CoinEntry:
-    """A coin `_parse_coin` built, with a read-only matrix, and its report
+    """A coin `_memo_coin` kept, with a read-only matrix, and its report
     fragment: `coin_to_json` as `_json_text` writes it at depth 0, rendered
     on first use."""
 
@@ -141,19 +141,19 @@ def _parse_coin(args, parser) -> _CoinEntry:
     text = None if args.matrix_file is None else _read_text(args.matrix_file, "coin file", parser)
     key = (args.perm, args.grover, args.negate, args.family, args.theta, args.theta_frac, args.rational,
            args.signs, args.matrix_file, text)
-    return _memo_coin(key, _build_coin, args, parser, text)
+    return _memo_coin(_COIN_MEMO, key, _build_coin, args, parser, text)
 
 
-def _memo_coin(key, build, *args) -> _CoinEntry:
-    """The memo's entry for key, from build(*args) on a miss; a build that
+def _memo_coin(memo: dict, key, build, *args) -> _CoinEntry:
+    """memo's entry for key, from build(*args) on a miss; a build that
     raises is never kept."""
-    entry = _COIN_MEMO.get(key)
+    entry = memo.get(key)
     if entry is None:
         coin = build(*args)
         coin.matrix.flags.writeable = False  # shared by every later call, as SPECIAL_COINS are
-        if len(_COIN_MEMO) >= COIN_MEMO_CAP:
-            del _COIN_MEMO[next(iter(_COIN_MEMO))]
-        entry = _COIN_MEMO[key] = _CoinEntry(coin)
+        if len(memo) >= COIN_MEMO_CAP:
+            del memo[next(iter(memo))]
+        entry = memo[key] = _CoinEntry(coin)
     return entry
 
 
@@ -320,8 +320,6 @@ def _theta_values(args, parser):
 
 
 def cmd_table(args, parser) -> int:
-    """Period reports, n outermost, then a, then the angle: each coin from
-    the coin memo, the spectral blocks solved in batches."""
     ns = _values(args.n_list, int, "n list", parser)
     a_values = _values(args.a_list, int, "a list", parser)
     methods = _methods_of(args, parser)
@@ -330,8 +328,9 @@ def cmd_table(args, parser) -> int:
         angles = [Fraction(m, q) for q in range(1, args.rational_grid + 1) for m in range(q) if math.gcd(m, q) == 1]
     else:  # the tags keep the angle 0.5 apart from the equal fraction 1/2
         tag, build = "table-theta", _coins.coin_from_theta
-        angles = map(float, _theta_values(args, parser))
-    entries = [_memo_coin((tag, args.family, v), build, args.family, v) for v in angles]
+        angles = [float(v) for v in _theta_values(args, parser)]
+    memo = _COIN_MEMO if len(angles) <= COIN_MEMO_CAP else {}  # a larger sweep would flush the memo
+    entries = [_memo_coin(memo, (tag, args.family, v), build, args.family, v) for v in angles]
     cells = [(n, a, entry) for n in ns for a in a_values for entry in entries]
     spectral = [(n, a, entry.coin) for n, a, entry in cells] if "spectral" in methods else []
     solved = _period._sweep_spectra(spectral, args.qmax)

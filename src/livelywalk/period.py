@@ -68,8 +68,7 @@ ANGLE_ACCURACY = 1e-12
 GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 #: most block powers brute force computes and checks per numpy call
 CHUNK_STEPS = 128
-#: bytes brute force's baby steps, giant steps and their temporaries may
-#: hold, and the block stacks of one batch of `_sweep_spectra`
+#: bytes brute force's baby steps, giant steps and temporaries, or one sweep batch's stacks, may hold
 CHUNK_BYTES = 16 * 2**20
 #: least bytes of giant steps brute force's first group holds: 18, 14 and 11
 #: steps at n = 3, 4 and 5, one from n = 29 on.  At small n a group screen's
@@ -178,36 +177,32 @@ _check_qmax = functools.partial(_check_bound, least=1, what="denominator bound q
 _check_tmax = functools.partial(_check_bound, least=0, what="step bound tmax")
 
 
-def _block_eigenvalues(specs) -> list:
-    """`eig3_unitary` of each spec's blocks l = 0..n//2, from one call on
-    their concatenation: the same bits as a call per spec, since each block
-    is solved on its own.  One spec, as in `period`, skips the copy."""
-    stacks = [_walk.block_stack(spec, spec.n // 2 + 1) for spec in specs]
-    if len(stacks) == 1:
-        return [eig3_unitary(stacks[0])]
+def _block_eigenvalues(stacks) -> list:
+    """`eig3_unitary` of each block stack, by one call on their concatenation:
+    the same bits as a call per stack, since each block is solved alone."""
     lams, ends = eig3_unitary(np.concatenate(stacks)), itertools.accumulate(map(len, stacks))
     return [lams[end - len(stack):end] for stack, end in zip(stacks, ends)]
 
 
 def _sweep_spectra(cells, qmax: int):
-    """Yield (spec, its `_block_eigenvalues` entry) for the leading (n, a,
-    coin) `cells`, solved in batches whose half stacks fit CHUNK_BYTES
-    together, a larger spec alone.  A prefetch that never raises: a bad
-    qmax, a WalkSpec or a solve that raises ends it, so a caller that builds
-    and solves each later spec itself raises what a spec-by-spec loop
-    raises, in order."""
-    batch, size = [], 0
+    """Yield (spec, its blocks l = 0..n//2's eigenvalues) for the leading
+    (n, a, coin) `cells`, in batches whose stacks fit CHUNK_BYTES together.
+    Never raises: a bad qmax, a WalkSpec or a solve that raises ends it, and
+    the caller's spec-by-spec loop raises it again, in order."""
+    specs, stacks, size = [], [], 0
     try:
         _check_qmax(qmax)
         for n, a, coin in cells:
-            half = (n // 2 + 1) * 9 * np.dtype(complex).itemsize
-            if batch and size + half > CHUNK_BYTES:
-                yield from zip(batch, _block_eigenvalues(batch))
-                batch, size = [], 0
-            batch.append(_walk.WalkSpec(n=n, a=a, coin=coin))
-            size += half
-        if batch:
-            yield from zip(batch, _block_eigenvalues(batch))
+            spec = _walk.WalkSpec(n=n, a=a, coin=coin)
+            stack = _walk.block_stack(spec, n // 2 + 1)
+            if stacks and size + stack.nbytes > CHUNK_BYTES:
+                yield from zip(specs, _block_eigenvalues(stacks))
+                specs, stacks, size = [], [], 0
+            specs.append(spec)
+            stacks.append(stack)
+            size += stack.nbytes
+        if specs:
+            yield from zip(specs, _block_eigenvalues(stacks))
     except Exception:  # raised again where the caller's own loop reaches it
         return
 
@@ -224,14 +219,13 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=
     T, and orders are detected reliably as far as the decisiveness guard
     allows, so the bound is min(qmax, GUARANTEED_ORDER_BOUND).  qmax is
     checked once, and each eigenvalue's order is read as in `order_of_unit`:
-    its modulus checked, its angle taken by math.atan2.  `eigenvalues` is
-    the spec's entry of `_block_eigenvalues` when it was solved in a batch;
-    by default the spec is a batch of its own.
+    its modulus checked, its angle taken by math.atan2.  `eigenvalues` are
+    the blocks' when a sweep solved them; by default it is a batch of one.
     """
     _check_qmax(qmax)
     bound = min(qmax, GUARANTEED_ORDER_BOUND)
     if eigenvalues is None:
-        (eigenvalues,) = _block_eigenvalues([spec])
+        (eigenvalues,) = _block_eigenvalues([_walk.block_stack(spec, spec.n // 2 + 1)])
     orders = []
     for lam in eigenvalues.ravel().tolist():
         q = _unit_order(lam, qmax)

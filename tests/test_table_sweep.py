@@ -18,6 +18,7 @@ route's blocks in batches (`period._sweep_spectra`), several specs per
 
 import contextlib
 import io
+import json
 import math
 import textwrap
 from fractions import Fraction
@@ -94,10 +95,11 @@ def test_the_batched_eigensolve_is_bitwise_the_per_spec_one():
     specs = [walk.WalkSpec(n=n, a=a, coin=coin) for coin in test_golden_spectral.corpus().values()
              for n in N_RANGE for a in range(n // 2 + 1)]
     assert len(specs) == 5452
-    batched = period._block_eigenvalues(specs)
+    stacks = [walk.block_stack(spec, spec.n // 2 + 1) for spec in specs]
+    batched = period._block_eigenvalues(stacks)
     assert len(batched) == len(specs)
-    for spec, lams in zip(specs, batched):
-        alone = eig3_unitary(walk.block_stack(spec, spec.n // 2 + 1))
+    for spec, stack, lams in zip(specs, stacks, batched):
+        alone = eig3_unitary(stack)
         assert lams.shape == alone.shape and lams.tobytes() == alone.tobytes(), spec
 
 
@@ -149,6 +151,15 @@ def test_a_sweep_builds_each_coin_once_per_process(monkeypatch, angles):
     # coin_from_theta_frac builds through coin_from_theta
     monkeypatch.setattr(coins, "coin_from_theta", lambda *args: pytest.fail("a memoized coin was built again"))
     assert _call(argv) == first
+
+
+def test_a_sweep_of_more_coins_than_the_cap_leaves_the_memo_alone():
+    _call(("period", "--family", "X", "--theta", "0.25", "--n", "3"))
+    kept = list(cli._COIN_MEMO.items())
+    grid = f"0:1:{cli.COIN_MEMO_CAP + 1}"
+    code, out, err = _call(("table", "--family", "Z", "--theta-grid", grid, "--n-list", "3", "--methods", "analytic"))
+    assert code in (0, 3) and err == "" and len(json.loads(out)) == cli.COIN_MEMO_CAP + 1
+    assert list(cli._COIN_MEMO.items()) == kept
 
 
 def test_an_angle_and_the_equal_fraction_are_different_coins():
