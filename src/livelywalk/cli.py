@@ -331,17 +331,9 @@ def cmd_table(args, parser) -> int:
         angles = [float(v) for v in _theta_values(args, parser)]
     memo = _COIN_MEMO if len(angles) <= COIN_MEMO_CAP else {}  # a larger sweep would flush the memo
     entries = [_memo_coin(memo, (tag, args.family, v), build, args.family, v) for v in angles]
-    cells = [(n, a, entry) for n in ns for a in a_values for entry in entries]
-    spectral = [(n, a, entry.coin) for n, a, entry in cells] if "spectral" in methods else []
-    solved = _period._sweep_spectra(spectral, args.qmax)
-    reports = []
-    for n, a, entry in cells:
-        spec, eigenvalues = next(solved, (None, None))
-        if spec is None:  # past the prefetch: built and solved spec by spec, so errors come in order
-            spec = _walk.WalkSpec(n=n, a=a, coin=entry.coin)
-        cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax, methods=methods,
-                                    eigenvalues=eigenvalues)
-        reports.append(_period.report_json(cv, entry.fragment))
+    cells = [(n, a, entry.coin) for n in ns for a in a_values for entry in entries]
+    cvs = _period._sweep(cells, args.tmax, args.qmax, methods)  # the coins vary fastest, as in `entries`
+    reports = [_period.report_json(cv, e.fragment) for cv, e in zip(cvs, entries * len(ns) * len(a_values))]
     _emit(_json_text(reports) + "\n", args)
     return 0 if all(r["agreement"] for r in reports) else 3
 
@@ -450,7 +442,8 @@ def _glue_signs(argv: list) -> list:
     out = []
     for arg in argv:
         if out and ((out[-1] == "--signs" and arg in SIGN_PAIRS) or (
-                out[-1] in ("--rational", "--theta-frac", "--theta", "--theta-list", "--theta-grid")
+                out[-1] in ("--rational", "--theta-frac", "--theta", "--theta-list", "--theta-grid", "--n-list",
+                            "--a-list")
                 and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789.")):
             out[-1] = f"{out[-1]}={arg}"
         else:

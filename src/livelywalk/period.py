@@ -13,7 +13,7 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                period is the lcm of the multiplicative orders.  The coin
                is real, so block n - l is the complex conjugate of block l
                and has the same orders: the other blocks add nothing.
-               A sweep solves many specs' blocks in one eigensolve.
+               A sweep solves its specs' blocks in CHUNK_BYTES batches.
 * bruteforce -- baby-step giant-step powering of the n momentum blocks:
                the baby steps U^1..U^B are built once, and the giant steps
                (U^t0)^dagger, t0 = kB, by doubling, in groups: a first
@@ -184,27 +184,19 @@ def _block_eigenvalues(stacks) -> list:
     return [lams[end - len(stack):end] for stack, end in zip(stacks, ends)]
 
 
-def _sweep_spectra(cells, qmax: int):
-    """Yield (spec, its blocks l = 0..n//2's eigenvalues) for the leading
-    (n, a, coin) `cells`, in batches whose stacks fit CHUNK_BYTES together.
-    Never raises: a bad qmax, a WalkSpec or a solve that raises ends it, and
-    the caller's spec-by-spec loop raises it again, in order."""
-    specs, stacks, size = [], [], 0
-    try:
-        _check_qmax(qmax)
-        for n, a, coin in cells:
-            spec = _walk.WalkSpec(n=n, a=a, coin=coin)
-            stack = _walk.block_stack(spec, n // 2 + 1)
-            if stacks and size + stack.nbytes > CHUNK_BYTES:
-                yield from zip(specs, _block_eigenvalues(stacks))
-                specs, stacks, size = [], [], 0
-            specs.append(spec)
-            stacks.append(stack)
-            size += stack.nbytes
-        if specs:
-            yield from zip(specs, _block_eigenvalues(stacks))
-    except Exception:  # raised again where the caller's own loop reaches it
-        return
+def _spectra(specs):
+    """Yield each spec's blocks l = 0..n//2's eigenvalues, in order, by one `_block_eigenvalues`
+    call per batch of specs whose stacks fit CHUNK_BYTES together, or of one larger spec."""
+    stacks, size = [], 0
+    for spec in specs:
+        stack = _walk.block_stack(spec, spec.n // 2 + 1)
+        if stacks and size + stack.nbytes > CHUNK_BYTES:
+            yield from _block_eigenvalues(stacks)
+            stacks, size = [], 0
+        stacks.append(stack)
+        size += stack.nbytes
+    if stacks:
+        yield from _block_eigenvalues(stacks)
 
 
 def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=None) -> PeriodResult:
@@ -563,6 +555,20 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
     results = tuple(_guarded(method, run[method]) for method in methods)
     agreement = not any(_contradicts(a, b) for a, b in itertools.permutations(results, 2))
     return CrossValidation(spec=spec, results=results, agreement=agreement)
+
+
+def _sweep(cells, tmax: int, qmax: int, methods) -> list:
+    """`cross_validate` of each (n, a, coin) of the list `cells`, in order, for
+    known `methods`, the spectral blocks solved by `_spectra`.  Before any
+    method runs, a sweep of cells checks tmax if bruteforce is asked for, then
+    qmax if analytic or spectral is, then builds every spec: the first bad cell raises."""
+    if cells and "bruteforce" in methods:
+        _check_tmax(tmax)
+    if cells and {"analytic", "spectral"} & set(methods):
+        _check_qmax(qmax)
+    specs = [_walk.WalkSpec(n=n, a=a, coin=coin) for n, a, coin in cells]
+    spectra = _spectra(specs) if "spectral" in methods else itertools.repeat(None)
+    return [cross_validate(spec, tmax, qmax, methods, lams) for spec, lams in zip(specs, spectra)]
 
 
 def report_json(cv: CrossValidation, coin_doc=None) -> dict:

@@ -359,6 +359,17 @@ class TestTableCommand:
         assert out == ""
         assert "cannot parse a list 'q'" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-list", "-3,4", "cycle length must be >= 2, got -3"),
+        ("--a-list", "-1,0", "liveliness must satisfy 0 <= a <= n//2, got a=-1"),
+    ])
+    def test_negative_first_list_entry_is_domain_error(self, flag, value, message):
+        # read as the flag's value, as --flag=value is, not as a missing argument
+        head = ("table", "--family", "X", "--theta-list", "1")
+        tail = () if flag == "--n-list" else ("--n-list", "3")
+        for argv in ((*head, flag, value, *tail), (*head, f"{flag}={value}", *tail)):
+            assert _call(argv) == (1, "", f"error: {message}\n"), argv
+
     def test_missing_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["table", "--family", "X", "--n-list", "3"])

@@ -1,8 +1,8 @@
 """A `table` sweep prints, row for row, what `period` prints for each spec.
 
-`cli.cmd_table` takes its coins from the coin memo and solves the spectral
-route's blocks in batches (`period._sweep_spectra`), several specs per
-`eig3_unitary` call.  So:
+`cli.cmd_table` takes its coins from the coin memo and hands its cells to
+`period._sweep`, which solves the spectral route's blocks in batches
+(`period._spectra`), several specs per `eig3_unitary` call.  So:
 
 * every row of a sweep is byte for byte the `period` report of its spec,
   over mixed n = 2..12, every valid a, the default methods and each single
@@ -12,8 +12,9 @@ route's blocks in batches (`period._sweep_spectra`), several specs per
   spectral corpus, with every n in one batch;
 * a CHUNK_BYTES small enough to split each sweep into many batches leaves
   the output bytes as they were;
-* a sweep that fails part-way prints the error, and exits with the code,
-  that the spec-by-spec loop it replaced gave.
+* a sweep that fails prints the error, and exits with the code, of one
+  rule: first a bad bound, then the first bad cell, both before any method
+  runs; a solver failure fails the sweep at its batch.
 """
 
 import contextlib
@@ -197,6 +198,13 @@ FAILING = [
      "error: theta must be finite, got nan\n"),
     (("table", "--family", "Y", "--theta-list", "0.5,1", "--n-list", "3,1,4", "--methods", "spectral"),
      "error: cycle length must be >= 2, got 1\n"),
+    # an invalid first cell and a bad bound: the bound the methods read comes first
+    (("table", "--family", "X", "--rational-grid", "3", "--n-list", "1,3", "--qmax", "0"),
+     "error: denominator bound qmax must be >= 1, got 0\n"),
+    (("table", "--family", "X", "--rational-grid", "3", "--n-list", "1,3", "--tmax", "-1"),
+     "error: step bound tmax must be >= 0, got -1\n"),
+    (("table", "--family", "X", "--rational-grid", "3", "--n-list", "1,3", "--qmax", "0", "--methods", "bruteforce"),
+     "error: cycle length must be >= 2, got 1\n"),
 ]
 
 
@@ -204,6 +212,18 @@ FAILING = [
 def test_a_sweep_that_fails_part_way_fails_as_before(argv, stderr):
     assert _call(argv) == (1, "", stderr)
     assert _call(argv) == (1, "", stderr)  # the second call finds its coins in the memo
+
+
+def test_a_sweep_with_an_invalid_last_cell_runs_no_method(monkeypatch):
+    for name in ("period_analytic", "period_spectral", "period_bruteforce"):
+        monkeypatch.setattr(period, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    argv = ("table", "--family", "X", "--rational-grid", "3", "--n-list", "4,3", "--a-list", "0,2")
+    assert _call(argv) == (1, "", "error: liveliness must satisfy 0 <= a <= n//2, got a=2\n")
+
+
+def test_a_sweep_of_no_cells_reads_no_bound():
+    argv = ("table", "--family", "X", "--theta-list", "1", "--n-list", ",", "--qmax", "0", "--tmax", "-1")
+    assert _call(argv) == (0, "[]\n", "")
 
 
 #: the sweep whose third spec's blocks the solver refuses: X at theta/2pi =
@@ -227,6 +247,6 @@ def test_a_solver_failure_on_the_third_spec_fails_as_before(monkeypatch, methods
 
     monkeypatch.setattr(period, "eig3_unitary", refusing)
     assert _call(argv) == (1, "", "error: eigenvalue modulus 0.5 is not 1\n")
-    # the batch of all eight specs, four at n = 3 and four at n = 4, then
-    # specs 1, 2 and 3 on their own
-    assert solves == [(4 * 2 + 4 * 3, True), (2, False), (2, False), (2, True)]
+    # one batch of all eight specs, four at n = 3 and four at n = 4, and no
+    # solve after it
+    assert solves == [(20, True)]
