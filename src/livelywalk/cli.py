@@ -105,16 +105,13 @@ def _add_coin_spec(parser: argparse.ArgumentParser) -> None:
                         help="sign pair for the exact rational constructor (default ++)")
 
 
-#: most coins `_memo_coin` keeps; a new coin past it drops the oldest
+#: most coins `_coin_entry` keeps; a new coin past it drops the least recently used
 COIN_MEMO_CAP = 256
-#: the coins built, by their source: the coin flags, and for --matrix-file
-#: the path and the file's text; for `table`, a tag, the family and the angle
-_COIN_MEMO: dict = {}
 
 
 @dataclass
 class _CoinEntry:
-    """A coin `_memo_coin` kept, with a read-only matrix, and its report
+    """A coin `_coin_entry` kept, with a read-only matrix, and its report
     fragment: `coin_to_json` as `_json_text` writes it at depth 0, rendered
     on first use."""
 
@@ -123,6 +120,16 @@ class _CoinEntry:
     @functools.cached_property
     def fragment(self) -> _Fragment:
         return _Fragment(_json_text(_coins.coin_to_json(self.coin)))
+
+
+@functools.lru_cache(maxsize=COIN_MEMO_CAP, typed=True)
+def _coin_entry(build, *key) -> _CoinEntry:
+    """The entry of build(*key)'s coin, built once per key; a build that
+    raises is never kept.  `build` is a cli function, so a rebound `coins`
+    constructor keeps the key; `typed` keeps the angle 0.5 apart from 1/2."""
+    coin = build(*key)
+    coin.matrix.flags.writeable = False  # shared by every later call, as SPECIAL_COINS are
+    return _CoinEntry(coin)
 
 
 def _parse_coin(args, parser) -> _CoinEntry:
@@ -139,48 +146,43 @@ def _parse_coin(args, parser) -> _CoinEntry:
         if given and reader is None:
             parser.error(f"{flag} is read only with {source}")
     text = None if args.matrix_file is None else _read_text(args.matrix_file, "coin file", parser)
-    key = (args.perm, args.grover, args.negate, args.family, args.theta, args.theta_frac, args.rational,
-           args.signs, args.matrix_file, text)
-    return _memo_coin(_COIN_MEMO, key, _build_coin, args, parser, text)
+    return _coin_entry(_build_coin, parser, args.perm, args.grover, args.negate, args.family, args.theta,
+                       args.theta_frac, args.rational, args.signs, args.matrix_file, text)
 
 
-def _memo_coin(memo: dict, key, build, *args) -> _CoinEntry:
-    """memo's entry for key, from build(*args) on a miss; a build that
-    raises is never kept."""
-    entry = memo.get(key)
-    if entry is None:
-        coin = build(*args)
-        coin.matrix.flags.writeable = False  # shared by every later call, as SPECIAL_COINS are
-        if len(memo) >= COIN_MEMO_CAP:
-            del memo[next(iter(memo))]
-        entry = memo[key] = _CoinEntry(coin)
-    return entry
-
-
-def _build_coin(args, parser, text) -> _coins.Coin3:
-    """The coin of the checked flags; `text` is the --matrix-file's."""
-    if args.perm:
-        return _coins.perm_matrix(int(args.perm[1]))
-    if args.grover:
-        return _coins.grover_type(int(args.grover[1]), negate=args.negate)
-    if args.matrix_file is not None:
-        return _read_document(args.matrix_file, "coin file", _coins.coin_from_json, parser, text)
-    if args.theta is not None:
-        return _coins.coin_from_theta(args.family, args.theta)
-    if args.theta_frac is not None:
+def _build_coin(parser, perm, grover, negate, family, theta, theta_frac, rational, signs, matrix_file,
+                text) -> _coins.Coin3:
+    """The coin of the checked flags; `text` is the --matrix-file's, and a
+    bad value is a usage error of `parser`'s command."""
+    if perm:
+        return _coins.perm_matrix(int(perm[1]))
+    if grover:
+        return _coins.grover_type(int(grover[1]), negate=negate)
+    if matrix_file is not None:
+        return _read_document(matrix_file, "coin file", _coins.coin_from_json, parser, text)
+    if theta is not None:
+        return _coins.coin_from_theta(family, theta)
+    if theta_frac is not None:
         try:
-            frac = Fraction(args.theta_frac)
+            frac = Fraction(theta_frac)
         except (ValueError, ZeroDivisionError):
-            parser.error(f"cannot parse --theta-frac {args.theta_frac!r} as M/Q")
-        return _coins.coin_from_theta_frac(args.family, frac)
-    if args.rational is None:
+            parser.error(f"cannot parse --theta-frac {theta_frac!r} as M/Q")
+        return _coins.coin_from_theta_frac(family, frac)
+    if rational is None:
         parser.error("--family needs one of --theta, --theta-frac, --rational")
     try:
-        r = Fraction(args.rational)
+        r = Fraction(rational)
     except (ValueError, ZeroDivisionError):
-        parser.error(f"cannot parse --rational {args.rational!r} as a rational number")
-    s1, s2 = (1 if sign == "+" else -1 for sign in args.signs or "++")
-    return _coins.coin_from_rational(args.family, r, s1, s2)
+        parser.error(f"cannot parse --rational {rational!r} as a rational number")
+    s1, s2 = (1 if sign == "+" else -1 for sign in signs or "++")
+    return _coins.coin_from_rational(family, r, s1, s2)
+
+
+def _table_coin(family: str, angle) -> _coins.Coin3:
+    """The coin of a `table` angle: theta/2pi for a Fraction, theta for a float."""
+    if isinstance(angle, Fraction):
+        return _coins.coin_from_theta_frac(family, angle)
+    return _coins.coin_from_theta(family, angle)
 
 
 #: the text json.dumps writes for each scalar type
@@ -270,23 +272,22 @@ def _methods_of(args, parser):
 
 
 def cmd_period(args, parser) -> int:
+    methods = _methods_of(args, parser)
     entry = _parse_coin(args, parser)
-    spec = _walk.WalkSpec(n=args.n, a=args.a, coin=entry.coin)
-    cv = _period.cross_validate(spec, tmax=args.tmax, qmax=args.qmax, methods=_methods_of(args, parser))
+    (cv,) = _period._sweep([(args.n, args.a, entry.coin)], args.tmax, args.qmax, methods)
     _emit(_json_text(_period.report_json(cv, entry.fragment)) + "\n", args)
     return 0 if cv.agreement else 3
 
 
 def cmd_simulate(args, parser) -> int:
-    coin = _parse_coin(args, parser).coin
-    spec = _walk.WalkSpec(n=args.n, a=args.a, coin=coin)
     if args.state_file is not None and (args.start is not None or args.coinstate is not None):
         parser.error("give either --start/--coinstate or --state-file, not both")
+    if args.state_file is None and (args.start is None or args.coinstate is None):
+        parser.error("simulate needs --start and --coinstate, or --state-file")
+    spec = _walk.WalkSpec(n=args.n, a=args.a, coin=_parse_coin(args, parser).coin)
     if args.state_file is not None:
         psi0 = _read_document(args.state_file, "state file", _state_from_json, parser)
     else:
-        if args.start is None or args.coinstate is None:
-            parser.error("simulate needs --start and --coinstate, or --state-file")
         psi0 = _walk.basis_state(spec.n, args.start, args.coinstate)
     _walk._checked_state(spec, psi0, args.tmax)  # before --output opens: a failed call leaves it intact
     with _output(args) as out:  # written one time step at a time
@@ -324,13 +325,10 @@ def cmd_table(args, parser) -> int:
     a_values = _values(args.a_list, int, "a list", parser)
     methods = _methods_of(args, parser)
     if args.rational_grid:  # exact fractions keep the analytic route exact
-        tag, build = "table-frac", _coins.coin_from_theta_frac
         angles = [Fraction(m, q) for q in range(1, args.rational_grid + 1) for m in range(q) if math.gcd(m, q) == 1]
-    else:  # the tags keep the angle 0.5 apart from the equal fraction 1/2
-        tag, build = "table-theta", _coins.coin_from_theta
+    else:
         angles = [float(v) for v in _theta_values(args, parser)]
-    memo = _COIN_MEMO if len(angles) <= COIN_MEMO_CAP else {}  # a larger sweep would flush the memo
-    entries = [_memo_coin(memo, (tag, args.family, v), build, args.family, v) for v in angles]
+    entries = [_coin_entry(_table_coin, args.family, v) for v in angles]
     cells = [(n, a, entry.coin) for n in ns for a in a_values for entry in entries]
     cvs = _period._sweep(cells, args.tmax, args.qmax, methods)  # the coins vary fastest, as in `entries`
     reports = [_period.report_json(cv, e.fragment) for cv, e in zip(cvs, entries * len(ns) * len(a_values))]

@@ -703,6 +703,8 @@ class TestMethodsList:
     ])
     @pytest.mark.parametrize("command", [
         ("period", "--grover", "P1", "--n", "3"),
+        ("period", "--grover", "P1", "--n", "1"),  # checked before the cell
+        ("period", "--family", "X", "--theta", "nan", "--n", "3"),  # and before the coin
         ("table", "--family", "X", "--theta-list", "1.0", "--n-list", "3"),
         ("table", "--family", "X", "--theta-list", "1.0", "--n-list", ","),  # empty sweep
     ])

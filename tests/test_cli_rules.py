@@ -44,6 +44,11 @@ class TestEitherOrGroups:
         (("table", "--family", "X", "--n-list", "3"),
          "one of the arguments --theta-list --theta-grid --rational-grid is required"),
         (("coin", "--family", "X"), "--family needs one of --theta, --theta-frac, --rational"),
+        # the state flags are checked before the coin and the spec
+        (("simulate", "--perm", "P1", "--n", "1", "--start", "0", "--tmax", "2"),
+         "simulate needs --start and --coinstate, or --state-file"),
+        (("simulate", "--perm", "P1", "--n", "3", "--a", "5", "--state-file", "x.json", "--start", "0", "--tmax", "2"),
+         "give either --start/--coinstate or --state-file, not both"),
     ])
     def test_group_messages(self, capsys, argv, message):
         code, out, err = _run(capsys, *argv)

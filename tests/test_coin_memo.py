@@ -1,14 +1,17 @@
 """The CLI builds each coin once per process, keyed by its source.
 
-`cli._parse_coin` keeps the coins it built in one bounded memo, keyed by
-the coin flags and, for --matrix-file, by the path and the file's text.
-A memoized coin's matrix is read-only, and `period` splices the coin's
-report fragment, written once, into each report.  So:
+`cli._coin_entry` is the one coin memo, a `functools.lru_cache` of
+COIN_MEMO_CAP coins.  `cli._parse_coin` keys it by the coin flags and,
+for --matrix-file, by the path and the file's text; `table` keys it by
+the family and each angle.  A memoized coin's matrix is read-only, and
+`period` and `table` splice the coin's report fragment, written once,
+into each report.  So:
 
 * a coin file rewritten between two calls gives the new coin's report;
 * a missing, non-JSON or non-UTF-8 coin file fails the same way on every
   call, since a failed build is never kept;
-* the memo never holds more than COIN_MEMO_CAP coins;
+* the memo never holds more than COIN_MEMO_CAP coins, and drops the least
+  recently used first;
 * every argv of the golden CLI corpora prints the same bytes and exit code
   when it is replayed in the same process as when the memo was empty;
 * a report with the fragment spliced in is the report without it, at any
@@ -102,16 +105,23 @@ def test_a_memoized_coin_files_matrix_is_read_only(tmp_path):
 
 
 def test_the_memo_never_exceeds_its_cap():
-    cli._COIN_MEMO.clear()
-    first = None
+    def argv(i):
+        return ("coin", "--family", "X", "--theta", repr(0.001 * i))
+
+    cli._coin_entry.cache_clear()
     for i in range(cli.COIN_MEMO_CAP + 20):
-        code, out, _ = _call(("coin", "--family", "X", "--theta", repr(0.001 * i)))
+        code, out, _ = _call(argv(i))
         assert code == 0 and out
-        assert len(cli._COIN_MEMO) == min(i + 1, cli.COIN_MEMO_CAP)
-        first = first or next(iter(cli._COIN_MEMO))
-    assert first not in cli._COIN_MEMO  # the oldest went first
-    assert _call(("coin", "--family", "X", "--theta", "0.0"))[0] == 0
-    assert len(cli._COIN_MEMO) == cli.COIN_MEMO_CAP
+        assert cli._coin_entry.cache_info().currsize == min(i + 1, cli.COIN_MEMO_CAP)
+    # coins 20.. are kept; using coin 20 again leaves 21 the least recently used
+    assert _call(argv(20))[0] == 0
+    assert _call(argv(cli.COIN_MEMO_CAP + 20))[0] == 0
+    assert cli._coin_entry.cache_info().currsize == cli.COIN_MEMO_CAP
+    hits, misses = cli._coin_entry.cache_info()[:2]
+    _call(argv(20))
+    assert cli._coin_entry.cache_info()[:2] == (hits + 1, misses)  # used last, so kept
+    _call(argv(21))
+    assert cli._coin_entry.cache_info()[:2] == (hits + 1, misses + 1)  # used least recently, so dropped
 
 
 def golden_argvs(workdir: Path) -> list[tuple]:
@@ -127,9 +137,9 @@ def golden_argvs(workdir: Path) -> list[tuple]:
 def test_golden_corpora_replay_the_same_in_one_process(tmp_path):
     argvs = golden_argvs(tmp_path)
     assert len(argvs) > 400
-    cli._COIN_MEMO.clear()
+    cli._coin_entry.cache_clear()
     first = [_call(argv) for argv in argvs]
-    assert cli._COIN_MEMO
+    assert cli._coin_entry.cache_info().currsize
     for argv, want in zip(argvs, first):
         assert _call(argv) == want, argv
 

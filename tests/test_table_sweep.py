@@ -19,7 +19,6 @@
 
 import contextlib
 import io
-import json
 import math
 import textwrap
 from fractions import Fraction
@@ -154,15 +153,6 @@ def test_a_sweep_builds_each_coin_once_per_process(monkeypatch, angles):
     assert _call(argv) == first
 
 
-def test_a_sweep_of_more_coins_than_the_cap_leaves_the_memo_alone():
-    _call(("period", "--family", "X", "--theta", "0.25", "--n", "3"))
-    kept = list(cli._COIN_MEMO.items())
-    grid = f"0:1:{cli.COIN_MEMO_CAP + 1}"
-    code, out, err = _call(("table", "--family", "Z", "--theta-grid", grid, "--n-list", "3", "--methods", "analytic"))
-    assert code in (0, 3) and err == "" and len(json.loads(out)) == cli.COIN_MEMO_CAP + 1
-    assert list(cli._COIN_MEMO.items()) == kept
-
-
 def test_an_angle_and_the_equal_fraction_are_different_coins():
     """theta = 0.5 rad and theta/2pi = 1/2 have equal keys but for the tag."""
     assert Fraction(1, 2) == 0.5 and hash(Fraction(1, 2)) == hash(0.5)
@@ -176,8 +166,9 @@ def test_an_angle_and_the_equal_fraction_are_different_coins():
 
 # --- a sweep that fails part-way ---------------------------------------------
 
-#: (argv, stderr) of sweeps that fail part-way; each exits 1 with no stdout,
-#: as the spec-by-spec loop that batching replaced did
+#: (argv, stderr) of sweeps that fail part-way, and of `period` calls that
+#: fail; each exits 1 with no stdout, as the spec-by-spec loop that batching
+#: replaced did
 FAILING = [
     # an invalid (n, a) after valid ones
     (("table", "--family", "X", "--rational-grid", "3", "--n-list", "4,3", "--a-list", "0,2"),
@@ -205,6 +196,9 @@ FAILING = [
      "error: step bound tmax must be >= 0, got -1\n"),
     (("table", "--family", "X", "--rational-grid", "3", "--n-list", "1,3", "--qmax", "0", "--methods", "bruteforce"),
      "error: cycle length must be >= 2, got 1\n"),
+    # `period` is a sweep of one cell, under the same rule
+    (("period", "--perm", "P1", "--n", "1", "--qmax", "0"), "error: denominator bound qmax must be >= 1, got 0\n"),
+    (("period", "--perm", "P1", "--n", "1", "--tmax", "-1"), "error: step bound tmax must be >= 0, got -1\n"),
 ]
 
 
