@@ -17,16 +17,18 @@ Three routes to the period T = min{t > 0 : U^t = I}:
 * bruteforce -- baby-step giant-step powering of the n momentum blocks:
                the baby steps U^1..U^B are built once, and the giant steps
                (U^t0)^dagger, t0 = kB, by doubling, in groups: a first
-               group of GROUP_FLOOR_BYTES of steps, then doubling.  U^t0 is
-               unitary, so at t = t0 + j ||U^t - I||_F =
-               ||U^j - (U^t0)^dagger||_F, and the first t with distance
-               <= IDENTITY_TOL is the period.  One matrix product screens a
-               group: a chunk none of whose distances squared, so computed,
-               comes within IDENTITY_TOL^2 plus a stated rounding bound,
-               one per group, holds no period; any other chunk takes the
-               exact subtract-and-norm test.  The arbiter: it checks every
-               t <= tmax from powers of U alone, without the other methods'
-               results.
+               group of GROUP_FLOOR_BYTES of steps, then doubling, or, when
+               the caller expects no period up to tmax, one group of every
+               giant step the budget holds.  U^t0 is unitary, so at
+               t = t0 + j ||U^t - I||_F = ||U^j - (U^t0)^dagger||_F, and the
+               first t with distance <= IDENTITY_TOL is the period.  One
+               matrix product screens a group: a chunk none of whose
+               distances squared, so computed, comes within IDENTITY_TOL^2
+               plus a stated rounding bound, one per group, holds no
+               period; any other chunk takes the exact test.  The arbiter:
+               it checks every t <= tmax from powers of U alone.  Its
+               schedule may follow the other methods' expectation, its
+               result does not: every chunk is still screened, in order.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
 spectral and brute-force routes both start from `walk.block_stack`; the
@@ -70,12 +72,13 @@ GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 CHUNK_STEPS = 128
 #: bytes brute force's baby steps, giant steps and temporaries, or one sweep batch's stacks, may hold
 CHUNK_BYTES = 16 * 2**20
-#: least bytes of giant steps brute force's first group holds: 18, 14 and 11
-#: steps at n = 3, 4 and 5, one from n = 29 on.  At small n a group screen's
-#: fixed cost outweighs its GEMM, so a scan to tmax 10,000 takes four group
-#: screens, not eight; each extra step costs a walk whose period falls in the
-#: second chunk one more doubling, and 16 KiB, two steps at n = 38..56, made
-#: such walks 3-6% slower at n = 50
+#: least bytes of giant steps brute force's first group holds when a period
+#: may come early: 18, 14 and 11 steps at n = 3, 4 and 5, one from n = 29 on.
+#: At small n a group screen's fixed cost outweighs its GEMM, so a scan to
+#: tmax 10,000 takes four group screens, not eight; each extra step costs a
+#: walk whose period falls in the second chunk one more doubling, and 16 KiB,
+#: two steps at n = 38..56, made such walks 3-6% slower at n = 50.  A scan
+#: that expects no period skips the floor: its first group is the largest
 GROUP_FLOOR_BYTES = 8 * 2**10
 #: arrays of chunk size brute force holds: the baby steps U^1..U^B, one step
 #: per row, and the window of their differences from a giant step, which
@@ -238,8 +241,8 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     _GIANT_COPIES powers and B + _SCREEN_TEMPS floats each within
     CHUNK_BYTES, at most the (tmax - 1) // B giant steps past t0 = 0, and at
     least 1: a group of one giant step holds the one power B leaves room for
-    and a (B, 1) screen.  The first group, sized by GROUP_FLOOR_BYTES in
-    `_giant_groups`, is at most G steps, so it fits too.
+    and a (B, 1) screen.  The first group, sized in `_giant_groups`, is at
+    most G steps, so it fits too.
     """
     per_power = n * 9 * np.dtype(complex).itemsize
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
@@ -270,7 +273,8 @@ def _grow(table: np.ndarray, upto: int) -> np.ndarray:
     return grown
 
 
-def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last: int):
+def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last: int,
+                  expect_period: bool):
     """Yield (k0, group) for the giant steps k = 0..last in groups: the rows
     of `group`, leading rows of `giants`, are (U^(kB))^dagger for k = k0,
     k0 + 1, .., where U^1..U^B are the B baby steps in `rows`.
@@ -279,12 +283,13 @@ def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last
     conj(W^k), where W = (U^B)^T = conj((U^B)^dagger) is a view of the last
     baby step.  `_grow` doubles W into a table of W^1..W^d in block-major
     columns up to the first group past k = 0: F steps, as many as
-    GROUP_FLOOR_BYTES holds, but at least 1 and at most len(giants), and W
-    itself at F = 1.  `_grow` doubles the table once per group after that,
-    whose new columns are the group, so the groups hold 1, F, F, 2F, 4F, ..
-    steps; once d is len(giants), each group of up to that many steps is the
-    product W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`.  A
-    group of one step is that product, built in its own row.  The table,
+    GROUP_FLOOR_BYTES holds, but at least 1 and at most len(giants), or
+    len(giants) when not expect_period, and W itself at F = 1.  `_grow`
+    doubles the table once per group after that, whose new columns are the
+    group, so the groups hold 1, F, F, 2F, 4F, .. steps; once d is
+    len(giants), each group of up to that many steps is the product
+    W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`.  A group
+    of one step is that product, built in its own row.  The table,
     while it grows, and the product after it never hold more than
     2 len(giants) steps together.
     """
@@ -293,7 +298,7 @@ def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last
     yield 0, giants[:1]
     if last < 1:
         return
-    g = max(1, min(size, GROUP_FLOOR_BYTES // rows[0].nbytes))
+    g = max(1, min(size, GROUP_FLOOR_BYTES // rows[0].nbytes)) if expect_period else size
     table = out = _grow(rows[-1].reshape(n, 3, 3).transpose(0, 2, 1), g)  # from (U^B)^T, a view
     product = giants[0].reshape(n, 3, 3) if size == 1 else None
     k0 = 1
@@ -363,7 +368,8 @@ def _first_hit(rows: np.ndarray, target: np.ndarray, window: np.ndarray) -> Opti
     return int(hits[0]) if hits.size else None
 
 
-def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodResult:
+def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
+                      expect_period: bool = True) -> PeriodResult:
     """First t <= tmax with ||U^t - I||_F <= IDENTITY_TOL, by powering the momentum blocks.
 
     The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
@@ -373,7 +379,10 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     of one (B, 9n) array, with ||U^j||_F^2 computed once per call; the chunk
     t0 = 0 is screened against I, and only when it holds no period are the
     giant steps (U^t0)^dagger, t0 = kB, built, in groups of F, F, 2F, 4F, ..
-    chunks, with F at least GROUP_FLOOR_BYTES of steps (`_giant_groups`).
+    chunks, with F at least GROUP_FLOOR_BYTES of steps (`_giant_groups`);
+    with expect_period false, for a walk another method found to have no
+    period up to tmax, F is G, so that a scan to tmax takes the fewest group
+    screens.  The flag moves only the group edges: the result is the same.
     One matrix product screens a group (`_screen`): a chunk none of whose
     distances squared, so computed, comes within IDENTITY_TOL^2 plus the
     group's `_screen_slack` holds no period and is skipped; any other
@@ -397,7 +406,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT) -> PeriodR
     rows_f = rows.view(np.float64)
     half_norms = 0.5 * np.einsum("bi,bi->b", rows_f, rows_f)  # ||U^j||_F^2 / 2
     r_max = math.sqrt(2.0 * half_norms.max())
-    for k0, group in _giant_groups(rows, giants, window, last):
+    for k0, group in _giant_groups(rows, giants, window, last, expect_period):
         for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max):
             t0 = (k0 + c) * chunk
             hit = _first_hit(rows, group[c], window)
@@ -518,6 +527,15 @@ def _contradicts(fin: PeriodResult, other: PeriodResult) -> bool:
     return other.status == "proven_infinite"
 
 
+def _rules_out_tmax(result: PeriodResult, tmax: int) -> bool:
+    """Whether `result` rules out every period t <= tmax."""
+    if result.finite:
+        return result.period > tmax
+    if result.status == "no_period_up_to":
+        return result.bound >= tmax
+    return result.status == "proven_infinite"
+
+
 def _guarded(method: str, run) -> PeriodResult:
     """run(), or not_applicable by guard-exceeded when it raises GuardExceeded."""
     try:
@@ -526,46 +544,60 @@ def _guarded(method: str, run) -> PeriodResult:
         return PeriodResult(status="not_applicable", method=method, theorem="guard-exceeded")
 
 
+def _check_bounds(methods, tmax: int, qmax: int) -> None:
+    """OutOfRange for tmax if bruteforce is among `methods`, then for qmax if
+    analytic or spectral is."""
+    if "bruteforce" in methods:
+        _check_tmax(tmax)
+    if {"analytic", "spectral"} & set(methods):
+        _check_qmax(qmax)
+
+
 def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = QMAX_DEFAULT,
                    methods=METHODS, eigenvalues=None) -> CrossValidation:
     """Run the requested methods, in order, and flag any contradiction;
     ValueError, before any method runs, for a name not in METHODS, and
     OutOfRange, also before any runs, for a tmax that is not an integer >= 0
-    with bruteforce asked for.
+    with bruteforce asked for, then for a qmax that is not an integer >= 1
+    with analytic or spectral asked for.
 
     analytic reads the coin family's closed forms, spectral takes the lcm
     of the eigenvalue orders of the momentum blocks, and bruteforce powers
-    those blocks up to tmax; none builds the dense operator.  A finite
-    period p is contradicted by a finite period other than p, by
-    proven_infinite and by no_period_up_to a bound >= p; not_applicable
-    contradicts nothing.  The results agree when none is contradicted.  A
-    method whose arrays would pass a size guard (GuardExceeded: brute force
-    at n > 38,836) reports not_applicable with theorem guard-exceeded, and
-    the other methods' results stand; `eigenvalues` goes to `period_spectral`.
+    those blocks up to tmax; none builds the dense operator.  When a result
+    before bruteforce's rules out every period t <= tmax (proven_infinite,
+    no_period_up_to a bound >= tmax, or a finite period > tmax), bruteforce
+    runs with expect_period false: its giant steps are grouped for a scan
+    to tmax, and its result is the same.  A finite period p is contradicted
+    by a finite period other than p, by proven_infinite and by
+    no_period_up_to a bound >= p; not_applicable contradicts nothing.  The
+    results agree when none is contradicted.  A method whose arrays would
+    pass a size guard (GuardExceeded: brute force at n > 38,836) reports
+    not_applicable with theorem guard-exceeded, and the other methods'
+    results stand; `eigenvalues` goes to `period_spectral`.
     """
+    results = []
     run = {"analytic": lambda: period_analytic(spec, qmax),
            "spectral": lambda: period_spectral(spec, qmax, eigenvalues),
-           "bruteforce": lambda: period_bruteforce(spec, tmax)}
+           "bruteforce": lambda: period_bruteforce(
+               spec, tmax, not any(_rules_out_tmax(r, tmax) for r in results))}
     methods = tuple(methods)
     for method in methods:
         if method not in run:
             raise ValueError(f"unknown method {method!r}")
-    if "bruteforce" in methods:
-        _check_tmax(tmax)
-    results = tuple(_guarded(method, run[method]) for method in methods)
+    _check_bounds(methods, tmax, qmax)
+    for method in methods:
+        results.append(_guarded(method, run[method]))
     agreement = not any(_contradicts(a, b) for a, b in itertools.permutations(results, 2))
-    return CrossValidation(spec=spec, results=results, agreement=agreement)
+    return CrossValidation(spec=spec, results=tuple(results), agreement=agreement)
 
 
 def _sweep(cells, tmax: int, qmax: int, methods) -> list:
     """`cross_validate` of each (n, a, coin) of the list `cells`, in order, for
     known `methods`, the spectral blocks solved by `_spectra`.  Before any
-    method runs, a sweep of cells checks tmax if bruteforce is asked for, then
-    qmax if analytic or spectral is, then builds every spec: the first bad cell raises."""
-    if cells and "bruteforce" in methods:
-        _check_tmax(tmax)
-    if cells and {"analytic", "spectral"} & set(methods):
-        _check_qmax(qmax)
+    method runs, a sweep of cells checks tmax and qmax as `cross_validate`
+    does, then builds every spec: the first bad cell raises."""
+    if cells:
+        _check_bounds(methods, tmax, qmax)
     specs = [_walk.WalkSpec(n=n, a=a, coin=coin) for n, a, coin in cells]
     spectra = _spectra(specs) if "spectral" in methods else itertools.repeat(None)
     return [cross_validate(spec, tmax, qmax, methods, lams) for spec, lams in zip(specs, spectra)]

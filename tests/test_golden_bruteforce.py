@@ -3,7 +3,9 @@
 The corpus is 72 coins: the 24 special coins (+-P, +-Grover-type) and every
 family X/Y/Z/W at each exact theta/2pi = m/q with q <= 6.  Each coin is run
 through `period_bruteforce` with tmax = 2000 at n = 2..8 and every valid
-liveliness a = 0..n//2, 1656 specs in all.
+liveliness a = 0..n//2, 1656 specs in all, under both giant-step
+schedules: the default, and the one for a walk expected to have no period
+up to tmax, which must not change a row.
 
 The expected rows live in golden_bruteforce.txt, one coin per line: its id
 and its rows "n a status period bound", tab-separated, the rows joined by
@@ -48,16 +50,16 @@ def corpus() -> dict:
     return out
 
 
-def _row(coin, n: int, a: int) -> str:
-    r = period_bruteforce(WalkSpec(n=n, a=a, coin=coin), tmax=TMAX)
+def _row(coin, n: int, a: int, expect_period: bool) -> str:
+    r = period_bruteforce(WalkSpec(n=n, a=a, coin=coin), TMAX, expect_period)
     cells = (n, a, r.status, r.period, r.bound)
     return " ".join("-" if v is None else str(v) for v in cells)
 
 
-def compute() -> list[str]:
+def compute(expect_period: bool = True) -> list[str]:
     """One tab-separated line per coin: id, rows."""
     return [
-        f"{cid}\t{';'.join(_row(coin, n, a) for n in N_RANGE for a in range(n // 2 + 1))}"
+        f"{cid}\t{';'.join(_row(coin, n, a, expect_period) for n in N_RANGE for a in range(n // 2 + 1))}"
         for cid, coin in corpus().items()
     ]
 
@@ -71,11 +73,21 @@ def test_corpus_size():
     assert sum(len(line.split("\t")[1].split(";")) for line in _expected()) == 1656
 
 
-def test_golden_bruteforce_rows():
-    expected, actual = _expected(), compute()
+def _assert_rows(actual: list[str]) -> None:
+    expected = _expected()
     assert len(actual) == len(expected)
     for want, got in zip(expected, actual):
         assert got == want
+
+
+def test_golden_bruteforce_rows():
+    _assert_rows(compute())
+
+
+def test_golden_bruteforce_rows_expecting_no_period():
+    # one first group of every giant step moves only the group edges: no
+    # row changes, the periodic walks' included
+    _assert_rows(compute(expect_period=False))
 
 
 def test_golden_reaches_both_outcomes_and_the_bound():

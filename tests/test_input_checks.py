@@ -184,6 +184,11 @@ def test_cross_validate_checks_the_step_bound_before_running_any(monkeypatch):
     for tmax in (-1, math.nan):
         message = raised(OutOfRange, cross_validate, spec, tmax=tmax, methods=("spectral", "bruteforce"))
         assert message == f"step bound tmax must be >= 0, got {tmax}" and ran == []
+    # the denominator bound too, when analytic or spectral reads it, even
+    # with bruteforce listed first
+    for qmax in (0, math.nan):
+        message = raised(OutOfRange, cross_validate, spec, qmax=qmax, methods=("bruteforce", "spectral"))
+        assert message == f"denominator bound qmax must be >= 1, got {qmax}" and ran == []
     # without bruteforce the step bound is not read
     assert cross_validate(spec, tmax=-1, methods=("analytic", "spectral")).agreement
     assert ran == ["analytic", "spectral"]

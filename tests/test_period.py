@@ -229,8 +229,8 @@ class TestBruteForce:
         assert res.status == "no_period_up_to" and res.bound == 50
 
 
-def _matches_oracle(spec, tmax):
-    res = period_bruteforce(spec, tmax)
+def _matches_oracle(spec, tmax, expect_period=True):
+    res = period_bruteforce(spec, tmax, expect_period)
     want = brute_oracle(spec, tmax)
     if want is None:
         return res.status == "no_period_up_to" and res.bound == tmax and res.period is None
@@ -302,7 +302,8 @@ class TestBlockBruteForceChunks:
            n=st.integers(2, 12), tmax=st.integers(0, 300), data=st.data())
     def test_matches_dense_oracle(self, family, theta, n, tmax, data):
         a = data.draw(st.integers(0, n // 2))
-        assert _matches_oracle(spec_of(coins.coin_from_theta(family, theta), n, a), tmax)
+        spec = spec_of(coins.coin_from_theta(family, theta), n, a)
+        assert _matches_oracle(spec, tmax, data.draw(st.booleans(), label="expect_period"))
 
 
 def _near_special_theta(k, sign, exponent):
@@ -549,6 +550,36 @@ class TestGiantSteps:
             assert sum(sizes) == math.ceil(TMAX_DEFAULT / chunk)
             assert seen == []
             monkeypatch.undo()
+
+    def test_scan_expecting_no_period_screens_one_group(self, monkeypatch):
+        # with expect_period false the first group is every giant step:
+        # two screens to tmax 10,000, not five
+        for n in (3, 5):
+            sizes = _spy_screen(monkeypatch)
+            seen = _spy_first_hit(monkeypatch)
+            res = period_bruteforce(spec_of(coins.grover_type(1), n, n // 2), TMAX_DEFAULT, False)
+            assert res.status == "no_period_up_to" and res.bound == TMAX_DEFAULT
+            assert sizes == [1, 78] and seen == []
+            monkeypatch.undo()
+
+    def test_groups_expecting_no_period_are_the_largest(self, monkeypatch):
+        # a budget of ten giant steps: every group is ten steps, the last
+        # cut short at chunk 78, and a late period is still found in order
+        monkeypatch.setattr(period_mod, "CHUNK_BYTES", 2 * 128 * 432 + 10 * (3 * 432 + 136 * 8))
+        sizes = _spy_screen(monkeypatch)
+        aperiodic, late = spec_of(coins.coin_from_theta("X", 1.0), 3), 40 * CHUNK_STEPS + 2
+        assert period_bruteforce(aperiodic, TMAX_DEFAULT, False).bound == TMAX_DEFAULT
+        assert sizes == [1] + [10] * 7 + [8]
+        sizes.clear()
+        assert period_bruteforce(spec_of(_n3_coin_of_period(late), 3), TMAX_DEFAULT, False).period == late
+        assert sizes == [1] + [10] * 4
+
+    @pytest.mark.parametrize("coin, n, a, period", [(coins.perm_matrix(2), 50, 1, 150),
+                                                    (coins.perm_matrix(1), 200, 0, 200)])
+    def test_period_found_when_none_was_expected(self, coin, n, a, period):
+        # a wrong expectation changes the groups, not the result
+        for expect_period in (True, False):
+            assert period_bruteforce(spec_of(coin, n, a), TMAX_DEFAULT, expect_period).period == period
 
     def test_period_in_the_first_chunk_builds_no_giant_step(self, monkeypatch):
         sizes = _spy_screen(monkeypatch)
@@ -940,6 +971,32 @@ class TestContradictions:
 
     def test_no_method_agrees(self):
         assert cross_validate(spec_of(coins.grover_type(1), 3), methods=()).agreement
+
+
+class TestBruteForceExpectation:
+    """The expect_period flag `cross_validate` hands `period_bruteforce`:
+    false only when an earlier result rules out every period t <= tmax."""
+
+    @pytest.mark.parametrize("earlier, expect_period", [
+        ("infinite", False), ("bound_at_p", False), ("finite_q", False),
+        ("not_applicable", True), ("finite_p", True), ("bound_below_p", True),
+    ])
+    def test_flag_follows_the_earlier_result(self, monkeypatch, earlier, expect_period):
+        # tmax = 6 is finite_p's period and bound_at_p's bound
+        flags = []
+
+        def bruteforce(*args):
+            flags.append(args[2])
+            return _FIXED_RESULTS["finite_p_again"]
+
+        spec, na = spec_of(coins.grover_type(1), 3), _FIXED_RESULTS["not_applicable"]
+        for analytic, spectral in ((_FIXED_RESULTS[earlier], na), (na, _FIXED_RESULTS[earlier])):
+            _fixed_methods(monkeypatch, analytic=analytic, spectral=spectral)
+            monkeypatch.setattr(period_mod, "period_bruteforce", bruteforce)
+            cross_validate(spec, tmax=6)
+        # listed after bruteforce, no result sets the flag
+        cross_validate(spec, tmax=6, methods=("bruteforce", "analytic", "spectral"))
+        assert flags == [expect_period, expect_period, True]
 
 
 class TestGuaranteedOrderBound:
