@@ -16,19 +16,22 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                A sweep solves its specs' blocks in CHUNK_BYTES batches.
 * bruteforce -- baby-step giant-step powering of the n momentum blocks:
                the baby steps U^1..U^B are built once, and the giant steps
-               (U^t0)^dagger, t0 = kB, by doubling, in groups: a first
-               group of GROUP_FLOOR_BYTES of steps, then doubling, or, when
-               the caller expects no period up to tmax, one group of every
-               giant step the budget holds.  U^t0 is unitary, so at
-               t = t0 + j ||U^t - I||_F = ||U^j - (U^t0)^dagger||_F, and the
-               first t with distance <= IDENTITY_TOL is the period.  One
-               matrix product screens a group: a chunk none of whose
+               (U^t0)^dagger, t0 = kB, by doubling, in groups: the identity
+               alone, a group of GROUP_FLOOR_BYTES of steps, then doubling.
+               The caller may pass the period p it expects: when the
+               least power of two b0 >= p is at most B/2, U^1..U^b0 are
+               built and tested first, and at p > tmax the identity joins
+               one group of every giant step the budget holds.  U^t0 is
+               unitary, so at t = t0 + j ||U^t - I||_F equals
+               ||U^j - (U^t0)^dagger||_F, and the first t with distance
+               <= IDENTITY_TOL is the period.
+               One matrix product screens a group: a chunk none of whose
                distances squared, so computed, comes within IDENTITY_TOL^2
                plus a stated rounding bound, one per group, holds no
                period; any other chunk takes the exact test.  The arbiter:
                it checks every t <= tmax from powers of U alone.  Its
                schedule may follow the other methods' expectation, its
-               result does not: every chunk is still screened, in order.
+               result does not: every t is still tested, in order.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
 spectral and brute-force routes both start from `walk.block_stack`; the
@@ -72,13 +75,14 @@ GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 CHUNK_STEPS = 128
 #: bytes brute force's baby steps, giant steps and temporaries, or one sweep batch's stacks, may hold
 CHUNK_BYTES = 16 * 2**20
-#: least bytes of giant steps brute force's first group holds when a period
-#: may come early: 18, 14 and 11 steps at n = 3, 4 and 5, one from n = 29 on.
-#: At small n a group screen's fixed cost outweighs its GEMM, so a scan to
+#: least bytes of giant steps brute force's first group past the identity
+#: holds: 18, 14 and 11 steps at n = 3, 4 and 5, one from n = 29 on.  At
+#: small n a group screen's fixed cost outweighs its GEMM, so a scan to
 #: tmax 10,000 takes four group screens, not eight; each extra step costs a
 #: walk whose period falls in the second chunk one more doubling, and 16 KiB,
 #: two steps at n = 38..56, made such walks 3-6% slower at n = 50.  A scan
-#: that expects no period skips the floor: its first group is the largest
+#: that expects a period past tmax skips the floor: the identity and every
+#: giant step the budget holds are its first group
 GROUP_FLOOR_BYTES = 8 * 2**10
 #: arrays of chunk size brute force holds: the baby steps U^1..U^B, one step
 #: per row, and the window of their differences from a giant step, which
@@ -239,10 +243,11 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     bytes, within CHUNK_BYTES; GuardExceeded when not even B = 1 fits: for
     n > 38,836.  G is the largest g with those arrays and g giant steps of
     _GIANT_COPIES powers and B + _SCREEN_TEMPS floats each within
-    CHUNK_BYTES, at most the (tmax - 1) // B giant steps past t0 = 0, and at
-    least 1: a group of one giant step holds the one power B leaves room for
-    and a (B, 1) screen.  The first group, sized in `_giant_groups`, is at
-    most G steps, so it fits too.
+    CHUNK_BYTES, at most the (tmax - 1) // B + 1 giant steps of the chunks
+    t0 = kB < tmax, the identity at t0 = 0 included, and at least 1: a
+    group of one giant step holds the one power B leaves room for and a
+    (B, 1) screen.  Every group `_giant_groups` yields is at most G steps,
+    the identity's row counted when it joins a group, so it fits too.
     """
     per_power = n * 9 * np.dtype(complex).itemsize
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
@@ -253,7 +258,7 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     chunk = min(CHUNK_STEPS, max(1, tmax), fits)
     per_giant = _GIANT_COPIES * per_power + (chunk + _SCREEN_TEMPS) * np.dtype(float).itemsize
     group = (CHUNK_BYTES - _CHUNK_COPIES * chunk * per_power) // per_giant
-    return chunk, max(1, min(group, (tmax - 1) // chunk))
+    return chunk, max(1, min(group, (tmax - 1) // chunk + 1))
 
 
 def _grow(table: np.ndarray, upto: int) -> np.ndarray:
@@ -274,46 +279,53 @@ def _grow(table: np.ndarray, upto: int) -> np.ndarray:
 
 
 def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last: int,
-                  expect_period: bool):
+                  identity_joins: bool):
     """Yield (k0, group) for the giant steps k = 0..last in groups: the rows
     of `group`, leading rows of `giants`, are (U^(kB))^dagger for k = k0,
     k0 + 1, .., where U^1..U^B are the B baby steps in `rows`.
 
-    The first group is k = 0, the identity.  Every other giant step is
-    conj(W^k), where W = (U^B)^T = conj((U^B)^dagger) is a view of the last
-    baby step.  `_grow` doubles W into a table of W^1..W^d in block-major
-    columns up to the first group past k = 0: F steps, as many as
-    GROUP_FLOOR_BYTES holds, but at least 1 and at most len(giants), or
-    len(giants) when not expect_period, and W itself at F = 1.  `_grow`
-    doubles the table once per group after that, whose new columns are the
-    group, so the groups hold 1, F, F, 2F, 4F, .. steps; once d is
-    len(giants), each group of up to that many steps is the product
+    k = 0 is the identity, in row 0 of `giants`: a group of its own, or,
+    when identity_joins and len(giants) > 1, the first row of a group of
+    len(giants) steps.  Every other giant step is conj(W^k), where
+    W = (U^B)^T = conj((U^B)^dagger) is a view of the last baby step.
+    `_grow` doubles W into a table of W^1..W^d in block-major columns up to
+    the first group's steps past k = 0: F, as many as GROUP_FLOOR_BYTES
+    holds, but at least 1 and at most G = min(len(giants), last), and W
+    itself at F = 1; `_grow` doubles the table once per group after that,
+    whose new columns are the group, so the groups hold 1, F, F, 2F, 4F, ..
+    steps.  When the identity joins the first group, its len(giants) - 1
+    steps are the leading columns of a table built to G at once.  Once d is
+    G, each group of up to that many steps is the product
     W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`.  A group
-    of one step is that product, built in its own row.  The table,
-    while it grows, and the product after it never hold more than
-    2 len(giants) steps together.
+    of one step is that product, built in its own row.  The table, while
+    it grows, and the product after it never hold more than 2 len(giants)
+    steps together.
     """
-    size, n = len(giants), rows.shape[1] // 9  # the largest group, and the table's last length
-    giants.reshape(size, n, 3, 3)[0] = np.eye(3)
-    yield 0, giants[:1]
+    size, n = min(len(giants), last), rows.shape[1] // 9  # the largest group past k = 0
+    giants.reshape(len(giants), n, 3, 3)[0] = np.eye(3)
+    lead = int(identity_joins and len(giants) > 1)  # the identity's row ahead of the first steps
+    if not lead:
+        yield 0, giants[:1]
     if last < 1:
         return
-    g = max(1, min(size, GROUP_FLOOR_BYTES // rows[0].nbytes)) if expect_period else size
-    table = out = _grow(rows[-1].reshape(n, 3, 3).transpose(0, 2, 1), g)  # from (U^B)^T, a view
+    g = len(giants) - 1 if lead else max(1, min(size, GROUP_FLOOR_BYTES // rows[0].nbytes))
+    table = _grow(rows[-1].reshape(n, 3, 3).transpose(0, 2, 1), size if lead else g)  # from (U^B)^T, a view
+    out = table[:, :, :3 * g]
     product = giants[0].reshape(n, 3, 3) if size == 1 else None
     k0 = 1
     while True:
-        np.conjugate(out.reshape(n, 3, g, 3).transpose(2, 0, 1, 3), out=giants[:g].reshape(g, n, 3, 3))
-        yield k0, giants[:g]
-        k0 += g
+        group = giants[:lead + g]
+        np.conjugate(out.reshape(n, 3, g, 3).transpose(2, 0, 1, 3), out=group[lead:].reshape(g, n, 3, 3))
+        yield k0 - lead, group
+        k0, lead = k0 + g, 0
         if k0 > last:
             return
-        if k0 - 1 < size:  # the table grows by the group
+        if table.shape[2] // 3 < size:  # short of G, the table is W^1..W^(k0 - 1): it grows by the group
             g = min(k0 - 1, size - k0 + 1)
             table = _grow(table, k0 - 1 + g)
             out = table[:, :, 3 * (k0 - 1):]
         else:
-            step = np.conjugate(giants[g - 1].reshape(n, 3, 3), out=window[0].reshape(n, 3, 3))
+            step = np.conjugate(group[-1].reshape(n, 3, 3), out=window[0].reshape(n, 3, 3))
             g = min(size, last - k0 + 1)
             if product is None:
                 product = np.empty_like(table)
@@ -368,8 +380,17 @@ def _first_hit(rows: np.ndarray, target: np.ndarray, window: np.ndarray) -> Opti
     return int(hits[0]) if hits.size else None
 
 
+def _first_hit_of_identity(table: np.ndarray) -> Optional[int]:
+    """`_first_hit` of the block-major powers M^1..M^d of `table` against I,
+    on their rows as `period_bruteforce` lays them out, which are also the
+    window."""
+    n, d = len(table), table.shape[2] // 3
+    rows = table.reshape(n, 3, d, 3).transpose(2, 0, 1, 3).copy().reshape(d, 9 * n)
+    return _first_hit(rows, np.broadcast_to(np.eye(3), (n, 3, 3)), rows)
+
+
 def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
-                      expect_period: bool = True) -> PeriodResult:
+                      expected: Optional[int] = None) -> PeriodResult:
     """First t <= tmax with ||U^t - I||_F <= IDENTITY_TOL, by powering the momentum blocks.
 
     The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
@@ -379,10 +400,16 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
     of one (B, 9n) array, with ||U^j||_F^2 computed once per call; the chunk
     t0 = 0 is screened against I, and only when it holds no period are the
     giant steps (U^t0)^dagger, t0 = kB, built, in groups of F, F, 2F, 4F, ..
-    chunks, with F at least GROUP_FLOOR_BYTES of steps (`_giant_groups`);
-    with expect_period false, for a walk another method found to have no
-    period up to tmax, F is G, so that a scan to tmax takes the fewest group
-    screens.  The flag moves only the group edges: the result is the same.
+    chunks, with F at least GROUP_FLOOR_BYTES of steps (`_giant_groups`).
+    `expected`, an integer >= 1 or None, is the period another method
+    reported (OutOfRange otherwise), and moves only the schedule.  When the
+    least power of two b0 >= expected is at most B/2, `_grow` first builds
+    U^1..U^b0 alone, by the doubling steps it takes on the way to B, so
+    every power has the same bits, and the exact test runs on t = 1..b0;
+    with no hit the table grows on to B and the scan goes on.  When
+    expected > tmax, for a walk another method found to have no period up
+    to tmax, the identity joins one first group of every giant step the
+    budget holds, so that a scan to tmax takes the fewest group screens.
     One matrix product screens a group (`_screen`): a chunk none of whose
     distances squared, so computed, comes within IDENTITY_TOL^2 plus the
     group's `_screen_slack` holds no period and is skipped; any other
@@ -391,12 +418,22 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
     with one einsum.  So every reported t is the exact test's.  The groups
     stop growing at `_plan`'s G, where the baby steps, the giant steps'
     table, product and rows, and the (B, g) screen fill CHUNK_BYTES; the
-    first group is at most G.
+    first group, the identity's row included when it joins, is at most G.
     """
     _check_tmax(tmax)
+    if expected is not None:
+        _check_bound(expected, 1, "expected period")
     n = spec.n
     chunk, group_max = _plan(n, tmax)
-    powers = _grow(_walk.block_stack(spec), chunk)
+    powers = _walk.block_stack(spec)
+    # b0, the powers tested first: only when they are at most half the chunk
+    head = chunk if expected is None else 1 << (operator.index(expected) - 1).bit_length()
+    if 2 * head <= chunk:
+        powers = _grow(powers, head)
+        hit = _first_hit_of_identity(powers)
+        if hit is not None:
+            return PeriodResult(status="finite", method="bruteforce", period=hit + 1)
+    powers = _grow(powers, chunk)
     last = (tmax - 1) // chunk  # the last chunk, t0 = last * B
     # the baby steps U^1..U^B, then the largest group of giant steps
     stack = np.empty((chunk + group_max, 9 * n), dtype=complex)
@@ -406,7 +443,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
     rows_f = rows.view(np.float64)
     half_norms = 0.5 * np.einsum("bi,bi->b", rows_f, rows_f)  # ||U^j||_F^2 / 2
     r_max = math.sqrt(2.0 * half_norms.max())
-    for k0, group in _giant_groups(rows, giants, window, last, expect_period):
+    for k0, group in _giant_groups(rows, giants, window, last, expected is not None and expected > tmax):
         for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max):
             t0 = (k0 + c) * chunk
             hit = _first_hit(rows, group[c], window)
@@ -536,6 +573,16 @@ def _rules_out_tmax(result: PeriodResult, tmax: int) -> bool:
     return result.status == "proven_infinite"
 
 
+def _expected_period(results, tmax: int) -> Optional[int]:
+    """The period brute force may expect after `results`: the least finite
+    period <= tmax among them, else tmax + 1 when one rules out every
+    t <= tmax, else None."""
+    periods = [r.period for r in results if r.finite and r.period <= tmax]
+    if periods:
+        return min(periods)
+    return tmax + 1 if any(_rules_out_tmax(r, tmax) for r in results) else None
+
+
 def _guarded(method: str, run) -> PeriodResult:
     """run(), or not_applicable by guard-exceeded when it raises GuardExceeded."""
     try:
@@ -563,11 +610,13 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
 
     analytic reads the coin family's closed forms, spectral takes the lcm
     of the eigenvalue orders of the momentum blocks, and bruteforce powers
-    those blocks up to tmax; none builds the dense operator.  When a result
-    before bruteforce's rules out every period t <= tmax (proven_infinite,
-    no_period_up_to a bound >= tmax, or a finite period > tmax), bruteforce
-    runs with expect_period false: its giant steps are grouped for a scan
-    to tmax, and its result is the same.  A finite period p is contradicted
+    those blocks up to tmax; none builds the dense operator.  bruteforce
+    gets the period the results before its own expect (`_expected_period`):
+    the least finite period <= tmax, so that it tests the powers up to it
+    first; else tmax + 1 when one rules out every period t <= tmax
+    (proven_infinite, no_period_up_to a bound >= tmax, or a finite period
+    > tmax), so that its giant steps are grouped for a scan to tmax; else
+    None.  Its result is the same.  A finite period p is contradicted
     by a finite period other than p, by proven_infinite and by
     no_period_up_to a bound >= p; not_applicable contradicts nothing.  The
     results agree when none is contradicted.  A method whose arrays would
@@ -578,8 +627,7 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
     results = []
     run = {"analytic": lambda: period_analytic(spec, qmax),
            "spectral": lambda: period_spectral(spec, qmax, eigenvalues),
-           "bruteforce": lambda: period_bruteforce(
-               spec, tmax, not any(_rules_out_tmax(r, tmax) for r in results))}
+           "bruteforce": lambda: period_bruteforce(spec, tmax, _expected_period(results, tmax))}
     methods = tuple(methods)
     for method in methods:
         if method not in run:
@@ -594,10 +642,9 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
 def _sweep(cells, tmax: int, qmax: int, methods) -> list:
     """`cross_validate` of each (n, a, coin) of the list `cells`, in order, for
     known `methods`, the spectral blocks solved by `_spectra`.  Before any
-    method runs, a sweep of cells checks tmax and qmax as `cross_validate`
-    does, then builds every spec: the first bad cell raises."""
-    if cells:
-        _check_bounds(methods, tmax, qmax)
+    method runs, a sweep checks tmax and qmax as `cross_validate` does, even
+    with no cells, then builds every spec: the first bad cell raises."""
+    _check_bounds(methods, tmax, qmax)
     specs = [_walk.WalkSpec(n=n, a=a, coin=coin) for n, a, coin in cells]
     spectra = _spectra(specs) if "spectral" in methods else itertools.repeat(None)
     return [cross_validate(spec, tmax, qmax, methods, lams) for spec, lams in zip(specs, spectra)]

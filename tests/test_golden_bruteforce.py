@@ -3,9 +3,9 @@
 The corpus is 72 coins: the 24 special coins (+-P, +-Grover-type) and every
 family X/Y/Z/W at each exact theta/2pi = m/q with q <= 6.  Each coin is run
 through `period_bruteforce` with tmax = 2000 at n = 2..8 and every valid
-liveliness a = 0..n//2, 1656 specs in all, under both giant-step
-schedules: the default, and the one for a walk expected to have no period
-up to tmax, which must not change a row.
+liveliness a = 0..n//2, 1656 specs in all, under each schedule an expected
+period sets: none, a period past tmax, and the row's own period, which
+must not change a row.
 
 The expected rows live in golden_bruteforce.txt, one coin per line: its id
 and its rows "n a status period bound", tab-separated, the rows joined by
@@ -50,16 +50,17 @@ def corpus() -> dict:
     return out
 
 
-def _row(coin, n: int, a: int, expect_period: bool) -> str:
-    r = period_bruteforce(WalkSpec(n=n, a=a, coin=coin), TMAX, expect_period)
+def _row(coin, n: int, a: int, expected) -> str:
+    r = period_bruteforce(WalkSpec(n=n, a=a, coin=coin), TMAX, expected)
     cells = (n, a, r.status, r.period, r.bound)
     return " ".join("-" if v is None else str(v) for v in cells)
 
 
-def compute(expect_period: bool = True) -> list[str]:
-    """One tab-separated line per coin: id, rows."""
+def compute(expected=lambda cid, n, a: None) -> list[str]:
+    """One tab-separated line per coin: id, rows, each row's brute force
+    run with the period expected(cid, n, a)."""
     return [
-        f"{cid}\t{';'.join(_row(coin, n, a, expect_period) for n in N_RANGE for a in range(n // 2 + 1))}"
+        f"{cid}\t{';'.join(_row(coin, n, a, expected(cid, n, a)) for n in N_RANGE for a in range(n // 2 + 1))}"
         for cid, coin in corpus().items()
     ]
 
@@ -85,9 +86,22 @@ def test_golden_bruteforce_rows():
 
 
 def test_golden_bruteforce_rows_expecting_no_period():
-    # one first group of every giant step moves only the group edges: no
-    # row changes, the periodic walks' included
-    _assert_rows(compute(expect_period=False))
+    # the identity joining one group of every giant step moves only the
+    # group edges: no row changes, the periodic walks' included
+    _assert_rows(compute(lambda cid, n, a: TMAX + 1))
+
+
+def test_golden_bruteforce_rows_expecting_their_own_period():
+    # the powers up to the row's period, tested first, find the same period
+    periods = {}
+    for line in _expected():
+        cid, rows = line.split("\t")
+        for row in rows.split(";"):
+            n, a, status, period, _ = row.split(" ")
+            if status == "finite":
+                periods[cid, int(n), int(a)] = int(period)
+    assert len(periods) == 696  # the periodic rows; the others expect none
+    _assert_rows(compute(lambda cid, n, a: periods.get((cid, n, a))))
 
 
 def test_golden_reaches_both_outcomes_and_the_bound():

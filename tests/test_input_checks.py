@@ -238,8 +238,17 @@ class TestBoundsAreIntegers:
         psi = walk.basis_state(4, 0, 0)
         assert raised(OutOfRange, call, self.SPEC, psi, t) == f"time must be an integer, got {t!r}"
 
+    @pytest.mark.parametrize("expected, message", [
+        (0, "expected period must be >= 1, got 0"), (math.nan, "expected period must be >= 1, got nan"),
+        (2.5, "expected period must be an integer, got 2.5"), ("5", "expected period must be an integer, got '5'"),
+    ])
+    def test_expected_period(self, expected, message):
+        assert raised(OutOfRange, period_bruteforce, self.SPEC, 10, expected) == message
+
     def test_numpy_integers_pass(self):
         assert period_bruteforce(self.SPEC, tmax=np.int64(10)).period == 4
+        for expected in (np.int64(2), np.int64(11)):
+            assert period_bruteforce(self.SPEC, np.int64(10), expected).period == 4
         assert period_spectral(self.SPEC, qmax=np.int64(10)).period == 4
         assert np.array_equal(walk.evolve(self.SPEC, walk.basis_state(4, 0, 0), np.int64(4)),
                               walk.basis_state(4, 0, 0))

@@ -229,8 +229,8 @@ class TestBruteForce:
         assert res.status == "no_period_up_to" and res.bound == 50
 
 
-def _matches_oracle(spec, tmax, expect_period=True):
-    res = period_bruteforce(spec, tmax, expect_period)
+def _matches_oracle(spec, tmax, expected=None):
+    res = period_bruteforce(spec, tmax, expected)
     want = brute_oracle(spec, tmax)
     if want is None:
         return res.status == "no_period_up_to" and res.bound == tmax and res.period is None
@@ -303,7 +303,11 @@ class TestBlockBruteForceChunks:
     def test_matches_dense_oracle(self, family, theta, n, tmax, data):
         a = data.draw(st.integers(0, n // 2))
         spec = spec_of(coins.coin_from_theta(family, theta), n, a)
-        assert _matches_oracle(spec, tmax, data.draw(st.booleans(), label="expect_period"))
+        # no expectation, none up to tmax, or a period up to tmax, mostly a wrong one
+        schedules = st.sampled_from((None, tmax + 1))
+        if tmax >= 1:
+            schedules = st.one_of(schedules, st.integers(1, tmax))
+        assert _matches_oracle(spec, tmax, data.draw(schedules, label="expected"))
 
 
 def _near_special_theta(k, sign, exponent):
@@ -552,34 +556,35 @@ class TestGiantSteps:
             monkeypatch.undo()
 
     def test_scan_expecting_no_period_screens_one_group(self, monkeypatch):
-        # with expect_period false the first group is every giant step:
-        # two screens to tmax 10,000, not five
+        # expecting a period past tmax, the identity and every giant step are
+        # the first group: one screen to tmax 10,000, not five
         for n in (3, 5):
             sizes = _spy_screen(monkeypatch)
             seen = _spy_first_hit(monkeypatch)
-            res = period_bruteforce(spec_of(coins.grover_type(1), n, n // 2), TMAX_DEFAULT, False)
+            res = period_bruteforce(spec_of(coins.grover_type(1), n, n // 2), TMAX_DEFAULT, TMAX_DEFAULT + 1)
             assert res.status == "no_period_up_to" and res.bound == TMAX_DEFAULT
-            assert sizes == [1, 78] and seen == []
+            assert sizes == [79] and seen == []
             monkeypatch.undo()
 
     def test_groups_expecting_no_period_are_the_largest(self, monkeypatch):
-        # a budget of ten giant steps: every group is ten steps, the last
-        # cut short at chunk 78, and a late period is still found in order
+        # a budget of ten giant steps: the identity and nine steps, then ten
+        # steps a group, the last cut short at chunk 78, and a late period
+        # is still found in order
         monkeypatch.setattr(period_mod, "CHUNK_BYTES", 2 * 128 * 432 + 10 * (3 * 432 + 136 * 8))
         sizes = _spy_screen(monkeypatch)
         aperiodic, late = spec_of(coins.coin_from_theta("X", 1.0), 3), 40 * CHUNK_STEPS + 2
-        assert period_bruteforce(aperiodic, TMAX_DEFAULT, False).bound == TMAX_DEFAULT
-        assert sizes == [1] + [10] * 7 + [8]
+        assert period_bruteforce(aperiodic, TMAX_DEFAULT, TMAX_DEFAULT + 1).bound == TMAX_DEFAULT
+        assert sizes == [10] * 7 + [9]
         sizes.clear()
-        assert period_bruteforce(spec_of(_n3_coin_of_period(late), 3), TMAX_DEFAULT, False).period == late
-        assert sizes == [1] + [10] * 4
+        assert period_bruteforce(spec_of(_n3_coin_of_period(late), 3), TMAX_DEFAULT, TMAX_DEFAULT + 1).period == late
+        assert sizes == [10] * 5
 
     @pytest.mark.parametrize("coin, n, a, period", [(coins.perm_matrix(2), 50, 1, 150),
                                                     (coins.perm_matrix(1), 200, 0, 200)])
     def test_period_found_when_none_was_expected(self, coin, n, a, period):
-        # a wrong expectation changes the groups, not the result
-        for expect_period in (True, False):
-            assert period_bruteforce(spec_of(coin, n, a), TMAX_DEFAULT, expect_period).period == period
+        # a wrong expectation changes the schedule, not the result
+        for expected in (None, TMAX_DEFAULT + 1, 1, 2, 64, period - 1, period + 1):
+            assert period_bruteforce(spec_of(coin, n, a), TMAX_DEFAULT, expected).period == period
 
     def test_period_in_the_first_chunk_builds_no_giant_step(self, monkeypatch):
         sizes = _spy_screen(monkeypatch)
@@ -609,7 +614,7 @@ class TestGiantSteps:
         sizes.clear()
         monkeypatch.setattr(period_mod, "CHUNK_BYTES", 2 * 128 * 432 + 10 * (3 * 432 + 136 * 8))
         chunk, size = period_mod._plan(3, tmax)
-        assert chunk == min(CHUNK_STEPS, tmax) and size == min(10, max(1, (tmax - 1) // chunk))
+        assert chunk == min(CHUNK_STEPS, tmax) and size == min(10, (tmax - 1) // chunk + 1)
         late = spec_of(_n3_coin_of_period(40 * CHUNK_STEPS + 2), 3)
         assert _matches_oracle(late, tmax)
         assert max(sizes[1:], default=1) <= size
@@ -624,6 +629,42 @@ class TestGiantSteps:
             assert period_mod._plan(n, TMAX_DEFAULT)[1] > 1
         for n in (445, 453, 454, 700, 1000, 20_000, 38_836):
             assert period_mod._plan(n, TMAX_DEFAULT)[1] == 1
+
+
+class TestExpectedPeriodFirst:
+    """An expected period p whose least power of two b0 >= p is at most
+    B/2: U^1..U^b0 are built and tested against I before the scan."""
+
+    @pytest.mark.parametrize("expected, tests, screens", [
+        (6, [5], []),  # the period: found in U^1..U^8, with no screen
+        (5, [5], []),  # b0 = 8 holds it too
+        (4, [None, 5], [1]),  # U^1..U^4 miss it: the scan goes on from chunk 0
+        (64, [5], []),  # b0 = 64, half of B
+        (65, [5], [1]),  # b0 = 128 = B: the scan alone
+        (None, [5], [1]),
+    ])
+    def test_the_head_is_tested_before_the_scan(self, monkeypatch, expected, tests, screens):
+        sizes, seen = _spy_screen(monkeypatch), _spy_first_hit(monkeypatch)
+        assert period_bruteforce(spec_of(coins.grover_type(1), 3), TMAX_DEFAULT, expected).period == 6
+        assert seen == tests and sizes == screens
+
+    @pytest.mark.parametrize("period, expected", [(8, 8), (8, 5), (9, 8), (16, 9), (18, 16), (2, 1), (3, 1)])
+    def test_periods_at_the_head_edge_match_oracle(self, period, expected):
+        # on the head's last power, and on the first power past it
+        spec = spec_of(_n3_coin_of_period(period), 3)
+        for tmax in (period - 1, period, 300):
+            assert _matches_oracle(spec, tmax, expected), (period, expected, tmax)
+
+    @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 100, 57, 7])
+    def test_the_head_grows_on_to_the_same_bits(self, rng, chunk):
+        # the doubling steps to b0 are the first of those to B
+        for n in (2, 5, 33):
+            stack = _unitary_stack(rng, n)
+            full = period_mod._grow(stack, chunk).tobytes()
+            head = 1
+            while 2 * head <= chunk:
+                assert period_mod._grow(period_mod._grow(stack, head), chunk).tobytes() == full, (n, head)
+                head *= 2
 
 
 class TestBruteForceMemoryGuard:
@@ -694,10 +735,25 @@ class TestBruteForceMemoryGuard:
         assert res.period == 3
         assert peak <= period_mod.CHUNK_BYTES
 
-    def test_peak_memory_at_the_largest_giant_group_within_chunk_budget(self, monkeypatch):
+    def test_peak_memory_of_a_missed_head_within_chunk_budget(self):
+        # at n = 1000, B = 57: a head of 16 powers misses the identity coin's
+        # period 1000 and grows on to B, which the scan then fills
+        spec = spec_of(coins.perm_matrix(1), 1000)
+        tracemalloc.start()
+        try:
+            res = period_bruteforce(spec, 200, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "no_period_up_to" and res.bound == 200
+        assert peak <= period_mod.CHUNK_BYTES
+
+    @pytest.mark.parametrize("expected", [None, 3_000_001])
+    def test_peak_memory_at_the_largest_giant_group_within_chunk_budget(self, monkeypatch, expected):
         # 23,437 giant steps at tmax = 3,000,000: the groups reach the cap,
         # where their table, product and rows take 9.1 MB and the (128, g)
-        # screen 7.2 MB of the 16 MiB budget
+        # screen 7.2 MB of the 16 MiB budget; expecting no period, the
+        # identity and cap - 1 steps are the first group
         sizes = _spy_screen(monkeypatch)
         spec = spec_of(coins.coin_from_theta("X", 1.0), 3)
         tmax = 3_000_000
@@ -705,7 +761,7 @@ class TestBruteForceMemoryGuard:
         assert 1 < cap < (tmax - 1) // chunk
         tracemalloc.start()
         try:
-            res = period_bruteforce(spec, tmax=tmax)
+            res = period_bruteforce(spec, tmax, expected)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -974,29 +1030,43 @@ class TestContradictions:
 
 
 class TestBruteForceExpectation:
-    """The expect_period flag `cross_validate` hands `period_bruteforce`:
-    false only when an earlier result rules out every period t <= tmax."""
+    """The period `cross_validate` hands `period_bruteforce` to expect: the
+    least finite period <= tmax of the earlier results, else tmax + 1 when
+    one rules out every period t <= tmax, else None."""
 
-    @pytest.mark.parametrize("earlier, expect_period", [
-        ("infinite", False), ("bound_at_p", False), ("finite_q", False),
-        ("not_applicable", True), ("finite_p", True), ("bound_below_p", True),
+    @staticmethod
+    def _fixed_with_spy(monkeypatch, analytic, spectral, seen):
+        """`_fixed_methods` for analytic and spectral, and a bruteforce that
+        appends the period it is handed to `seen` and returns finite_p_again."""
+        _fixed_methods(monkeypatch, analytic=analytic, spectral=spectral)
+        monkeypatch.setattr(period_mod, "period_bruteforce",
+                            lambda *args: seen.append(args[2]) or _FIXED_RESULTS["finite_p_again"])
+
+    @pytest.mark.parametrize("earlier, expected", [
+        ("infinite", 7), ("bound_at_p", 7), ("finite_q", 7),
+        ("not_applicable", None), ("finite_p", 6), ("bound_below_p", None),
     ])
-    def test_flag_follows_the_earlier_result(self, monkeypatch, earlier, expect_period):
+    def test_expectation_follows_the_earlier_result(self, monkeypatch, earlier, expected):
         # tmax = 6 is finite_p's period and bound_at_p's bound
-        flags = []
-
-        def bruteforce(*args):
-            flags.append(args[2])
-            return _FIXED_RESULTS["finite_p_again"]
-
+        seen = []
         spec, na = spec_of(coins.grover_type(1), 3), _FIXED_RESULTS["not_applicable"]
         for analytic, spectral in ((_FIXED_RESULTS[earlier], na), (na, _FIXED_RESULTS[earlier])):
-            _fixed_methods(monkeypatch, analytic=analytic, spectral=spectral)
-            monkeypatch.setattr(period_mod, "period_bruteforce", bruteforce)
+            self._fixed_with_spy(monkeypatch, analytic, spectral, seen)
             cross_validate(spec, tmax=6)
-        # listed after bruteforce, no result sets the flag
+        # listed after bruteforce, no result sets the expectation
         cross_validate(spec, tmax=6, methods=("bruteforce", "analytic", "spectral"))
-        assert flags == [expect_period, expect_period, True]
+        assert seen == [expected, expected, None]
+
+    @pytest.mark.parametrize("analytic, spectral, tmax, expected", [
+        ("finite_p", "finite_q", 12, 6),  # two periods within tmax: the least
+        ("finite_q", "finite_p", 6, 6),  # one within tmax, one past it
+        ("infinite", "finite_p", 6, 6),  # a period within tmax, though another result rules it out
+    ])
+    def test_the_least_period_within_tmax_is_expected(self, monkeypatch, analytic, spectral, tmax, expected):
+        seen = []
+        self._fixed_with_spy(monkeypatch, _FIXED_RESULTS[analytic], _FIXED_RESULTS[spectral], seen)
+        cross_validate(spec_of(coins.grover_type(1), 3), tmax=tmax)
+        assert seen == [expected]
 
 
 class TestGuaranteedOrderBound:

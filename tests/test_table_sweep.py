@@ -215,9 +215,13 @@ def test_a_sweep_with_an_invalid_last_cell_runs_no_method(monkeypatch):
     assert _call(argv) == (1, "", "error: liveliness must satisfy 0 <= a <= n//2, got a=2\n")
 
 
-def test_a_sweep_of_no_cells_reads_no_bound():
+def test_a_sweep_of_no_cells_checks_its_bounds():
+    # as every other sweep and `period` do: tmax first, then qmax, each only
+    # where a method reads it
     argv = ("table", "--family", "X", "--theta-list", "1", "--n-list", ",", "--qmax", "0", "--tmax", "-1")
-    assert _call(argv) == (0, "[]\n", "")
+    assert _call(argv) == (1, "", "error: step bound tmax must be >= 0, got -1\n")
+    assert _call(argv[:-2]) == (1, "", "error: denominator bound qmax must be >= 1, got 0\n")
+    assert _call(argv[:-2] + ("--methods", "bruteforce")) == (0, "[]\n", "")
 
 
 #: the sweep whose third spec's blocks the solver refuses: X at theta/2pi =
