@@ -10,6 +10,7 @@ pins down; the CLI exposes them for ad-hoc runs at other sample sizes and seeds.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -132,12 +133,15 @@ SAMPLED_SUITES = tuple(name for name in SUITES if name != "period-consistency")
 
 def run_suite(name: str, seed: int | None = None, samples: int | None = None) -> SuiteResult:
     """Run one suite; ``seed`` and ``samples`` are read only by the
-    SAMPLED_SUITES, which default to seed 0 and their own sample count."""
+    SAMPLED_SUITES, which default to seed 0 and their own sample count.  A
+    sample count is an integer >= 1, so that no run passes on 0 checks."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     given = {key: value for key, value in (("seed", seed), ("samples", samples)) if value is not None}
     if given and name not in SAMPLED_SUITES:
         raise ValueError(f"suite {name!r} is not sampled and takes no {' or '.join(given)}")
+    if samples is not None and not (isinstance(samples, numbers.Integral) and samples >= 1):
+        raise ValueError(f"sample count must be an integer >= 1, got {samples!r}")
     checks, failures, worst = 0, 0, 0.0
     for defect, passed in _RUNNERS[name](**given):
         checks += 1

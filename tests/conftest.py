@@ -9,6 +9,9 @@ import pytest
 from livelywalk import cli
 from livelywalk.exactnum import multiset_distance
 
+# the golden runners compare their lines through corpora.assert_golden
+pytest.register_assert_rewrite("corpora")
+
 
 @pytest.fixture
 def rng():

@@ -21,15 +21,10 @@ into each report.  So:
 import contextlib
 import io
 import json
-from pathlib import Path
 
 import pytest
 
-import test_golden_classify
-import test_golden_cli_errors
-import test_golden_coinfile
-import test_golden_simulate_bytes
-import test_golden_table
+import corpora
 from livelywalk import cli, period, walk
 
 
@@ -124,18 +119,8 @@ def test_the_memo_never_exceeds_its_cap():
     assert cli._coin_entry.cache_info()[:2] == (hits + 1, misses + 1)  # used least recently, so dropped
 
 
-def golden_argvs(workdir: Path) -> list[tuple]:
-    """Every argv of the golden CLI corpora: `test_fixed_cost.corpus_argvs`
-    without the benchmark workloads."""
-    out = list(test_golden_cli_errors.calls()) + list(test_golden_table.calls())
-    out += [("coin", *argv) for argv in test_golden_classify.cli_sources().values()]
-    out += [argv for _, argv in test_golden_coinfile.calls(test_golden_coinfile.write_documents(workdir))]
-    out += [argv for _, argv in test_golden_simulate_bytes.calls(workdir)]
-    return out
-
-
 def test_golden_corpora_replay_the_same_in_one_process(tmp_path):
-    argvs = golden_argvs(tmp_path)
+    argvs = corpora.golden_argvs(tmp_path)
     assert len(argvs) > 400
     cli._coin_entry.cache_clear()
     first = [_call(argv) for argv in argvs]

@@ -28,11 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import test_golden_classify
-import test_golden_cli_errors
-import test_golden_coinfile
-import test_golden_simulate_bytes
-import test_golden_table
+import corpora
 from livelywalk import cli, coins
 from livelywalk.errors import (
     ConstraintViolated,
@@ -192,11 +188,7 @@ def _load_workloads():
 
 def corpus_argvs(workdir: Path) -> list[tuple]:
     """Every argv of the golden CLI corpora and of the three benchmark workloads."""
-    out = list(test_golden_cli_errors.calls()) + list(test_golden_table.calls())
-    out += [("coin", *argv) for argv in test_golden_classify.cli_sources().values()]
-    docs = [(label, workdir / f"{label}.json") for label, _, _ in test_golden_coinfile.sources()]
-    out += [argv for _, argv in test_golden_coinfile.calls(docs)]
-    out += [argv for _, argv in test_golden_simulate_bytes.calls(workdir)]
+    out = corpora.golden_argvs(workdir)
     workloads = _load_workloads()
     for name in workloads.WORKLOADS:
         out += [op.argv for op in workloads.build(name, 1, str(workdir))]

@@ -13,52 +13,24 @@ a sha256 prefix of its `coin_to_json` document and its rows, tab-separated, the
 rows joined by ";".  Regenerate the file only when a change of behaviour is
 intended:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/corpora.py golden_analytic
 """
 
 import hashlib
 import json
-import math
-from fractions import Fraction
-from pathlib import Path
 
+import corpora
 from livelywalk import coins
 from livelywalk.period import period_analytic
 from livelywalk.walk import WalkSpec
 
-GOLDEN = Path(__file__).with_name("golden_analytic.txt")
+GOLDEN = "golden_analytic"
 N_RANGE = range(2, 10)
-PELL_R = (Fraction(0), Fraction(1), Fraction(2), Fraction(5, 7))
-SIGNS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
-GENERIC_THETAS = (0.3, 1.0, 2.0, 4.5)
-NEAR_SPECIAL = Fraction(1, 10**10)
 
 
 def corpus() -> dict:
     """Coin id -> coin, in a fixed order."""
-    out = {}
-    for p in range(1, 7):
-        out[f"P{p}"] = coins.perm_matrix(p)
-        out[f"-P{p}"] = coins.Coin3(matrix=-coins.perm_matrix(p).matrix)
-        out[f"G{p}"] = coins.grover_type(p)
-        out[f"-G{p}"] = coins.grover_type(p, negate=True)
-    for fam in coins.FAMILIES:
-        for q in range(1, 13):
-            for m in range(q):
-                if math.gcd(m, q) == 1:
-                    f = Fraction(m, q)
-                    out[f"{fam} frac {f}"] = coins.coin_from_theta_frac(fam, f)
-                    out[f"{fam} rad {f}"] = coins.coin_from_theta(fam, 2.0 * math.pi * m / q)
-        for k in range(6):
-            for f in (Fraction(k, 6) - NEAR_SPECIAL, Fraction(k, 6) + NEAR_SPECIAL):
-                out[f"{fam} frac {f}"] = coins.coin_from_theta_frac(fam, f)
-                out[f"{fam} rad {f}"] = coins.coin_from_theta(fam, 2.0 * math.pi * float(f))
-        for r in PELL_R:
-            for label, (s1, s2) in SIGNS.items():
-                out[f"{fam} pell {r} {label}"] = coins.coin_from_rational(fam, r, s1, s2)
-        for theta in GENERIC_THETAS:
-            out[f"{fam} theta {theta}"] = coins.coin_from_theta(fam, theta)
-    return out
+    return {cid: coin for cid, (coin, _) in corpora.analytic_corpus().items()}
 
 
 def _row(coin, n: int, a: int) -> str:
@@ -80,23 +52,16 @@ def compute() -> list[str]:
     return lines
 
 
-def _expected() -> list[str]:
-    return GOLDEN.read_text().splitlines()
-
-
 def test_corpus_size():
     assert len(corpus()) == 568
 
 
 def test_golden_rows_and_documents():
-    expected, actual = _expected(), compute()
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want
+    corpora.assert_golden(GOLDEN, compute())
 
 
 def test_golden_reaches_every_theorem():
-    tags = {row.split(" ", 5)[5] for line in _expected()
+    tags = {row.split(" ", 5)[5] for line in corpora.golden(GOLDEN)
             for row in line.split("\t")[2].split(";")}
     fams = {f"{fam}-family:{rule}" for fam, rules in {
         "x": ("identity-lcm", "cyclic-permutation"),
@@ -105,7 +70,3 @@ def test_golden_reaches_every_theorem():
         "w": ("permutation-lcm", "negated-swap"),
     }.items() for rule in (*rules, "aperiodic-off-3cycle", "n3-rational-angle")}
     assert tags == fams | {"angle-unclassified", "rational-coin:aperiodic", "phase-condition-unmet"}
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(compute()) + "\n")

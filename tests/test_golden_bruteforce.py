@@ -13,41 +13,28 @@ and its rows "n a status period bound", tab-separated, the rows joined by
 force used before it moved to the momentum blocks.  Regenerate the file
 only when a change of behaviour is intended:
 
-    PYTHONPATH=src python tests/test_golden_bruteforce.py
+    PYTHONPATH=src python tests/corpora.py golden_bruteforce
 
 The same corpus pins how far IDENTITY_TOL sits from the distances
 ||U^t - I||_F that brute force decides on.
 """
 
 import math
-from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
-from livelywalk import coins
+import corpora
 from livelywalk.period import IDENTITY_TOL, period_bruteforce
 from livelywalk.walk import WalkSpec, block_stack
 
-GOLDEN = Path(__file__).with_name("golden_bruteforce.txt")
+GOLDEN = "golden_bruteforce"
 N_RANGE = range(2, 9)
 TMAX = 2000
 
 
 def corpus() -> dict:
     """Coin id -> coin, in a fixed order."""
-    out = {}
-    for p in range(1, 7):
-        out[f"P{p}"] = coins.perm_matrix(p)
-        out[f"-P{p}"] = coins.Coin3(matrix=-coins.perm_matrix(p).matrix)
-        out[f"G{p}"] = coins.grover_type(p)
-        out[f"-G{p}"] = coins.grover_type(p, negate=True)
-    for fam in coins.FAMILIES:
-        for q in range(1, 7):
-            for m in range(q):
-                if math.gcd(m, q) == 1:
-                    out[f"{fam} {Fraction(m, q)}"] = coins.coin_from_theta_frac(fam, Fraction(m, q))
-    return out
+    return corpora.special_coins() | corpora.theta_frac_coins(corpora.rational_grid(6))
 
 
 def _row(coin, n: int, a: int, expected) -> str:
@@ -65,47 +52,36 @@ def compute(expected=lambda cid, n, a: None) -> list[str]:
     ]
 
 
-def _expected() -> list[str]:
-    return GOLDEN.read_text().splitlines()
-
-
 def test_corpus_size():
     assert len(corpus()) == 72
-    assert sum(len(line.split("\t")[1].split(";")) for line in _expected()) == 1656
-
-
-def _assert_rows(actual: list[str]) -> None:
-    expected = _expected()
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want
+    assert sum(len(line.split("\t")[1].split(";")) for line in corpora.golden(GOLDEN)) == 1656
 
 
 def test_golden_bruteforce_rows():
-    _assert_rows(compute())
+    corpora.assert_golden(GOLDEN, compute())
 
 
 def test_golden_bruteforce_rows_expecting_no_period():
     # the identity joining one group of every giant step moves only the
     # group edges: no row changes, the periodic walks' included
-    _assert_rows(compute(lambda cid, n, a: TMAX + 1))
+    corpora.assert_golden(GOLDEN, compute(lambda cid, n, a: TMAX + 1))
 
 
 def test_golden_bruteforce_rows_expecting_their_own_period():
     # the powers up to the row's period, tested first, find the same period
     periods = {}
-    for line in _expected():
+    for line in corpora.golden(GOLDEN):
         cid, rows = line.split("\t")
         for row in rows.split(";"):
             n, a, status, period, _ = row.split(" ")
             if status == "finite":
                 periods[cid, int(n), int(a)] = int(period)
     assert len(periods) == 696  # the periodic rows; the others expect none
-    _assert_rows(compute(lambda cid, n, a: periods.get((cid, n, a))))
+    corpora.assert_golden(GOLDEN, compute(lambda cid, n, a: periods.get((cid, n, a))))
 
 
 def test_golden_reaches_both_outcomes_and_the_bound():
-    rows = [row.split(" ") for line in _expected() for row in line.split("\t")[1].split(";")]
+    rows = [row.split(" ") for line in corpora.golden(GOLDEN) for row in line.split("\t")[1].split(";")]
     assert {r[2] for r in rows} == {"finite", "no_period_up_to"}
     assert max(int(r[3]) for r in rows if r[2] == "finite") == 60
     assert all(r[4] == str(TMAX) for r in rows if r[2] == "no_period_up_to")
@@ -135,7 +111,7 @@ def test_identity_tol_margins():
     least 0.72 at every t before it, and at least 1.8e-4 at every t <= TMAX
     for the walks with no period up to TMAX."""
     hit, before, never = 0.0, math.inf, math.inf
-    for line, coin in zip(_expected(), corpus().values()):
+    for line, coin in zip(corpora.golden(GOLDEN), corpus().values()):
         for row in line.split("\t")[1].split(";"):
             n, a, status, period, _ = row.split(" ")
             spec = WalkSpec(n=int(n), a=int(a), coin=coin)
@@ -147,7 +123,3 @@ def test_identity_tol_margins():
     assert hit <= 1e-12 < IDENTITY_TOL
     assert IDENTITY_TOL < 1e-5 <= never
     assert before >= 0.1
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(compute()) + "\n")

@@ -21,16 +21,16 @@ argv, the sha256 of its stdout and its exit code, tab-separated.  The lines
 were generated before the either-or flags became argparse groups.
 Regenerate the file only when a change of behaviour is intended:
 
-    PYTHONPATH=src python tests/test_golden_cli_errors.py
+    PYTHONPATH=src python tests/corpora.py golden_cli_errors
 """
 
 import hashlib
 import itertools
-from pathlib import Path
 
+import corpora
 from conftest import digest_line
 
-GOLDEN = Path(__file__).with_name("golden_cli_errors.txt")
+GOLDEN = "golden_cli_errors"
 EMPTY = hashlib.sha256(b"").hexdigest()
 #: each coin source with a value that is complete on its own; the coin file
 #: does not exist, so a call that reads it would exit 1
@@ -98,26 +98,15 @@ def compute() -> list[str]:
     return [digest_line(" ".join(argv), argv) for argv in calls()]
 
 
-def _expected() -> list[str]:
-    return GOLDEN.read_text().splitlines()
-
-
 def test_corpus_size():
-    assert len(calls()) == len(_expected()) == 54
+    assert len(calls()) == len(corpora.golden(GOLDEN)) == 54
 
 
 def test_golden_cli_errors():
-    expected, actual = _expected(), compute()
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want
+    corpora.assert_golden(GOLDEN, compute())
 
 
 def test_every_call_fails_silently():
-    lines = [line.split("\t") for line in _expected()]
+    lines = [line.split("\t") for line in corpora.golden(GOLDEN)]
     assert {digest for _, digest, _ in lines} == {EMPTY}
     assert {code for _, _, code in lines} == {"1", "2"}
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(compute()) + "\n")

@@ -18,7 +18,7 @@ the sha256 of its stdout and its exit code, tab-separated.  The lines were
 generated before the coin coefficients were read off the matrix alone.
 Regenerate the file only when a change of behaviour is intended:
 
-    PYTHONPATH=src python tests/test_golden_coinfile.py
+    PYTHONPATH=src python tests/corpora.py golden_coinfile
 """
 
 import json
@@ -26,24 +26,18 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import corpora
 from conftest import digest_line, run_cli
 from livelywalk import coins
 
-GOLDEN = Path(__file__).with_name("golden_coinfile.txt")
+GOLDEN = "golden_coinfile"
 N_RANGE = range(2, 7)
 PELL_R = "2"
 
 
 def sources() -> list[tuple]:
     """(label, exact coin, CLI source argv or None) for each coin, in order."""
-    out = []
-    for p in range(1, 7):
-        perm = coins.perm_matrix(p)
-        grover = coins.grover_type(p)
-        out.append((f"P{p}", perm, ("--perm", f"P{p}")))
-        out.append((f"-P{p}", coins.Coin3(matrix=-perm.matrix), None))
-        out.append((f"G{p}", grover, ("--grover", f"P{p}")))
-        out.append((f"-G{p}", coins.Coin3(matrix=-grover.matrix), ("--grover", f"P{p}", "--negate")))
+    out = [(cid, coin, corpora.SPECIAL_SOURCES.get(cid)) for cid, coin in corpora.special_coins().items()]
     for fam in coins.FAMILIES:
         out.append((f"{fam}-pell-r{PELL_R}", coins.coin_from_rational(fam, Fraction(PELL_R)),
                     ("--family", fam, "--rational", PELL_R)))
@@ -86,25 +80,14 @@ def compute() -> list[str]:
         return [digest_line(label, argv) for label, argv in calls(write_documents(Path(tmp)))]
 
 
-def _expected() -> list[str]:
-    return GOLDEN.read_text().splitlines()
-
-
 def test_corpus_size():
     assert len(sources()) == 28
-    assert len(_expected()) == 28 * 2 * 14
+    assert len(corpora.golden(GOLDEN)) == 28 * 2 * 14
 
 
 def test_golden_coinfile_output():
-    expected, actual = _expected(), compute()
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want
+    corpora.assert_golden(GOLDEN, compute())
 
 
 def test_golden_calls_all_agree():
-    assert {line.split("\t")[2] for line in _expected()} == {"0"}
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(compute()) + "\n")
+    assert {line.split("\t")[2] for line in corpora.golden(GOLDEN)} == {"0"}

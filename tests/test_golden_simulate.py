@@ -14,20 +14,22 @@ only to 1e-14, because the dense matvec and the per-vertex coin mix add
 the same three products in a different order.  Regenerate the file only
 when a change of behaviour is intended:
 
-    PYTHONPATH=src python tests/test_golden_simulate.py
+    PYTHONPATH=src python tests/corpora.py golden_simulate
+
+A computed line within 1e-14 of the file's keeps the file's text
+(`same_row`), so the dense operator's digits stay until a row moves.
 """
 
 import io
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
-from livelywalk import coins
+import corpora
 from livelywalk.walk import WalkSpec, basis_state, write_distribution_csv
 
-GOLDEN = Path(__file__).with_name("golden_simulate.txt")
+GOLDEN = "golden_simulate"
 N_RANGE = range(2, 10)
 THETA_FRACS = (Fraction(1, 5), Fraction(2, 7))
 TMAX = 12
@@ -37,16 +39,7 @@ PROB_TOL = 1e-14
 
 def corpus() -> dict:
     """Coin id -> coin, in a fixed order."""
-    out = {}
-    for p in range(1, 7):
-        out[f"P{p}"] = coins.perm_matrix(p)
-        out[f"-P{p}"] = coins.Coin3(matrix=-coins.perm_matrix(p).matrix)
-        out[f"G{p}"] = coins.grover_type(p)
-        out[f"-G{p}"] = coins.grover_type(p, negate=True)
-    for fam in coins.FAMILIES:
-        for frac in THETA_FRACS:
-            out[f"{fam} {frac}"] = coins.coin_from_theta_frac(fam, frac)
-    return out
+    return corpora.special_coins() | corpora.theta_frac_coins(THETA_FRACS)
 
 
 def specs():
@@ -57,13 +50,16 @@ def specs():
                 yield cid, n, a, n // 2, (n + a) % 3
 
 
-def simulate(coin, n: int, a: int, start: int, coinstate: int) -> list[list[str]]:
-    """The CSV as (t, position, probability) cells, after checking its header."""
+def simulate(coin, n: int, a: int, start: int, coinstate: int) -> list[str]:
+    """The CSV's probability column, after checking its header and its
+    (t, position) columns."""
     buf = io.StringIO()
     write_distribution_csv(WalkSpec(n=n, a=a, coin=coin), basis_state(n, start, coinstate), TMAX, buf)
     header, *rows = buf.getvalue().splitlines()
     assert header == HEADER
-    return [row.split(",") for row in rows]
+    cells = [row.split(",") for row in rows]
+    assert [(t, v) for t, v, _ in cells] == [(str(t), str(v)) for t in range(TMAX + 1) for v in range(n)]
+    return [p for _, _, p in cells]
 
 
 def compute() -> list[str]:
@@ -71,18 +67,22 @@ def compute() -> list[str]:
     cs = corpus()
     return [
         f"{cid}\t{n} {a} {start} {coinstate}\t"
-        + " ".join(p for _, _, p in simulate(cs[cid], n, a, start, coinstate))
+        + " ".join(simulate(cs[cid], n, a, start, coinstate))
         for cid, n, a, start, coinstate in specs()
     ]
 
 
-def _expected() -> list[str]:
-    return GOLDEN.read_text().splitlines()
+def same_row(want: str, got: str) -> bool:
+    """Whether the computed line got holds the golden line want: the same
+    coin and spec, and each probability within PROB_TOL."""
+    (want_key, want_p), (got_key, got_p) = (line.rsplit("\t", 1) for line in (want, got))
+    want_p, got_p = (np.array(probs.split(" "), dtype=float) for probs in (want_p, got_p))
+    return want_key == got_key and want_p.shape == got_p.shape and np.max(np.abs(got_p - want_p)) <= PROB_TOL
 
 
 def test_corpus_size():
     assert len(corpus()) == 32
-    lines = _expected()
+    lines = corpora.golden(GOLDEN)
     assert len(lines) == 896
     assert [tuple(line.split("\t")[:2]) for line in lines] == [
         (cid, f"{n} {a} {start} {coinstate}") for cid, n, a, start, coinstate in specs()
@@ -90,28 +90,14 @@ def test_corpus_size():
 
 
 def test_golden_simulate_rows():
-    cs = corpus()
-    worst = 0.0
-    for line in _expected():
-        cid, key, probs = line.split("\t")
-        n, a, start, coinstate = map(int, key.split())
-        cells = simulate(cs[cid], n, a, start, coinstate)
-        assert [(t, v) for t, v, _ in cells] == [(str(t), str(v)) for t in range(TMAX + 1) for v in range(n)]
-        got = np.array([float(p) for _, _, p in cells])
-        want = np.array([float(p) for p in probs.split(" ")])
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    assert worst <= PROB_TOL
+    corpora.assert_golden(GOLDEN, compute(), same_row)
 
 
 def test_golden_rows_are_distributions():
-    for line in _expected():
+    for line in corpora.golden(GOLDEN):
         _, key, probs = line.split("\t")
         n = int(key.split()[0])
         p = np.array([float(v) for v in probs.split(" ")]).reshape(TMAX + 1, n)
         assert np.all(p >= 0.0)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
         assert math.isclose(p[0, n // 2], 1.0)
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(compute()) + "\n")

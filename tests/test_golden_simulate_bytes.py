@@ -24,7 +24,7 @@ the three wrap lines before rows of exact zeros were taken from a template
 of their own.
 Regenerate the file only when a change of behaviour is intended:
 
-    PYTHONPATH=src python tests/test_golden_simulate_bytes.py
+    PYTHONPATH=src python tests/corpora.py golden_simulate_bytes
 """
 
 import json
@@ -33,9 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
+import corpora
 from conftest import digest_line, run_cli
 
-GOLDEN = Path(__file__).with_name("golden_simulate_bytes.txt")
+GOLDEN = "golden_simulate_bytes"
 BENCHMARK_STARTS = ((512, 0, 474, 1), (1024, 0, 236, 0), (512, 3, 106, 2), (1024, 3, 812, 2))
 #: (n, a, start, coin state, tmax) of each start whose support wraps past vertex n - 1
 WRAP_STARTS = ((1024, 3, 0, 0, 50), (1024, 3, 1023, 1, 50), (64, 3, 0, 2, 200))
@@ -88,19 +89,14 @@ def compute() -> list[str]:
         return [digest_line(label, argv) for label, argv in calls(Path(tmp))]
 
 
-def _expected() -> list[str]:
-    return GOLDEN.read_text().splitlines()
-
-
 def test_golden_simulate_bytes():
-    expected, actual = _expected(), compute()
-    assert len(actual) == len(expected) == 11
-    for want, got in zip(expected, actual):
-        assert got == want
+    actual = compute()
+    assert len(actual) == 11
+    corpora.assert_golden(GOLDEN, actual)
 
 
 def test_golden_calls_all_succeed():
-    assert {line.split("\t")[2] for line in _expected()} == {"0"}
+    assert {line.split("\t")[2] for line in corpora.golden(GOLDEN)} == {"0"}
 
 
 def test_dense_starts_write_exponent_form(tmp_path):
@@ -109,7 +105,3 @@ def test_dense_starts_write_exponent_form(tmp_path):
         code, out = run_cli(argv)
         assert code == 0
         assert any("e-" in row.rsplit(",", 1)[1] for row in out.splitlines()[1:]), label
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(compute()) + "\n")

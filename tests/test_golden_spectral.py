@@ -13,37 +13,24 @@ eigensolver that the spectral route used before it moved to one batched
 LAPACK call over the momentum-block stack.  Regenerate the file only when
 a change of behaviour is intended:
 
-    PYTHONPATH=src python tests/test_golden_spectral.py
+    PYTHONPATH=src python tests/corpora.py golden_spectral
 """
 
-import math
 from fractions import Fraction
-from pathlib import Path
 
+import corpora
 from livelywalk import coins
 from livelywalk.period import GUARANTEED_ORDER_BOUND, period_spectral
 from livelywalk.walk import WalkSpec
 
-GOLDEN = Path(__file__).with_name("golden_spectral.txt")
+GOLDEN = "golden_spectral"
 N_RANGE = range(2, 13)
 
 
 def corpus() -> dict:
     """Coin id -> coin, in a fixed order."""
-    out = {}
-    for p in range(1, 7):
-        out[f"P{p}"] = coins.perm_matrix(p)
-        out[f"-P{p}"] = coins.Coin3(matrix=-coins.perm_matrix(p).matrix)
-        out[f"G{p}"] = coins.grover_type(p)
-        out[f"-G{p}"] = coins.grover_type(p, negate=True)
-    for fam in coins.FAMILIES:
-        out[f"{fam} r=2"] = coins.coin_from_rational(fam, Fraction(2))
-    for fam in coins.FAMILIES:
-        for q in range(1, 9):
-            for m in range(q):
-                if math.gcd(m, q) == 1:
-                    out[f"{fam} {Fraction(m, q)}"] = coins.coin_from_theta_frac(fam, Fraction(m, q))
-    return out
+    pell = {f"{fam} r=2": coins.coin_from_rational(fam, Fraction(2)) for fam in coins.FAMILIES}
+    return corpora.special_coins() | pell | corpora.theta_frac_coins(corpora.rational_grid(8))
 
 
 def _row(coin, n: int, a: int) -> str:
@@ -60,27 +47,16 @@ def compute() -> list[str]:
     ]
 
 
-def _expected() -> list[str]:
-    return GOLDEN.read_text().splitlines()
-
-
 def test_corpus_size():
     assert len(corpus()) == 116
-    assert sum(len(line.split("\t")[1].split(";")) for line in _expected()) == 5452
+    assert sum(len(line.split("\t")[1].split(";")) for line in corpora.golden(GOLDEN)) == 5452
 
 
 def test_golden_spectral_rows():
-    expected, actual = _expected(), compute()
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want
+    corpora.assert_golden(GOLDEN, compute())
 
 
 def test_golden_reaches_both_outcomes_and_the_bound():
-    rows = [row.split(" ") for line in _expected() for row in line.split("\t")[1].split(";")]
+    rows = [row.split(" ") for line in corpora.golden(GOLDEN) for row in line.split("\t")[1].split(";")]
     assert {r[2] for r in rows} == {"finite", "no_period_up_to"}
     assert all(r[4] == str(GUARANTEED_ORDER_BOUND) for r in rows if r[2] == "no_period_up_to")
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(compute()) + "\n")

@@ -9,15 +9,15 @@ the sha256 of its stdout and its exit code, tab-separated.  The lines were
 generated before the coin families became one (basis, x+y+z) record.
 Regenerate the file only when a change of behaviour is intended:
 
-    PYTHONPATH=src python tests/test_golden_table.py
+    PYTHONPATH=src python tests/corpora.py golden_table
 """
 
 import json
-from pathlib import Path
 
+import corpora
 from conftest import digest_line, run_cli
 
-GOLDEN = Path(__file__).with_name("golden_table.txt")
+GOLDEN = "golden_table"
 N_RANGE = range(2, 9)
 A_LIST = (0, 1)
 GRID = 6
@@ -39,28 +39,17 @@ def compute() -> list[str]:
     return [digest_line(" ".join(argv), argv) for argv in calls()]
 
 
-def _expected() -> list[str]:
-    return GOLDEN.read_text().splitlines()
-
-
 def test_corpus_size():
     assert len(calls()) == 56
-    assert len(_expected()) == 56
+    assert len(corpora.golden(GOLDEN)) == 56
     code, out = run_cli(calls()[0])
     assert code == 0
     assert len(json.loads(out)) == 12
 
 
 def test_golden_table_output():
-    expected, actual = _expected(), compute()
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want
+    corpora.assert_golden(GOLDEN, compute())
 
 
 def test_golden_calls_all_agree():
-    assert {line.split("\t")[2] for line in _expected()} == {"0"}
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(compute()) + "\n")
+    assert {line.split("\t")[2] for line in corpora.golden(GOLDEN)} == {"0"}

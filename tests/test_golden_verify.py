@@ -10,14 +10,13 @@ dense spectra, so 50 samples would cost about 10 s.  The lines were
 generated before `walk.evolution_operator` was built from the matrix-free step.
 Regenerate the file only when a change of behaviour is intended:
 
-    PYTHONPATH=src python tests/test_golden_verify.py
+    PYTHONPATH=src python tests/corpora.py golden_verify
 """
 
-from pathlib import Path
-
+import corpora
 from conftest import digest_line
 
-GOLDEN = Path(__file__).with_name("golden_verify.txt")
+GOLDEN = "golden_verify"
 CALLS = (
     ("verify", "--suite", "all", "--seed", "0"),
     ("verify", "--suite", "all", "--seed", "3", "--samples", "5"),
@@ -29,12 +28,8 @@ def compute() -> list[str]:
 
 
 def test_golden_verify_output():
-    assert compute() == GOLDEN.read_text().splitlines()
+    corpora.assert_golden(GOLDEN, compute())
 
 
 def test_golden_calls_all_pass():
-    assert {line.split("\t")[2] for line in GOLDEN.read_text().splitlines()} == {"0"}
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(compute()) + "\n")
+    assert {line.split("\t")[2] for line in corpora.golden(GOLDEN)} == {"0"}

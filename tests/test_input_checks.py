@@ -257,3 +257,16 @@ class TestBoundsAreIntegers:
 def test_unknown_suite():
     message = raised(ValueError, verify.run_suite, "nope")
     assert message == f"unknown suite 'nope'; choose from {', '.join(verify.SUITES)}"
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, 3.0, "5", math.nan])
+@pytest.mark.parametrize("name", verify.SAMPLED_SUITES)
+def test_sample_count_below_one_or_not_an_integer(name, samples):
+    # a count of 0 used to run 0 checks and pass
+    message = raised(ValueError, verify.run_suite, name, samples=samples)
+    assert message == f"sample count must be an integer >= 1, got {samples!r}"
+
+
+def test_sample_count_of_a_numpy_integer():
+    result = verify.run_suite("closure", samples=np.int64(2))
+    assert (result.checks, result.failures) == (2, 0)
