@@ -236,7 +236,7 @@ def solve_y(family: str, x: Scalar):
     lin, disc = s - x, (s - x) * (3 * x + s)
     if isinstance(x, complex):
         root = cmath.sqrt(disc)
-    elif disc < 0:
+    elif not disc >= 0:  # also catches NaN
         raise OutOfRange(f"x = {x} outside the real interval of family {family}")
     else:
         root = _rational_sqrt(disc) if isinstance(x, Fraction) else None

@@ -16,22 +16,23 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                A sweep solves its specs' blocks in CHUNK_BYTES batches.
 * bruteforce -- baby-step giant-step powering of the n momentum blocks:
                the baby steps U^1..U^B are built once, and the giant steps
-               (U^t0)^dagger, t0 = kB, by doubling, in groups: the identity
-               alone, a group of GROUP_FLOOR_BYTES of steps, then doubling.
-               The caller may pass the period p it expects: when the
-               least power of two b0 >= p is at most B/2, U^1..U^b0 are
-               built and tested first, and at p > tmax the identity joins
-               one group of every giant step the budget holds.  U^t0 is
-               unitary, so at t = t0 + j ||U^t - I||_F equals
-               ||U^j - (U^t0)^dagger||_F, and the first t with distance
-               <= IDENTITY_TOL is the period.
+               (U^t0)^dagger, t0 = kB, by doubling, in groups.  One rule
+               sets the schedule: the caller passes the least period p no
+               other method rules out, 1 when nothing is known, and the
+               first group, led by the identity, reaches p's chunk, or
+               every chunk at p > tmax; later groups hold at least
+               GROUP_FLOOR_BYTES of steps and double.  When the least
+               power of two b0 >= p is 2..B/2, U^1..U^b0 are built and
+               tested before any group.  U^t0 is unitary, so at
+               t = t0 + j ||U^t - I||_F equals ||U^j - (U^t0)^dagger||_F,
+               and the first t with distance <= IDENTITY_TOL is the period.
                One matrix product screens a group: a chunk none of whose
                distances squared, so computed, comes within IDENTITY_TOL^2
                plus a stated rounding bound, one per group, holds no
                period; any other chunk takes the exact test.  The arbiter:
                it checks every t <= tmax from powers of U alone.  Its
-               schedule may follow the other methods' expectation, its
-               result does not: every t is still tested, in order.
+               schedule follows the other methods' results, its result
+               does not: every t is still tested, in order.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
 spectral and brute-force routes both start from `walk.block_stack`; the
@@ -75,14 +76,13 @@ GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 CHUNK_STEPS = 128
 #: bytes brute force's baby steps, giant steps and temporaries, or one sweep batch's stacks, may hold
 CHUNK_BYTES = 16 * 2**20
-#: least bytes of giant steps brute force's first group past the identity
+#: least bytes of giant steps each brute-force group after the first
 #: holds: 18, 14 and 11 steps at n = 3, 4 and 5, one from n = 29 on.  At
 #: small n a group screen's fixed cost outweighs its GEMM, so a scan to
-#: tmax 10,000 takes four group screens, not eight; each extra step costs a
-#: walk whose period falls in the second chunk one more doubling, and 16 KiB,
-#: two steps at n = 38..56, made such walks 3-6% slower at n = 50.  A scan
-#: that expects a period past tmax skips the floor: the identity and every
-#: giant step the budget holds are its first group
+#: tmax 10,000 from the identity alone takes four group screens, not eight;
+#: each extra step costs a walk whose period falls in the second chunk one
+#: more doubling, and 16 KiB, two steps at n = 38..56, made such walks 3-6%
+#: slower at n = 50
 GROUP_FLOOR_BYTES = 8 * 2**10
 #: arrays of chunk size brute force holds: the baby steps U^1..U^B, one step
 #: per row, and the window of their differences from a giant step, which
@@ -121,7 +121,7 @@ def _convergent(x: float, qmax: int) -> Optional[tuple[int, int]]:
     h1, k1 = 0, 1  # first convergent of a value in (0, 1) is 0/1
     frac = x
     for _ in range(64):
-        if frac <= 0:
+        if not frac > 0:  # also catches NaN, which a non-finite x leaves
             break
         y = 1.0 / frac
         a = math.floor(y)
@@ -247,7 +247,7 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     t0 = kB < tmax, the identity at t0 = 0 included, and at least 1: a
     group of one giant step holds the one power B leaves room for and a
     (B, 1) screen.  Every group `_giant_groups` yields is at most G steps,
-    the identity's row counted when it joins a group, so it fits too.
+    the identity's row counted in the first, so it fits too.
     """
     per_power = n * 9 * np.dtype(complex).itemsize
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
@@ -278,58 +278,50 @@ def _grow(table: np.ndarray, upto: int) -> np.ndarray:
     return grown
 
 
-def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last: int,
-                  identity_joins: bool):
+def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last: int, first: int):
     """Yield (k0, group) for the giant steps k = 0..last in groups: the rows
     of `group`, leading rows of `giants`, are (U^(kB))^dagger for k = k0,
     k0 + 1, .., where U^1..U^B are the B baby steps in `rows`.
 
-    k = 0 is the identity, in row 0 of `giants`: a group of its own, or,
-    when identity_joins and len(giants) > 1, the first row of a group of
-    len(giants) steps.  Every other giant step is conj(W^k), where
+    The first group is k = 0..first - 1, first at most len(giants): the
+    identity, in row 0, then conj(W^k) for every later k, where
     W = (U^B)^T = conj((U^B)^dagger) is a view of the last baby step.
-    `_grow` doubles W into a table of W^1..W^d in block-major columns up to
-    the first group's steps past k = 0: F, as many as GROUP_FLOOR_BYTES
-    holds, but at least 1 and at most G = min(len(giants), last), and W
-    itself at F = 1; `_grow` doubles the table once per group after that,
-    whose new columns are the group, so the groups hold 1, F, F, 2F, 4F, ..
-    steps.  When the identity joins the first group, its len(giants) - 1
-    steps are the leading columns of a table built to G at once.  Once d is
-    G, each group of up to that many steps is the product
-    W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`.  A group
-    of one step is that product, built in its own row.  The table, while
-    it grows, and the product after it never hold more than 2 len(giants)
-    steps together.
+    `_grow` doubles W into a table of W^1..W^d in block-major columns, at
+    first to W^first but at most G = min(len(giants), last), so that a
+    first group of G steps leaves it full.  While the table is short of G,
+    each later group is its new columns as it grows by max(F, k0 - 1)
+    steps, F as many as GROUP_FLOOR_BYTES holds but at least 1, to G at
+    most; once it is G, each group of up to G steps is the product
+    W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`, up to
+    k = last.  So from the identity alone the groups hold 1, F, F, 2F, 4F,
+    .. steps.  A group of one step is that product, built in its own row.
+    The table, while it grows, and the product after it never hold more
+    than 2 len(giants) steps together.
     """
-    size, n = min(len(giants), last), rows.shape[1] // 9  # the largest group past k = 0
+    size, n = min(len(giants), last), rows.shape[1] // 9
+    floor = max(1, GROUP_FLOOR_BYTES // rows[0].nbytes)
     giants.reshape(len(giants), n, 3, 3)[0] = np.eye(3)
-    lead = int(identity_joins and len(giants) > 1)  # the identity's row ahead of the first steps
-    if not lead:
-        yield 0, giants[:1]
-    if last < 1:
-        return
-    g = len(giants) - 1 if lead else max(1, min(size, GROUP_FLOOR_BYTES // rows[0].nbytes))
-    table = _grow(rows[-1].reshape(n, 3, 3).transpose(0, 2, 1), size if lead else g)  # from (U^B)^T, a view
-    out = table[:, :, :3 * g]
+    table = _grow(rows[-1].reshape(n, 3, 3).transpose(0, 2, 1), min(size, first))  # from (U^B)^T, a view
     product = giants[0].reshape(n, 3, 3) if size == 1 else None
-    k0 = 1
+    k0, group, out = 0, giants[:first], table[:, :, :3 * (first - 1)]
     while True:
-        group = giants[:lead + g]
-        np.conjugate(out.reshape(n, 3, g, 3).transpose(2, 0, 1, 3), out=group[lead:].reshape(g, n, 3, 3))
-        yield k0 - lead, group
-        k0, lead = k0 + g, 0
+        g = out.shape[2] // 3  # the group's last g rows, all but the identity's in the first group
+        np.conjugate(out.reshape(n, 3, g, 3).transpose(2, 0, 1, 3), out=group[len(group) - g:].reshape(g, n, 3, 3))
+        yield k0, group
+        k0 += len(group)
         if k0 > last:
             return
-        if table.shape[2] // 3 < size:  # short of G, the table is W^1..W^(k0 - 1): it grows by the group
-            g = min(k0 - 1, size - k0 + 1)
+        if table.shape[2] // 3 < size:  # the table, W^1..W^(k0 - 1) or one more, grows by the group
+            g = min(max(floor, k0 - 1), size - k0 + 1)
             table = _grow(table, k0 - 1 + g)
-            out = table[:, :, 3 * (k0 - 1):]
+            out = table[:, :, 3 * (k0 - 1):3 * (k0 - 1 + g)]
         else:
             step = np.conjugate(group[-1].reshape(n, 3, 3), out=window[0].reshape(n, 3, 3))
             g = min(size, last - k0 + 1)
             if product is None:
                 product = np.empty_like(table)
             out = np.matmul(step, table[:, :, :3 * g], out=product[:, :, :3 * g])
+        group = giants[:g]
 
 
 def _screen_slack(n: int, r: float, t: float) -> float:
@@ -389,46 +381,39 @@ def _first_hit_of_identity(table: np.ndarray) -> Optional[int]:
     return _first_hit(rows, np.broadcast_to(np.eye(3), (n, 3, 3)), rows)
 
 
-def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
-                      expected: Optional[int] = None) -> PeriodResult:
+def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: int = 1) -> PeriodResult:
     """First t <= tmax with ||U^t - I||_F <= IDENTITY_TOL, by powering the momentum blocks.
 
     The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
     over blocks of ||U_l^t - I||_F^2, and U^t0 is unitary, so at t = t0 + j
     that is ||U^j - (U^t0)^dagger||_F^2.  Baby steps and giant steps: the
     powers U^1..U^B of all n blocks are built once by `_grow`, as the rows
-    of one (B, 9n) array, with ||U^j||_F^2 computed once per call; the chunk
-    t0 = 0 is screened against I, and only when it holds no period are the
-    giant steps (U^t0)^dagger, t0 = kB, built, in groups of F, F, 2F, 4F, ..
-    chunks, with F at least GROUP_FLOOR_BYTES of steps (`_giant_groups`).
-    `expected`, an integer >= 1 or None, is the period another method
-    reported (OutOfRange otherwise), and moves only the schedule.  When the
-    least power of two b0 >= expected is at most B/2, `_grow` first builds
-    U^1..U^b0 alone, by the doubling steps it takes on the way to B, so
-    every power has the same bits, and the exact test runs on t = 1..b0;
-    with no hit the table grows on to B and the scan goes on.  When
-    expected > tmax, for a walk another method found to have no period up
-    to tmax, the identity joins one first group of every giant step the
-    budget holds, so that a scan to tmax takes the fewest group screens.
-    One matrix product screens a group (`_screen`): a chunk none of whose
-    distances squared, so computed, comes within IDENTITY_TOL^2 plus the
-    group's `_screen_slack` holds no period and is skipped; any other
-    chunk, in order, takes the exact test, `_first_hit`,
-    which subtracts (U^t0)^dagger from every row and takes the B distances
-    with one einsum.  So every reported t is the exact test's.  The groups
-    stop growing at `_plan`'s G, where the baby steps, the giant steps'
-    table, product and rows, and the (B, g) screen fill CHUNK_BYTES; the
-    first group, the identity's row included when it joins, is at most G.
+    of one (B, 9n) array, with ||U^j||_F^2 computed once per call, and the
+    giant steps (U^t0)^dagger, t0 = kB, in groups (`_giant_groups`).
+    `expected`, an integer >= 1 (OutOfRange otherwise), is the least period
+    no other method rules out, 1 when nothing is known, and moves only the
+    schedule: the first group, led by the identity, reaches its chunk, as
+    far as `_plan`'s G allows, and past tmax every chunk.  When the least
+    power of two b0 >= expected is 2..B/2, `_grow` first builds U^1..U^b0
+    alone, by the doubling steps it takes on the way to B, so every power
+    has the same bits, and the exact test runs on t = 1..b0; with no hit
+    the table grows on to B and the scan goes on.  One matrix product
+    screens a group (`_screen`): a chunk none of whose distances squared,
+    so computed, comes within IDENTITY_TOL^2 plus the group's
+    `_screen_slack` holds no period and is skipped; any other chunk, in
+    order, takes the exact test, `_first_hit`, which subtracts
+    (U^t0)^dagger from every row and takes the B distances with one
+    einsum.  So every reported t is the exact test's.  Every group is at
+    most G steps, where the baby steps, the giant steps' table, product and
+    rows, and the (B, g) screen fill CHUNK_BYTES.
     """
     _check_tmax(tmax)
-    if expected is not None:
-        _check_bound(expected, 1, "expected period")
-    n = spec.n
+    _check_bound(expected, 1, "expected period")
+    expected, n = operator.index(expected), spec.n
     chunk, group_max = _plan(n, tmax)
     powers = _walk.block_stack(spec)
-    # b0, the powers tested first: only when they are at most half the chunk
-    head = chunk if expected is None else 1 << (operator.index(expected) - 1).bit_length()
-    if 2 * head <= chunk:
+    head = 1 << (expected - 1).bit_length()  # b0, the powers tested first
+    if 1 < head <= chunk // 2:
         powers = _grow(powers, head)
         hit = _first_hit_of_identity(powers)
         if hit is not None:
@@ -443,7 +428,8 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT,
     rows_f = rows.view(np.float64)
     half_norms = 0.5 * np.einsum("bi,bi->b", rows_f, rows_f)  # ||U^j||_F^2 / 2
     r_max = math.sqrt(2.0 * half_norms.max())
-    for k0, group in _giant_groups(rows, giants, window, last, expected is not None and expected > tmax):
+    first = min((expected - 1) // chunk + 1, group_max)  # the chunks through the expected period's
+    for k0, group in _giant_groups(rows, giants, window, last, first):
         for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max):
             t0 = (k0 + c) * chunk
             hit = _first_hit(rows, group[c], window)
@@ -553,34 +539,19 @@ class CrossValidation:
     agreement: bool
 
 
+def _least_open(result: PeriodResult) -> float:
+    """The least period t that `result` leaves open: its period, bound + 1,
+    math.inf for proven_infinite and 1 for not_applicable."""
+    if result.finite:
+        return result.period
+    if result.status == "no_period_up_to":
+        return result.bound + 1
+    return math.inf if result.status == "proven_infinite" else 1
+
+
 def _contradicts(fin: PeriodResult, other: PeriodResult) -> bool:
     """Whether `other` rules out `fin`'s finite period, by `cross_validate`'s rule."""
-    if not fin.finite:
-        return False
-    if other.finite:
-        return other.period != fin.period
-    if other.status == "no_period_up_to":
-        return fin.period <= other.bound
-    return other.status == "proven_infinite"
-
-
-def _rules_out_tmax(result: PeriodResult, tmax: int) -> bool:
-    """Whether `result` rules out every period t <= tmax."""
-    if result.finite:
-        return result.period > tmax
-    if result.status == "no_period_up_to":
-        return result.bound >= tmax
-    return result.status == "proven_infinite"
-
-
-def _expected_period(results, tmax: int) -> Optional[int]:
-    """The period brute force may expect after `results`: the least finite
-    period <= tmax among them, else tmax + 1 when one rules out every
-    t <= tmax, else None."""
-    periods = [r.period for r in results if r.finite and r.period <= tmax]
-    if periods:
-        return min(periods)
-    return tmax + 1 if any(_rules_out_tmax(r, tmax) for r in results) else None
+    return fin.finite and (fin.period < _least_open(other) or other.finite and other.period != fin.period)
 
 
 def _guarded(method: str, run) -> PeriodResult:
@@ -610,16 +581,14 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
 
     analytic reads the coin family's closed forms, spectral takes the lcm
     of the eigenvalue orders of the momentum blocks, and bruteforce powers
-    those blocks up to tmax; none builds the dense operator.  bruteforce
-    gets the period the results before its own expect (`_expected_period`):
-    the least finite period <= tmax, so that it tests the powers up to it
-    first; else tmax + 1 when one rules out every period t <= tmax
-    (proven_infinite, no_period_up_to a bound >= tmax, or a finite period
-    > tmax), so that its giant steps are grouped for a scan to tmax; else
-    None.  Its result is the same.  A finite period p is contradicted
-    by a finite period other than p, by proven_infinite and by
-    no_period_up_to a bound >= p; not_applicable contradicts nothing.  The
-    results agree when none is contradicted.  A method whose arrays would
+    those blocks up to tmax; none builds the dense operator.  Each result
+    leaves open the periods from `_least_open` on, and bruteforce expects
+    the least period the results before its own all leave open, at most
+    tmax + 1: its first giant-step group reaches that period's chunk, and
+    its result is the same.  A finite period p is contradicted by a finite
+    period other than p and by any result that leaves no period <= p open;
+    not_applicable, which leaves every period open, contradicts nothing.
+    The results agree when none is contradicted.  A method whose arrays would
     pass a size guard (GuardExceeded: brute force at n > 38,836) reports
     not_applicable with theorem guard-exceeded, and the other methods'
     results stand; `eigenvalues` goes to `period_spectral`.
@@ -627,7 +596,8 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
     results = []
     run = {"analytic": lambda: period_analytic(spec, qmax),
            "spectral": lambda: period_spectral(spec, qmax, eigenvalues),
-           "bruteforce": lambda: period_bruteforce(spec, tmax, _expected_period(results, tmax))}
+           "bruteforce": lambda: period_bruteforce(
+               spec, tmax, min(tmax + 1, max(map(_least_open, results), default=1)))}
     methods = tuple(methods)
     for method in methods:
         if method not in run:

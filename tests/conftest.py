@@ -31,21 +31,21 @@ def assert_same_multiset(a, b, tol=1e-8):
 # --- golden corpora of CLI calls -------------------------------------------
 
 
-def run_cli(argv) -> tuple[int, str]:
-    """(exit code, stdout) of one in-process CLI call, usage errors included."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def run_cli(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process CLI call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def digest_line(label: str, argv) -> str:
     """The golden-corpus line of one CLI call: the label, the sha256 of its
     stdout and its exit code, tab-separated."""
-    code, out = run_cli(argv)
+    code, out, _ = run_cli(argv)
     return f"{label}\t{hashlib.sha256(out.encode()).hexdigest()}\t{code}"
 
 

@@ -9,12 +9,10 @@ traced name fail the main test suite, not only `pytest perfbench`.  The
 a changed signature fails here too.
 """
 
-import contextlib
 import importlib.util
-import io
 from pathlib import Path
 
-from livelywalk import cli
+from conftest import run_cli
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 PERIOD = ("period", "--grover", "P1", "--n", "3")
@@ -35,20 +33,13 @@ def _load_tracer():
     return module
 
 
-def _call(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_traced_call_prints_the_untraced_bytes():
-    plain = [_call(argv) for argv in ARGVS]
+    plain = [run_cli(argv) for argv in ARGVS]
     assert [code for code, _, _ in plain] == [0, 0, 0]
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        traced = [_call(argv) for argv in ARGVS]
+        traced = [run_cli(argv) for argv in ARGVS]
     finally:
         tracer.uninstall()
     assert traced == plain
@@ -62,4 +53,4 @@ def test_traced_call_prints_the_untraced_bytes():
     assert tracer.counts["walk.evolution_operator.bytes_computed"] == sum(
         16 * (3 * n) ** 2 for n, _ in BLOCKDIAG_SPECS)
     assert tracer.counts["walk.write_distribution_csv.rows"] == (SIMULATE_TMAX + 1) * SIMULATE_N
-    assert [_call(argv) for argv in ARGVS] == plain  # uninstall put the untraced functions back
+    assert [run_cli(argv) for argv in ARGVS] == plain  # uninstall put the untraced functions back

@@ -1,7 +1,5 @@
 import argparse
-import contextlib
 import dataclasses
-import io
 import json
 import math
 import os
@@ -13,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_cli
 from livelywalk import cli, coins, verify, walk
 from livelywalk.walk import DENSE_GUARD
 
@@ -353,7 +352,7 @@ class TestTableCommand:
 
     def test_bad_a_list_is_usage_error_without_n(self):
         # --a-list is parsed even when --n-list names no n
-        code, out, err = _call(("table", "--family", "X", "--theta-list", "1", "--n-list", ",",
+        code, out, err = run_cli(("table", "--family", "X", "--theta-list", "1", "--n-list", ",",
                                 "--a-list", "q"))
         assert code == 2
         assert out == ""
@@ -368,7 +367,7 @@ class TestTableCommand:
         head = ("table", "--family", "X", "--theta-list", "1")
         tail = () if flag == "--n-list" else ("--n-list", "3")
         for argv in ((*head, flag, value, *tail), (*head, f"{flag}={value}", *tail)):
-            assert _call(argv) == (1, "", f"error: {message}\n"), argv
+            assert run_cli(argv) == (1, "", f"error: {message}\n"), argv
 
     def test_missing_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -606,17 +605,6 @@ class TestCountsBelowOne:
         assert code == 0 and out == "PASS closure: 1/1 checks\n"
 
 
-def _call(argv):
-    """(exit code, stdout, stderr) of one in-process call, usage errors included."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.fixture
 def fresh_parser():
     """Start and end with no shared parser, so the test sees its first build."""
@@ -644,17 +632,17 @@ class TestParserReuse:
     ]
 
     def test_sequence_matches_separate_calls(self, fresh_parser):
-        in_sequence = [_call(argv) for argv in self.SEQUENCE]
+        in_sequence = [run_cli(argv) for argv in self.SEQUENCE]
         separate = []
         for argv in self.SEQUENCE:
             cli.build_parser.cache_clear()
-            separate.append(_call(argv))
+            separate.append(run_cli(argv))
         assert in_sequence == separate
         assert [code for code, _, _ in in_sequence] == [0, 2, 0, 2, 0, 1, 0, 0, 0, 2, 0]
 
     def test_sequence_matches_separate_processes(self, fresh_parser):
         argv_pair = [self.SEQUENCE[1], self.SEQUENCE[0]]
-        in_sequence = [_call(argv) for argv in argv_pair]
+        in_sequence = [run_cli(argv) for argv in argv_pair]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(cli.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         for argv, (code, out, err) in zip(argv_pair, in_sequence):
@@ -664,12 +652,12 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("command", [(), ("coin",), ("period",), ("simulate",), ("table",), ("verify",)])
     def test_help_unchanged_by_reuse(self, fresh_parser, command):
-        first = _call((*command, "--help"))
+        first = run_cli((*command, "--help"))
         for argv in self.SEQUENCE:
-            _call(argv)
-        again = _call((*command, "--help"))
+            run_cli(argv)
+        again = run_cli((*command, "--help"))
         cli.build_parser.cache_clear()
-        assert again == first == _call((*command, "--help"))
+        assert again == first == run_cli((*command, "--help"))
         assert first[0] == 0 and first[1].startswith("usage: livelywalk")
 
     def test_built_once_across_calls(self, fresh_parser, monkeypatch):
@@ -683,10 +671,10 @@ class TestParserReuse:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         for argv in (self.SEQUENCE[0], self.SEQUENCE[1], self.SEQUENCE[4]):
-            _call(argv)
+            run_cli(argv)
         assert builds == [1]
         cli.build_parser.cache_clear()
-        _call(self.SEQUENCE[0])
+        run_cli(self.SEQUENCE[0])
         assert builds == [1, 1]
 
 
@@ -709,7 +697,7 @@ class TestMethodsList:
         ("table", "--family", "X", "--theta-list", "1.0", "--n-list", ","),  # empty sweep
     ])
     def test_bad_methods_is_usage_error(self, command, methods, message):
-        code, out, err = _call((*command, "--methods", methods))
+        code, out, err = run_cli((*command, "--methods", methods))
         assert code == 2
         assert out == ""
         assert message in err
@@ -717,11 +705,11 @@ class TestMethodsList:
     def test_table_checks_methods_before_the_sweep(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli._period, "cross_validate", lambda *a, **k: calls.append(1))
-        code, _, err = _call(("table", "--family", "X", "--theta-list", "1.0,2.0", "--n-list", "3,4",
+        code, _, err = run_cli(("table", "--family", "X", "--theta-list", "1.0,2.0", "--n-list", "3,4",
                               "--methods", "spectral,spectral"))
         assert code == 2 and calls == []
         # checked before any spec is built, so ahead of a bad n's domain error
-        code, _, err = _call(("table", "--family", "X", "--theta-list", "1.0", "--n-list", "1",
+        code, _, err = run_cli(("table", "--family", "X", "--theta-list", "1.0", "--n-list", "1",
                               "--methods", "magic"))
         assert code == 2 and "unknown method 'magic'" in err
 
@@ -741,7 +729,7 @@ class TestNonFiniteAngle:
         ("table", "--family", "X", "--theta-grid", "nan:1:2", "--n-list", "3"),
     ])
     def test_non_finite_theta_is_domain_error(self, argv):
-        code, out, err = _call(argv)
+        code, out, err = run_cli(argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: theta must be finite")
@@ -751,7 +739,7 @@ class TestNonFiniteAngle:
         # checked before np.linspace, which would warn and turn the end into nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = _call(("table", "--family", "X", f"--theta-grid={grid}", "--n-list", "3"))
+            code, out, err = run_cli(("table", "--family", "X", f"--theta-grid={grid}", "--n-list", "3"))
         assert code == 1
         assert out == ""
         assert err == f"error: theta must be finite, got {end}\n"
@@ -784,7 +772,7 @@ class TestMalformedFiles:
         ("coin", "--grover", "P1", "--output", "{dir}"),
     ])
     def test_directory_path_is_domain_error(self, tmp_path, argv):
-        code, out, err = _call([arg.format(dir=tmp_path) for arg in argv])
+        code, out, err = run_cli([arg.format(dir=tmp_path) for arg in argv])
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "Is a directory" in err
@@ -796,7 +784,7 @@ class TestMalformedFiles:
     def test_non_utf8_file_is_usage_error(self, tmp_path, argv, what):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"repr": "exact", "entries": "é"}'.encode("latin-1"))
-        code, out, err = _call([arg.format(path=path) for arg in argv])
+        code, out, err = run_cli([arg.format(path=path) for arg in argv])
         assert code == 2
         assert out == ""
         assert f"cannot parse {what} {path}" in err
@@ -811,7 +799,7 @@ class TestMalformedFiles:
     def test_bad_document_is_usage_error(self, tmp_path, doc):
         path = tmp_path / "coin.json"
         path.write_text(json.dumps(doc))
-        code, out, err = _call(("coin", "--matrix-file", str(path)))
+        code, out, err = run_cli(("coin", "--matrix-file", str(path)))
         assert code == 2
         assert out == ""
         assert f"coin file {path} does not match the schema" in err
@@ -823,7 +811,7 @@ class TestGuardExceeded:
 
     @pytest.mark.parametrize("methods", ["analytic,bruteforce", "analytic,spectral,bruteforce"])
     def test_period_past_the_guard_exits_0(self, methods):
-        code, out, err = _call(("period", "--perm", "P1", "--n", "38837", "--methods", methods))
+        code, out, err = run_cli(("period", "--perm", "P1", "--n", "38837", "--methods", methods))
         assert (code, err) == (0, "")
         doc = json.loads(out)
         brute = doc["results"][-1]
@@ -847,7 +835,7 @@ class TestOutOfMemory:
             raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
         monkeypatch.setattr(walk, target, no_memory)
-        assert _call(argv) == (1, "", "error: Unable to allocate 7.45 GiB for an array\n")
+        assert run_cli(argv) == (1, "", "error: Unable to allocate 7.45 GiB for an array\n")
 
 
 class TestNamedFamilyIsChecked:

@@ -14,12 +14,6 @@ from livelywalk import cli
 TABLE_ANGLES = (("--theta-list", "1.0"), ("--theta-grid", "0:1:2"), ("--rational-grid", "2"))
 
 
-def _run(capsys, *argv):
-    """(exit code, stdout, stderr) of one in-process call, usage errors included."""
-    code, out = run_cli(argv)
-    return code, out, capsys.readouterr().err
-
-
 class TestEitherOrGroups:
     """Coin sources, coin angles and table angle sources are each one argparse
     group: giving two of a group, or none of a required one, is a usage error."""
@@ -29,9 +23,9 @@ class TestEitherOrGroups:
         TABLE_ANGLES,
         (("--theta-list", "1"), ("--theta-grid", "0:1:q")),  # a malformed grid is not dropped
     ])
-    def test_two_table_angle_sources_are_a_usage_error(self, capsys, sources):
-        code, out, err = _run(capsys, "table", "--family", "X", *itertools.chain(*sources),
-                              "--n-list", "3", "--methods", "spectral")
+    def test_two_table_angle_sources_are_a_usage_error(self, sources):
+        code, out, err = run_cli(("table", "--family", "X", *itertools.chain(*sources),
+                                   "--n-list", "3", "--methods", "spectral"))
         assert code == 2
         assert out == ""
         assert "not allowed with argument" in err
@@ -50,8 +44,8 @@ class TestEitherOrGroups:
         (("simulate", "--perm", "P1", "--n", "3", "--a", "5", "--state-file", "x.json", "--start", "0", "--tmax", "2"),
          "give either --start/--coinstate or --state-file, not both"),
     ])
-    def test_group_messages(self, capsys, argv, message):
-        code, out, err = _run(capsys, *argv)
+    def test_group_messages(self, argv, message):
+        code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert message in err
 
@@ -65,8 +59,8 @@ class TestEmptyPaths:
         ("simulate", "--perm", "P1", "--n", "3", "--tmax", "2", "--state-file", ""),
         ("period", "--perm", "P1", "--n", "3", "--output", ""),
     ])
-    def test_empty_path_is_a_missing_file(self, capsys, argv):
-        code, out, err = _run(capsys, *argv)
+    def test_empty_path_is_a_missing_file(self, argv):
+        code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "No such file or directory" in err
 
@@ -83,24 +77,24 @@ class TestHandlerUsageLines:
         (("table", "--family", "X", "--theta-list", "1", "--n-list", "q"), "cannot parse n list 'q'"),
         (("verify", "--suite", "period-consistency", "--samples", "2"), "--samples is not read by"),
     ])
-    def test_usage_line_of_the_command(self, capsys, argv, message):
-        code, out, err = _run(capsys, *argv)
+    def test_usage_line_of_the_command(self, argv, message):
+        code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"usage: livelywalk {argv[0]} [-h]")
         assert f"livelywalk {argv[0]}: error: {message}" in err
 
 
 class TestTableSweep:
-    def test_nan_angle_is_a_domain_error_in_an_empty_sweep(self, capsys):
+    def test_nan_angle_is_a_domain_error_in_an_empty_sweep(self):
         # each coin is built once, before the sweep, even when no n is named
-        code, out, err = _run(capsys, "table", "--family", "X", "--theta-list", "nan", "--n-list", ",")
+        code, out, err = run_cli(("table", "--family", "X", "--theta-list", "nan", "--n-list", ","))
         assert code == 1
         assert out == ""
         assert err.startswith("error: theta must be finite")
 
     @pytest.mark.parametrize("theta_list", ["", ","])
-    def test_empty_theta_list_is_an_empty_sweep(self, capsys, theta_list):
-        assert _run(capsys, "table", "--family", "X", "--theta-list", theta_list, "--n-list", "3") == \
+    def test_empty_theta_list_is_an_empty_sweep(self, theta_list):
+        assert run_cli(("table", "--family", "X", "--theta-list", theta_list, "--n-list", "3")) == \
             (0, "[]\n", "")
 
 
@@ -154,8 +148,8 @@ class TestSimulateStreams:
     def test_output_file_matches_stdout(self, tmp_path):
         path = tmp_path / "walk.csv"
         argv = (*SIMULATE, "--tmax", "9")
-        assert run_cli((*argv, "--output", str(path))) == (0, "")
-        code, out = run_cli(argv)
+        assert run_cli((*argv, "--output", str(path))) == (0, "", "")
+        code, out, _ = run_cli(argv)
         assert code == 0
         assert path.read_text() == out
 
@@ -170,5 +164,5 @@ class TestSimulateStreams:
         path.write_text("kept\n")
         argv = ("simulate", "--perm", "P1", "--n", "3", *(arg.format(state=state) for arg in tail),
                 "--output", str(path))
-        assert run_cli(argv) == (1, "")
+        assert run_cli(argv)[:2] == (1, "")
         assert path.read_text() == "kept\n"

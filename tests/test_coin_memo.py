@@ -18,25 +18,13 @@ into each report.  So:
   depth.
 """
 
-import contextlib
-import io
 import json
 
 import pytest
 
 import corpora
+from conftest import run_cli
 from livelywalk import cli, period, walk
-
-
-def _call(argv):
-    """(exit code, stdout, stderr) of one in-process CLI call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def _coin_argv(path):
@@ -52,7 +40,7 @@ def test_rewritten_coin_file_gives_the_new_coins_report(tmp_path):
     reports = []
     for doc in (PERM_P2, PERM_P4, PERM_P2):
         path.write_text(json.dumps(doc))
-        code, out, err = _call(_coin_argv(path))
+        code, out, err = run_cli(_coin_argv(path))
         assert (code, err) == (0, "")
         reports.append(json.loads(out))
     assert [r["coin"]["entries"] for r in reports] == [d["entries"] for d in (PERM_P2, PERM_P4, PERM_P2)]
@@ -73,7 +61,7 @@ def test_a_bad_coin_file_fails_alike_on_every_call(tmp_path, content, code, comm
     if content is not None:
         path.write_bytes(content)
     argv = ("coin", "--matrix-file", str(path)) if command == "coin" else _coin_argv(path)
-    calls = [_call(argv) for _ in range(3)]
+    calls = [run_cli(argv) for _ in range(3)]
     assert calls[0][0] == code and calls[0][1] == "" and calls[0][2]
     assert calls[1:] == calls[:1] * 2
 
@@ -105,17 +93,17 @@ def test_the_memo_never_exceeds_its_cap():
 
     cli._coin_entry.cache_clear()
     for i in range(cli.COIN_MEMO_CAP + 20):
-        code, out, _ = _call(argv(i))
+        code, out, _ = run_cli(argv(i))
         assert code == 0 and out
         assert cli._coin_entry.cache_info().currsize == min(i + 1, cli.COIN_MEMO_CAP)
     # coins 20.. are kept; using coin 20 again leaves 21 the least recently used
-    assert _call(argv(20))[0] == 0
-    assert _call(argv(cli.COIN_MEMO_CAP + 20))[0] == 0
+    assert run_cli(argv(20))[0] == 0
+    assert run_cli(argv(cli.COIN_MEMO_CAP + 20))[0] == 0
     assert cli._coin_entry.cache_info().currsize == cli.COIN_MEMO_CAP
     hits, misses = cli._coin_entry.cache_info()[:2]
-    _call(argv(20))
+    run_cli(argv(20))
     assert cli._coin_entry.cache_info()[:2] == (hits + 1, misses)  # used last, so kept
-    _call(argv(21))
+    run_cli(argv(21))
     assert cli._coin_entry.cache_info()[:2] == (hits + 1, misses + 1)  # used least recently, so dropped
 
 
@@ -123,10 +111,10 @@ def test_golden_corpora_replay_the_same_in_one_process(tmp_path):
     argvs = corpora.golden_argvs(tmp_path)
     assert len(argvs) > 400
     cli._coin_entry.cache_clear()
-    first = [_call(argv) for argv in argvs]
+    first = [run_cli(argv) for argv in argvs]
     assert cli._coin_entry.cache_info().currsize
     for argv, want in zip(argvs, first):
-        assert _call(argv) == want, argv
+        assert run_cli(argv) == want, argv
 
 
 def _nested(doc, depth):

@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpora
+from conftest import run_cli
 from livelywalk import cli, coins
 from livelywalk.errors import (
     ConstraintViolated,
@@ -208,16 +209,6 @@ def test_dispatch_parses_what_the_top_level_parser_parses(tmp_path):
 # --- negative flag values ----------------------------------------------------
 
 
-def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue()
-
-
 @pytest.mark.parametrize("head, flag, value, tail", [
     (("coin", "--family", "X"), "--rational", "-5/2", ()),
     (("coin", "--family", "W"), "--theta-frac", "-1/5", ()),
@@ -227,6 +218,6 @@ def _run(argv):
     (("table", "--family", "X"), "--theta-grid", "-1:1:3", ("--n-list", "3", "--methods", "spectral")),
 ])
 def test_negative_value_is_read_as_the_flags_value(head, flag, value, tail):
-    code, out = _run((*head, flag, value, *tail))
+    code, out, err = run_cli((*head, flag, value, *tail))
     assert code == 0 and out
-    assert (code, out) == _run((*head, f"{flag}={value}", *tail))
+    assert (code, out, err) == run_cli((*head, f"{flag}={value}", *tail))

@@ -4,8 +4,8 @@ The corpus is 72 coins: the 24 special coins (+-P, +-Grover-type) and every
 family X/Y/Z/W at each exact theta/2pi = m/q with q <= 6.  Each coin is run
 through `period_bruteforce` with tmax = 2000 at n = 2..8 and every valid
 liveliness a = 0..n//2, 1656 specs in all, under each schedule an expected
-period sets: none, a period past tmax, and the row's own period, which
-must not change a row.
+period sets: 1 (nothing expected), a period past tmax, and the row's own
+period, which must not change a row.
 
 The expected rows live in golden_bruteforce.txt, one coin per line: its id
 and its rows "n a status period bound", tab-separated, the rows joined by
@@ -43,7 +43,7 @@ def _row(coin, n: int, a: int, expected) -> str:
     return " ".join("-" if v is None else str(v) for v in cells)
 
 
-def compute(expected=lambda cid, n, a: None) -> list[str]:
+def compute(expected=lambda cid, n, a: 1) -> list[str]:
     """One tab-separated line per coin: id, rows, each row's brute force
     run with the period expected(cid, n, a)."""
     return [
@@ -62,8 +62,8 @@ def test_golden_bruteforce_rows():
 
 
 def test_golden_bruteforce_rows_expecting_no_period():
-    # the identity joining one group of every giant step moves only the
-    # group edges: no row changes, the periodic walks' included
+    # one first group of every giant step moves only the group edges: no
+    # row changes, the periodic walks' included
     corpora.assert_golden(GOLDEN, compute(lambda cid, n, a: TMAX + 1))
 
 
@@ -77,7 +77,7 @@ def test_golden_bruteforce_rows_expecting_their_own_period():
             if status == "finite":
                 periods[cid, int(n), int(a)] = int(period)
     assert len(periods) == 696  # the periodic rows; the others expect none
-    corpora.assert_golden(GOLDEN, compute(lambda cid, n, a: periods.get((cid, n, a))))
+    corpora.assert_golden(GOLDEN, compute(lambda cid, n, a: periods.get((cid, n, a), 1)))
 
 
 def test_golden_reaches_both_outcomes_and_the_bound():

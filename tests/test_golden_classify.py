@@ -42,7 +42,7 @@ def test_cli_sources_build_the_corpus_coins():
     assert {cid for cid, (_, argv) in corpus.items() if argv is None} == {f"-P{p}" for p in range(1, 7)}
     for cid, (coin, argv) in corpus.items():
         if argv is not None:
-            code, out = run_cli(("coin", *argv))
+            code, out, _ = run_cli(("coin", *argv))
             assert code == 0 and json.loads(out)["coin"] == coins.coin_to_json(coin), cid
 
 

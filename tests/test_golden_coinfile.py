@@ -56,7 +56,7 @@ def write_documents(workdir: Path) -> list[tuple[str, Path]]:
         bare = workdir / f"{label}.bare.json"
         bare.write_text(json.dumps(_bare_document(coin)))
         written = workdir / f"{label}.written.json"
-        code, _ = run_cli(("coin", *(source or ("--matrix-file", str(bare))), "--output", str(written)))
+        code, _, _ = run_cli(("coin", *(source or ("--matrix-file", str(bare))), "--output", str(written)))
         assert code == 0, label
         output = workdir / f"{label}.output.json"
         output.write_text(json.dumps(json.loads(written.read_text())["coin"]))

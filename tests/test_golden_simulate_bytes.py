@@ -102,6 +102,6 @@ def test_golden_calls_all_succeed():
 def test_dense_starts_write_exponent_form(tmp_path):
     """Each dense start writes some probabilities in exponent form."""
     for label, argv in calls(tmp_path)[-len(DENSE_STARTS):]:
-        code, out = run_cli(argv)
+        code, out, _ = run_cli(argv)
         assert code == 0
         assert any("e-" in row.rsplit(",", 1)[1] for row in out.splitlines()[1:]), label

@@ -42,7 +42,7 @@ def compute() -> list[str]:
 def test_corpus_size():
     assert len(calls()) == 56
     assert len(corpora.golden(GOLDEN)) == 56
-    code, out = run_cli(calls()[0])
+    code, out, _ = run_cli(calls()[0])
     assert code == 0
     assert len(json.loads(out)) == 12
 

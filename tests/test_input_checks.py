@@ -80,6 +80,11 @@ class TestSolveY:
         assert y_plus == pytest.approx((0.5 + math.sqrt(1.25)) / 2, abs=1e-15)
         assert y_minus == pytest.approx((0.5 - math.sqrt(1.25)) / 2, abs=1e-15)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_out_of_range(self, x):
+        # a NaN discriminant is not >= 0 either, so NaN fails as inf does
+        assert raised(OutOfRange, coins.solve_y, "X", x) == f"x = {x} outside the real interval of family X"
+
 
 class TestSerializationChecks:
     def test_unknown_repr_tag(self):
@@ -208,6 +213,13 @@ def test_denominator_bound_below_one(call, value, qmax):
     assert raised(OutOfRange, call, value, qmax=qmax) == f"denominator bound qmax must be >= 1, got {qmax}"
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_has_no_fraction(x):
+    # no convergent qualifies; qmax is still checked first
+    assert period.classify_fraction(x) is None
+    assert raised(OutOfRange, period.classify_fraction, x, qmax=0) == "denominator bound qmax must be >= 1, got 0"
+
+
 class TestBoundsAreIntegers:
     """Step, time and denominator bounds are integers, read by operator.index
     as `WalkSpec` reads n and a: a float, whole or not, a str or None is
@@ -241,6 +253,7 @@ class TestBoundsAreIntegers:
     @pytest.mark.parametrize("expected, message", [
         (0, "expected period must be >= 1, got 0"), (math.nan, "expected period must be >= 1, got nan"),
         (2.5, "expected period must be an integer, got 2.5"), ("5", "expected period must be an integer, got '5'"),
+        (None, "expected period must be an integer, got None"),  # 1, the default, is nothing expected
     ])
     def test_expected_period(self, expected, message):
         assert raised(OutOfRange, period_bruteforce, self.SPEC, 10, expected) == message

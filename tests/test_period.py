@@ -229,7 +229,7 @@ class TestBruteForce:
         assert res.status == "no_period_up_to" and res.bound == 50
 
 
-def _matches_oracle(spec, tmax, expected=None):
+def _matches_oracle(spec, tmax, expected=1):
     res = period_bruteforce(spec, tmax, expected)
     want = brute_oracle(spec, tmax)
     if want is None:
@@ -304,7 +304,7 @@ class TestBlockBruteForceChunks:
         a = data.draw(st.integers(0, n // 2))
         spec = spec_of(coins.coin_from_theta(family, theta), n, a)
         # no expectation, none up to tmax, or a period up to tmax, mostly a wrong one
-        schedules = st.sampled_from((None, tmax + 1))
+        schedules = st.sampled_from((1, tmax + 1))
         if tmax >= 1:
             schedules = st.one_of(schedules, st.integers(1, tmax))
         assert _matches_oracle(spec, tmax, data.draw(schedules, label="expected"))
@@ -493,8 +493,9 @@ def _spy_screen(monkeypatch):
 
 
 class TestGiantSteps:
-    """Giant steps (U^kB)^dagger, screened in groups: k = 0, then the first
-    group of GROUP_FLOOR_BYTES of powers, then doubling."""
+    """Giant steps (U^kB)^dagger, screened in groups: a first group led by
+    k = 0 that reaches the expected period's chunk, then groups of at least
+    GROUP_FLOOR_BYTES of powers, doubling."""
 
     @staticmethod
     def _periods_on_group_edges_match_oracle(chunk):
@@ -583,8 +584,24 @@ class TestGiantSteps:
                                                     (coins.perm_matrix(1), 200, 0, 200)])
     def test_period_found_when_none_was_expected(self, coin, n, a, period):
         # a wrong expectation changes the schedule, not the result
-        for expected in (None, TMAX_DEFAULT + 1, 1, 2, 64, period - 1, period + 1):
+        for expected in (TMAX_DEFAULT + 1, 1, 2, 64, period - 1, period + 1):
             assert period_bruteforce(spec_of(coin, n, a), TMAX_DEFAULT, expected).period == period
+
+    @pytest.mark.parametrize("coin, n, a, period, screens", [
+        (coins.perm_matrix(1), 300, 0, 300, [3]),  # chunk 2, where the groups from k = 0 alone are 1, 1, 1
+        (coins.perm_matrix(2), 200, 1, 600, [5]),  # chunk 4: 1, 1, 1, 2
+    ])
+    def test_first_group_reaches_the_expected_period(self, monkeypatch, coin, n, a, period, screens):
+        # the period the other methods report sets the first group's end:
+        # one screen, no more giant steps, and the same result
+        spec = spec_of(coin, n, a)
+        sizes = _spy_screen(monkeypatch)
+        cv = cross_validate(spec)
+        assert cv.agreement and {r.period for r in cv.results if r.finite} == {period}
+        assert sizes == screens
+        sizes.clear()
+        assert period_bruteforce(spec, TMAX_DEFAULT, period).period == period
+        assert sizes == screens
 
     def test_period_in_the_first_chunk_builds_no_giant_step(self, monkeypatch):
         sizes = _spy_screen(monkeypatch)
@@ -632,8 +649,8 @@ class TestGiantSteps:
 
 
 class TestExpectedPeriodFirst:
-    """An expected period p whose least power of two b0 >= p is at most
-    B/2: U^1..U^b0 are built and tested against I before the scan."""
+    """An expected period p whose least power of two b0 >= p is 2..B/2:
+    U^1..U^b0 are built and tested against I before the scan."""
 
     @pytest.mark.parametrize("expected, tests, screens", [
         (6, [5], []),  # the period: found in U^1..U^8, with no screen
@@ -641,7 +658,7 @@ class TestExpectedPeriodFirst:
         (4, [None, 5], [1]),  # U^1..U^4 miss it: the scan goes on from chunk 0
         (64, [5], []),  # b0 = 64, half of B
         (65, [5], [1]),  # b0 = 128 = B: the scan alone
-        (None, [5], [1]),
+        (1, [5], [1]),  # nothing expected: the scan alone
     ])
     def test_the_head_is_tested_before_the_scan(self, monkeypatch, expected, tests, screens):
         sizes, seen = _spy_screen(monkeypatch), _spy_first_hit(monkeypatch)
@@ -748,7 +765,7 @@ class TestBruteForceMemoryGuard:
         assert res.status == "no_period_up_to" and res.bound == 200
         assert peak <= period_mod.CHUNK_BYTES
 
-    @pytest.mark.parametrize("expected", [None, 3_000_001])
+    @pytest.mark.parametrize("expected", [1, 3_000_001])
     def test_peak_memory_at_the_largest_giant_group_within_chunk_budget(self, monkeypatch, expected):
         # 23,437 giant steps at tmax = 3,000,000: the groups reach the cap,
         # where their table, product and rows take 9.1 MB and the (128, g)
@@ -1031,8 +1048,15 @@ class TestContradictions:
 
 class TestBruteForceExpectation:
     """The period `cross_validate` hands `period_bruteforce` to expect: the
-    least finite period <= tmax of the earlier results, else tmax + 1 when
-    one rules out every period t <= tmax, else None."""
+    least period that every earlier result leaves open (`_least_open`), at
+    most tmax + 1, and 1 when no result came before."""
+
+    @pytest.mark.parametrize("result, least_open", [
+        ("finite_p", 6), ("finite_p_again", 6), ("finite_q", 12), ("bound_at_p", 7),
+        ("bound_below_p", 6), ("infinite", math.inf), ("not_applicable", 1),
+    ])
+    def test_least_open_period_of_each_result(self, result, least_open):
+        assert period_mod._least_open(_FIXED_RESULTS[result]) == least_open
 
     @staticmethod
     def _fixed_with_spy(monkeypatch, analytic, spectral, seen):
@@ -1044,7 +1068,7 @@ class TestBruteForceExpectation:
 
     @pytest.mark.parametrize("earlier, expected", [
         ("infinite", 7), ("bound_at_p", 7), ("finite_q", 7),
-        ("not_applicable", None), ("finite_p", 6), ("bound_below_p", None),
+        ("not_applicable", 1), ("finite_p", 6), ("bound_below_p", 6),
     ])
     def test_expectation_follows_the_earlier_result(self, monkeypatch, earlier, expected):
         # tmax = 6 is finite_p's period and bound_at_p's bound
@@ -1053,16 +1077,16 @@ class TestBruteForceExpectation:
         for analytic, spectral in ((_FIXED_RESULTS[earlier], na), (na, _FIXED_RESULTS[earlier])):
             self._fixed_with_spy(monkeypatch, analytic, spectral, seen)
             cross_validate(spec, tmax=6)
-        # listed after bruteforce, no result sets the expectation
+        # listed before the others, bruteforce expects nothing
         cross_validate(spec, tmax=6, methods=("bruteforce", "analytic", "spectral"))
-        assert seen == [expected, expected, None]
+        assert seen == [expected, expected, 1]
 
     @pytest.mark.parametrize("analytic, spectral, tmax, expected", [
-        ("finite_p", "finite_q", 12, 6),  # two periods within tmax: the least
-        ("finite_q", "finite_p", 6, 6),  # one within tmax, one past it
-        ("infinite", "finite_p", 6, 6),  # a period within tmax, though another result rules it out
+        ("finite_p", "finite_q", 12, 12),  # two periods within tmax: the greater
+        ("finite_q", "finite_p", 6, 7),  # one within tmax, one past it
+        ("infinite", "finite_p", 6, 7),  # a period within tmax that another result rules out
     ])
-    def test_the_least_period_within_tmax_is_expected(self, monkeypatch, analytic, spectral, tmax, expected):
+    def test_disagreeing_results_leave_open_the_greatest(self, monkeypatch, analytic, spectral, tmax, expected):
         seen = []
         self._fixed_with_spy(monkeypatch, _FIXED_RESULTS[analytic], _FIXED_RESULTS[spectral], seen)
         cross_validate(spec_of(coins.grover_type(1), 3), tmax=tmax)

@@ -17,8 +17,6 @@
   runs; a solver failure fails the sweep at its batch.
 """
 
-import contextlib
-import io
 import math
 import textwrap
 from fractions import Fraction
@@ -27,24 +25,14 @@ import numpy as np
 import pytest
 
 import test_golden_spectral
-from livelywalk import cli, coins, period, walk
+from conftest import run_cli
+from livelywalk import coins, period, walk
 from livelywalk.errors import NumericalFailure
 from livelywalk.exactnum import eig3_unitary
 
 N_RANGE = range(2, 13)
 METHOD_SETS = (None, "analytic", "spectral", "bruteforce")
 TMAX = "600"
-
-
-def _call(argv):
-    """(exit code, stdout, stderr) of one in-process CLI call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def _sweeps(angles, methods):
@@ -83,8 +71,8 @@ def _table_text(reports: list[str]) -> str:
                          ids=["rational-grid", "theta-list", "theta-grid", "W-rational-grid"])
 def test_each_row_is_the_period_report_of_its_spec(angles, methods):
     for table, rows in _sweeps(angles, methods):
-        code, out, err = _call(table)
-        singles = [_call(argv) for argv in rows]
+        code, out, err = run_cli(table)
+        singles = [run_cli(argv) for argv in rows]
         assert err == "" and all(e == "" for _, _, e in singles)
         assert out == _table_text([o for _, o, _ in singles]), table
         assert code == max(c for c, _, _ in singles), table
@@ -119,11 +107,11 @@ def _counting_eig3(monkeypatch):
 def test_small_batches_print_the_same_bytes(monkeypatch, methods):
     sweeps = [(table + ("--methods", methods)) for angles in (RATIONAL, THETA_GRID)
               for table, _ in _sweeps(angles, None)]
-    whole = [_call(argv) for argv in sweeps]
+    whole = [run_cli(argv) for argv in sweeps]
     calls = _counting_eig3(monkeypatch)
     for argv in sweeps:  # one eigensolve per sweep: every sweep is one batch
         calls.clear()
-        _call(argv)
+        run_cli(argv)
         assert len(calls) == 1
     # 1,000 bytes hold six blocks, one to three specs at n <= 11, and n = 12's
     # seven blocks are a batch of their own; brute force, which CHUNK_BYTES
@@ -131,26 +119,26 @@ def test_small_batches_print_the_same_bytes(monkeypatch, methods):
     monkeypatch.setattr(period, "CHUNK_BYTES", 1000)
     for argv, want in zip(sweeps, whole):
         calls.clear()
-        assert _call(argv) == want, argv
+        assert run_cli(argv) == want, argv
         assert len(calls) > 4 and max(calls) <= 7, argv
 
 
 def test_a_spec_larger_than_chunk_bytes_is_a_batch_of_its_own(monkeypatch):
     argv = ("table", "--family", "X", "--rational-grid", "2", "--n-list", "3,40,4", "--methods", "spectral")
-    want = _call(argv)
+    want = run_cli(argv)
     calls = _counting_eig3(monkeypatch)
     monkeypatch.setattr(period, "CHUNK_BYTES", 1000)  # n = 40 has 21 blocks, 3,024 bytes
-    assert _call(argv) == want
+    assert run_cli(argv) == want
     assert calls == [2 + 2, 21, 21, 3 + 3]
 
 
 @pytest.mark.parametrize("angles", [("--rational-grid", "3"), ("--theta-grid", "0:1:3")])
 def test_a_sweep_builds_each_coin_once_per_process(monkeypatch, angles):
     argv = ("table", "--family", "W", *angles, "--n-list", "3,4", "--a-list", "0,1")
-    first = _call(argv)
+    first = run_cli(argv)
     # coin_from_theta_frac builds through coin_from_theta
     monkeypatch.setattr(coins, "coin_from_theta", lambda *args: pytest.fail("a memoized coin was built again"))
-    assert _call(argv) == first
+    assert run_cli(argv) == first
 
 
 def test_an_angle_and_the_equal_fraction_are_different_coins():
@@ -158,9 +146,9 @@ def test_an_angle_and_the_equal_fraction_are_different_coins():
     assert Fraction(1, 2) == 0.5 and hash(Fraction(1, 2)) == hash(0.5)
     for family in ("X", "Z"):
         tail = ("--n-list", "3", "--methods", "analytic,spectral")
-        _call(("table", "--family", family, "--rational-grid", "2", *tail))
-        code, out, _ = _call(("table", "--family", family, "--theta-list", "0.5", *tail))
-        single = _call(("period", "--family", family, "--theta", "0.5", "--n", "3", *tail[2:]))
+        run_cli(("table", "--family", family, "--rational-grid", "2", *tail))
+        code, out, _ = run_cli(("table", "--family", family, "--theta-list", "0.5", *tail))
+        single = run_cli(("period", "--family", family, "--theta", "0.5", "--n", "3", *tail[2:]))
         assert (code, out) == (single[0], _table_text([single[1]]))
 
 
@@ -204,24 +192,24 @@ FAILING = [
 
 @pytest.mark.parametrize("argv, stderr", FAILING, ids=[" ".join(argv[1:]) for argv, _ in FAILING])
 def test_a_sweep_that_fails_part_way_fails_as_before(argv, stderr):
-    assert _call(argv) == (1, "", stderr)
-    assert _call(argv) == (1, "", stderr)  # the second call finds its coins in the memo
+    assert run_cli(argv) == (1, "", stderr)
+    assert run_cli(argv) == (1, "", stderr)  # the second call finds its coins in the memo
 
 
 def test_a_sweep_with_an_invalid_last_cell_runs_no_method(monkeypatch):
     for name in ("period_analytic", "period_spectral", "period_bruteforce"):
         monkeypatch.setattr(period, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
     argv = ("table", "--family", "X", "--rational-grid", "3", "--n-list", "4,3", "--a-list", "0,2")
-    assert _call(argv) == (1, "", "error: liveliness must satisfy 0 <= a <= n//2, got a=2\n")
+    assert run_cli(argv) == (1, "", "error: liveliness must satisfy 0 <= a <= n//2, got a=2\n")
 
 
 def test_a_sweep_of_no_cells_checks_its_bounds():
     # as every other sweep and `period` do: tmax first, then qmax, each only
     # where a method reads it
     argv = ("table", "--family", "X", "--theta-list", "1", "--n-list", ",", "--qmax", "0", "--tmax", "-1")
-    assert _call(argv) == (1, "", "error: step bound tmax must be >= 0, got -1\n")
-    assert _call(argv[:-2]) == (1, "", "error: denominator bound qmax must be >= 1, got 0\n")
-    assert _call(argv[:-2] + ("--methods", "bruteforce")) == (0, "[]\n", "")
+    assert run_cli(argv) == (1, "", "error: step bound tmax must be >= 0, got -1\n")
+    assert run_cli(argv[:-2]) == (1, "", "error: denominator bound qmax must be >= 1, got 0\n")
+    assert run_cli(argv[:-2] + ("--methods", "bruteforce")) == (0, "[]\n", "")
 
 
 #: the sweep whose third spec's blocks the solver refuses: X at theta/2pi =
@@ -244,7 +232,7 @@ def test_a_solver_failure_on_the_third_spec_fails_as_before(monkeypatch, methods
         return eig3_unitary(m)
 
     monkeypatch.setattr(period, "eig3_unitary", refusing)
-    assert _call(argv) == (1, "", "error: eigenvalue modulus 0.5 is not 1\n")
+    assert run_cli(argv) == (1, "", "error: eigenvalue modulus 0.5 is not 1\n")
     # one batch of all eight specs, four at n = 3 and four at n = 4, and no
     # solve after it
     assert solves == [(20, True)]
