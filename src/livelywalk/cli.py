@@ -153,7 +153,8 @@ def _parse_coin(args, parser) -> _CoinEntry:
 def _build_coin(parser, perm, grover, negate, family, theta, theta_frac, rational, signs, matrix_file,
                 text) -> _coins.Coin3:
     """The coin of the checked flags; `text` is the --matrix-file's, and a
-    bad value is a usage error of `parser`'s command."""
+    bad value is a usage error of `parser`'s command.  `table` passes each
+    angle as theta, a float, or theta_frac, a Fraction."""
     if perm:
         return _coins.perm_matrix(int(perm[1]))
     if grover:
@@ -176,13 +177,6 @@ def _build_coin(parser, perm, grover, negate, family, theta, theta_frac, rationa
         parser.error(f"cannot parse --rational {rational!r} as a rational number")
     s1, s2 = (1 if sign == "+" else -1 for sign in signs or "++")
     return _coins.coin_from_rational(family, r, s1, s2)
-
-
-def _table_coin(family: str, angle) -> _coins.Coin3:
-    """The coin of a `table` angle: theta/2pi for a Fraction, theta for a float."""
-    if isinstance(angle, Fraction):
-        return _coins.coin_from_theta_frac(family, angle)
-    return _coins.coin_from_theta(family, angle)
 
 
 #: the text json.dumps writes for each scalar type
@@ -317,6 +311,8 @@ def _theta_values(args, parser):
     for end in (start, stop):
         if not math.isfinite(end):
             raise OutOfRange(f"theta must be finite, got {end}")
+    if not math.isfinite(stop - start):  # np.linspace would warn and give nan angles
+        raise OutOfRange(f"--theta-grid STOP - START overflows a float, got {args.theta_grid!r}")
     return np.linspace(start, stop, count)
 
 
@@ -325,10 +321,12 @@ def cmd_table(args, parser) -> int:
     a_values = _values(args.a_list, int, "a list", parser)
     methods = _methods_of(args, parser)
     if args.rational_grid:  # exact fractions keep the analytic route exact
-        angles = [Fraction(m, q) for q in range(1, args.rational_grid + 1) for m in range(q) if math.gcd(m, q) == 1]
+        angles = [(None, Fraction(m, q))
+                  for q in range(1, args.rational_grid + 1) for m in range(q) if math.gcd(m, q) == 1]
     else:
-        angles = [float(v) for v in _theta_values(args, parser)]
-    entries = [_coin_entry(_table_coin, args.family, v) for v in angles]
+        angles = [(float(v), None) for v in _theta_values(args, parser)]
+    entries = [_coin_entry(_build_coin, parser, None, None, False, args.family, theta, frac, None, None, None, None)
+               for theta, frac in angles]
     cells = [(n, a, entry.coin) for n in ns for a in a_values for entry in entries]
     cvs = _period._sweep(cells, args.tmax, args.qmax, methods)  # the coins vary fastest, as in `entries`
     reports = [_period.report_json(cv, e.fragment) for cv, e in zip(cvs, entries * len(ns) * len(a_values))]

@@ -113,21 +113,15 @@ class Coin3:
 
     def as_float(self) -> np.ndarray:
         """The matrix as complex128: one read-only copy, made on first use and
-        cached, so the coin's own ``matrix`` is never aliased."""
+        cached, so the coin's own ``matrix`` is never aliased.  An exact
+        entry becomes float(Fraction), its correctly rounded value."""
         return self._float
 
     @functools.cached_property
     def _float(self) -> np.ndarray:
-        m = self.matrix
-        if self.exact:  # M / d: each int division rounds once, as float(Fraction) does
-            rows, d = self._scaled
-            m = [[v / d for v in row] for row in rows]
-        mf = np.array(m, dtype=complex)
+        mf = np.array(self.matrix, dtype=complex)
         mf.flags.writeable = False
         return mf
-
-    #: (M, d) of `_scaled_integer`, for an exact coin; classify and as_float share it
-    _scaled = functools.cached_property(lambda self: _scaled_integer(self.matrix))
 
     @property
     def params(self) -> Optional[tuple]:
@@ -348,7 +342,6 @@ SPECIAL_COINS = tuple(
 )
 #: the special coins as one float stack, which `classify` compares against
 _SPECIAL = np.array([coin.as_float().real for coin in SPECIAL_COINS])
-_NO_HITS = np.zeros(len(SPECIAL_COINS), dtype=bool)
 
 
 def _linear_sum(coin: Coin3, tol: float) -> tuple[LinearSumCoefficients, Scalar, Scalar]:
@@ -364,7 +357,7 @@ def _linear_sum(coin: Coin3, tol: float) -> tuple[LinearSumCoefficients, Scalar,
     cofactor det as M's.
     """
     if coin.exact:
-        (rows, d), slack = coin._scaled, 0
+        (rows, d), slack = _scaled_integer(coin.matrix), 0
         if not _integer_orthogonal(rows, d):
             raise NotOrthogonal(f"orthogonality defect {orthogonality_defect(coin.matrix):.3e}")
         x, y, z = coin.matrix[0]
@@ -409,8 +402,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     coins.  The family follows from the basis and the sign of x+y+z; the
     determinant is recomputed, at the same tolerance, as a redundant
     cross-check of that assignment.  A real coin (``Coin3.is_real``) is
-    compared entry by entry with the 24 special matrices at DEFAULT_TOL,
-    unless its first row is not near multiples of 1/3 as theirs is.  A
+    compared entry by entry with the 24 special matrices at DEFAULT_TOL.  A
     Coin3 that names a family raises ConstraintViolated when its entries are
     of another.
     """
@@ -430,10 +422,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> Classification:
     if coin.family is not None and coin.family != family:
         raise ConstraintViolated(f"coin names family {coin.family} but its entries are family {family}")
 
-    # every special entry is a multiple of 1/3: a first row far from those is no special's
-    first = (coeffs.x, coeffs.y, coeffs.z)
-    hits = (coin.is_real & (np.max(np.abs(coin.as_float().real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
-            if all(abs((3 * complex(v).real + 0.5) % 1 - 0.5) <= 4 * DEFAULT_TOL for v in first) else _NO_HITS)
+    hits = coin.is_real & (np.max(np.abs(coin.as_float().real - _SPECIAL), axis=(1, 2)) <= DEFAULT_TOL)
     return Classification(
         **vars(coeffs),
         family=family,

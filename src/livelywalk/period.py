@@ -170,12 +170,12 @@ def _unit_order(lam: complex, qmax: int, qmax_checked: bool = True) -> Optional[
     return None if convergent is None else convergent[1]
 
 
-def _check_bound(value: int, least: int, what: str) -> None:
-    """OutOfRange unless the bound is an integer (by operator.index) >= least."""
+def _check_bound(value: int, least: int, what: str) -> int:
+    """The bound as an int, by operator.index; OutOfRange unless it is an integer >= least."""
     if isinstance(value, numbers.Real) and not value >= least:  # also catches NaN
         raise OutOfRange(f"{what} must be >= {least}, got {value}")
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:  # inf, 2.5, 10.0, "5", None
         raise OutOfRange(f"{what} must be an integer, got {value!r}") from None
 
@@ -221,10 +221,9 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=
     its modulus checked, its angle taken by math.atan2.  `eigenvalues` are
     the blocks' when a sweep solved them; by default it is a batch of one.
     """
-    _check_qmax(qmax)
-    bound = min(qmax, GUARANTEED_ORDER_BOUND)
+    bound = min(_check_qmax(qmax), GUARANTEED_ORDER_BOUND)
     if eigenvalues is None:
-        (eigenvalues,) = _block_eigenvalues([_walk.block_stack(spec, spec.n // 2 + 1)])
+        eigenvalues = next(_spectra([spec]))
     orders = []
     for lam in eigenvalues.ravel().tolist():
         q = _unit_order(lam, qmax)
@@ -407,9 +406,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: 
     most G steps, where the baby steps, the giant steps' table, product and
     rows, and the (B, g) screen fill CHUNK_BYTES.
     """
-    _check_tmax(tmax)
-    _check_bound(expected, 1, "expected period")
-    expected, n = operator.index(expected), spec.n
+    tmax, expected, n = _check_tmax(tmax), _check_bound(expected, 1, "expected period"), spec.n
     chunk, group_max = _plan(n, tmax)
     powers = _walk.block_stack(spec)
     head = 1 << (expected - 1).bit_length()  # b0, the powers tested first

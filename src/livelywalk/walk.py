@@ -47,10 +47,12 @@ class WalkSpec:
     coin: _coins.Coin3
 
     def __post_init__(self):
-        try:  # np.int64 and the like pass; floats, strings and None do not
-            operator.index(self.n), operator.index(self.a)
+        try:  # np.int64, bool and the like pass, stored as int; floats, strings and None do not
+            n, a = operator.index(self.n), operator.index(self.a)
         except TypeError:
             raise OutOfRange(f"cycle length and liveliness must be integers, got n={self.n!r}, a={self.a!r}") from None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
         if self.n < 2:
             raise OutOfRange(f"cycle length must be >= 2, got {self.n}")
         if not (0 <= self.a <= self.n // 2):
@@ -141,13 +143,20 @@ def distribution(psi: np.ndarray) -> np.ndarray:
 
 def block_stack(spec: WalkSpec, rows: int | None = None) -> np.ndarray:
     """The leading `rows` momentum blocks, all n by default, as one (rows, 3, 3)
-    array: entry l is U_k = D_k C at k = 2*pi*l/n.
+    array: entry l is U_k = D_k C at k = 2*pi*l/n.  `rows` is an integer
+    0..n, read by operator.index; OutOfRange otherwise.
 
     D_k = diag(e^{ik}, e^{-ik}, e^{-ika}) scales the rows of the coin; one
     `np.exp` over the (rows, 3) phases gives each D_k, and each entry is
     the same bits whatever `rows` is.
     """
-    k = 2.0 * math.pi * np.arange(spec.n if rows is None else rows) / spec.n
+    try:
+        rows = spec.n if rows is None else operator.index(rows)
+    except TypeError:  # 2.5, "3"
+        raise OutOfRange(f"block count must be an integer, got {rows!r}") from None
+    if not 0 <= rows <= spec.n:
+        raise OutOfRange(f"block count {rows} outside 0..{spec.n}")
+    k = 2.0 * math.pi * np.arange(rows) / spec.n
     return np.exp(np.multiply.outer(k, (1j, -1j, -1j * spec.a)))[:, :, None] * spec.coin.as_float()
 
 

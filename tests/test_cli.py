@@ -744,6 +744,22 @@ class TestNonFiniteAngle:
         assert out == ""
         assert err == f"error: theta must be finite, got {end}\n"
 
+    @pytest.mark.parametrize("grid", ["1e308:-1e308:3", "-1e308:1e308:1", "-1.7e308:1.7e308:2"])
+    def test_grid_span_past_the_float_range_is_named(self, grid):
+        # finite ends whose difference overflows: np.linspace would warn and give nan angles
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(("table", "--family", "Y", f"--theta-grid={grid}", "--n-list", "3",
+                                      "--methods", "spectral"))
+        assert (code, out) == (1, "")
+        assert err == f"error: --theta-grid STOP - START overflows a float, got {grid!r}\n"
+
+    def test_grid_span_at_the_float_range_runs(self):
+        code, out, err = run_cli(("table", "--family", "Y", "--theta-grid=-8e307:8e307:3", "--n-list", "3",
+                                  "--methods", "spectral"))
+        assert (code, err) == (0, "")
+        assert [row["coin"]["family"] for row in json.loads(out)] == ["Y"] * 3
+
 
 class TestPerturbedExactCoinFile:
     def test_coin_off_by_a_billionth_exits_1(self, capsys, tmp_path):

@@ -2,10 +2,11 @@
 
 `cli._coin_entry` is the one coin memo, a `functools.lru_cache` of
 COIN_MEMO_CAP coins.  `cli._parse_coin` keys it by the coin flags and,
-for --matrix-file, by the path and the file's text; `table` keys it by
-the family and each angle.  A memoized coin's matrix is read-only, and
-`period` and `table` splice the coin's report fragment, written once,
-into each report.  So:
+for --matrix-file, by the path and the file's text.  `table` builds its
+coins with the same `cli._build_coin`, keyed by the family and each angle,
+as --theta for a float and as --theta-frac for a Fraction.  A memoized
+coin's matrix is read-only, and `period` and `table` splice the coin's
+report fragment, written once, into each report.  So:
 
 * a coin file rewritten between two calls gives the new coin's report;
 * a missing, non-JSON or non-UTF-8 coin file fails the same way on every

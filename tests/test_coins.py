@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpora
 from livelywalk import WalkSpec, coins, period_analytic, period_spectral
 from livelywalk.coins import (
     SPECIAL_COINS,
@@ -115,6 +116,16 @@ class TestSharedSpecialCoins:
         with pytest.raises(ValueError):
             mf[0, 0] = 0.0
         coin.matrix[0, 0] = coin.matrix[0, 0]
+
+    @pytest.mark.parametrize("coin", [*SPECIAL_COINS, *(
+        coin_from_rational(fam, r, s1, s2) for fam in coins.FAMILIES for r in corpora.PELL_R
+        for s1, s2 in corpora.SIGNS.values())])
+    def test_exact_coin_as_float_is_each_entrys_float(self, coin):
+        # bit for bit: float(Fraction) rounds once, correctly; the imaginary parts are +0.0
+        mf = coin.as_float()
+        assert [[v.hex() for v in row] for row in mf.real.tolist()] == [
+            [float(e).hex() for e in row] for row in coin.matrix.tolist()]
+        assert [v.hex() for v in mf.imag.flat] == [(0.0).hex()] * 9
 
     def test_negated_constant_is_a_fresh_writable_coin(self):
         coin = Coin3(matrix=-perm_matrix(2).matrix)

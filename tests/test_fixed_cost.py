@@ -133,7 +133,8 @@ def test_float_coins(family, theta, entry, delta, named, tol):
        | st.floats(-1e-9, 1e-9), sign=st.sampled_from((1, -1)))
 def test_coins_near_the_special_angles(family, k, offset, sign):
     """theta/2pi = k/6 moved by an offset whose largest entry change falls on
-    either side of DEFAULT_TOL, and of the 1/3 pre-check's 4 * DEFAULT_TOL."""
+    either side of DEFAULT_TOL, the special-coin match's bound, and up to
+    several times past it."""
     assert_classify_matches(coins.coin_from_theta(family, 2 * math.pi * k / 6 + sign * offset))
 
 

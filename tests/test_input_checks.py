@@ -2,6 +2,7 @@
 message, and `Coin3` equality compares matrices only."""
 
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -139,6 +140,30 @@ class TestWalkChecks:
     def test_numpy_integer_sizes(self, method):
         spec = WalkSpec(np.int64(3), np.int64(1), coins.perm_matrix(2))
         assert method(spec) == method(WalkSpec(3, 1, coins.perm_matrix(2)))
+
+    @pytest.mark.parametrize("rows, message", [
+        (-1, "block count -1 outside 0..4"), (5, "block count 5 outside 0..4"),
+        (2.5, "block count must be an integer, got 2.5"), ("3", "block count must be an integer, got '3'"),
+        (3.0, "block count must be an integer, got 3.0"),
+    ])
+    def test_block_count(self, rows, message):
+        assert raised(OutOfRange, walk.block_stack, WalkSpec(4, 1, coins.perm_matrix(2)), rows) == message
+
+    @pytest.mark.parametrize("rows", [0, 3, np.int64(3), 4, None])
+    def test_block_count_in_range(self, rows):
+        spec = WalkSpec(4, 1, coins.perm_matrix(2))
+        stack = walk.block_stack(spec, rows)
+        assert stack.shape == (4 if rows is None else int(rows), 3, 3)
+        assert np.array_equal(stack, walk.block_stack(spec)[:len(stack)])
+
+    def test_reports_of_numpy_and_bool_integers_are_plain_json(self):
+        coin = coins.perm_matrix(2)
+        for (n, a, tmax, qmax), plain in [((np.int64(5), np.int64(1), np.int64(10), np.int64(10)), (5, 1, 10, 10)),
+                                          ((np.int32(4), False, True, True), (4, 0, 1, 1))]:
+            doc = report_json(cross_validate(WalkSpec(n=n, a=a, coin=coin), tmax=tmax, qmax=qmax))
+            plain_doc = report_json(cross_validate(WalkSpec(*plain[:2], coin), tmax=plain[2], qmax=plain[3]))
+            assert json.dumps(doc) == json.dumps(plain_doc)
+            assert doc == plain_doc
 
     def test_basis_state_coin_state(self):
         assert raised(OutOfRange, walk.basis_state, 4, 0, 3) == "coin state must be 0, 1 or 2, got 3"
