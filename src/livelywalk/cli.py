@@ -38,12 +38,17 @@ def _add_period_bounds(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qmax", type=int, default=_period.QMAX_DEFAULT, help="denominator bound for rational angles")
 
 
-def _count(text: str) -> int:
-    """argparse type: an integer count of at least 1."""
+def _count(text: str, least: int = 1) -> int:
+    """argparse type: an integer count of at least `least`, 1 by default."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: a seed, an integer of at least 0."""
+    return _count(text, least=0)
 
 
 def _tolerance(text: str) -> float:
@@ -123,11 +128,11 @@ class _CoinEntry:
 
 
 @functools.lru_cache(maxsize=COIN_MEMO_CAP, typed=True)
-def _coin_entry(build, *key) -> _CoinEntry:
-    """The entry of build(*key)'s coin, built once per key; a build that
-    raises is never kept.  `build` is a cli function, so a rebound `coins`
-    constructor keeps the key; `typed` keeps the angle 0.5 apart from 1/2."""
-    coin = build(*key)
+def _coin_entry(*key, **flags) -> _CoinEntry:
+    """The entry of `_build_coin`(*key, **flags)'s coin, built once per key;
+    a build that raises is never kept.  `typed` keeps the angle 0.5 apart
+    from 1/2."""
+    coin = _build_coin(*key, **flags)
     coin.matrix.flags.writeable = False  # shared by every later call, as SPECIAL_COINS are
     return _CoinEntry(coin)
 
@@ -146,12 +151,12 @@ def _parse_coin(args, parser) -> _CoinEntry:
         if given and reader is None:
             parser.error(f"{flag} is read only with {source}")
     text = None if args.matrix_file is None else _read_text(args.matrix_file, "coin file", parser)
-    return _coin_entry(_build_coin, parser, args.perm, args.grover, args.negate, args.family, args.theta,
+    return _coin_entry(parser, args.perm, args.grover, args.negate, args.family, args.theta,
                        args.theta_frac, args.rational, args.signs, args.matrix_file, text)
 
 
-def _build_coin(parser, perm, grover, negate, family, theta, theta_frac, rational, signs, matrix_file,
-                text) -> _coins.Coin3:
+def _build_coin(parser, perm=None, grover=None, negate=False, family=None, theta=None, theta_frac=None,
+                rational=None, signs=None, matrix_file=None, text=None) -> _coins.Coin3:
     """The coin of the checked flags; `text` is the --matrix-file's, and a
     bad value is a usage error of `parser`'s command.  `table` passes each
     angle as theta, a float, or theta_frac, a Fraction."""
@@ -321,15 +326,14 @@ def cmd_table(args, parser) -> int:
     a_values = _values(args.a_list, int, "a list", parser)
     methods = _methods_of(args, parser)
     if args.rational_grid:  # exact fractions keep the analytic route exact
-        angles = [(None, Fraction(m, q))
+        angles = [{"theta_frac": Fraction(m, q)}
                   for q in range(1, args.rational_grid + 1) for m in range(q) if math.gcd(m, q) == 1]
     else:
-        angles = [(float(v), None) for v in _theta_values(args, parser)]
-    entries = [_coin_entry(_build_coin, parser, None, None, False, args.family, theta, frac, None, None, None, None)
-               for theta, frac in angles]
-    cells = [(n, a, entry.coin) for n in ns for a in a_values for entry in entries]
-    cvs = _period._sweep(cells, args.tmax, args.qmax, methods)  # the coins vary fastest, as in `entries`
-    reports = [_period.report_json(cv, e.fragment) for cv, e in zip(cvs, entries * len(ns) * len(a_values))]
+        angles = [{"theta": float(v)} for v in _theta_values(args, parser)]
+    entries = [_coin_entry(parser, family=args.family, **angle) for angle in angles]
+    cells = [(n, a, entry) for n in ns for a in a_values for entry in entries]
+    cvs = _period._sweep([(n, a, entry.coin) for n, a, entry in cells], args.tmax, args.qmax, methods)
+    reports = [_period.report_json(cv, entry.fragment) for cv, (_, _, entry) in zip(cvs, cells)]
     _emit(_json_text(reports) + "\n", args)
     return 0 if all(r["agreement"] for r in reports) else 3
 
@@ -421,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=_count, default=None,
                           help="samples per sampled suite, >= 1; --suite all passes it to every suite "
                                "but period-consistency, which is exhaustive")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="seed of the sampled suites (default 0); --suite all passes it to every "
+    p_verify.add_argument("--seed", type=_seed, default=None,
+                          help="seed of the sampled suites, >= 0 (default 0); --suite all passes it to every "
                                "suite but period-consistency")
     _add_output(p_verify)
 

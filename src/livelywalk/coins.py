@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -302,8 +303,8 @@ def coin_from_rational(family: str, r: Fraction, sign1: int = 1, sign2: int = 1)
     rational solution); the result is exactly orthogonal.
     """
     s = _family(family)[1]
-    if sign1 not in (1, -1) or sign2 not in (1, -1):
-        raise OutOfRange("sign1 and sign2 must be +1 or -1")
+    if not all(isinstance(sign, numbers.Integral) and sign in (1, -1) for sign in (sign1, sign2)):
+        raise OutOfRange("sign1 and sign2 must be +1 or -1")  # 1.0 would make a float coin
     r = Fraction(r)
     cos_t = sign1 * (r * r - 3) / (r * r + 3)
     sin_t_over_sqrt3 = -sign1 * sign2 * 2 * r / (r * r + 3)

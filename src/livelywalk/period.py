@@ -45,8 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -55,7 +53,7 @@ import numpy as np
 
 from . import coins as _coins
 from . import walk as _walk
-from .errors import GuardExceeded, NotUnitModulus, OutOfRange
+from .errors import GuardExceeded, NotUnitModulus
 from .exactnum import _TWO_PI, DEFAULT_TOL, eig3_unitary
 
 TMAX_DEFAULT = 10_000
@@ -170,18 +168,8 @@ def _unit_order(lam: complex, qmax: int, qmax_checked: bool = True) -> Optional[
     return None if convergent is None else convergent[1]
 
 
-def _check_bound(value: int, least: int, what: str) -> int:
-    """The bound as an int, by operator.index; OutOfRange unless it is an integer >= least."""
-    if isinstance(value, numbers.Real) and not value >= least:  # also catches NaN
-        raise OutOfRange(f"{what} must be >= {least}, got {value}")
-    try:
-        return operator.index(value)
-    except TypeError:  # inf, 2.5, 10.0, "5", None
-        raise OutOfRange(f"{what} must be an integer, got {value!r}") from None
-
-
-_check_qmax = functools.partial(_check_bound, least=1, what="denominator bound qmax")
-_check_tmax = functools.partial(_check_bound, least=0, what="step bound tmax")
+_check_qmax = functools.partial(_walk._index, what="denominator bound qmax", least=1)
+_check_tmax = functools.partial(_walk._index, what="step bound tmax", least=0)
 
 
 def _block_eigenvalues(stacks) -> list:
@@ -406,7 +394,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: 
     most G steps, where the baby steps, the giant steps' table, product and
     rows, and the (B, g) screen fill CHUNK_BYTES.
     """
-    tmax, expected, n = _check_tmax(tmax), _check_bound(expected, 1, "expected period"), spec.n
+    tmax, expected, n = _check_tmax(tmax), _walk._index(expected, "expected period", least=1), spec.n
     chunk, group_max = _plan(n, tmax)
     powers = _walk.block_stack(spec)
     head = 1 << (expected - 1).bit_length()  # b0, the powers tested first

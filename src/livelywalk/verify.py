@@ -134,14 +134,16 @@ SAMPLED_SUITES = tuple(name for name in SUITES if name != "period-consistency")
 def run_suite(name: str, seed: int | None = None, samples: int | None = None) -> SuiteResult:
     """Run one suite; ``seed`` and ``samples`` are read only by the
     SAMPLED_SUITES, which default to seed 0 and their own sample count.  A
-    sample count is an integer >= 1, so that no run passes on 0 checks."""
+    seed is an integer >= 0, as numpy's generator takes it, and a sample
+    count an integer >= 1, so that no run passes on 0 checks."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     given = {key: value for key, value in (("seed", seed), ("samples", samples)) if value is not None}
     if given and name not in SAMPLED_SUITES:
         raise ValueError(f"suite {name!r} is not sampled and takes no {' or '.join(given)}")
-    if samples is not None and not (isinstance(samples, numbers.Integral) and samples >= 1):
-        raise ValueError(f"sample count must be an integer >= 1, got {samples!r}")
+    for what, value, least in (("seed", seed, 0), ("sample count", samples, 1)):
+        if value is not None and not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     checks, failures, worst = 0, 0, 0.0
     for defect, passed in _RUNNERS[name](**given):
         checks += 1

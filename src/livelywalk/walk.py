@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -66,9 +67,24 @@ class WalkSpec:
         return 3 * self.n
 
 
+def _index(value, what: str, least: int | None = None, stop: int | None = None) -> int:
+    """value as an int by operator.index, as `walk` and `period` read every index, count and bound;
+    OutOfRange for no integer (2.5, 3.0, "3", None), for a real value below `least`, NaN included,
+    and for an index outside 0..stop-1.  np.int64 and bool pass."""
+    if least is not None and isinstance(value, numbers.Real) and not value >= least:
+        raise OutOfRange(f"{what} must be >= {least}, got {value}")
+    try:
+        index = operator.index(value)
+    except TypeError:  # 2.5, 3.0, inf, "3", None
+        raise OutOfRange(f"{what} must be an integer, got {value!r}") from None
+    if stop is not None and not 0 <= index < stop:
+        raise OutOfRange(f"{what} {index} outside 0..{stop - 1}")
+    return index
+
+
 def basis_state(n: int, vertex: int, coin_state: int) -> np.ndarray:
-    if not (0 <= vertex < n):
-        raise OutOfRange(f"vertex {vertex} outside 0..{n - 1}")
+    n = _index(n, "cycle length", least=2)
+    vertex, coin_state = _index(vertex, "vertex", stop=n), _index(coin_state, "coin state")
     if coin_state not in (0, 1, 2):
         raise OutOfRange(f"coin state must be 0, 1 or 2, got {coin_state}")
     psi = np.zeros(3 * n, dtype=complex)
@@ -85,11 +101,7 @@ def _checked_state(spec: WalkSpec, psi0: np.ndarray, t: int) -> np.ndarray:
     norm2 = float(np.vdot(psi, psi).real)
     if not abs(norm2 - 1.0) <= NORM_TOL:  # also catches NaN amplitudes
         raise NotNormalized(f"|psi|^2 = {norm2} is not 1 within {NORM_TOL}")
-    try:
-        operator.index(t)
-    except TypeError:  # 2.5, inf, NaN
-        raise OutOfRange(f"time must be an integer, got {t!r}") from None
-    if t < 0:
+    if _index(t, "time") < 0:
         raise OutOfRange("time must be nonnegative")
     return psi
 
@@ -150,20 +162,14 @@ def block_stack(spec: WalkSpec, rows: int | None = None) -> np.ndarray:
     `np.exp` over the (rows, 3) phases gives each D_k, and each entry is
     the same bits whatever `rows` is.
     """
-    try:
-        rows = spec.n if rows is None else operator.index(rows)
-    except TypeError:  # 2.5, "3"
-        raise OutOfRange(f"block count must be an integer, got {rows!r}") from None
-    if not 0 <= rows <= spec.n:
-        raise OutOfRange(f"block count {rows} outside 0..{spec.n}")
+    rows = spec.n if rows is None else _index(rows, "block count", stop=spec.n + 1)
     k = 2.0 * math.pi * np.arange(rows) / spec.n
     return np.exp(np.multiply.outer(k, (1j, -1j, -1j * spec.a)))[:, :, None] * spec.coin.as_float()
 
 
 def reduced_block(spec: WalkSpec, l: int) -> np.ndarray:
     """Momentum block U_k = D_k C at k = 2*pi*l/n, the 3x3 array `block_stack(spec)[l]`."""
-    if not (0 <= l < spec.n):
-        raise OutOfRange(f"block index {l} outside 0..{spec.n - 1}")
+    l = _index(l, "block index", stop=spec.n)
     return block_stack(spec, l + 1)[l]
 
 

@@ -425,6 +425,16 @@ class TestVerifyCommand:
         assert calls == [(name, 5, 3) if name in verify.SAMPLED_SUITES else (name, None, None)
                          for name in verify.SUITES]
 
+    @pytest.mark.parametrize("argv", [("verify", "--suite", "closure", "--samples", "1", "--seed", "-5"),
+                                      ("verify", "--suite", "all", "--seed", "-1")])
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        # numpy's generator used to end these in a ValueError traceback
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: argument --seed: must be >= 0, got {argv[-1]}\n")
+
     def test_seed_on_period_consistency_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "period-consistency", "--seed", "9"])

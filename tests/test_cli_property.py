@@ -1,4 +1,5 @@
-"""Every valid `period`, `table` and `simulate` call gives its output.
+"""Every valid `coin`, `period`, `table` and `simulate` call gives its output,
+and every `verify` call over a sampled suite gives its verdict or a usage error.
 
 Hypothesis draws valid argvs, with n <= 40, tmax <= 500 and at most three
 n per sweep, over every coin source: --perm, --grover [--negate], --family
@@ -6,7 +7,9 @@ with --theta, --theta-frac or --rational [--signs], and --matrix-file.
 Each call must return without an exception, and with exit code 0, or 3
 for a `period` or `table` whose methods disagree.  The exit-3 calls are
 printed: they are float coins near a periodic coin, whose methods draw
-different tolerance bands.
+different tolerance bands.  A `coin` call prints one JSON document.  A
+`verify` call draws --samples 1..4 and any integer --seed: a seed >= 0
+exits 0, and a negative one exits 2 with one usage message and no output.
 """
 
 import contextlib
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from livelywalk import cli, coins
+from livelywalk import cli, coins, verify
 
 PERMS = st.sampled_from(cli.PERM_LABELS)
 FAMILIES = st.sampled_from(coins.FAMILIES)
@@ -101,12 +104,21 @@ def table_argv(draw):
     return argv + (draw(methods()) or ())
 
 
-def _check(argv):
+def _run(argv):
+    """(exit code, stdout, stderr) of one call; a usage error's SystemExit gives its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    assert code in (0, 3) and err.getvalue() == "", (argv, code, err.getvalue())
-    assert out.getvalue()
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 3) and err == "", (argv, code, err)
+    assert out
     if code == 3:
         print("exit 3:", " ".join(argv))
 
@@ -127,3 +139,26 @@ def test_every_valid_simulate_call_prints_its_csv(coin_files, data):
 @given(argv=table_argv())
 def test_every_valid_table_call_reports(argv):
     _check(argv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_valid_coin_call_prints_its_document(coin_files, data):
+    argv = ("coin", *data.draw(coin_flags(coin_files)))
+    code, out, err = _run(argv)
+    assert (code, err) == (0, ""), (argv, code, err)
+    assert isinstance(json.loads(out), dict)
+
+
+@settings(max_examples=80, deadline=None)
+@given(suite=st.sampled_from(verify.SAMPLED_SUITES), samples=st.integers(1, 4), seed=st.integers())
+def test_every_sampled_verify_call_passes_or_is_a_usage_error(suite, samples, seed):
+    argv = ("verify", "--suite", suite, "--samples", str(samples), "--seed", str(seed))
+    code, out, err = _run(argv)
+    if seed >= 0:
+        assert (code, err) == (0, ""), (argv, code, err)
+        assert out.startswith(f"PASS {suite}: ")
+    else:  # numpy's generator used to raise its own ValueError here
+        assert (code, out) == (2, ""), (argv, code, out)
+        assert err.count("usage:") == 1 and "Traceback" not in err
+        assert err.endswith(f"error: argument --seed: must be >= 0, got {seed}\n")

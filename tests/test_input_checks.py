@@ -48,10 +48,17 @@ class TestCoinArguments:
     def test_grover_type_index(self):
         assert raised(OutOfRange, coins.grover_type, 7) == "permutation index must be 1..6, got 7"
 
-    @pytest.mark.parametrize("signs", [(0, 1), (1, 0), (2, -1)])
+    # a float sign used to pass and make a complex128 coin, which the
+    # analytic route could not classify
+    @pytest.mark.parametrize("signs", [(0, 1), (1, 0), (2, -1), (1.0, 1), (1, -1.0), (-1.0, -1.0)])
     def test_rational_coin_signs(self, signs):
         message = raised(OutOfRange, coins.coin_from_rational, "X", Fraction(1, 2), *signs)
         assert message == "sign1 and sign2 must be +1 or -1"
+
+    @pytest.mark.parametrize("signs", [(True, -1), (np.int64(1), np.int64(-1))])
+    def test_rational_coin_signs_of_bool_and_numpy_integers(self, signs):
+        coin = coins.coin_from_rational("X", 2, *signs)
+        assert coin.matrix.dtype == object and coin == coins.coin_from_rational("X", 2, 1, -1)
 
     @pytest.mark.parametrize("family", coins.FAMILIES)
     def test_x_past_the_real_range_is_off_the_ellipse(self, family):
@@ -165,8 +172,35 @@ class TestWalkChecks:
             assert json.dumps(doc) == json.dumps(plain_doc)
             assert doc == plain_doc
 
+    @pytest.mark.parametrize("l", [True, np.int64(1)])
+    def test_block_index_of_bool_and_numpy_integers(self, l):
+        # True used to index the stack as a mask: a (1, 2, 3, 3) array
+        spec = WalkSpec(4, 1, coins.perm_matrix(2))
+        block = walk.reduced_block(spec, l)
+        assert block.shape == (3, 3) and np.array_equal(block, walk.block_stack(spec)[1])
+
+    @pytest.mark.parametrize("l, message", [
+        (2.5, "block index must be an integer, got 2.5"), ("3", "block index must be an integer, got '3'"),
+        (3.0, "block index must be an integer, got 3.0"), (4, "block index 4 outside 0..3"),
+        (-1, "block index -1 outside 0..3"),
+    ])
+    def test_block_index(self, l, message):
+        assert raised(OutOfRange, walk.reduced_block, WalkSpec(4, 1, coins.perm_matrix(2)), l) == message
+
     def test_basis_state_coin_state(self):
         assert raised(OutOfRange, walk.basis_state, 4, 0, 3) == "coin state must be 0, 1 or 2, got 3"
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 0, 0), "cycle length must be an integer, got 2.5"), ((1, 0, 0), "cycle length must be >= 2, got 1"),
+        ((4, 2.5, 0), "vertex must be an integer, got 2.5"), ((4, 4, 0), "vertex 4 outside 0..3"),
+        ((4, 1, 1.0), "coin state must be an integer, got 1.0"), ((4, 1, "1"), "coin state must be an integer, got '1'"),
+    ])
+    def test_basis_state_arguments(self, args, message):
+        # numpy used to raise its TypeError or IndexError for the floats
+        assert raised(OutOfRange, walk.basis_state, *args) == message
+
+    def test_basis_state_of_numpy_integers(self):
+        assert np.array_equal(walk.basis_state(np.int64(4), np.int64(1), np.int64(2)), walk.basis_state(4, 1, 2))
 
     def test_distribution_length(self):
         message = raised(OutOfRange, walk.distribution, np.zeros(4, dtype=complex))
@@ -303,6 +337,18 @@ def test_sample_count_below_one_or_not_an_integer(name, samples):
     # a count of 0 used to run 0 checks and pass
     message = raised(ValueError, verify.run_suite, name, samples=samples)
     assert message == f"sample count must be an integer >= 1, got {samples!r}"
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, 3.0, "5", math.nan])
+@pytest.mark.parametrize("name", verify.SAMPLED_SUITES)
+def test_seed_below_zero_or_not_an_integer(name, seed):
+    # numpy's generator used to raise its own ValueError or TypeError
+    message = raised(ValueError, verify.run_suite, name, seed=seed)
+    assert message == f"seed must be an integer >= 0, got {seed!r}"
+
+
+def test_seed_of_a_numpy_integer():
+    assert verify.run_suite("closure", seed=np.int64(3), samples=2) == verify.run_suite("closure", seed=3, samples=2)
 
 
 def test_sample_count_of_a_numpy_integer():
