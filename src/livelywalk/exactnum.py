@@ -10,7 +10,11 @@ needs floating arithmetic converts explicitly via :func:`to_float`.
 
 :func:`eig3_unitary` takes one 3x3 unitary block or a (..., 3, 3) stack of
 them, such as all n momentum blocks of a walk, and gets every eigenvalue
-from a single batched LAPACK call.
+from a single batched LAPACK call.  Its kernel, :func:`_unit_eigenvalues`,
+returns them in LAPACK's order; only :func:`eig3_unitary` sorts each
+block's by angle, for the callers that show them (`walk.spectrum`,
+`verify`).  The period route calls the kernel: the lcm of the orders is
+the same in any order.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import DimensionMismatch, NotUnitary, NumericalFailure
 DEFAULT_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
+_EYE3 = np.eye(3)
 
 
 def is_exact(m: np.ndarray) -> bool:
@@ -97,21 +102,15 @@ def _solve_cluster(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def eig3_unitary(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 3x3 unitary matrix, or of each block of a (..., 3, 3) stack.
-
-    Returns complex128 of shape (..., 3): per block, the LAPACK eigenvalues
-    projected onto the unit circle and sorted (stably) by principal argument
-    in [0, 2*pi), with arguments within 1e-12 of 2*pi wrapped to 0, and
-    gathered by flat index.  Raises :class:`NotUnitary` when some block has
-    ``||M^dagger M - I||_F > DEFAULT_TOL``, a norm taken by one einsum over
-    the float view, and :class:`NumericalFailure` when some eigenvalue's
-    modulus strays from 1 by more than 1e-6.
-    """
+def _unit_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """:func:`eig3_unitary` without its sort: the same checks and errors, and
+    the same eigenvalues, projected onto the unit circle, in LAPACK's order."""
     mf = to_float(m)
     if mf.ndim < 2 or mf.shape[-2:] != (3, 3):
         raise DimensionMismatch(f"expected 3x3 matrix or stack of them, got {mf.shape}")
-    parts = (np.swapaxes(mf, -1, -2).conj() @ mf - np.eye(3)).view(float)  # real and imaginary parts
+    gram = np.swapaxes(mf, -1, -2).conj() @ mf
+    gram -= _EYE3
+    parts = gram.view(float)  # real and imaginary parts
     defect = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
     if not (defect <= DEFAULT_TOL).all():  # also catches NaN/Inf entries
         raise NotUnitary(f"unitarity defect {np.max(defect):.3e} exceeds tol {DEFAULT_TOL:.3e}")
@@ -124,8 +123,21 @@ def eig3_unitary(m: np.ndarray) -> np.ndarray:
     off = np.abs(moduli - 1.0)
     if not (off <= 1e-6).all():
         raise NumericalFailure(f"eigenvalue modulus {moduli.flat[np.argmax(off)]:.15f} is not 1")
-    lams = lams / moduli
+    return lams / moduli
 
+
+def eig3_unitary(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a 3x3 unitary matrix, or of each block of a (..., 3, 3) stack.
+
+    Returns complex128 of shape (..., 3): per block, the LAPACK eigenvalues
+    projected onto the unit circle and sorted (stably) by principal argument
+    in [0, 2*pi), with arguments within 1e-12 of 2*pi wrapped to 0, and
+    gathered by flat index.  Raises :class:`NotUnitary` when some block has
+    ``||M^dagger M - I||_F > DEFAULT_TOL``, a norm taken by one einsum over
+    the float view, and :class:`NumericalFailure` when some eigenvalue's
+    modulus strays from 1 by more than 1e-6.
+    """
+    lams = _unit_eigenvalues(m)
     args = np.arctan2(lams.imag, lams.real) % _TWO_PI  # np.angle(lams)
     args[_TWO_PI - args < 1e-12] = 0.0
     order = np.argsort(args, axis=-1, kind="stable")

@@ -54,7 +54,7 @@ import numpy as np
 from . import coins as _coins
 from . import walk as _walk
 from .errors import GuardExceeded, NotUnitModulus
-from .exactnum import _TWO_PI, DEFAULT_TOL, eig3_unitary
+from .exactnum import _TWO_PI, DEFAULT_TOL, _unit_eigenvalues
 
 TMAX_DEFAULT = 10_000
 QMAX_DEFAULT = 1_000_000
@@ -172,22 +172,36 @@ _check_qmax = functools.partial(_walk._index, what="denominator bound qmax", lea
 _check_tmax = functools.partial(_walk._index, what="step bound tmax", least=0)
 
 
+def _half_stack(spec: _walk.WalkSpec) -> np.ndarray:
+    """The blocks l = 0..n//2 that `period_spectral` solves."""
+    return _walk.block_stack(spec, spec.n // 2 + 1)
+
+
 def _block_eigenvalues(stacks) -> list:
-    """`eig3_unitary` of each block stack, by one call on their concatenation:
-    the same bits as a call per stack, since each block is solved alone."""
-    lams, ends = eig3_unitary(np.concatenate(stacks)), itertools.accumulate(map(len, stacks))
+    """`_unit_eigenvalues` of each block stack, unsorted, by one call on their
+    concatenation: the same bits as a call per stack, since each block is
+    solved alone."""
+    lams, ends = _unit_eigenvalues(np.concatenate(stacks)), itertools.accumulate(map(len, stacks))
     return [lams[end - len(stack):end] for stack, end in zip(stacks, ends)]
 
 
 def _spectra(specs):
     """Yield each spec's blocks l = 0..n//2's eigenvalues, in order, by one `_block_eigenvalues`
-    call per batch of specs whose stacks fit CHUNK_BYTES together, or of one larger spec."""
+    call per batch of specs whose stacks fit CHUNK_BYTES together, or of one larger spec.  A spec
+    whose stack passes `block_stack`'s size guard yields None, so that `period_spectral` meets
+    the guard again inside `cross_validate`'s `_guarded`."""
     stacks, size = [], 0
     for spec in specs:
-        stack = _walk.block_stack(spec, spec.n // 2 + 1)
-        if stacks and size + stack.nbytes > CHUNK_BYTES:
+        try:
+            stack = _half_stack(spec)
+        except GuardExceeded:
+            stack = None
+        if stacks and (stack is None or size + stack.nbytes > CHUNK_BYTES):
             yield from _block_eigenvalues(stacks)
             stacks, size = [], 0
+        if stack is None:
+            yield None
+            continue
         stacks.append(stack)
         size += stack.nbytes
     if stacks:
@@ -206,12 +220,15 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=
     T, and orders are detected reliably as far as the decisiveness guard
     allows, so the bound is min(qmax, GUARANTEED_ORDER_BOUND).  qmax is
     checked once, and each eigenvalue's order is read as in `order_of_unit`:
-    its modulus checked, its angle taken by math.atan2.  `eigenvalues` are
-    the blocks' when a sweep solved them; by default it is a batch of one.
+    its modulus checked, its angle taken by math.atan2.  The result does not
+    depend on the eigenvalues' order: the lcm is symmetric, and any one that
+    fails to classify gives the same no_period_up_to; so they come unsorted,
+    from `_unit_eigenvalues`.  `eigenvalues` are the blocks' when a sweep
+    solved them; by default one call solves them here.
     """
     bound = min(_check_qmax(qmax), GUARANTEED_ORDER_BOUND)
     if eigenvalues is None:
-        eigenvalues = next(_spectra([spec]))
+        eigenvalues = _unit_eigenvalues(_half_stack(spec))
     orders = []
     for lam in eigenvalues.ravel().tolist():
         q = _unit_order(lam, qmax)

@@ -38,6 +38,9 @@ DENSE_GUARD = 4096
 
 NORM_TOL = 1e-9
 
+#: most bytes numpy can size one array by
+_MAX_BYTES = np.iinfo(np.intp).max
+
 
 @dataclass(frozen=True)
 class WalkSpec:
@@ -82,11 +85,21 @@ def _index(value, what: str, least: int | None = None, stop: int | None = None) 
     return index
 
 
+def _check_size(count: int, what: str) -> None:
+    """GuardExceeded when `count` complex128 entries pass the bytes numpy can size one array by."""
+    size = count * np.dtype(complex).itemsize
+    if size > _MAX_BYTES:
+        raise GuardExceeded(f"{what} needs {size} bytes, over numpy's limit of {_MAX_BYTES} bytes per array")
+
+
 def basis_state(n: int, vertex: int, coin_state: int) -> np.ndarray:
+    """The state with amplitude 1 at `vertex` and `coin_state`; GuardExceeded
+    when its 3n amplitudes pass the bytes numpy can size an array by."""
     n = _index(n, "cycle length", least=2)
     vertex, coin_state = _index(vertex, "vertex", stop=n), _index(coin_state, "coin state")
     if coin_state not in (0, 1, 2):
         raise OutOfRange(f"coin state must be 0, 1 or 2, got {coin_state}")
+    _check_size(3 * n, f"a state on {n} vertices")
     psi = np.zeros(3 * n, dtype=complex)
     psi[coin_state * n + vertex] = 1.0
     return psi
@@ -156,13 +169,15 @@ def distribution(psi: np.ndarray) -> np.ndarray:
 def block_stack(spec: WalkSpec, rows: int | None = None) -> np.ndarray:
     """The leading `rows` momentum blocks, all n by default, as one (rows, 3, 3)
     array: entry l is U_k = D_k C at k = 2*pi*l/n.  `rows` is an integer
-    0..n, read by operator.index; OutOfRange otherwise.
+    0..n, read by operator.index; OutOfRange otherwise.  GuardExceeded when
+    the array passes the bytes numpy can size an array by.
 
     D_k = diag(e^{ik}, e^{-ik}, e^{-ika}) scales the rows of the coin; one
     `np.exp` over the (rows, 3) phases gives each D_k, and each entry is
     the same bits whatever `rows` is.
     """
     rows = spec.n if rows is None else _index(rows, "block count", stop=spec.n + 1)
+    _check_size(9 * rows, f"a stack of {rows} momentum blocks")
     k = 2.0 * math.pi * np.arange(rows) / spec.n
     return np.exp(np.multiply.outer(k, (1j, -1j, -1j * spec.a)))[:, :, None] * spec.coin.as_float()
 

@@ -847,6 +847,38 @@ class TestGuardExceeded:
         assert doc["agreement"] is True
 
 
+class TestHugeWalks:
+    """A cycle too long for numpy to size its arrays: period and table report
+    the spectral route as not_applicable by guard-exceeded and exit 0,
+    simulate prints one error line and exits 1; no traceback."""
+
+    @pytest.mark.parametrize("n, a", [("99999999999999999999", "0"), ("4611686018427387904", "1")])
+    def test_period_exits_0(self, n, a):
+        code, out, err = run_cli(("period", "--grover", "P1", "--n", n, "--a", a))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [(r["method"], r["status"], r["theorem"]) for r in doc["results"][1:]] == [
+            ("spectral", "not_applicable", "guard-exceeded"), ("bruteforce", "not_applicable", "guard-exceeded")]
+        assert doc["agreement"] is True
+
+    @pytest.mark.parametrize("n", ["99999999999999999999", "4611686018427387904"])
+    def test_table_exits_0(self, n):
+        code, out, err = run_cli(("table", "--family", "X", "--rational-grid", "1", "--n-list", f"3,{n},4",
+                                  "--methods", "spectral"))
+        assert (code, err) == (0, "")
+        rows = json.loads(out)
+        assert [r["results"][0]["status"] for r in rows] == ["finite", "not_applicable", "finite"]
+        assert rows[1]["results"][0]["theorem"] == "guard-exceeded"
+
+    @pytest.mark.parametrize("n", ["99999999999999999999", "4611686018427387904"])
+    def test_simulate_exits_1(self, n):
+        code, out, err = run_cli(("simulate", "--grover", "P1", "--n", n, "--start", "0", "--coinstate", "0",
+                                  "--tmax", "1"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: a state on {n} vertices needs {48 * int(n)} bytes, "
+                       f"over numpy's limit of {2**63 - 1} bytes per array\n")
+
+
 class TestOutOfMemory:
     """A spec whose arrays do not fit in memory gives an error line (exit 1),
     not a traceback; the allocation is faked, never made."""

@@ -16,7 +16,9 @@ from livelywalk.exactnum import (
     to_float,
 )
 from livelywalk.period import ANGLE_ACCURACY
+from livelywalk.walk import block_stack
 
+import test_golden_spectral
 from conftest import random_unitary3, assert_same_multiset
 
 
@@ -101,6 +103,45 @@ class TestEig3:
         monkeypatch.setattr(exactnum, "_solve_cluster", lambda m: np.linalg.eigvals(m) * 1.001)
         with pytest.raises(NumericalFailure):
             eig3_unitary(CYCLE)
+
+    def test_sort_of_the_kernel_on_the_golden_spectral_corpus(self):
+        # one solve, two orders: eig3_unitary is the kernel's output, each
+        # block's roots sorted stably by principal argument with 2*pi wrapped to 0
+        stacks = 0
+        for coin in test_golden_spectral.corpus().values():
+            for n in test_golden_spectral.N_RANGE:
+                for a in range(n // 2 + 1):
+                    stack = block_stack(WalkSpec(n=n, a=a, coin=coin))
+                    raw, shown = exactnum._unit_eigenvalues(stack), eig3_unitary(stack)
+                    for block, row in zip(raw, shown):
+                        args = np.arctan2(block.imag, block.real) % (2 * math.pi)
+                        args[2 * math.pi - args < 1e-12] = 0.0
+                        assert block[np.argsort(args, kind="stable")].tobytes() == row.tobytes(), (n, a)
+                    stacks += 1
+        assert stacks == 5452
+
+    @pytest.mark.parametrize("m, error", [
+        (np.eye(3) * 1.5, NotUnitary),
+        (np.where(np.eye(3) == 1, np.nan, 0), NotUnitary),
+        (np.array([np.eye(3), np.eye(3) * 1.5]), NotUnitary),
+        (np.eye(4), DimensionMismatch),
+        (np.ones((4, 3, 2)), DimensionMismatch),
+        (np.ones(3), DimensionMismatch),
+    ])
+    def test_kernel_refuses_what_eig3_unitary_refuses(self, m, error):
+        with pytest.raises(error) as shown:
+            eig3_unitary(m)
+        with pytest.raises(error) as kernel:
+            exactnum._unit_eigenvalues(m)
+        assert type(kernel.value) is type(shown.value) and str(kernel.value) == str(shown.value)
+
+    def test_kernel_broken_modulus_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(exactnum, "_solve_cluster", lambda m: np.linalg.eigvals(m) * 1.001)
+        with pytest.raises(NumericalFailure) as shown:
+            eig3_unitary(CYCLE)
+        with pytest.raises(NumericalFailure) as kernel:
+            exactnum._unit_eigenvalues(CYCLE)
+        assert str(kernel.value) == str(shown.value)
 
     def test_projects_onto_unit_circle(self, rng):
         # a block unitary only within tol has eigenvalues off the circle by

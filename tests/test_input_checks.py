@@ -20,7 +20,7 @@ from livelywalk import (
     verify,
     walk,
 )
-from livelywalk.errors import ConstraintViolated, DimensionMismatch, NotOrthogonal, OutOfRange
+from livelywalk.errors import ConstraintViolated, DimensionMismatch, GuardExceeded, NotOrthogonal, OutOfRange
 from livelywalk.exactnum import multiset_distance
 
 
@@ -205,6 +205,47 @@ class TestWalkChecks:
     def test_distribution_length(self):
         message = raised(OutOfRange, walk.distribution, np.zeros(4, dtype=complex))
         assert message == "state length 4 is not a multiple of 3"
+
+
+#: cycle lengths whose arrays numpy refuses to size: past its dimension
+#: limit, and 2^62, whose n//2 + 1 blocks pass np.iinfo(np.intp).max bytes
+HUGE_N = [10**20 - 1, 2**62]
+
+
+class TestHugeWalks:
+    """A walk whose arrays numpy cannot size is GuardExceeded where the array
+    would be built; the period routes report it as guard-exceeded."""
+
+    @pytest.mark.parametrize("n", HUGE_N)
+    def test_block_stack(self, n):
+        rows = n // 2 + 1
+        message = raised(GuardExceeded, walk.block_stack, WalkSpec(n, 1, coins.grover_type(1)), rows)
+        assert message == (f"a stack of {rows} momentum blocks needs {144 * rows} bytes, "
+                           f"over numpy's limit of {np.iinfo(np.intp).max} bytes per array")
+
+    @pytest.mark.parametrize("n", HUGE_N)
+    def test_basis_state(self, n):
+        message = raised(GuardExceeded, walk.basis_state, n, 0, 0)
+        assert message == (f"a state on {n} vertices needs {48 * n} bytes, "
+                           f"over numpy's limit of {np.iinfo(np.intp).max} bytes per array")
+
+    @pytest.mark.parametrize("n", HUGE_N)
+    def test_period_spectral(self, n):
+        raised(GuardExceeded, period_spectral, WalkSpec(n, 1, coins.grover_type(1)))
+
+    @pytest.mark.parametrize("n", HUGE_N)
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_cross_validate_and_sweep(self, n, a):
+        spec = WalkSpec(n, a, coins.grover_type(1))
+        cv = cross_validate(spec)
+        guarded = period.PeriodResult(status="not_applicable", method="spectral", theorem="guard-exceeded")
+        assert cv.results[1] == guarded and cv.agreement
+        assert cv.results[2].theorem == "guard-exceeded"
+        # the sweep's batched spectra leave the guard to cross_validate, and
+        # the specs around the huge one keep their own results
+        cells = [(3, 1, spec.coin), (n, a, spec.coin), (4, 0, spec.coin)]
+        assert period._sweep(cells, 100, period.QMAX_DEFAULT, period.METHODS) == [
+            cross_validate(WalkSpec(*cell), 100) for cell in cells]
 
 
 def test_multiset_sizes():

@@ -12,6 +12,7 @@ from livelywalk import (
     WalkSpec,
     coins,
     cross_validate,
+    eig3_unitary,
     order_of_unit,
     period_analytic,
     period_bruteforce,
@@ -32,6 +33,8 @@ from livelywalk.period import (
 )
 from livelywalk.walk import DENSE_GUARD, block_stack, spectrum
 
+import corpora
+import test_golden_spectral
 from conftest import dense_operator
 
 
@@ -191,15 +194,44 @@ class TestHalfBlockSpectral:
     @pytest.mark.parametrize("n, solved", [(2, 2), (3, 2), (7, 4), (8, 5), (64, 33)])
     def test_solves_blocks_zero_to_half_n(self, monkeypatch, n, solved):
         shapes = []
-        real = period_mod.eig3_unitary
+        real = period_mod._unit_eigenvalues
 
         def recording(m):
             shapes.append(m.shape)
             return real(m)
 
-        monkeypatch.setattr(period_mod, "eig3_unitary", recording)
+        monkeypatch.setattr(period_mod, "_unit_eigenvalues", recording)
         assert period_spectral(spec_of(coins.perm_matrix(2), n, n // 2)).finite
         assert shapes == [(solved, 3, 3)]
+
+
+GOLDEN_SPECTRAL_COINS = list(test_golden_spectral.corpus().values())
+
+
+class TestEigenvalueOrder:
+    """`period_spectral` reads the lcm of the orders, and no_period_up_to at the
+    first eigenvalue that does not classify: neither depends on the order of a
+    block's eigenvalues, so the route solves them unsorted."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coin=st.one_of(st.sampled_from(GOLDEN_SPECTRAL_COINS),
+                          st.builds(coins.coin_from_theta_frac, st.sampled_from(coins.FAMILIES),
+                                    st.sampled_from(corpora.rational_grid(12)))),
+           n=st.integers(2, 24), data=st.data())
+    def test_every_permutation_of_each_block_gives_the_same_result(self, coin, n, data):
+        spec = spec_of(coin, n, data.draw(st.integers(0, n // 2)))
+        lams = period_mod._unit_eigenvalues(block_stack(spec, n // 2 + 1))
+        orders = data.draw(st.lists(st.permutations(range(3)), min_size=len(lams), max_size=len(lams)))
+        permuted = np.take_along_axis(lams, np.array(orders), axis=-1)
+        assert period_spectral(spec, eigenvalues=permuted) == period_spectral(spec)
+
+    @pytest.mark.parametrize("coin", GOLDEN_SPECTRAL_COINS[::7])
+    def test_the_angle_order_gives_the_same_result(self, coin):
+        for n in range(2, 13):
+            for a in range(n // 2 + 1):
+                spec = spec_of(coin, n, a)
+                shown = eig3_unitary(block_stack(spec, n // 2 + 1))
+                assert period_spectral(spec, eigenvalues=shown) == period_spectral(spec), (n, a)
 
 
 class TestBruteForce:

@@ -2,7 +2,7 @@
 
 `cli.cmd_table` takes its coins from the coin memo and hands its cells to
 `period._sweep`, which solves the spectral route's blocks in batches
-(`period._spectra`), several specs per `eig3_unitary` call.  So:
+(`period._spectra`), several specs per `exactnum._unit_eigenvalues` call.  So:
 
 * every row of a sweep is byte for byte the `period` report of its spec,
   over mixed n = 2..12, every valid a, the default methods and each single
@@ -28,7 +28,7 @@ import test_golden_spectral
 from conftest import run_cli
 from livelywalk import coins, period, walk
 from livelywalk.errors import NumericalFailure
-from livelywalk.exactnum import eig3_unitary
+from livelywalk.exactnum import _unit_eigenvalues
 
 N_RANGE = range(2, 13)
 METHOD_SETS = (None, "analytic", "spectral", "bruteforce")
@@ -87,19 +87,19 @@ def test_the_batched_eigensolve_is_bitwise_the_per_spec_one():
     batched = period._block_eigenvalues(stacks)
     assert len(batched) == len(specs)
     for spec, stack, lams in zip(specs, stacks, batched):
-        alone = eig3_unitary(stack)
+        alone = _unit_eigenvalues(stack)
         assert lams.shape == alone.shape and lams.tobytes() == alone.tobytes(), spec
 
 
 def _counting_eig3(monkeypatch):
-    """A list that grows by one per `eig3_unitary` call from `period`."""
+    """A list that grows by one per `_unit_eigenvalues` call from `period`."""
     calls = []
 
     def counted(m):
         calls.append(len(m))
-        return eig3_unitary(m)
+        return _unit_eigenvalues(m)
 
-    monkeypatch.setattr(period, "eig3_unitary", counted)
+    monkeypatch.setattr(period, "_unit_eigenvalues", counted)
     return calls
 
 
@@ -229,9 +229,9 @@ def test_a_solver_failure_on_the_third_spec_fails_as_before(monkeypatch, methods
         solves.append((len(m), holds))
         if holds:
             raise NumericalFailure("eigenvalue modulus 0.5 is not 1")
-        return eig3_unitary(m)
+        return _unit_eigenvalues(m)
 
-    monkeypatch.setattr(period, "eig3_unitary", refusing)
+    monkeypatch.setattr(period, "_unit_eigenvalues", refusing)
     assert run_cli(argv) == (1, "", "error: eigenvalue modulus 0.5 is not 1\n")
     # one batch of all eight specs, four at n = 3 and four at n = 4, and no
     # solve after it
