@@ -318,6 +318,7 @@ def _theta_values(args, parser):
             raise OutOfRange(f"theta must be finite, got {end}")
     if not math.isfinite(stop - start):  # np.linspace would warn and give nan angles
         raise OutOfRange(f"--theta-grid STOP - START overflows a float, got {args.theta_grid!r}")
+    _walk._check_size(count, f"a --theta-grid of {count} angles", float)
     return np.linspace(start, stop, count)
 
 

@@ -485,7 +485,10 @@ def coin_from_json(doc: dict) -> Coin3:
     repr_tag = doc.get("repr")
     entries = doc["entries"]
     if repr_tag == "exact":
-        m = exact_matrix(entries)
+        try:
+            m = exact_matrix(entries)
+        except OverflowError as exc:  # Fraction of an infinite float
+            raise ValueError(str(exc)) from exc
     elif repr_tag == "float":
         m = np.array(entries, dtype=complex)
     else:

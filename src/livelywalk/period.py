@@ -13,7 +13,8 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                period is the lcm of the multiplicative orders.  The coin
                is real, so block n - l is the complex conjugate of block l
                and has the same orders: the other blocks add nothing.
-               A sweep solves its specs' blocks in CHUNK_BYTES batches.
+               A sweep solves each batch of specs whose blocks fit
+               CHUNK_BYTES together by one call, and a lone spec alone.
 * bruteforce -- baby-step giant-step powering of the n momentum blocks:
                the baby steps U^1..U^B are built once, and the giant steps
                (U^t0)^dagger, t0 = kB, by doubling, in groups.  One rule
@@ -74,6 +75,8 @@ GUARANTEED_ORDER_BOUND = int(math.sqrt(DECISIVE / ANGLE_ACCURACY))  # 31622
 CHUNK_STEPS = 128
 #: bytes brute force's baby steps, giant steps and temporaries, or one sweep batch's stacks, may hold
 CHUNK_BYTES = 16 * 2**20
+#: bytes of one momentum block, a 3x3 complex128 array
+_BLOCK_BYTES = 9 * np.dtype(complex).itemsize
 #: least bytes of giant steps each brute-force group after the first
 #: holds: 18, 14 and 11 steps at n = 3, 4 and 5, one from n = 29 on.  At
 #: small n a group screen's fixed cost outweighs its GEMM, so a scan to
@@ -186,26 +189,19 @@ def _block_eigenvalues(stacks) -> list:
 
 
 def _spectra(specs):
-    """Yield each spec's blocks l = 0..n//2's eigenvalues, in order, by one `_block_eigenvalues`
-    call per batch of specs whose stacks fit CHUNK_BYTES together, or of one larger spec.  A spec
-    whose stack passes `block_stack`'s size guard yields None, so that `period_spectral` meets
-    the guard again inside `cross_validate`'s `_guarded`."""
-    stacks, size = [], 0
-    for spec in specs:
-        try:
-            stack = _half_stack(spec)
-        except GuardExceeded:
-            stack = None
-        if stacks and (stack is None or size + stack.nbytes > CHUNK_BYTES):
-            yield from _block_eigenvalues(stacks)
-            stacks, size = [], 0
-        if stack is None:
-            yield None
-            continue
-        stacks.append(stack)
-        size += stack.nbytes
-    if stacks:
-        yield from _block_eigenvalues(stacks)
+    """Yield each spec's blocks l = 0..n//2's eigenvalues, or None, in order.  A batch of specs
+    closes when the next one's half stack, (n//2 + 1) * _BLOCK_BYTES sized from n alone, does not
+    fit beside it in CHUNK_BYTES, or when the specs end; one `_block_eigenvalues` call then solves
+    a batch of two or more.  A lone spec yields None: `period_spectral` solves it, inside
+    `cross_validate`'s `_guarded`, which reports a stack past `block_stack`'s guard."""
+    batch, size = [], 0
+    for spec in [*specs, None]:  # None, of infinite size, closes the last batch
+        nbytes = math.inf if spec is None else (spec.n // 2 + 1) * _BLOCK_BYTES
+        if batch and size + nbytes > CHUNK_BYTES:
+            yield from [None] if len(batch) == 1 else _block_eigenvalues([_half_stack(s) for s in batch])
+            batch, size = [], 0
+        batch.append(spec)
+        size += nbytes
 
 
 def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=None) -> PeriodResult:
@@ -223,8 +219,9 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=
     its modulus checked, its angle taken by math.atan2.  The result does not
     depend on the eigenvalues' order: the lcm is symmetric, and any one that
     fails to classify gives the same no_period_up_to; so they come unsorted,
-    from `_unit_eigenvalues`.  `eigenvalues` are the blocks' when a sweep
-    solved them; by default one call solves them here.
+    from `_unit_eigenvalues`.  `eigenvalues` are the blocks' when a sweep's
+    batch solved them; by default, as for a lone spec of a sweep, one call
+    solves them here.
     """
     bound = min(_check_qmax(qmax), GUARANTEED_ORDER_BOUND)
     if eigenvalues is None:
@@ -253,7 +250,7 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     (B, 1) screen.  Every group `_giant_groups` yields is at most G steps,
     the identity's row counted in the first, so it fits too.
     """
-    per_power = n * 9 * np.dtype(complex).itemsize
+    per_power = n * _BLOCK_BYTES
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
     if fits < 1:
         raise GuardExceeded(f"one power of the {n} momentum blocks needs "
@@ -613,7 +610,8 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
 
 def _sweep(cells, tmax: int, qmax: int, methods) -> list:
     """`cross_validate` of each (n, a, coin) of the list `cells`, in order, for
-    known `methods`, the spectral blocks solved by `_spectra`.  Before any
+    known `methods`, the spectral blocks solved by `_spectra`'s batches, or by
+    `period_spectral` for a lone spec, as for `period`'s one cell.  Before any
     method runs, a sweep checks tmax and qmax as `cross_validate` does, even
     with no cells, then builds every spec: the first bad cell raises."""
     _check_bounds(methods, tmax, qmax)

@@ -85,9 +85,9 @@ def _index(value, what: str, least: int | None = None, stop: int | None = None) 
     return index
 
 
-def _check_size(count: int, what: str) -> None:
-    """GuardExceeded when `count` complex128 entries pass the bytes numpy can size one array by."""
-    size = count * np.dtype(complex).itemsize
+def _check_size(count: int, what: str, dtype=complex) -> None:
+    """GuardExceeded when `count` entries of `dtype` pass the bytes numpy can size one array by."""
+    size = count * np.dtype(dtype).itemsize
     if size > _MAX_BYTES:
         raise GuardExceeded(f"{what} needs {size} bytes, over numpy's limit of {_MAX_BYTES} bytes per array")
 

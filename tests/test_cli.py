@@ -830,6 +830,16 @@ class TestMalformedFiles:
         assert out == ""
         assert f"coin file {path} does not match the schema" in err
 
+    @pytest.mark.parametrize("command", [("coin",), ("period", "--n", "5")])
+    @pytest.mark.parametrize("entry", ["1e400", "-Infinity"])
+    def test_infinite_exact_entry_is_usage_error(self, tmp_path, command, entry):
+        path = tmp_path / "coin.json"
+        path.write_text(f'{{"repr": "exact", "entries": [[{entry}, 0, 0], [0, 1, 0], [0, 0, 1]]}}')
+        code, out, err = run_cli((*command, "--matrix-file", str(path)))
+        assert (code, out) == (2, "")
+        assert f"coin file {path} does not match the schema: cannot convert Infinity to integer ratio" in err
+        assert "Traceback" not in err
+
 
 class TestGuardExceeded:
     """Past brute force's size guard, period still reports the other methods
@@ -850,7 +860,8 @@ class TestGuardExceeded:
 class TestHugeWalks:
     """A cycle too long for numpy to size its arrays: period and table report
     the spectral route as not_applicable by guard-exceeded and exit 0,
-    simulate prints one error line and exits 1; no traceback."""
+    simulate prints one error line and exits 1, as does a table whose
+    --theta-grid holds too many angles; no traceback."""
 
     @pytest.mark.parametrize("n, a", [("99999999999999999999", "0"), ("4611686018427387904", "1")])
     def test_period_exits_0(self, n, a):
@@ -876,6 +887,13 @@ class TestHugeWalks:
                                   "--tmax", "1"))
         assert (code, out) == (1, "")
         assert err == (f"error: a state on {n} vertices needs {48 * int(n)} bytes, "
+                       f"over numpy's limit of {2**63 - 1} bytes per array\n")
+
+    @pytest.mark.parametrize("count", [10**20, 2**62])
+    def test_theta_grid_exits_1(self, count):
+        code, out, err = run_cli(("table", "--family", "X", "--theta-grid", f"0:1:{count}", "--n-list", "3"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: a --theta-grid of {count} angles needs {8 * count} bytes, "
                        f"over numpy's limit of {2**63 - 1} bytes per array\n")
 
 

@@ -99,6 +99,12 @@ class TestSerializationChecks:
         doc = coins.coin_to_json(coins.grover_type(1)) | {"repr": "complex"}
         assert raised(ConstraintViolated, coins.coin_from_json, doc) == "unknown repr tag 'complex'"
 
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf])
+    def test_infinite_exact_entry(self, entry):
+        # json.loads reads 1e400 and -Infinity as these floats; Fraction overflows on them
+        doc = {"repr": "exact", "entries": [[entry, 0, 0], [0, 1, 0], [0, 0, 1]]}
+        assert raised(ValueError, coins.coin_from_json, doc) == "cannot convert Infinity to integer ratio"
+
     def test_complex_parameter_coin(self):
         message = raised(ConstraintViolated, coins.coin_to_json, coins.coin_from_theta("X", 1j))
         assert message == "cannot serialize a complex-parameter coin"

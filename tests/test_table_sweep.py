@@ -2,7 +2,10 @@
 
 `cli.cmd_table` takes its coins from the coin memo and hands its cells to
 `period._sweep`, which solves the spectral route's blocks in batches
-(`period._spectra`), several specs per `exactnum._unit_eigenvalues` call.  So:
+(`period._spectra`), several specs per `exactnum._unit_eigenvalues` call,
+by one rule: a batch closes when the next spec's blocks, sized from n
+alone, do not fit beside it in CHUNK_BYTES, and a spec alone in its batch,
+`period`'s one cell among them, is solved by `period_spectral`.  So:
 
 * every row of a sweep is byte for byte the `period` report of its spec,
   over mixed n = 2..12, every valid a, the default methods and each single
@@ -11,18 +14,22 @@
 * the batched eigensolve is bitwise the per-spec one on the golden
   spectral corpus, with every n in one batch;
 * a CHUNK_BYTES small enough to split each sweep into many batches leaves
-  the output bytes as they were;
+  the output bytes as they were, every batch holds two or more specs
+  within it, and a spec too large for numpy is never built by the sweep;
 * a sweep that fails prints the error, and exits with the code, of one
   rule: first a bad bound, then the first bad cell, both before any method
   runs; a solver failure fails the sweep at its batch.
 """
 
+import json
 import math
 import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_golden_spectral
 from conftest import run_cli
@@ -114,8 +121,8 @@ def test_small_batches_print_the_same_bytes(monkeypatch, methods):
         run_cli(argv)
         assert len(calls) == 1
     # 1,000 bytes hold six blocks, one to three specs at n <= 11, and n = 12's
-    # seven blocks are a batch of their own; brute force, which CHUNK_BYTES
-    # also bounds, is not asked for
+    # seven blocks are a lone spec, solved by period_spectral; brute force,
+    # which CHUNK_BYTES also bounds, is not asked for
     monkeypatch.setattr(period, "CHUNK_BYTES", 1000)
     for argv, want in zip(sweeps, whole):
         calls.clear()
@@ -130,6 +137,53 @@ def test_a_spec_larger_than_chunk_bytes_is_a_batch_of_its_own(monkeypatch):
     monkeypatch.setattr(period, "CHUNK_BYTES", 1000)  # n = 40 has 21 blocks, 3,024 bytes
     assert run_cli(argv) == want
     assert calls == [2 + 2, 21, 21, 3 + 3]
+
+
+
+# --- the one batching rule ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 41])
+def test_a_one_cell_period_solves_its_spec_alone(monkeypatch, n):
+    monkeypatch.setattr(period, "_block_eigenvalues", lambda stacks: pytest.fail("a lone spec was batched"))
+    shapes = []
+    monkeypatch.setattr(period, "_unit_eigenvalues", lambda m: shapes.append(m.shape) or _unit_eigenvalues(m))
+    code, _, err = run_cli(("period", "--family", "X", "--theta-frac", "1/3", "--n", str(n), "--a", "1"))
+    assert (code, err) == (0, "")
+    assert shapes == [(n // 2 + 1, 3, 3)]
+
+
+def test_a_huge_spec_is_sized_from_n_and_never_built_by_the_sweep(monkeypatch):
+    huge = 10**20 - 1
+    coin = coins.coin_from_theta_frac("X", Fraction(1, 3))
+    specs = [walk.WalkSpec(n=n, a=1, coin=coin) for n in (3, 4, huge, 5, 6)]
+    built, real = [], period._half_stack
+    monkeypatch.setattr(period, "_half_stack", lambda spec: built.append(spec.n) or real(spec))
+    spectra = list(period._spectra(specs))
+    assert built == [3, 4, 5, 6]
+    assert [lams is None for lams in spectra] == [False, False, True, False, False]
+    # the sweep that holds it reports the spectral route as guard-exceeded
+    code, out, err = run_cli(("table", "--family", "X", "--rational-grid", "2", "--n-list", f"3,{huge},4",
+                              "--methods", "analytic,spectral"))
+    assert (code, err) == (0, "")
+    assert [row["results"][1]["theorem"] for row in json.loads(out) if row["n"] == huge] == ["guard-exceeded"] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(ns=st.lists(st.integers(2, 40), min_size=1, max_size=6), chunk_bytes=st.integers(144, 4000))
+def test_every_batch_holds_two_or_more_specs_within_chunk_bytes(ns, chunk_bytes):
+    tail = ("--a-list", "0,1", "--methods", "analytic,spectral")
+    calls, real = [], period._block_eigenvalues
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(period, "CHUNK_BYTES", chunk_bytes)
+        mp.setattr(period, "_block_eigenvalues", lambda stacks: calls.append(stacks) or real(stacks))
+        code, out, err = run_cli(("table", "--family", "X", "--rational-grid", "2",
+                                  "--n-list", ",".join(map(str, ns)), *tail))
+        singles = [run_cli(("period", "--family", "X", "--theta-frac", frac, "--n", str(n), "--a", a, *tail[2:]))
+                   for n in ns for a in ("0", "1") for frac in ("0/1", "1/2")]
+    assert all(len(stacks) >= 2 and sum(s.nbytes for s in stacks) <= chunk_bytes for stacks in calls)
+    assert err == "" and out == _table_text([o for _, o, _ in singles])
+    assert code == max(c for c, _, _ in singles)
 
 
 @pytest.mark.parametrize("angles", [("--rational-grid", "3"), ("--theta-grid", "0:1:3")])
