@@ -13,8 +13,7 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                period is the lcm of the multiplicative orders.  The coin
                is real, so block n - l is the complex conjugate of block l
                and has the same orders: the other blocks add nothing.
-               A sweep solves each batch of specs whose blocks fit
-               CHUNK_BYTES together by one call, and a lone spec alone.
+               A sweep solves its specs in CHUNK_BYTES batches, a lone one alone.
 * bruteforce -- baby-step giant-step powering of the n momentum blocks:
                the baby steps U^1..U^B are built once, and the giant steps
                (U^t0)^dagger, t0 = kB, by doubling, in groups.  One rule
@@ -175,9 +174,14 @@ _check_qmax = functools.partial(_walk._index, what="denominator bound qmax", lea
 _check_tmax = functools.partial(_walk._index, what="step bound tmax", least=0)
 
 
+def _half_rows(n: int) -> int:
+    """How many blocks, l = 0..n//2, `period_spectral` solves for n vertices."""
+    return n // 2 + 1
+
+
 def _half_stack(spec: _walk.WalkSpec) -> np.ndarray:
     """The blocks l = 0..n//2 that `period_spectral` solves."""
-    return _walk.block_stack(spec, spec.n // 2 + 1)
+    return _walk.block_stack(spec, _half_rows(spec.n))
 
 
 def _block_eigenvalues(stacks) -> list:
@@ -189,14 +193,13 @@ def _block_eigenvalues(stacks) -> list:
 
 
 def _spectra(specs):
-    """Yield each spec's blocks l = 0..n//2's eigenvalues, or None, in order.  A batch of specs
-    closes when the next one's half stack, (n//2 + 1) * _BLOCK_BYTES sized from n alone, does not
-    fit beside it in CHUNK_BYTES, or when the specs end; one `_block_eigenvalues` call then solves
-    a batch of two or more.  A lone spec yields None: `period_spectral` solves it, inside
-    `cross_validate`'s `_guarded`, which reports a stack past `block_stack`'s guard."""
+    """Yield each spec's blocks l = 0..n//2's eigenvalues, or None, in order.  A batch closes when
+    the next spec's `_half_rows` blocks of _BLOCK_BYTES, sized from n alone, do not fit beside it in
+    CHUNK_BYTES, or the specs end; one `_block_eigenvalues` call solves a batch of two or more.  A
+    lone spec yields None: `period_spectral` solves it, past numpy's limit too, in `_guarded`."""
     batch, size = [], 0
-    for spec in [*specs, None]:  # None, of infinite size, closes the last batch
-        nbytes = math.inf if spec is None else (spec.n // 2 + 1) * _BLOCK_BYTES
+    for spec in [*specs, None]:  # None, larger than CHUNK_BYTES, closes the last batch
+        nbytes = CHUNK_BYTES + 1 if spec is None else _half_rows(spec.n) * _BLOCK_BYTES
         if batch and size + nbytes > CHUNK_BYTES:
             yield from [None] if len(batch) == 1 else _block_eigenvalues([_half_stack(s) for s in batch])
             batch, size = [], 0
@@ -220,8 +223,7 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=
     depend on the eigenvalues' order: the lcm is symmetric, and any one that
     fails to classify gives the same no_period_up_to; so they come unsorted,
     from `_unit_eigenvalues`.  `eigenvalues` are the blocks' when a sweep's
-    batch solved them; by default, as for a lone spec of a sweep, one call
-    solves them here.
+    batch solved them; by default, as for a sweep's lone spec, one call here.
     """
     bound = min(_check_qmax(qmax), GUARANTEED_ORDER_BOUND)
     if eigenvalues is None:
@@ -610,10 +612,9 @@ def cross_validate(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, qmax: int = Q
 
 def _sweep(cells, tmax: int, qmax: int, methods) -> list:
     """`cross_validate` of each (n, a, coin) of the list `cells`, in order, for
-    known `methods`, the spectral blocks solved by `_spectra`'s batches, or by
-    `period_spectral` for a lone spec, as for `period`'s one cell.  Before any
-    method runs, a sweep checks tmax and qmax as `cross_validate` does, even
-    with no cells, then builds every spec: the first bad cell raises."""
+    known `methods`, the spectral blocks solved by `_spectra`, a lone spec's by
+    `period_spectral`.  Before any method runs, a sweep checks tmax and qmax as
+    `cross_validate` does, even with no cells, then builds every spec: the first bad cell raises."""
     _check_bounds(methods, tmax, qmax)
     specs = [_walk.WalkSpec(n=n, a=a, coin=coin) for n, a, coin in cells]
     spectra = _spectra(specs) if "spectral" in methods else itertools.repeat(None)

@@ -881,6 +881,16 @@ class TestHugeWalks:
         assert [r["results"][0]["status"] for r in rows] == ["finite", "not_applicable", "finite"]
         assert rows[1]["results"][0]["theorem"] == "guard-exceeded"
 
+    def test_period_and_table_past_the_float_range_exit_0(self):
+        n = str(10**400)
+        code, out, err = run_cli(("period", "--grover", "P1", "--n", n))
+        assert (code, err) == (0, "")
+        assert [r["theorem"] for r in json.loads(out)["results"][1:]] == ["guard-exceeded"] * 2
+        code, out, err = run_cli(("table", "--family", "X", "--rational-grid", "1", "--n-list", f"3,4,{n}",
+                                  "--methods", "spectral"))
+        assert (code, err) == (0, "")
+        assert [r["results"][0]["status"] for r in json.loads(out)] == ["finite", "finite", "not_applicable"]
+
     @pytest.mark.parametrize("n", ["99999999999999999999", "4611686018427387904"])
     def test_simulate_exits_1(self, n):
         code, out, err = run_cli(("simulate", "--grover", "P1", "--n", n, "--start", "0", "--coinstate", "0",

@@ -253,6 +253,17 @@ class TestHugeWalks:
         assert period._sweep(cells, 100, period.QMAX_DEFAULT, period.METHODS) == [
             cross_validate(WalkSpec(*cell), 100) for cell in cells]
 
+    @pytest.mark.parametrize("last", [False, True])
+    def test_a_sweep_past_the_float_range(self, last):
+        # (n//2 + 1) * 144 bytes is past any float at n = 10^400: the sweep
+        # sizes its batches in ints, as the last spec or among others
+        coin = coins.grover_type(1)
+        cells = [(3, 1, coin), (4, 0, coin), (10**400, 1, coin)]
+        cells = cells if last else cells[::-1]
+        results = period._sweep(cells, 100, period.QMAX_DEFAULT, period.METHODS)
+        assert results == [cross_validate(WalkSpec(*cell), 100) for cell in cells]
+        assert [cv.results[1].theorem for cv in results if cv.spec.n > 4] == ["guard-exceeded"]
+
 
 def test_multiset_sizes():
     message = raised(DimensionMismatch, multiset_distance, [1, 1j], [1])
