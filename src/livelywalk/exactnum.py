@@ -72,12 +72,17 @@ def orthogonality_defect(m: np.ndarray) -> float:
 
     Zero exactly for exact orthogonal matrices, which are 3x3 coins; the
     complex-parameter coins are complex *orthogonal*, not unitary, so no
-    conjugation here.
+    conjugation here.  An exact entry past the float range, such as
+    Fraction("1e400"), gives inf: the defect is at least the entry's
+    square less 1, past the float range too.
     """
     if is_exact(m):
         if _integer_orthogonal(*_scaled_integer(m)):
             return 0.0
-        m = to_float(m)
+        try:
+            m = to_float(m)
+        except OverflowError:
+            return math.inf
     mf = np.asarray(m, dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf defect is reported, not warned
         return float(np.linalg.norm(mf.T @ mf - np.eye(mf.shape[0])))

@@ -14,7 +14,8 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                is real, so block n - l is the complex conjugate of block l
                and has the same orders: the other blocks add nothing.
                A sweep solves its specs in CHUNK_BYTES batches, a lone one alone.
-* bruteforce -- baby-step giant-step powering of the n momentum blocks:
+* bruteforce -- baby-step giant-step powering of the momentum blocks
+               l = 0..n//2, each of the others counted by its conjugate:
                the baby steps U^1..U^B are built once, and the giant steps
                (U^t0)^dagger, t0 = kB, by doubling, in groups.  One rule
                sets the schedule: the caller passes the least period p no
@@ -35,9 +36,10 @@ Three routes to the period T = min{t > 0 : U^t = I}:
                does not: every t is still tested, in order.
 
 `cross_validate` runs all applicable methods and flags disagreement.  The
-spectral and brute-force routes both start from `walk.block_stack`; the
-tests hold brute force to an independent oracle: the dense 3n x 3n
-S (C (x) I_n), built as a Kronecker product and powered one step at a time.
+spectral and brute-force routes both start from `_half_stack`, the blocks
+l = 0..n//2 of `walk.block_stack`; the tests hold brute force to an
+independent oracle: the dense 3n x 3n S (C (x) I_n), built as a Kronecker
+product and powered one step at a time.
 """
 
 from __future__ import annotations
@@ -180,8 +182,20 @@ def _half_rows(n: int) -> int:
 
 
 def _half_stack(spec: _walk.WalkSpec) -> np.ndarray:
-    """The blocks l = 0..n//2 that `period_spectral` solves."""
+    """The blocks l = 0..n//2 that `period_spectral` solves and `period_bruteforce` powers."""
     return _walk.block_stack(spec, _half_rows(spec.n))
+
+
+def _pair_weights(n: int) -> np.ndarray:
+    """How often brute force counts each float of the blocks l = 0..n//2
+    in a squared distance, 18 per block: once for block 0 and, for even n,
+    block n/2, their own conjugates, and twice for every other block l,
+    which stands for block n - l too."""
+    weights = np.full(_half_rows(n), 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return weights.repeat(18)
 
 
 def _block_eigenvalues(stacks) -> list:
@@ -281,7 +295,7 @@ def _grow(table: np.ndarray, upto: int) -> np.ndarray:
     return grown
 
 
-def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last: int, first: int):
+def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last: int, first: int, n: int):
     """Yield (k0, group) for the giant steps k = 0..last in groups: the rows
     of `group`, leading rows of `giants`, are (U^(kB))^dagger for k = k0,
     k0 + 1, .., where U^1..U^B are the B baby steps in `rows`.
@@ -293,7 +307,8 @@ def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last
     first to W^first but at most G = min(len(giants), last), so that a
     first group of G steps leaves it full.  While the table is short of G,
     each later group is its new columns as it grows by max(F, k0 - 1)
-    steps, F as many as GROUP_FLOOR_BYTES holds but at least 1, to G at
+    steps, F as many powers of all n blocks as GROUP_FLOOR_BYTES holds, as
+    `_plan` sizes them, but at least 1, to G at
     most; once it is G, each group of up to G steps is the product
     W^(k0 - 1) @ W^(1..g), with W^(k0 - 1) in row 0 of `window`, up to
     k = last.  So from the identity alone the groups hold 1, F, F, 2F, 4F,
@@ -301,15 +316,16 @@ def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last
     The table, while it grows, and the product after it never hold more
     than 2 len(giants) steps together.
     """
-    size, n = min(len(giants), last), rows.shape[1] // 9
-    floor = max(1, GROUP_FLOOR_BYTES // rows[0].nbytes)
-    giants.reshape(len(giants), n, 3, 3)[0] = np.eye(3)
-    table = _grow(rows[-1].reshape(n, 3, 3).transpose(0, 2, 1), min(size, first))  # from (U^B)^T, a view
-    product = giants[0].reshape(n, 3, 3) if size == 1 else None
+    size, blocks = min(len(giants), last), rows.shape[1] // 9
+    floor = max(1, GROUP_FLOOR_BYTES // (n * _BLOCK_BYTES))
+    giants.reshape(len(giants), blocks, 3, 3)[0] = np.eye(3)
+    table = _grow(rows[-1].reshape(blocks, 3, 3).transpose(0, 2, 1), min(size, first))  # from (U^B)^T, a view
+    product = giants[0].reshape(blocks, 3, 3) if size == 1 else None
     k0, group, out = 0, giants[:first], table[:, :, :3 * (first - 1)]
     while True:
         g = out.shape[2] // 3  # the group's last g rows, all but the identity's in the first group
-        np.conjugate(out.reshape(n, 3, g, 3).transpose(2, 0, 1, 3), out=group[len(group) - g:].reshape(g, n, 3, 3))
+        np.conjugate(out.reshape(blocks, 3, g, 3).transpose(2, 0, 1, 3),
+                     out=group[len(group) - g:].reshape(g, blocks, 3, 3))
         yield k0, group
         k0 += len(group)
         if k0 > last:
@@ -319,7 +335,7 @@ def _giant_groups(rows: np.ndarray, giants: np.ndarray, window: np.ndarray, last
             table = _grow(table, k0 - 1 + g)
             out = table[:, :, 3 * (k0 - 1):3 * (k0 - 1 + g)]
         else:
-            step = np.conjugate(group[-1].reshape(n, 3, 3), out=window[0].reshape(n, 3, 3))
+            step = np.conjugate(group[-1].reshape(blocks, 3, 3), out=window[0].reshape(blocks, 3, 3))
             g = min(size, last - k0 + 1)
             if product is None:
                 product = np.empty_like(table)
@@ -337,14 +353,18 @@ def _screen_slack(n: int, r: float, t: float) -> float:
     ||x - y||^2 by at most gamma (||x|| + ||y||)^2; the exact chunk test's
     own rounding adds at most gamma ||x - y||^2, and within IDENTITY_TOL
     that is below gamma (r + t)^2.  The factor 4 covers both with room for
-    the rounding of r and t themselves.
+    the rounding of r and t themselves.  Brute force sums over the blocks
+    l = 0..n//2 only, each float weighted by `_pair_weights`: a weight of
+    2 scales a term exactly, so each weighted sum is the 18n-term sum with
+    the conjugate blocks' equal terms added in pairs, at most 18n terms of
+    the same norms, and the same slack bounds it.
     """
     k = (18 * n + 3) * _UNIT_ROUNDOFF
     return 4.0 * k / (1.0 - k) * (r + t) ** 2
 
 
 def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
-            n: int, r_max: float) -> list[int]:
+            n: int, r_max: float, weights: Optional[np.ndarray] = None) -> list[int]:
     """Indices of the giant steps (U^t0)^dagger, the rows of `giants_f`,
     whose chunk of baby steps U^j, the rows of `rows_f`, can hold a period.
 
@@ -353,12 +373,15 @@ def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
     is the distance squared up to `_screen_slack`.  One slack serves the
     group, taken at its largest ||(U^t0)^dagger||, so it is never below a
     giant step's own.  A chunk stays in unless its least value exceeds
-    IDENTITY_TOL^2 plus that slack, so a NaN keeps it.
+    IDENTITY_TOL^2 plus that slack, so a NaN keeps it.  The dot products
+    count each float as often as `weights`, one per float of a row, says,
+    and once each by default; `half_norms` must be weighted alike.
     """
-    gaps = giants_f @ rows_f.T  # U^j . (U^t0)^dagger, one row per giant step
+    weighted = giants_f if weights is None else giants_f * weights
+    gaps = weighted @ rows_f.T  # U^j . (U^t0)^dagger, one row per giant step
     # half the distance squared, less ||(U^t0)^dagger||^2 / 2
     np.subtract(half_norms, gaps, out=gaps)
-    tt = np.einsum("gi,gi->g", giants_f, giants_f)  # ||(U^t0)^dagger||^2
+    tt = np.einsum("gi,gi->g", weighted, giants_f)  # ||(U^t0)^dagger||^2
     lhs = 2.0 * gaps.min(axis=1) + tt
     limit = IDENTITY_TOL ** 2 + _screen_slack(n, r_max, math.sqrt(tt.max()))
     if lhs.min() > limit:  # every chunk is far; a NaN reads as near
@@ -366,22 +389,26 @@ def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
     return np.flatnonzero(~(lhs > limit)).tolist()
 
 
-def _first_hit(rows: np.ndarray, target: np.ndarray, window: np.ndarray) -> Optional[int]:
+def _first_hit(rows: np.ndarray, target: np.ndarray, window: np.ndarray,
+               weights: Optional[np.ndarray] = None) -> Optional[int]:
     """Index of the first row within IDENTITY_TOL of (U^t0)^dagger, or None:
-    the chunk's differences into `window`, then their norms."""
+    the chunk's differences into `window`, squared there, then their norms,
+    each float counted as often as `weights` says, once by default."""
     np.subtract(rows, target.reshape(-1), out=window)
-    re_im = window.view(np.float64)  # per power: 9n entries as re, im
-    hits = np.flatnonzero(np.sqrt(np.einsum("bi,bi->b", re_im, re_im)) <= IDENTITY_TOL)
+    re_im = window.view(np.float64)  # per power: 9 entries per block as re, im
+    squares = np.square(re_im, out=re_im)
+    norms2 = squares.sum(axis=1) if weights is None else squares @ weights
+    hits = np.flatnonzero(np.sqrt(norms2) <= IDENTITY_TOL)
     return int(hits[0]) if hits.size else None
 
 
-def _first_hit_of_identity(table: np.ndarray) -> Optional[int]:
+def _first_hit_of_identity(table: np.ndarray, weights: np.ndarray) -> Optional[int]:
     """`_first_hit` of the block-major powers M^1..M^d of `table` against I,
     on their rows as `period_bruteforce` lays them out, which are also the
     window."""
-    n, d = len(table), table.shape[2] // 3
-    rows = table.reshape(n, 3, d, 3).transpose(2, 0, 1, 3).copy().reshape(d, 9 * n)
-    return _first_hit(rows, np.broadcast_to(np.eye(3), (n, 3, 3)), rows)
+    blocks, d = len(table), table.shape[2] // 3
+    rows = table.reshape(blocks, 3, d, 3).transpose(2, 0, 1, 3).copy().reshape(d, 9 * blocks)
+    return _first_hit(rows, np.broadcast_to(np.eye(3), (blocks, 3, 3)), rows, weights)
 
 
 def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: int = 1) -> PeriodResult:
@@ -389,10 +416,15 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: 
 
     The Fourier change of basis is unitary, so ||U^t - I||_F^2 is the sum
     over blocks of ||U_l^t - I||_F^2, and U^t0 is unitary, so at t = t0 + j
-    that is ||U^j - (U^t0)^dagger||_F^2.  Baby steps and giant steps: the
-    powers U^1..U^B of all n blocks are built once by `_grow`, as the rows
-    of one (B, 9n) array, with ||U^j||_F^2 computed once per call, and the
-    giant steps (U^t0)^dagger, t0 = kB, in groups (`_giant_groups`).
+    that is ||U^j - (U^t0)^dagger||_F^2.  Only the blocks l = 0..n//2 are
+    powered, as by `period_spectral`: the coin is real, so block n - l is
+    the complex conjugate of block l, and so are its powers, at the same
+    distance.  Every sum counts each block l with 0 < l < n/2 twice, for
+    itself and block n - l, and blocks 0 and n/2 once (`_pair_weights`).
+    Baby steps and giant steps: the powers U^1..U^B of those n//2 + 1
+    blocks are built once by `_grow`, as the rows of one (B, 9(n//2 + 1))
+    array, with ||U^j||_F^2 computed once per call, and the giant steps
+    (U^t0)^dagger, t0 = kB, in groups (`_giant_groups`).
     `expected`, an integer >= 1 (OutOfRange otherwise), is the least period
     no other method rules out, 1 when nothing is known, and moves only the
     schedule: the first group, led by the identity, reaches its chunk, as
@@ -406,34 +438,37 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: 
     `_screen_slack` holds no period and is skipped; any other chunk, in
     order, takes the exact test, `_first_hit`, which subtracts
     (U^t0)^dagger from every row and takes the B distances with one
-    einsum.  So every reported t is the exact test's.  Every group is at
-    most G steps, where the baby steps, the giant steps' table, product and
-    rows, and the (B, g) screen fill CHUNK_BYTES.
+    matrix-vector product.  So every reported t is the exact test's.  Every
+    group is at most G steps, where the baby steps, the giant steps' table,
+    product and rows, and the (B, g) screen fill CHUNK_BYTES; `_plan` sizes
+    them as powers of all n blocks, and the powers of n//2 + 1 take about
+    half that.
     """
     tmax, expected, n = _check_tmax(tmax), _walk._index(expected, "expected period", least=1), spec.n
     chunk, group_max = _plan(n, tmax)
-    powers = _walk.block_stack(spec)
+    powers, weights = _half_stack(spec), _pair_weights(n)
+    blocks = len(powers)
     head = 1 << (expected - 1).bit_length()  # b0, the powers tested first
     if 1 < head <= chunk // 2:
         powers = _grow(powers, head)
-        hit = _first_hit_of_identity(powers)
+        hit = _first_hit_of_identity(powers, weights)
         if hit is not None:
             return PeriodResult(status="finite", method="bruteforce", period=hit + 1)
     powers = _grow(powers, chunk)
     last = (tmax - 1) // chunk  # the last chunk, t0 = last * B
     # the baby steps U^1..U^B, then the largest group of giant steps
-    stack = np.empty((chunk + group_max, 9 * n), dtype=complex)
+    stack = np.empty((chunk + group_max, 9 * blocks), dtype=complex)
     rows, giants = stack[:chunk], stack[chunk:]
-    rows.reshape(chunk, n, 3, 3)[...] = powers.reshape(n, 3, chunk, 3).transpose(2, 0, 1, 3)
-    window = powers.reshape(chunk, 9 * n)  # the doubling buffer, reused: rows minus (U^t0)^dagger
+    rows.reshape(chunk, blocks, 3, 3)[...] = powers.reshape(blocks, 3, chunk, 3).transpose(2, 0, 1, 3)
+    window = powers.reshape(chunk, 9 * blocks)  # the doubling buffer, reused: rows minus (U^t0)^dagger
     rows_f = rows.view(np.float64)
-    half_norms = 0.5 * np.einsum("bi,bi->b", rows_f, rows_f)  # ||U^j||_F^2 / 2
+    half_norms = 0.5 * (np.square(rows_f, out=window.view(np.float64)) @ weights)  # ||U^j||_F^2 / 2
     r_max = math.sqrt(2.0 * half_norms.max())
     first = min((expected - 1) // chunk + 1, group_max)  # the chunks through the expected period's
-    for k0, group in _giant_groups(rows, giants, window, last, first):
-        for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max):
+    for k0, group in _giant_groups(rows, giants, window, last, first, n):
+        for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max, weights):
             t0 = (k0 + c) * chunk
-            hit = _first_hit(rows, group[c], window)
+            hit = _first_hit(rows, group[c], window, weights)
             if hit is not None and t0 + hit + 1 <= tmax:
                 return PeriodResult(status="finite", method="bruteforce", period=t0 + hit + 1)
     return PeriodResult(status="no_period_up_to", method="bruteforce", bound=tmax)

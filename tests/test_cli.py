@@ -840,6 +840,14 @@ class TestMalformedFiles:
         assert f"coin file {path} does not match the schema: cannot convert Infinity to integer ratio" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [("coin",), ("period", "--n", "5")])
+    def test_exact_entry_past_the_float_range_is_not_orthogonal(self, tmp_path, command):
+        # the string "1e400" is a finite Fraction; its defect is reported as inf, as a float 1e300 entry's is
+        path = tmp_path / "coin.json"
+        path.write_text('{"repr": "exact", "entries": [["1e400", 0, 0], [0, 1, 0], [0, 0, 1]]}')
+        code, out, err = run_cli((*command, "--matrix-file", str(path)))
+        assert (code, out, err) == (1, "", "error: orthogonality defect inf\n")
+
 
 class TestGuardExceeded:
     """Past brute force's size guard, period still reports the other methods

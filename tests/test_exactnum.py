@@ -388,3 +388,11 @@ class TestIntegerExactPath:
         assert not _fraction_orthogonal(m)
         assert orthogonality_defect(m) == _float_defect(m) > 0
         assert integer_det3(m) == _fraction_det3(m) == det
+
+    @pytest.mark.parametrize("entry", ["1e400", "-3e500", Fraction(10**400, 7)])
+    def test_entry_past_the_float_range_gives_an_infinite_defect(self, entry):
+        # to_float overflows on the entry; the defect, at least its square less 1, is inf
+        m = exactnum.exact_matrix([[entry, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert orthogonality_defect(m) == math.inf
+        with pytest.raises(NotOrthogonal, match="^orthogonality defect inf$"):
+            coins.classify(m)

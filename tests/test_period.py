@@ -20,6 +20,7 @@ from livelywalk import (
     report_json,
 )
 from livelywalk import period as period_mod
+from livelywalk import walk as walk_mod
 from livelywalk.coins import SPECIAL_COINS
 from livelywalk.errors import GuardExceeded, NotOrthogonal, NotUnitModulus
 from livelywalk.period import (
@@ -259,6 +260,42 @@ class TestBruteForce:
     def test_bound_respected(self):
         res = period_bruteforce(spec_of(coins.grover_type(1), 5), tmax=50)
         assert res.status == "no_period_up_to" and res.bound == 50
+
+
+class TestConjugateHalfBruteForce:
+    """Brute force powers blocks l = 0..n//2 only, as period_spectral solves
+    them, and counts each block 0 < l < n/2 twice, for itself and its
+    conjugate block n - l."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_asks_for_blocks_zero_to_half_n(self, monkeypatch, n):
+        asked, real = [], walk_mod.block_stack
+        monkeypatch.setattr(walk_mod, "block_stack", lambda spec, rows=None: asked.append(rows) or real(spec, rows))
+        spec = spec_of(coins.grover_type(1), n, n // 2)
+        for expected in (4, 1):  # the head U^1..U^4 first, then the scan alone
+            asked.clear()
+            period_bruteforce(spec, 300, expected)
+            assert asked == [n // 2 + 1], expected
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_weighted_distance_matches_dense_oracle(self, rng, n):
+        # ||U^t - I||_F^2 from the half stack's powers, laid out as brute
+        # force's rows and weighted by _pair_weights, against the dense
+        # 3n x 3n powers, at sampled t <= 200
+        times = sorted({1, 2, 200, *rng.integers(3, 200, size=12).tolist()})
+        for coin in (coins.grover_type(1), coins.coin_from_theta("Z", 1.0), coins.perm_matrix(2)):
+            for a in range(n // 2 + 1):
+                spec = spec_of(coin, n, a)
+                half = period_mod._half_stack(spec)
+                blocks = len(half)
+                powers = period_mod._grow(half, 200).reshape(blocks, 3, 200, 3).transpose(2, 0, 1, 3)
+                re_im = (powers - np.eye(3)).reshape(200, -1).view(np.float64)
+                weighted = np.square(re_im) @ period_mod._pair_weights(n)
+                u, m = dense_operator(spec), np.eye(spec.dim)
+                for t in range(1, 201):
+                    m = m @ u
+                    if t in times:
+                        assert abs(weighted[t - 1] - np.linalg.norm(m - np.eye(spec.dim)) ** 2) <= 1e-10, (a, t)
 
 
 def _matches_oracle(spec, tmax, expected=1):
