@@ -264,7 +264,9 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     t0 = kB < tmax, the identity at t0 = 0 included, and at least 1: a
     group of one giant step holds the one power B leaves room for and a
     (B, 1) screen.  Every group `_giant_groups` yields is at most G steps,
-    the identity's row counted in the first, so it fits too.
+    the identity's row counted in the first, so it fits too.  The sizes
+    count powers of all n blocks; brute force powers n//2 + 1 of them, so
+    its arrays take about half the budget.
     """
     per_power = n * _BLOCK_BYTES
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
@@ -440,9 +442,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: 
     (U^t0)^dagger from every row and takes the B distances with one
     matrix-vector product.  So every reported t is the exact test's.  Every
     group is at most G steps, where the baby steps, the giant steps' table,
-    product and rows, and the (B, g) screen fill CHUNK_BYTES; `_plan` sizes
-    them as powers of all n blocks, and the powers of n//2 + 1 take about
-    half that.
+    product and rows, and the (B, g) screen fit in CHUNK_BYTES (`_plan`).
     """
     tmax, expected, n = _check_tmax(tmax), _walk._index(expected, "expected period", least=1), spec.n
     chunk, group_max = _plan(n, tmax)
