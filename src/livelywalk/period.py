@@ -186,16 +186,19 @@ def _half_stack(spec: _walk.WalkSpec) -> np.ndarray:
     return _walk.block_stack(spec, _half_rows(spec.n))
 
 
+def _paired(n: int) -> slice:
+    """The floats, 18 per block, of the blocks 0 < l < n/2 among the blocks
+    l = 0..n//2: each stands for block n - l too, its conjugate."""
+    return slice(18, 18 * ((n + 1) // 2))
+
+
 def _pair_weights(n: int) -> np.ndarray:
     """How often brute force counts each float of the blocks l = 0..n//2
-    in a squared distance, 18 per block: once for block 0 and, for even n,
-    block n/2, their own conjugates, and twice for every other block l,
-    which stands for block n - l too."""
-    weights = np.full(_half_rows(n), 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    return weights.repeat(18)
+    in a squared distance: twice in `_paired(n)`, once for block 0 and,
+    for even n, block n/2, their own conjugates."""
+    weights = np.ones(18 * _half_rows(n))
+    weights[_paired(n)] = 2.0
+    return weights
 
 
 def _block_eigenvalues(stacks) -> list:
@@ -265,8 +268,11 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     group of one giant step holds the one power B leaves room for and a
     (B, 1) screen.  Every group `_giant_groups` yields is at most G steps,
     the identity's row counted in the first, so it fits too.  The sizes
-    count powers of all n blocks; brute force powers n//2 + 1 of them, so
-    its arrays take about half the budget.
+    count powers of all n blocks.  Brute force powers n//2 + 1 of them and,
+    for n > 2, screens a weighted copy of its baby steps: three arrays of
+    B powers, within the room of two of n blocks but at n = 4.  There they
+    take B blocks more, which the 3G blocks its giant steps leave free
+    cover whenever the budget, not tmax, sets G.
     """
     per_power = n * _BLOCK_BYTES
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
@@ -366,7 +372,7 @@ def _screen_slack(n: int, r: float, t: float) -> float:
 
 
 def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
-            n: int, r_max: float, weights: Optional[np.ndarray] = None) -> list[int]:
+            n: int, r_max: float, paired: slice = slice(0)) -> list[int]:
     """Indices of the giant steps (U^t0)^dagger, the rows of `giants_f`,
     whose chunk of baby steps U^j, the rows of `rows_f`, can hold a period.
 
@@ -375,15 +381,15 @@ def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
     is the distance squared up to `_screen_slack`.  One slack serves the
     group, taken at its largest ||(U^t0)^dagger||, so it is never below a
     giant step's own.  A chunk stays in unless its least value exceeds
-    IDENTITY_TOL^2 plus that slack, so a NaN keeps it.  The dot products
-    count each float as often as `weights`, one per float of a row, says,
-    and once each by default; `half_norms` must be weighted alike.
+    IDENTITY_TOL^2 plus that slack, so a NaN keeps it.  Weighted floats
+    come weighted in `rows_f` and `half_norms`; ||(U^t0)^dagger||^2 counts
+    the floats in `paired`, none by default, twice.
     """
-    weighted = giants_f if weights is None else giants_f * weights
-    gaps = weighted @ rows_f.T  # U^j . (U^t0)^dagger, one row per giant step
+    gaps = giants_f @ rows_f.T  # U^j . (U^t0)^dagger, one row per giant step
     # half the distance squared, less ||(U^t0)^dagger||^2 / 2
     np.subtract(half_norms, gaps, out=gaps)
-    tt = np.einsum("gi,gi->g", weighted, giants_f)  # ||(U^t0)^dagger||^2
+    twice = giants_f[:, paired]
+    tt = np.einsum("gi,gi->g", giants_f, giants_f) + np.einsum("gi,gi->g", twice, twice)  # ||(U^t0)^dagger||^2
     lhs = 2.0 * gaps.min(axis=1) + tt
     limit = IDENTITY_TOL ** 2 + _screen_slack(n, r_max, math.sqrt(tt.max()))
     if lhs.min() > limit:  # every chunk is far; a NaN reads as near
@@ -392,15 +398,14 @@ def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
 
 
 def _first_hit(rows: np.ndarray, target: np.ndarray, window: np.ndarray,
-               weights: Optional[np.ndarray] = None) -> Optional[int]:
+               weights: np.ndarray) -> Optional[int]:
     """Index of the first row within IDENTITY_TOL of (U^t0)^dagger, or None:
     the chunk's differences into `window`, squared there, then their norms,
-    each float counted as often as `weights` says, once by default."""
+    each float counted as often as `weights` says."""
     np.subtract(rows, target.reshape(-1), out=window)
     re_im = window.view(np.float64)  # per power: 9 entries per block as re, im
     squares = np.square(re_im, out=re_im)
-    norms2 = squares.sum(axis=1) if weights is None else squares @ weights
-    hits = np.flatnonzero(np.sqrt(norms2) <= IDENTITY_TOL)
+    hits = np.flatnonzero(np.sqrt(squares @ weights) <= IDENTITY_TOL)
     return int(hits[0]) if hits.size else None
 
 
@@ -464,9 +469,10 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: 
     rows_f = rows.view(np.float64)
     half_norms = 0.5 * (np.square(rows_f, out=window.view(np.float64)) @ weights)  # ||U^j||_F^2 / 2
     r_max = math.sqrt(2.0 * half_norms.max())
+    weighted = rows_f * weights if n > 2 else rows_f  # the screen's baby steps; at n = 2 every weight is 1
     first = min((expected - 1) // chunk + 1, group_max)  # the chunks through the expected period's
     for k0, group in _giant_groups(rows, giants, window, last, first, n):
-        for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max, weights):
+        for c in _screen(weighted, half_norms, group.view(np.float64), n, r_max, _paired(n)):
             t0 = (k0 + c) * chunk
             hit = _first_hit(rows, group[c], window, weights)
             if hit is not None and t0 + hit + 1 <= tmax:

@@ -493,6 +493,45 @@ class TestBruteForceScreen:
         half_norms = 0.5 * np.einsum("bi,bi->b", rows_f, rows_f)
         assert period_mod._screen(rows_f, half_norms, giants_f, n, r_max) == list(range(6))
 
+    @classmethod
+    def _half_group(cls, rng, n, rows, giants):
+        """_group for the n//2 + 1 blocks brute force powers, screened as it
+        screens them: the baby steps, also weighted by _pair_weights, and
+        their weighted ||U^j||^2 / 2 and largest norm."""
+        rows_f, _, giants_f, _ = cls._group(rng, n // 2 + 1, rows, giants)
+        weights = period_mod._pair_weights(n)
+        half_norms = 0.5 * (np.square(rows_f) @ weights)
+        return rows_f, rows_f * weights, half_norms, giants_f.copy(), math.sqrt(2.0 * half_norms.max())
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_the_weighted_screen_counts_the_paired_blocks_twice(self, rng, n):
+        # giant steps 0..2 are baby step 3 but for block 0, 1 and n//2, each
+        # off by a distance squared of 3/4 of the group's limit, and giant
+        # step 3 is far: only a block counted once, 0 and for even n the
+        # last, stays within the limit, and the far one is dropped
+        rows_f, rows_w, half_norms, giants_f, r_max = self._half_group(rng, n, 8, 4)
+        paired = period_mod._paired(n)
+        limit = period_mod.IDENTITY_TOL ** 2 + period_mod._screen_slack(n, r_max, r_max)
+        for g, block in enumerate((0, 1, n // 2)):
+            step = rng.normal(size=18)
+            giants_f[g] = rows_f[3]
+            giants_f[g, 18 * block:18 * block + 18] += math.sqrt(0.75 * limit) * step / np.linalg.norm(step)
+        screened = period_mod._screen(rows_w, half_norms, giants_f, n, r_max, paired)
+        assert screened == ([0, 2] if n % 2 == 0 else [0])
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_a_nan_giant_or_baby_step_keeps_its_chunk_in_the_weighted_screen(self, rng, n):
+        _, rows_w, half_norms, giants_f, r_max = self._half_group(rng, n, 8, 6)
+        paired = period_mod._paired(n)
+        assert period_mod._screen(rows_w, half_norms, giants_f, n, r_max, paired) == []
+        for g, column in ((2, 7), (4, 20)):  # in block 0, and in block 1, a paired one
+            giants_f[g, column] = math.nan
+            assert g in period_mod._screen(rows_w, half_norms, giants_f, n, r_max, paired)
+            giants_f[g, column] = 0.0
+        rows_w = rows_w.copy()
+        rows_w[5, 20] = math.nan
+        assert period_mod._screen(rows_w, half_norms, giants_f, n, r_max, paired) == list(range(6))
+
     def test_aperiodic_chunks_skip_the_exact_test(self, monkeypatch):
         seen = _spy_first_hit(monkeypatch)
         res = period_bruteforce(spec_of(coins.grover_type(1), 5, 2))
@@ -848,6 +887,29 @@ class TestBruteForceMemoryGuard:
         tracemalloc.start()
         try:
             res = period_bruteforce(spec, tmax, expected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "no_period_up_to" and res.bound == tmax
+        assert max(sizes) == cap and sum(sizes) == math.ceil(tmax / chunk)
+        assert peak <= period_mod.CHUNK_BYTES
+
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_peak_memory_of_the_half_stack_at_the_largest_giant_group_within_chunk_budget(self, monkeypatch, n):
+        # the budget counts powers of all n blocks: at n = 2 the half stack
+        # is both blocks and frees none of it, and at n = 4 the screen's
+        # weighted copy of the baby steps holds one power of n blocks per
+        # baby step past their share, which the giant steps' unused room
+        # covers; a per-group weighted copy of the giant steps once peaked
+        # at 18.9 MB at n = 2
+        sizes = _spy_screen(monkeypatch)
+        spec = spec_of(coins.coin_from_theta("X", 1.0), n)
+        tmax = 3_000_000
+        chunk, cap = period_mod._plan(spec.n, tmax)
+        tracemalloc.start()
+        try:
+            res = period_bruteforce(spec, tmax)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
