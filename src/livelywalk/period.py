@@ -268,11 +268,9 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     group of one giant step holds the one power B leaves room for and a
     (B, 1) screen.  Every group `_giant_groups` yields is at most G steps,
     the identity's row counted in the first, so it fits too.  The sizes
-    count powers of all n blocks.  Brute force powers n//2 + 1 of them and,
-    for n > 2, screens a weighted copy of its baby steps: three arrays of
-    B powers, within the room of two of n blocks but at n = 4.  There they
-    take B blocks more, which the 3G blocks its giant steps leave free
-    cover whenever the budget, not tmax, sets G.
+    count powers of all n blocks; brute force powers n//2 + 1 of them, so
+    its arrays take about half the budget from n = 3 on, and all of it at
+    n = 2, where the half stack is both blocks.
     """
     per_power = n * _BLOCK_BYTES
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
@@ -381,15 +379,18 @@ def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
     is the distance squared up to `_screen_slack`.  One slack serves the
     group, taken at its largest ||(U^t0)^dagger||, so it is never below a
     giant step's own.  A chunk stays in unless its least value exceeds
-    IDENTITY_TOL^2 plus that slack, so a NaN keeps it.  Weighted floats
-    come weighted in `rows_f` and `half_norms`; ||(U^t0)^dagger||^2 counts
-    the floats in `paired`, none by default, twice.
+    IDENTITY_TOL^2 plus that slack, so a NaN keeps it.  Every sum counts
+    the floats in `paired`, none by default, twice, as `half_norms` must:
+    for the product they are doubled in `giants_f` and halved back, both
+    exact, so no copy of the group is made.
     """
-    gaps = giants_f @ rows_f.T  # U^j . (U^t0)^dagger, one row per giant step
-    # half the distance squared, less ||(U^t0)^dagger||^2 / 2
-    np.subtract(half_norms, gaps, out=gaps)
     twice = giants_f[:, paired]
     tt = np.einsum("gi,gi->g", giants_f, giants_f) + np.einsum("gi,gi->g", twice, twice)  # ||(U^t0)^dagger||^2
+    twice *= 2.0
+    gaps = giants_f @ rows_f.T  # U^j . (U^t0)^dagger, one row per giant step
+    twice *= 0.5
+    # half the distance squared, less ||(U^t0)^dagger||^2 / 2
+    np.subtract(half_norms, gaps, out=gaps)
     lhs = 2.0 * gaps.min(axis=1) + tt
     limit = IDENTITY_TOL ** 2 + _screen_slack(n, r_max, math.sqrt(tt.max()))
     if lhs.min() > limit:  # every chunk is far; a NaN reads as near
@@ -469,10 +470,9 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: 
     rows_f = rows.view(np.float64)
     half_norms = 0.5 * (np.square(rows_f, out=window.view(np.float64)) @ weights)  # ||U^j||_F^2 / 2
     r_max = math.sqrt(2.0 * half_norms.max())
-    weighted = rows_f * weights if n > 2 else rows_f  # the screen's baby steps; at n = 2 every weight is 1
     first = min((expected - 1) // chunk + 1, group_max)  # the chunks through the expected period's
     for k0, group in _giant_groups(rows, giants, window, last, first, n):
-        for c in _screen(weighted, half_norms, group.view(np.float64), n, r_max, _paired(n)):
+        for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max, _paired(n)):
             t0 = (k0 + c) * chunk
             hit = _first_hit(rows, group[c], window, weights)
             if hit is not None and t0 + hit + 1 <= tmax:

@@ -495,42 +495,43 @@ class TestBruteForceScreen:
 
     @classmethod
     def _half_group(cls, rng, n, rows, giants):
-        """_group for the n//2 + 1 blocks brute force powers, screened as it
-        screens them: the baby steps, also weighted by _pair_weights, and
-        their weighted ||U^j||^2 / 2 and largest norm."""
+        """_group for the n//2 + 1 blocks brute force powers, with
+        ||U^j||^2 / 2 and the largest norm weighted by _pair_weights."""
         rows_f, _, giants_f, _ = cls._group(rng, n // 2 + 1, rows, giants)
-        weights = period_mod._pair_weights(n)
-        half_norms = 0.5 * (np.square(rows_f) @ weights)
-        return rows_f, rows_f * weights, half_norms, giants_f.copy(), math.sqrt(2.0 * half_norms.max())
+        half_norms = 0.5 * (np.square(rows_f) @ period_mod._pair_weights(n))
+        return rows_f, half_norms, giants_f.copy(), math.sqrt(2.0 * half_norms.max())
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_the_weighted_screen_counts_the_paired_blocks_twice(self, rng, n):
         # giant steps 0..2 are baby step 3 but for block 0, 1 and n//2, each
         # off by a distance squared of 3/4 of the group's limit, and giant
         # step 3 is far: only a block counted once, 0 and for even n the
-        # last, stays within the limit, and the far one is dropped
-        rows_f, rows_w, half_norms, giants_f, r_max = self._half_group(rng, n, 8, 4)
+        # last, stays within the limit, and the far one is dropped; the
+        # screen gives the giant steps back bit for bit
+        rows_f, half_norms, giants_f, r_max = self._half_group(rng, n, 8, 4)
         paired = period_mod._paired(n)
         limit = period_mod.IDENTITY_TOL ** 2 + period_mod._screen_slack(n, r_max, r_max)
         for g, block in enumerate((0, 1, n // 2)):
             step = rng.normal(size=18)
             giants_f[g] = rows_f[3]
             giants_f[g, 18 * block:18 * block + 18] += math.sqrt(0.75 * limit) * step / np.linalg.norm(step)
-        screened = period_mod._screen(rows_w, half_norms, giants_f, n, r_max, paired)
+        before = giants_f.copy()
+        screened = period_mod._screen(rows_f, half_norms, giants_f, n, r_max, paired)
         assert screened == ([0, 2] if n % 2 == 0 else [0])
+        assert giants_f.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_a_nan_giant_or_baby_step_keeps_its_chunk_in_the_weighted_screen(self, rng, n):
-        _, rows_w, half_norms, giants_f, r_max = self._half_group(rng, n, 8, 6)
+        rows_f, half_norms, giants_f, r_max = self._half_group(rng, n, 8, 6)
         paired = period_mod._paired(n)
-        assert period_mod._screen(rows_w, half_norms, giants_f, n, r_max, paired) == []
+        assert period_mod._screen(rows_f, half_norms, giants_f, n, r_max, paired) == []
         for g, column in ((2, 7), (4, 20)):  # in block 0, and in block 1, a paired one
             giants_f[g, column] = math.nan
-            assert g in period_mod._screen(rows_w, half_norms, giants_f, n, r_max, paired)
+            assert g in period_mod._screen(rows_f, half_norms, giants_f, n, r_max, paired)
             giants_f[g, column] = 0.0
-        rows_w = rows_w.copy()
-        rows_w[5, 20] = math.nan
-        assert period_mod._screen(rows_w, half_norms, giants_f, n, r_max, paired) == list(range(6))
+        rows_f = rows_f.copy()
+        rows_f[5, 20] = math.nan
+        assert period_mod._screen(rows_f, half_norms, giants_f, n, r_max, paired) == list(range(6))
 
     def test_aperiodic_chunks_skip_the_exact_test(self, monkeypatch):
         seen = _spy_first_hit(monkeypatch)
@@ -898,10 +899,8 @@ class TestBruteForceMemoryGuard:
     @pytest.mark.parametrize("n", [2, 4])
     def test_peak_memory_of_the_half_stack_at_the_largest_giant_group_within_chunk_budget(self, monkeypatch, n):
         # the budget counts powers of all n blocks: at n = 2 the half stack
-        # is both blocks and frees none of it, and at n = 4 the screen's
-        # weighted copy of the baby steps holds one power of n blocks per
-        # baby step past their share, which the giant steps' unused room
-        # covers; a per-group weighted copy of the giant steps once peaked
+        # is both blocks and frees none of it, and at n = 4 a weighted copy
+        # of every group would take all it frees; one such copy once peaked
         # at 18.9 MB at n = 2
         sizes = _spy_screen(monkeypatch)
         spec = spec_of(coins.coin_from_theta("X", 1.0), n)
