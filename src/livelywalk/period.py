@@ -269,8 +269,8 @@ def _plan(n: int, tmax: int) -> tuple[int, int]:
     (B, 1) screen.  Every group `_giant_groups` yields is at most G steps,
     the identity's row counted in the first, so it fits too.  The sizes
     count powers of all n blocks; brute force powers n//2 + 1 of them, so
-    its arrays take about half the budget from n = 3 on, and all of it at
-    n = 2, where the half stack is both blocks.
+    its powers take (n//2 + 1)/n of the room given to them, about half at
+    large n and all of it at n = 2, where the half stack is both blocks.
     """
     per_power = n * _BLOCK_BYTES
     fits = (CHUNK_BYTES // per_power - 1) // _CHUNK_COPIES
@@ -360,10 +360,11 @@ def _screen_slack(n: int, r: float, t: float) -> float:
     own rounding adds at most gamma ||x - y||^2, and within IDENTITY_TOL
     that is below gamma (r + t)^2.  The factor 4 covers both with room for
     the rounding of r and t themselves.  Brute force sums over the blocks
-    l = 0..n//2 only, each float weighted by `_pair_weights`: a weight of
-    2 scales a term exactly, so each weighted sum is the 18n-term sum with
-    the conjugate blocks' equal terms added in pairs, at most 18n terms of
-    the same norms, and the same slack bounds it.
+    l = 0..n//2 only and counts each float of a block 0 < l < n/2 twice,
+    by a weight of 2, which scales a term exactly, or by a second sum of
+    its terms: either way each sum adds the 18n-term sum's terms, the
+    conjugate blocks' equal to their pairs', in some order, at most 18n
+    terms of the same norms, and the same slack bounds it.
     """
     k = (18 * n + 3) * _UNIT_ROUNDOFF
     return 4.0 * k / (1.0 - k) * (r + t) ** 2
