@@ -127,6 +127,18 @@ class _CoinEntry:
         return _Fragment(_json_text(_coins.coin_to_json(self.coin)))
 
 
+#: most distinct period results `_result_fragment` keeps
+RESULT_MEMO_CAP = 256
+
+
+@functools.lru_cache(maxsize=RESULT_MEMO_CAP)
+def _result_fragment(result: _period.PeriodResult) -> _Fragment:
+    """`period.result_json(result)` as `_json_text` writes it at depth 0,
+    written once per distinct result: a sweep's thousands of results take
+    few distinct values."""
+    return _Fragment(_json_text(_period.result_json(result)))
+
+
 @functools.lru_cache(maxsize=COIN_MEMO_CAP, typed=True)
 def _coin_entry(*key, **flags) -> _CoinEntry:
     """The entry of `_build_coin`(*key, **flags)'s coin, built once per key;
@@ -274,7 +286,7 @@ def cmd_period(args, parser) -> int:
     methods = _methods_of(args, parser)
     entry = _parse_coin(args, parser)
     (cv,) = _period._sweep([(args.n, args.a, entry.coin)], args.tmax, args.qmax, methods)
-    _emit(_json_text(_period.report_json(cv, entry.fragment)) + "\n", args)
+    _emit(_json_text(_period.report_json(cv, entry.fragment, _result_fragment)) + "\n", args)
     return 0 if cv.agreement else 3
 
 
@@ -334,7 +346,7 @@ def cmd_table(args, parser) -> int:
     entries = [_coin_entry(parser, family=args.family, **angle) for angle in angles]
     cells = [(n, a, entry) for n in ns for a in a_values for entry in entries]
     cvs = _period._sweep([(n, a, entry.coin) for n, a, entry in cells], args.tmax, args.qmax, methods)
-    reports = [_period.report_json(cv, entry.fragment) for cv, (_, _, entry) in zip(cvs, cells)]
+    reports = [_period.report_json(cv, entry.fragment, _result_fragment) for cv, (_, _, entry) in zip(cvs, cells)]
     _emit(_json_text(reports) + "\n", args)
     return 0 if all(r["agreement"] for r in reports) else 3
 

@@ -49,6 +49,7 @@ from .exactnum import (
     _integer_det3,
     _integer_orthogonal,
     _scaled_integer,
+    _unitarity_defect,
     exact_matrix,
     is_exact,
     orthogonality_defect,
@@ -101,7 +102,9 @@ class Coin3:
     the default tolerance, computed on first use and cached; it raises
     ConstraintViolated when a named family is not the classified one.
     ``is_real`` and ``is_rational``, cached too, are the one realness and
-    rationality rules, whatever tolerance the coin is classified at.
+    rationality rules, whatever tolerance the coin is classified at, and
+    ``unitarity_defect``, cached too, is the one unitarity certificate of the
+    period route.
     """
 
     matrix: np.ndarray
@@ -138,6 +141,13 @@ class Coin3:
     def is_real(self) -> bool:
         """Whether every |imag| is at most DEFAULT_TOL."""
         return bool(np.max(np.abs(self._float.imag)) <= DEFAULT_TOL)  # NaN is not real
+
+    @functools.cached_property
+    def unitarity_defect(self) -> float:
+        """``||C^dagger C - I||_F`` of `as_float`, by the eigensolver's own
+        formula, `exactnum._unitarity_defect`: the period route's certificate
+        for every momentum block of the coin; NaN for a NaN entry."""
+        return float(_unitarity_defect(self._float))
 
     @functools.cached_property
     def is_rational(self) -> bool:

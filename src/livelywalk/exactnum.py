@@ -11,10 +11,15 @@ needs floating arithmetic converts explicitly via :func:`to_float`.
 :func:`eig3_unitary` takes one 3x3 unitary block or a (..., 3, 3) stack of
 them, such as all n momentum blocks of a walk, and gets every eigenvalue
 from a single batched LAPACK call.  Its kernel, :func:`_unit_eigenvalues`,
-returns them in LAPACK's order; only :func:`eig3_unitary` sorts each
-block's by angle, for the callers that show them (`walk.spectrum`,
-`verify`).  The period route calls the kernel: the lcm of the orders is
-the same in any order.
+certifies every block unitary within DEFAULT_TOL (:func:`_unitarity_defect`)
+and solves them (:func:`_solve_unitary`), in LAPACK's order; only
+:func:`eig3_unitary` sorts each block's by angle, for the callers that show
+them (`walk.spectrum` and `verify`, which still certify every block).  The
+period route calls the solve alone: the lcm of the orders is the same in any
+order, and the certificate is the coin's, `coins.Coin3.unitarity_defect`,
+taken once per coin by the same formula: a momentum block D C, D a
+diagonal of unit phases, has C's defect, since (D C)^dagger D C = C^dagger C,
+up to rounding.
 """
 
 from __future__ import annotations
@@ -107,19 +112,37 @@ def _solve_cluster(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def _unit_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """:func:`eig3_unitary` without its sort: the same checks and errors, and
-    the same eigenvalues, projected onto the unit circle, in LAPACK's order."""
-    mf = to_float(m)
-    if mf.ndim < 2 or mf.shape[-2:] != (3, 3):
-        raise DimensionMismatch(f"expected 3x3 matrix or stack of them, got {mf.shape}")
+def _unitarity_defect(mf: np.ndarray) -> np.ndarray:
+    """``||M^dagger M - I||_F`` of each block of a complex128 3x3 matrix or
+    (..., 3, 3) stack, shape (...): the Gram matrix less the identity, in
+    place, then one einsum over its float view; NaN or inf where the block
+    holds one.  `coins.Coin3.unitarity_defect` takes the coin's by this same
+    formula.  For a block D C, D a diagonal of unit phases, (D C)^dagger D C
+    is C^dagger C, so the block's defect differs from the coin's only by
+    rounding: at most 6.7e-16 over the golden spectral corpus at n = 2..40
+    and over coins with defects just under DEFAULT_TOL, every a, and a test
+    pins 1e-14.  Block 0, D = I, gives the coin's bit for bit."""
     gram = np.swapaxes(mf, -1, -2).conj() @ mf
     gram -= _EYE3
     parts = gram.view(float)  # real and imaginary parts
-    defect = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
-    if not (defect <= DEFAULT_TOL).all():  # also catches NaN/Inf entries
-        raise NotUnitary(f"unitarity defect {np.max(defect):.3e} exceeds tol {DEFAULT_TOL:.3e}")
+    return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
 
+
+def _not_unitary(defect) -> NotUnitary:
+    """The NotUnitary error of blocks whose largest `_unitarity_defect`, or
+    a NaN among them, is in `defect`, an array or a list of floats."""
+    return NotUnitary(f"unitarity defect {np.max(defect):.3e} exceeds tol {DEFAULT_TOL:.3e}")
+
+
+def _solve_unitary(mf: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a complex128 (..., 3, 3) stack whose blocks the caller
+    has certified unitary within DEFAULT_TOL: one LAPACK call, a refusal of
+    any root whose modulus strays from 1 by more than 1e-6
+    (NumericalFailure), and the projection of the rest onto the unit circle,
+    in LAPACK's order.  `_unit_eigenvalues` certifies each block first; the
+    period route certifies each coin once, since a block D C, D a diagonal
+    of unit phases, has the coin's defect up to the rounding
+    `_unitarity_defect` bounds."""
     lams = _solve_cluster(mf)
     # the input is certified unitary within DEFAULT_TOL, so any radial offset
     # of a root (true offsets reach ~sqrt(eps) at defective configurations) is
@@ -129,6 +152,19 @@ def _unit_eigenvalues(m: np.ndarray) -> np.ndarray:
     if not (off <= 1e-6).all():
         raise NumericalFailure(f"eigenvalue modulus {moduli.flat[np.argmax(off)]:.15f} is not 1")
     return lams / moduli
+
+
+def _unit_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """:func:`eig3_unitary` without its sort: the same checks and errors, and
+    the same eigenvalues, projected onto the unit circle, in LAPACK's order:
+    each block's `_unitarity_defect` checked, then `_solve_unitary`."""
+    mf = to_float(m)
+    if mf.ndim < 2 or mf.shape[-2:] != (3, 3):
+        raise DimensionMismatch(f"expected 3x3 matrix or stack of them, got {mf.shape}")
+    defect = _unitarity_defect(mf)
+    if not (defect <= DEFAULT_TOL).all():  # also catches NaN/Inf entries
+        raise _not_unitary(defect)
+    return _solve_unitary(mf)
 
 
 def eig3_unitary(m: np.ndarray) -> np.ndarray:

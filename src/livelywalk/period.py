@@ -56,7 +56,7 @@ import numpy as np
 from . import coins as _coins
 from . import walk as _walk
 from .errors import GuardExceeded, NotUnitModulus
-from .exactnum import _TWO_PI, DEFAULT_TOL, _unit_eigenvalues
+from .exactnum import _TWO_PI, DEFAULT_TOL, _not_unitary, _solve_unitary
 
 TMAX_DEFAULT = 10_000
 QMAX_DEFAULT = 1_000_000
@@ -201,11 +201,25 @@ def _pair_weights(n: int) -> np.ndarray:
     return weights
 
 
+def _certified_stacks(specs) -> list:
+    """The `_half_stack` of each spec, built and then certified: NotUnitary,
+    with the eigensolver's message, unless every spec's coin is unitary
+    within DEFAULT_TOL by its `Coin3.unitarity_defect`, taken once per coin.
+    Block l is D_l C, D_l a diagonal of unit phases, so its defect is the
+    coin's up to the rounding `exactnum._unitarity_defect` bounds, and block
+    0 is C itself."""
+    stacks = [_half_stack(spec) for spec in specs]
+    defects = [spec.coin.unitarity_defect for spec in specs]
+    if not all(d <= DEFAULT_TOL for d in defects):  # a NaN defect fails too
+        raise _not_unitary(defects)
+    return stacks
+
+
 def _block_eigenvalues(stacks) -> list:
-    """`_unit_eigenvalues` of each block stack, unsorted, by one call on their
-    concatenation: the same bits as a call per stack, since each block is
-    solved alone."""
-    lams, ends = _unit_eigenvalues(np.concatenate(stacks)), itertools.accumulate(map(len, stacks))
+    """`_solve_unitary` of each certified block stack, unsorted, by one call
+    on their concatenation: the same bits as a call per stack, since each
+    block is solved alone."""
+    lams, ends = _solve_unitary(np.concatenate(stacks)), itertools.accumulate(map(len, stacks))
     return [lams[end - len(stack):end] for stack, end in zip(stacks, ends)]
 
 
@@ -218,7 +232,7 @@ def _spectra(specs):
     for spec in [*specs, None]:  # None, larger than CHUNK_BYTES, closes the last batch
         nbytes = CHUNK_BYTES + 1 if spec is None else _half_rows(spec.n) * _BLOCK_BYTES
         if batch and size + nbytes > CHUNK_BYTES:
-            yield from [None] if len(batch) == 1 else _block_eigenvalues([_half_stack(s) for s in batch])
+            yield from [None] if len(batch) == 1 else _block_eigenvalues(_certified_stacks(batch))
             batch, size = [], 0
         batch.append(spec)
         size += nbytes
@@ -239,12 +253,18 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=
     its modulus checked, its angle taken by math.atan2.  The result does not
     depend on the eigenvalues' order: the lcm is symmetric, and any one that
     fails to classify gives the same no_period_up_to; so they come unsorted,
-    from `_unit_eigenvalues`.  `eigenvalues` are the blocks' when a sweep's
-    batch solved them; by default, as for a sweep's lone spec, one call here.
+    from `exactnum._solve_unitary`.  The blocks are not checked one by one:
+    the coin is certified unitary within DEFAULT_TOL once
+    (`Coin3.unitarity_defect`), and each block D_l C, D_l a diagonal of unit
+    phases, has its defect up to rounding (`_certified_stacks`), so a coin
+    that is not raises NotUnitary.  `eigenvalues` are the blocks' when a
+    sweep's batch solved them; by default, as for a sweep's lone spec, one
+    call here.
     """
     bound = min(_check_qmax(qmax), GUARANTEED_ORDER_BOUND)
     if eigenvalues is None:
-        eigenvalues = _unit_eigenvalues(_half_stack(spec))
+        (stack,) = _certified_stacks([spec])
+        eigenvalues = _solve_unitary(stack)
     orders = []
     for lam in eigenvalues.ravel().tolist():
         q = _unit_order(lam, qmax)
@@ -371,7 +391,7 @@ def _screen_slack(n: int, r: float, t: float) -> float:
 
 
 def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
-            n: int, r_max: float, paired: slice = slice(0)) -> list[int]:
+            n: int, r_max: float, paired: slice = slice(0), weights=None) -> list[int]:
     """Indices of the giant steps (U^t0)^dagger, the rows of `giants_f`,
     whose chunk of baby steps U^j, the rows of `rows_f`, can hold a period.
 
@@ -383,10 +403,15 @@ def _screen(rows_f: np.ndarray, half_norms: np.ndarray, giants_f: np.ndarray,
     IDENTITY_TOL^2 plus that slack, so a NaN keeps it.  Every sum counts
     the floats in `paired`, none by default, twice, as `half_norms` must:
     for the product they are doubled in `giants_f` and halved back, both
-    exact, so no copy of the group is made.
+    exact, so no copy of the group is made, and ||(U^t0)^dagger||^2 takes
+    them by `weights`, 2 in `paired` and 1 elsewhere as `_pair_weights`
+    gives them, or built so from `paired` when not given.
     """
+    if weights is None:
+        weights = np.ones(giants_f.shape[1])
+        weights[paired] = 2.0
+    tt = np.einsum("gi,gi,i->g", giants_f, giants_f, weights)  # ||(U^t0)^dagger||^2
     twice = giants_f[:, paired]
-    tt = np.einsum("gi,gi->g", giants_f, giants_f) + np.einsum("gi,gi->g", twice, twice)  # ||(U^t0)^dagger||^2
     twice *= 2.0
     gaps = giants_f @ rows_f.T  # U^j . (U^t0)^dagger, one row per giant step
     twice *= 0.5
@@ -473,7 +498,7 @@ def period_bruteforce(spec: _walk.WalkSpec, tmax: int = TMAX_DEFAULT, expected: 
     r_max = math.sqrt(2.0 * half_norms.max())
     first = min((expected - 1) // chunk + 1, group_max)  # the chunks through the expected period's
     for k0, group in _giant_groups(rows, giants, window, last, first, n):
-        for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max, _paired(n)):
+        for c in _screen(rows_f, half_norms, group.view(np.float64), n, r_max, _paired(n), weights):
             t0 = (k0 + c) * chunk
             hit = _first_hit(rows, group[c], window, weights)
             if hit is not None and t0 + hit + 1 <= tmax:
@@ -663,23 +688,20 @@ def _sweep(cells, tmax: int, qmax: int, methods) -> list:
     return [cross_validate(spec, tmax, qmax, methods, lams) for spec, lams in zip(specs, spectra)]
 
 
-def report_json(cv: CrossValidation, coin_doc=None) -> dict:
+def result_json(r: PeriodResult) -> dict:
+    """One result's document in a period report, per the shared schema."""
+    return {"method": r.method, "status": r.status, "period": r.period, "bound": r.bound, "theorem": r.theorem}
+
+
+def report_json(cv: CrossValidation, coin_doc=None, result_doc=result_json) -> dict:
     """Period report document per the shared schema; `coin_doc`, when given,
-    stands in for ``coin_to_json(cv.spec.coin)`` (the CLI passes that
-    document's text, written once per coin)."""
+    stands in for ``coin_to_json(cv.spec.coin)``, and `result_doc(r)` for
+    each result's `result_json(r)` (the CLI passes their text, written once
+    per coin and once per distinct result)."""
     return {
         "n": cv.spec.n,
         "a": cv.spec.a,
         "coin": _coins.coin_to_json(cv.spec.coin) if coin_doc is None else coin_doc,
-        "results": [
-            {
-                "method": r.method,
-                "status": r.status,
-                "period": r.period,
-                "bound": r.bound,
-                "theorem": r.theorem,
-            }
-            for r in cv.results
-        ],
+        "results": [result_doc(r) for r in cv.results],
         "agreement": cv.agreement,
     }

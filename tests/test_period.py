@@ -195,13 +195,13 @@ class TestHalfBlockSpectral:
     @pytest.mark.parametrize("n, solved", [(2, 2), (3, 2), (7, 4), (8, 5), (64, 33)])
     def test_solves_blocks_zero_to_half_n(self, monkeypatch, n, solved):
         shapes = []
-        real = period_mod._unit_eigenvalues
+        real = period_mod._solve_unitary
 
         def recording(m):
             shapes.append(m.shape)
             return real(m)
 
-        monkeypatch.setattr(period_mod, "_unit_eigenvalues", recording)
+        monkeypatch.setattr(period_mod, "_solve_unitary", recording)
         assert period_spectral(spec_of(coins.perm_matrix(2), n, n // 2)).finite
         assert shapes == [(solved, 3, 3)]
 
@@ -221,7 +221,7 @@ class TestEigenvalueOrder:
            n=st.integers(2, 24), data=st.data())
     def test_every_permutation_of_each_block_gives_the_same_result(self, coin, n, data):
         spec = spec_of(coin, n, data.draw(st.integers(0, n // 2)))
-        lams = period_mod._unit_eigenvalues(block_stack(spec, n // 2 + 1))
+        lams = period_mod._solve_unitary(block_stack(spec, n // 2 + 1))
         orders = data.draw(st.lists(st.permutations(range(3)), min_size=len(lams), max_size=len(lams)))
         permuted = np.take_along_axis(lams, np.array(orders), axis=-1)
         assert period_spectral(spec, eigenvalues=permuted) == period_spectral(spec)
@@ -532,6 +532,20 @@ class TestBruteForceScreen:
         rows_f = rows_f.copy()
         rows_f[5, 20] = math.nan
         assert period_mod._screen(rows_f, half_norms, giants_f, n, r_max, paired) == list(range(6))
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 51])
+    def test_given_weights_screen_as_the_paired_slice_alone(self, rng, n):
+        # period_bruteforce passes _pair_weights(n) with _paired(n); giant
+        # steps at distances 10^-3..10^-9 from baby step 3, around the limit
+        rows_f, half_norms, giants_f, r_max = self._half_group(rng, n, 8, 7)
+        for g in range(6):
+            step = rng.normal(size=giants_f.shape[1])
+            giants_f[g] = rows_f[3] + 10.0 ** -(3 + g * 1.2) * step / np.linalg.norm(step)
+        paired, before = period_mod._paired(n), giants_f.copy()
+        given = period_mod._screen(rows_f, half_norms, giants_f, n, r_max, paired, period_mod._pair_weights(n))
+        assert given == period_mod._screen(rows_f, half_norms, giants_f, n, r_max, paired)
+        assert 0 not in given and 5 in given and 6 not in given
+        assert giants_f.tobytes() == before.tobytes()
 
     def test_aperiodic_chunks_skip_the_exact_test(self, monkeypatch):
         seen = _spy_first_hit(monkeypatch)

@@ -2,7 +2,7 @@
 
 `cli.cmd_table` takes its coins from the coin memo and hands its cells to
 `period._sweep`, which solves the spectral route's blocks in batches
-(`period._spectra`), several specs per `exactnum._unit_eigenvalues` call,
+(`period._spectra`), several specs per `exactnum._solve_unitary` call,
 by one rule: a batch closes when the next spec's blocks, sized from n
 alone, do not fit beside it in CHUNK_BYTES, and a spec alone in its batch,
 `period`'s one cell among them, is solved by `period_spectral`.  So:
@@ -35,7 +35,7 @@ import test_golden_spectral
 from conftest import run_cli
 from livelywalk import coins, period, walk
 from livelywalk.errors import NumericalFailure
-from livelywalk.exactnum import _unit_eigenvalues
+from livelywalk.exactnum import _solve_unitary, _unit_eigenvalues
 
 N_RANGE = range(2, 13)
 METHOD_SETS = (None, "analytic", "spectral", "bruteforce")
@@ -99,14 +99,14 @@ def test_the_batched_eigensolve_is_bitwise_the_per_spec_one():
 
 
 def _counting_eig3(monkeypatch):
-    """A list that grows by one per `_unit_eigenvalues` call from `period`."""
+    """A list that grows by one per `_solve_unitary` call from `period`."""
     calls = []
 
     def counted(m):
         calls.append(len(m))
-        return _unit_eigenvalues(m)
+        return _solve_unitary(m)
 
-    monkeypatch.setattr(period, "_unit_eigenvalues", counted)
+    monkeypatch.setattr(period, "_solve_unitary", counted)
     return calls
 
 
@@ -147,7 +147,7 @@ def test_a_spec_larger_than_chunk_bytes_is_a_batch_of_its_own(monkeypatch):
 def test_a_one_cell_period_solves_its_spec_alone(monkeypatch, n):
     monkeypatch.setattr(period, "_block_eigenvalues", lambda stacks: pytest.fail("a lone spec was batched"))
     shapes = []
-    monkeypatch.setattr(period, "_unit_eigenvalues", lambda m: shapes.append(m.shape) or _unit_eigenvalues(m))
+    monkeypatch.setattr(period, "_solve_unitary", lambda m: shapes.append(m.shape) or _solve_unitary(m))
     code, _, err = run_cli(("period", "--family", "X", "--theta-frac", "1/3", "--n", str(n), "--a", "1"))
     assert (code, err) == (0, "")
     assert shapes == [(n // 2 + 1, 3, 3)]
@@ -283,9 +283,9 @@ def test_a_solver_failure_on_the_third_spec_fails_as_before(monkeypatch, methods
         solves.append((len(m), holds))
         if holds:
             raise NumericalFailure("eigenvalue modulus 0.5 is not 1")
-        return _unit_eigenvalues(m)
+        return _solve_unitary(m)
 
-    monkeypatch.setattr(period, "_unit_eigenvalues", refusing)
+    monkeypatch.setattr(period, "_solve_unitary", refusing)
     assert run_cli(argv) == (1, "", "error: eigenvalue modulus 0.5 is not 1\n")
     # one batch of all eight specs, four at n = 3 and four at n = 4, and no
     # solve after it
