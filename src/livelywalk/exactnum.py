@@ -139,10 +139,7 @@ def _solve_unitary(mf: np.ndarray) -> np.ndarray:
     has certified unitary within DEFAULT_TOL: one LAPACK call, a refusal of
     any root whose modulus strays from 1 by more than 1e-6
     (NumericalFailure), and the projection of the rest onto the unit circle,
-    in LAPACK's order.  `_unit_eigenvalues` certifies each block first; the
-    period route certifies each coin once, since a block D C, D a diagonal
-    of unit phases, has the coin's defect up to the rounding
-    `_unitarity_defect` bounds."""
+    in LAPACK's order."""
     lams = _solve_cluster(mf)
     # the input is certified unitary within DEFAULT_TOL, so any radial offset
     # of a root (true offsets reach ~sqrt(eps) at defective configurations) is

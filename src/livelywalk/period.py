@@ -202,12 +202,10 @@ def _pair_weights(n: int) -> np.ndarray:
 
 
 def _certified_stacks(specs) -> list:
-    """The `_half_stack` of each spec, built and then certified: NotUnitary,
-    with the eigensolver's message, unless every spec's coin is unitary
-    within DEFAULT_TOL by its `Coin3.unitarity_defect`, taken once per coin.
-    Block l is D_l C, D_l a diagonal of unit phases, so its defect is the
-    coin's up to the rounding `exactnum._unitarity_defect` bounds, and block
-    0 is C itself."""
+    """The `_half_stack` of each spec, built and then certified by its coin:
+    NotUnitary, with the eigensolver's message, unless every coin's
+    `Coin3.unitarity_defect` is within DEFAULT_TOL.  Each block's defect is
+    its coin's up to the rounding `exactnum._unitarity_defect` bounds."""
     stacks = [_half_stack(spec) for spec in specs]
     defects = [spec.coin.unitarity_defect for spec in specs]
     if not all(d <= DEFAULT_TOL for d in defects):  # a NaN defect fails too
@@ -253,13 +251,12 @@ def period_spectral(spec: _walk.WalkSpec, qmax: int = QMAX_DEFAULT, eigenvalues=
     its modulus checked, its angle taken by math.atan2.  The result does not
     depend on the eigenvalues' order: the lcm is symmetric, and any one that
     fails to classify gives the same no_period_up_to; so they come unsorted,
-    from `exactnum._solve_unitary`.  The blocks are not checked one by one:
-    the coin is certified unitary within DEFAULT_TOL once
-    (`Coin3.unitarity_defect`), and each block D_l C, D_l a diagonal of unit
-    phases, has its defect up to rounding (`_certified_stacks`), so a coin
-    that is not raises NotUnitary.  `eigenvalues` are the blocks' when a
-    sweep's batch solved them; by default, as for a sweep's lone spec, one
-    call here.
+    from `exactnum._solve_unitary`, which checks no block: the coin is
+    certified unitary within DEFAULT_TOL once, and NotUnitary raised when it
+    is not (`_certified_stacks`), since each block D_l C, D_l a diagonal of
+    unit phases, has the coin's defect up to rounding.  `eigenvalues` are
+    the blocks' when a sweep's batch solved them; by default, as for a
+    sweep's lone spec, one call here.
     """
     bound = min(_check_qmax(qmax), GUARANTEED_ORDER_BOUND)
     if eigenvalues is None:
